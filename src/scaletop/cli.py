@@ -224,15 +224,18 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SweepConfig(
-        max_points=args.max_n,
-        scale_budget=args.scale_budget,
-        map_budget=args.map_budget,
-        seed=args.seed,
-        mode=args.mode,
-        sample_budget=args.budget,
-        max_violations=args.max_violations,
-    )
+    try:
+        cfg = SweepConfig(
+            max_points=args.max_n,
+            scale_budget=args.scale_budget,
+            map_budget=args.map_budget,
+            seed=args.seed,
+            mode=args.mode,
+            sample_budget=args.budget,
+            max_violations=args.max_violations,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     try:
         if args.property in SEARCH_IDS:
             report = search_counterexample(args.property, cfg)

@@ -21,7 +21,7 @@ reconfirms a failure from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 from .finite_topology import PointSet, canon, connected_components, set_key
@@ -174,9 +174,7 @@ def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
         return _check_at_point(f, dom, mode, mode.at_point)
     if mode.locus == "local":
         for x in f.domain.space.points:
-            sub = _check_at_point(
-                f, dom, replace(mode, locus="at-point", at_point=x), x
-            )
+            sub = _check_at_point(f, dom, mode, x)
             if not sub.holds:
                 return ContinuityVerdict(False, mode, sub.certificate)
         return ContinuityVerdict(True, mode)

@@ -178,8 +178,16 @@ class ExactNumber:
         return float(self._a) + float(self._b) * math.sqrt(2)
 
     def floor(self) -> int:
-        """Exact floor, verified by exact comparisons."""
-        n = math.floor(float(self))
+        """Exact floor, verified by exact comparisons.
+
+        The starting guess uses integers only, so no magnitude overflows:
+        with ``self = (p + q*sqrt(2)) / d``, ``isqrt(2*q*q)`` is within one
+        of ``|q|*sqrt(2)``."""
+        d = self._a.denominator * self._b.denominator
+        p = self._a.numerator * self._b.denominator
+        q = self._b.numerator * self._a.denominator
+        root = math.isqrt(2 * q * q)
+        n = (p + (root if q >= 0 else -root)) // d
         while ExactNumber(n + 1) <= self:
             n += 1
         while ExactNumber(n) > self:

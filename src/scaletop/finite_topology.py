@@ -88,7 +88,10 @@ def validate_topology(opens: frozenset[PointSet], n: int) -> ValidationResult:
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite topological space; ``opens`` must satisfy the axioms."""
+    """A finite topological space; ``opens`` must satisfy the axioms.
+
+    ``carrier`` is built once, at construction, and stored outside the
+    fields, so it takes no part in equality, hashing or ``repr``."""
 
     n_points: int
     opens: frozenset[PointSet]
@@ -97,14 +100,11 @@ class FiniteSpace:
         result = validate_topology(self.opens, self.n_points)
         if not result:
             raise ValueError(f"not a topology: {result.code} {result.message}")
+        object.__setattr__(self, "carrier", frozenset(range(self.n_points)))
 
     @staticmethod
     def of(n: int, opens) -> FiniteSpace:
         return FiniteSpace(n, frozenset(frozenset(s) for s in opens))
-
-    @property
-    def carrier(self) -> PointSet:
-        return frozenset(range(self.n_points))
 
     @property
     def points(self) -> range:

@@ -45,6 +45,13 @@ class Scale:
     Construction checks only shape (assignment arity); call
     :func:`validate_scale` for the axioms, so invalid scales can be
     represented and reported on.
+
+    A scale is immutable (a frozen dataclass over a frozen space,
+    frozensets and tuples), so its validity never changes:
+    :func:`require_valid` stores the verdict on the instance, outside the
+    fields, and a repeat check of the same object reads it back.  The
+    stored verdict takes no part in equality or hashing and travels with
+    the scale through ``pickle``.
     """
 
     space: FiniteSpace
@@ -75,7 +82,28 @@ class Scale:
 
 
 def validate_scale(scale: Scale) -> ValidationResult:
-    """VALID, or the first violated condition with a witness."""
+    """VALID, or the first violated condition with a witness.
+
+    A valid scale is recognized with set algebra alone: ``tq`` is open,
+    every family lies in ``tq`` and contains its point, and the families
+    cover ``tq``.  Only a scale that fails this runs the ordered search,
+    which decides the first violation and its witness."""
+    tq = scale.tq
+    if scale.space.opens.issuperset(tq):
+        assigned: set[PointSet] = set()
+        for x, fam in enumerate(scale.assignment):
+            if not tq.issuperset(fam) or not all(x in a for a in fam):
+                break
+            assigned.update(fam)
+        else:
+            if assigned == tq:
+                return VALID
+    return _first_violation(scale)
+
+
+def _first_violation(scale: Scale) -> ValidationResult:
+    """The conditions in their fixed order, each over sets sorted by
+    ``set_key``; VALID when none is violated."""
     space = scale.space
     for fam in scale.assignment:
         for a in sorted(fam, key=set_key):
@@ -113,7 +141,13 @@ def validate_scale(scale: Scale) -> ValidationResult:
 
 
 def require_valid(scale: Scale) -> Scale:
-    result = validate_scale(scale)
+    """Return the scale, or raise ValueError naming its first violation.
+    Each scale object is validated once; its verdict, failures included,
+    is stored on it (see :class:`Scale`)."""
+    result = scale.__dict__.get("_validity")
+    if result is None:
+        result = validate_scale(scale)
+        object.__setattr__(scale, "_validity", result)
     if not result:
         raise ValueError(f"invalid scale: {result.code} {result.witness}")
     return scale

@@ -4,10 +4,11 @@ reports verdicts with replayable counterexample certificates.
 
 Every property is registered as a list of independent tasks plus a task
 runner; tasks are evaluated in a fixed order (optionally in parallel,
-capped by the SCALETOP_THREADS environment variable) and merged
-deterministically, so identical (property, config) pairs produce
-byte-identical reports.  Violations are listed in canonical order
-(lexicographic on their serialized form) and capped by the config.
+on as many workers as the SCALETOP_THREADS environment variable asks,
+capped by the CPU count and the task count) and merged deterministically,
+so identical (property, config) pairs produce byte-identical reports.
+Violations are listed in canonical order (lexicographic on their
+serialized form) and capped by the config.
 
 Hypothesis-violating instances are skipped and counted separately:
 ``generated = tested + skipped`` is reported explicitly.
@@ -1262,8 +1263,8 @@ def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
     spec = PROPERTIES[property_id]
     effective = cfg
     tasks = spec.tasks(effective)
-    workers = sweep_parallelism()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(sweep_parallelism(), os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(

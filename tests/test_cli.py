@@ -234,6 +234,14 @@ def test_verify_unknown_property(capsys):
     assert code == 2
 
 
+def test_verify_out_of_range_config_exits_2(capsys):
+    code = main(["verify", "--property", "P4", "--max-n", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: max_points must be between 1 and 4\n"
+
+
 def test_enumerate_streams(capsys):
     code = main(["--quiet", "enumerate", "--n", "2"])
     out = capsys.readouterr().out

@@ -88,6 +88,45 @@ def test_floor(x):
     assert ExactNumber(n) <= x < ExactNumber(n + 1)
 
 
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        ExactNumber(HUGE),
+        ExactNumber(-HUGE),
+        ExactNumber(Fraction(HUGE, 7)),
+        ExactNumber(0, HUGE),
+        ExactNumber(Fraction(1, 3), -HUGE),
+        ExactNumber(Fraction(-HUGE, 3), Fraction(HUGE, 11)),
+    ],
+)
+def test_floor_beyond_float_range(x):
+    n = x.floor()
+    assert ExactNumber(n) <= x < ExactNumber(n + 1)
+
+
+def test_floor_of_huge_integers_is_exact():
+    assert ExactNumber(HUGE).floor() == HUGE
+    assert ExactNumber(-HUGE).floor() == -HUGE
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (ExactNumber(10**308), ExactNumber(10**308 + 1)),
+        (ExactNumber(-(10**308) - 1), ExactNumber(-(10**308))),
+        (ExactNumber(10**308, 1), ExactNumber(10**308, 2)),
+    ],
+)
+def test_between_helpers_near_float_max(lo, hi):
+    q = rational_between(lo, hi)
+    assert q.is_rational and lo < q < hi
+    w = irrational_between(lo, hi)
+    assert not w.is_rational and lo < w < hi
+
+
 def test_sqrt2_identities():
     assert SQRT2 * SQRT2 == ExactNumber(2)
     assert SQRT2 / 2 < ONE

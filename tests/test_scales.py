@@ -7,17 +7,23 @@ the declared family (witnessed below on the discrete 3-point space).
 """
 
 import itertools
+import pickle
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from scaletop import scales
 from scaletop.finite_topology import (
     FiniteSpace,
     discrete_space,
     enumerate_topologies,
+    set_key,
     sierpinski,
 )
 from scaletop.scales import (
     Scale,
+    _first_violation,
     ScaleIntersectionError,
     classify,
     count_scales,
@@ -31,6 +37,7 @@ from scaletop.scales import (
     p_structure,
     q_closed,
     q_open,
+    require_valid,
     scale_intersection,
     scale_union,
     trivial_scale,
@@ -90,6 +97,177 @@ def test_tq_must_be_open():
 def test_empty_scale_is_valid():
     s = sierpinski()
     assert validate_scale(mk(s, [], [], [])).ok
+
+
+# -- the set-algebra fast path against the ordered search ---------------------
+
+SPACES = [space for n in (1, 2, 3) for space in enumerate_topologies(n)]
+
+
+def _subsets(points):
+    return [
+        frozenset(c)
+        for r in range(len(points) + 1)
+        for c in itertools.combinations(points, r)
+    ]
+
+
+@st.composite
+def valid_scales(draw):
+    """A valid scale: a declared family of nonempty opens, random
+    per-point subfamilies, and every declared set given to one of its
+    points (or dropped from the family) so that SC2 holds."""
+    space = draw(st.sampled_from(SPACES))
+    nonempty = [o for o in space.opens_sorted() if o]
+    tq = set(draw(st.lists(st.sampled_from(nonempty), unique=True)))
+    families = []
+    for x in space.points:
+        options = sorted((a for a in tq if x in a), key=set_key)
+        families.append(set(draw(st.lists(st.sampled_from(options)))) if options else set())
+    for a in sorted(tq, key=set_key):
+        if not any(a in fam for fam in families):
+            if draw(st.booleans()):
+                families[draw(st.sampled_from(sorted(a)))].add(a)
+            else:
+                tq.discard(a)
+    return Scale(space, frozenset(tq), tuple(frozenset(f) for f in families))
+
+
+def _with_family(scale, x, fam, tq=None):
+    assignment = list(scale.assignment)
+    assignment[x] = frozenset(fam)
+    return Scale(scale.space, scale.tq if tq is None else frozenset(tq), tuple(assignment))
+
+
+def _mutate(draw, scale, code):
+    """Break ``scale`` so that its first violation is ``code``."""
+    space, tq = scale.space, scale.tq
+    x = draw(st.sampled_from(list(space.points)))
+    fam = scale.at(x)
+    if code == "MALFORMED":
+        stray = frozenset({x, space.n_points})
+        return _with_family(scale, x, fam | {stray}, tq | {stray})
+    if code == "ASSIGNMENT_OUTSIDE_TQ":
+        options = [a for a in _subsets(space.points) if x in a and a not in tq]
+        assume(options)
+        return _with_family(scale, x, fam | {draw(st.sampled_from(options))})
+    if code == "TQ_NOT_OPEN":
+        options = [a for a in _subsets(space.points) if a and a not in space.opens]
+        assume(options)
+        bad = draw(st.sampled_from(options))
+        return _with_family(scale, min(bad), scale.at(min(bad)) | {bad}, tq | {bad})
+    if code == "SC1":
+        options = sorted((a for a in tq if x not in a), key=set_key)
+        assume(options)
+        return _with_family(scale, x, fam | {draw(st.sampled_from(options))})
+    assert code == "SC2"
+    assume(tq)
+    dropped = draw(st.sampled_from(sorted(tq, key=set_key)))
+    return Scale(space, tq, tuple(f - {dropped} for f in scale.assignment))
+
+
+@st.composite
+def arbitrary_scales(draw):
+    """Declared family and assignment drawn from every subset of the
+    carrier plus one stray point, so several conditions can fail at once."""
+    space = draw(st.sampled_from(SPACES))
+    universe = _subsets(range(space.n_points + 1))
+    sets = st.frozensets(st.sampled_from(universe), max_size=4)
+    return Scale(
+        space,
+        draw(sets),
+        tuple(draw(sets) for _ in space.points),
+    )
+
+
+def _assert_same_result(scale):
+    fast, ordered = validate_scale(scale), _first_violation(scale)
+    assert (fast.ok, fast.code, fast.witness, fast.message) == (
+        ordered.ok,
+        ordered.code,
+        ordered.witness,
+        ordered.message,
+    )
+    return fast
+
+
+@given(valid_scales())
+@settings(max_examples=200, deadline=None)
+def test_fast_path_accepts_valid_scales(scale):
+    assert _assert_same_result(scale).ok
+
+
+@pytest.mark.parametrize(
+    "code", ["MALFORMED", "ASSIGNMENT_OUTSIDE_TQ", "TQ_NOT_OPEN", "SC1", "SC2"]
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fast_path_matches_ordered_search_on_violations(code, data):
+    scale = _mutate(data.draw, data.draw(valid_scales()), code)
+    assert _assert_same_result(scale).code == code
+
+
+@given(arbitrary_scales())
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_ordered_search_on_arbitrary_scales(scale):
+    _assert_same_result(scale)
+
+
+# -- the per-object validation memo -------------------------------------------
+
+
+def _count_validations(monkeypatch):
+    calls = []
+
+    def counting(scale):
+        calls.append(scale)
+        return validate_scale(scale)
+
+    monkeypatch.setattr(scales, "validate_scale", counting)
+    return calls
+
+
+def test_require_valid_validates_each_object_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    t = trivial_scale(sierpinski())
+    assert require_valid(t) is t
+    assert require_valid(t) is t
+    assert len(calls) == 1
+    require_valid(Scale(t.space, t.tq, t.assignment))
+    assert len(calls) == 2
+
+
+def test_require_valid_rejects_invalid_scale_every_time(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    bad = mk(sierpinski(), [(0,), (0, 1)], [(0,), (0, 1)], [(0,)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="SC1"):
+            require_valid(bad)
+    assert len(calls) == 1
+
+
+def test_validated_scale_equals_unvalidated_copy():
+    t = trivial_scale(discrete_space(2))
+    copy = Scale(t.space, t.tq, t.assignment)
+    require_valid(t)
+    assert t == copy and copy == t
+    assert hash(t) == hash(copy)
+    assert repr(t) == repr(copy)
+    assert len({t, copy}) == 1
+
+
+def test_validated_scale_keeps_its_verdict_through_pickle(monkeypatch):
+    good = trivial_scale(sierpinski())
+    bad = mk(sierpinski(), [(0,), (0, 1)], [(0, 1)], [(0, 1)])
+    require_valid(good)
+    with pytest.raises(ValueError):
+        require_valid(bad)
+    good2, bad2 = pickle.loads(pickle.dumps((good, bad)))
+    calls = _count_validations(monkeypatch)
+    assert good2 == good and require_valid(good2) is good2
+    with pytest.raises(ValueError, match="SC2"):
+        require_valid(bad2)
+    assert calls == []
 
 
 # -- classification -------------------------------------------------------------

@@ -25,7 +25,7 @@ from scaletop.verifier import (
     run_property,
     search_counterexample,
 )
-from scaletop import jsonio
+from scaletop import jsonio, verifier
 
 
 SMALL = SweepConfig(max_points=2, scale_budget=8, sample_budget=400)
@@ -150,6 +150,40 @@ def test_parallelism_does_not_change_output(monkeypatch):
     monkeypatch.setenv("SCALETOP_THREADS", "2")
     par = run_property("P4", cfg).to_bytes()
     assert seq == par
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    cfg = SweepConfig(max_points=2, scale_budget=6, sample_budget=120)
+    serial = run_property("P4", cfg).to_bytes()
+    tasks = verifier.PROPERTIES["P4"].tasks(cfg)
+    assert len(tasks) > 3
+    requested = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and runs tasks in process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SCALETOP_THREADS", str(10**12))
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
+    assert run_property("P4", cfg).to_bytes() == serial
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 10**6)
+    assert run_property("P4", cfg).to_bytes() == serial
+    assert requested == [3, len(tasks)]
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+    assert run_property("P4", cfg).to_bytes() == serial
+    assert requested == [3, len(tasks)]
 
 
 def test_classical_oracle_matches_definitions():
