@@ -41,13 +41,17 @@ class CliError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    """Every document the CLI reads is a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _emit(doc: dict, quiet: bool, summary: str) -> None:
@@ -177,7 +181,10 @@ def _cmd_gaps(args) -> int:
             pam = jsonio.pam_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed map document: {exc}") from exc
-    gaps = pam.gaps()
+    try:
+        gaps = pam.gaps()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     payload: dict = {
         "gaps": [
             {
@@ -194,7 +201,10 @@ def _cmd_gaps(args) -> int:
             level = ExactNumber(Fraction(args.threshold))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"cannot parse threshold: {exc}") from exc
-        verdict = is_a_fuzzy_continuous(pam, level)
+        try:
+            verdict = is_a_fuzzy_continuous(pam, level)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         payload["threshold"] = jsonio.exact_to_json(level)
         payload["within_threshold"] = verdict.holds
         payload["witnesses"] = [

@@ -173,13 +173,24 @@ class LineSet:
         return normalize(self.pieces + other.pieces)
 
     def intersect(self, other: LineSet) -> LineSet:
+        """Merge walk over both canonical piece lists: the piece that ends
+        first cannot meet anything later in the other list.  Pieces cut
+        from disjoint, non-adjacent pieces stay so, and they come out in
+        order, so the result is canonical without ``normalize``."""
+        xs, ys = self.pieces, other.pieces
+        nx, ny = len(xs), len(ys)
         out = []
-        for x in self.pieces:
-            for y in other.pieces:
-                z = _intersect_intervals(x, y)
-                if z is not None:
-                    out.append(z)
-        return normalize(out)
+        i = j = 0
+        while i < nx and j < ny:
+            x, y = xs[i], ys[j]
+            z = _intersect_intervals(x, y)
+            if z is not None:
+                out.append(z)
+            if _cmp_upper(x.hi, x.hi_closed, y.hi, y.hi_closed) <= 0:
+                i += 1
+            else:
+                j += 1
+        return LineSet(tuple(out))
 
     def complement(self) -> LineSet:
         """Complement within the whole line."""
@@ -202,7 +213,20 @@ class LineSet:
         return self.intersect(other.complement())
 
     def issubset(self, other: LineSet) -> bool:
-        return self.difference(other).is_empty
+        """Each piece must lie in one piece of ``other``: the first one that
+        does not end before it, since every later one starts after that."""
+        ys = other.pieces
+        ny = len(ys)
+        j = 0
+        for x in self.pieces:
+            while j < ny and _cmp_upper(ys[j].hi, ys[j].hi_closed, x.hi, x.hi_closed) < 0:
+                j += 1
+            if j == ny:
+                return False
+            y = ys[j]
+            if _cmp_lower(y.lo, y.lo_closed, x.lo, x.lo_closed) > 0:
+                return False
+        return True
 
     def closure(self) -> LineSet:
         """Topological closure in the whole line (close finite endpoints)."""
@@ -389,10 +413,6 @@ def complement_within(carrier: SheetSet, s: SheetSet) -> SheetSet:
     if not s.issubset(carrier):
         raise ValueError("set is not contained in the carrier")
     return carrier.difference(s)
-
-
-def closure_in_carrier(carrier: SheetSet, s: SheetSet) -> SheetSet:
-    return s.closure().intersect(carrier)
 
 
 def is_open_in_carrier(carrier: SheetSet, s: SheetSet) -> bool:

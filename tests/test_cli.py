@@ -2,14 +2,18 @@
 schema validity of each output, and load-fixture round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from jsonschema import validate as js_validate
 
 from scaletop import jsonio
 from scaletop.cli import main
+from scaletop.exactnum import ExactNumber
 from scaletop.finite_topology import sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
+from scaletop.intervals import Carrier, Interval, LineSet
+from scaletop.pwmaps import AffinePiece, PiecewiseAffineMap
 from scaletop.scales import trivial_scale
 
 
@@ -270,3 +274,46 @@ def test_quiet_suppresses_stderr(capsys):
     main(["fixtures", "--name", "ex12"])
     captured = capsys.readouterr()
     assert "fixture" in captured.err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"map"', "null"])
+def test_non_object_documents_exit_2(capsys, tmp_path, text):
+    arr = tmp_path / "arr.json"
+    arr.write_text(text)
+    assert main(["--quiet", "check", "--map", str(arr), "--mode", "local-strong"]) == 2
+    assert main(["--quiet", "gaps", "--fn", str(arr)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "JSON object" in err
+
+
+def sheet_crossing_map():
+    """[0, 2] -> two copies of [0, 1]: 0 on sheet 0 up to 1, then 1 on
+    sheet 1, so the right limit at 1 lies on another sheet."""
+    zero, one, two = (ExactNumber(k) for k in (0, 1, 2))
+    unit = LineSet.of(Interval(zero, one, True, True))
+    return PiecewiseAffineMap(
+        Carrier.of(LineSet.of(Interval(zero, two, True, True))),
+        Carrier.of(unit, unit),
+        (
+            AffinePiece(0, Interval(zero, one, True, True), 0, Fraction(0), Fraction(0)),
+            AffinePiece(0, Interval(one, two, False, True), 1, Fraction(0), Fraction(1)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("threshold", [None, "1/2"])
+def test_gaps_undefined_exits_2(capsys, tmp_path, threshold):
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(jsonio.pam_to_json(sheet_crossing_map())))
+    argv = ["gaps", "--fn", str(path)]
+    if threshold is not None:
+        argv += ["--threshold", threshold]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: one-sided limit crosses codomain sheets; gap undefined\n"
+
+
+def test_gaps_negative_threshold_exits_2(capsys, fixture_file):
+    assert main(["--quiet", "gaps", "--fn", fixture_file("ex17-f"), "--threshold=-1/10"]) == 2
+    assert capsys.readouterr().err == "error: fuzzy-continuity level must be nonnegative\n"

@@ -1,12 +1,18 @@
 """Field and order laws for ExactNumber, checked against an independent
-sign oracle built from continued-fraction convergents of sqrt(2)."""
+sign oracle built from continued-fraction convergents of sqrt(2), and
+every operation of the integer kernel checked against a reference on
+(Fraction, Fraction) pairs."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scaletop import jsonio
 from scaletop.exactnum import (
     ONE,
     SQRT2,
@@ -15,6 +21,7 @@ from scaletop.exactnum import (
     irrational_between,
     rational_between,
 )
+from scaletop.intervals import Interval, LineSet, point_interval
 
 
 def sqrt2_bounds(depth: int) -> tuple[Fraction, Fraction]:
@@ -161,3 +168,189 @@ def test_between_helpers(x, y):
 def test_parse():
     assert ExactNumber.parse("3/4") == ExactNumber(Fraction(3, 4))
     assert ExactNumber.parse("-2") == ExactNumber(-2)
+
+
+# -- integer kernel vs a (Fraction, Fraction) reference ---------------------
+#
+# The reference keeps a number as the pair (a, b) of a + b*sqrt(2) and
+# implements every operation directly on Fractions, independently of the
+# kernel's (p + q*sqrt(2)) / d form.
+
+
+def ref_sign(a: Fraction, b: Fraction) -> int:
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    if a * a > 2 * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
+
+
+def ref_inverse(x):
+    a, b = x
+    norm = a * a - 2 * b * b
+    return a / norm, -b / norm
+
+
+def ref_cmp(x, y) -> int:
+    return ref_sign(x[0] - y[0], x[1] - y[1])
+
+
+def ref_floor(x) -> int:
+    a, b = x
+    # floor(sqrt(r)) == isqrt(floor(r)) for rational r >= 0.
+    root = math.isqrt(math.floor(2 * b * b))
+    n = math.floor(a) + (root if b >= 0 else -root - 1)
+    while ref_sign(a - (n + 1), b) >= 0:
+        n += 1
+    while ref_sign(a - n, b) < 0:
+        n -= 1
+    return n
+
+
+def ref_str(a: Fraction, b: Fraction) -> str:
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt2"
+    return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt2"
+
+
+def ref_repr(a: Fraction, b: Fraction) -> str:
+    if b == 0:
+        return f"ExactNumber({a!r})"
+    return f"ExactNumber({a!r}, {b!r})"
+
+
+def assert_matches(x: ExactNumber, ref) -> None:
+    """``x`` equals the reference pair and is in canonical form."""
+    a, b = ref
+    assert (x.a, x.b) == (a, b)
+    assert x == ExactNumber(a, b) and hash(x) == hash(ExactNumber(a, b))
+    assert x._d > 0 and math.gcd(x._p, x._q, x._d) == 1
+
+
+HUGE_BOUND = 10**401
+coeffs = st.one_of(
+    rationals,
+    st.integers(min_value=-HUGE_BOUND, max_value=HUGE_BOUND).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-HUGE_BOUND, max_value=HUGE_BOUND),
+        st.integers(min_value=1, max_value=HUGE_BOUND),
+    ),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(10**400)]),
+)
+pairs = st.tuples(coeffs, coeffs)
+plain = st.one_of(
+    st.integers(min_value=-HUGE_BOUND, max_value=HUGE_BOUND),
+    rationals,
+)
+
+
+def ex(ref) -> ExactNumber:
+    return ExactNumber(*ref)
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_arithmetic_matches_reference(x, y):
+    a, b = ex(x), ex(y)
+    assert_matches(a + b, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(a - b, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(-a, (-x[0], -x[1]))
+    assert_matches(a * b, ref_mul(x, y))
+    if y != (0, 0):
+        assert_matches(b.inverse(), ref_inverse(y))
+        assert_matches(a / b, ref_mul(x, ref_inverse(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert_matches(abs(a), x if ref_sign(*x) >= 0 else (-x[0], -x[1]))
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_comparisons_match_reference(x, y):
+    a, b = ex(x), ex(y)
+    c = ref_cmp(x, y)
+    assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+        c < 0, c <= 0, c > 0, c >= 0, c == 0, c != 0,
+    )
+    assert a.sign() == ref_sign(*x)
+
+
+@given(pairs, plain)
+@settings(max_examples=300)
+def test_mixed_operands_match_reference(x, k):
+    a, o = ex(x), (Fraction(k), Fraction(0))
+    c = ref_cmp(x, o)
+    assert (a < k, a <= k, a > k, a >= k, a == k, a != k) == (
+        c < 0, c <= 0, c > 0, c >= 0, c == 0, c != 0,
+    )
+    assert (k < a, k <= a, k > a, k >= a, k == a, k != a) == (
+        c > 0, c >= 0, c < 0, c <= 0, c == 0, c != 0,
+    )
+    assert_matches(a + k, (x[0] + o[0], x[1]))
+    assert_matches(k + a, (x[0] + o[0], x[1]))
+    assert_matches(a - k, (x[0] - o[0], x[1]))
+    assert_matches(k - a, (o[0] - x[0], -x[1]))
+    assert_matches(a * k, ref_mul(x, o))
+    assert_matches(k * a, ref_mul(x, o))
+    if k != 0:
+        assert_matches(a / k, ref_mul(x, ref_inverse(o)))
+    if x != (0, 0):
+        assert_matches(k / a, ref_mul(o, ref_inverse(x)))
+
+
+@given(pairs)
+@settings(max_examples=200)
+def test_conversions_match_reference(x):
+    a = ex(x)
+    assert a.is_rational == (x[1] == 0)
+    assert a.is_zero == (x == (0, 0))
+    assert str(a) == ref_str(*x)
+    assert repr(a) == ref_repr(*x)
+    assert a.floor() == ref_floor(x)
+    doc = jsonio.exact_to_json(a)
+    assert doc == {"a": jsonio.fraction_to_json(x[0]), "b": jsonio.fraction_to_json(x[1])}
+    back = jsonio.exact_from_json(doc)
+    assert back == a and hash(back) == hash(a)
+
+
+def test_reduced_forms_are_equal_and_hash_alike():
+    x = ExactNumber(Fraction(2, 4), Fraction(6, 8))
+    y = ExactNumber(Fraction(1, 2), Fraction(3, 4))
+    assert x == y and hash(x) == hash(y)
+    # Sums and products whose common factor only the gcd step removes.
+    half = ExactNumber(Fraction(1, 2), Fraction(1, 4))
+    assert half + ExactNumber(Fraction(1, 2), Fraction(-1, 4)) == ONE
+    assert hash(half + ExactNumber(Fraction(1, 2), Fraction(-1, 4))) == hash(ONE)
+    assert hash(half * 4) == hash(ExactNumber(2, 1))
+    assert hash(ExactNumber(Fraction(6, 4)) - Fraction(1, 2)) == hash(ONE)
+    assert hash(ExactNumber(0, 3) / ExactNumber(0, 6)) == hash(ExactNumber(Fraction(1, 2)))
+
+
+def test_pickle_and_deepcopy_round_trip():
+    x = ExactNumber(Fraction(1, 3), -HUGE)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert y == x and hash(y) == hash(x)
+    with pytest.raises(AttributeError):
+        x._p = 0
+    s = LineSet.of(
+        Interval(None, ExactNumber(0, 1), False, True),
+        point_interval(ExactNumber(3)),
+        Interval(ExactNumber(Fraction(7, 2)), None, False, False),
+    )
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert copy.deepcopy(s) == s

@@ -15,6 +15,7 @@ from scaletop.intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _intersect_intervals,
     complement_within,
     component_containing,
     interior_in_carrier,
@@ -215,3 +216,79 @@ def test_carrier_validation():
         Carrier.of(LineSet.empty())
     with pytest.raises(ValueError):
         Carrier(())
+
+
+# -- merge walks vs the all-pairs reference -------------------------------
+
+
+def ref_intersect(a: LineSet, b: LineSet) -> LineSet:
+    """All-pairs intersection followed by ``normalize``."""
+    out = []
+    for x in a.pieces:
+        for y in b.pieces:
+            z = _intersect_intervals(x, y)
+            if z is not None:
+                out.append(z)
+    return normalize(out)
+
+
+def ref_difference(a: LineSet, b: LineSet) -> LineSet:
+    return ref_intersect(a, b.complement())
+
+
+def ref_issubset(a: LineSet, b: LineSet) -> bool:
+    return ref_difference(a, b).is_empty
+
+
+# Rational and sqrt(2) endpoints that interleave, so pieces share, touch
+# and cross endpoints of either kind.
+mixed_coords = st.one_of(
+    coords,
+    st.integers(min_value=-4, max_value=4).map(
+        lambda n: ExactNumber(Fraction(n, 2), Fraction(1, 2))
+    ),
+)
+
+
+@st.composite
+def mixed_line_sets(draw):
+    """Sorted endpoints paired into pieces (a repeated endpoint gives a
+    point or two pieces that share an end), the outer ends possibly
+    unbounded, then ``normalize``."""
+    ends = sorted(draw(st.lists(mixed_coords, max_size=8)))
+    pieces = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        if lo == hi:
+            pieces.append(point_interval(lo))
+        else:
+            pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    if pieces and draw(st.booleans()):
+        first = pieces[0]
+        pieces[0] = Interval(None, first.hi, False, first.hi_closed)
+    if pieces and draw(st.booleans()):
+        last = pieces[-1]
+        pieces[-1] = Interval(last.lo, None, last.lo_closed, False)
+    if not pieces and draw(st.booleans()):
+        pieces.append(Interval(None, None, False, False))
+    return normalize(pieces)
+
+
+@given(mixed_line_sets(), mixed_line_sets())
+@settings(max_examples=400)
+def test_merge_walks_match_all_pairs_reference(a, b):
+    assert a.intersect(b).pieces == ref_intersect(a, b).pieces
+    assert a.difference(b).pieces == ref_difference(a, b).pieces
+    assert a.issubset(b) == ref_issubset(a, b)
+    assert a.issubset(a) and a.intersect(b).issubset(a)
+    assert a.difference(b).issubset(a)
+
+
+def test_issubset_needs_a_single_containing_piece():
+    # [0, 1/2) u (1/2, 1] does not contain [0, 1] although it covers all
+    # of it but one point; (0, 1) is inside (-inf, 1).
+    gapped = LineSet.of(iv(0, "1/2", lc=True), iv("1/2", 1, hc=True))
+    assert not LineSet.of(iv(0, 1, lc=True, hc=True)).issubset(gapped)
+    assert LineSet.of(iv(0, 1)).issubset(LineSet.of(iv(None, 1)))
+    assert not LineSet.of(iv(0, 1, hc=True)).issubset(LineSet.of(iv(None, 1)))
+    assert LineSet.empty().issubset(LineSet.empty())
+    assert not LineSet.of(point_interval(SQRT2)).issubset(LineSet.empty())
