@@ -15,17 +15,24 @@ equivalence between scaled and classical continuity at trivial scales.
 The closed-set characterization mirrors this by allowing the preimage
 of an assigned-complement to be the whole carrier.
 
-Verdicts carry machine-checkable certificates; ``replay_certificate``
-reconfirms a failure from scratch.
+The two kernels, ``check_continuity`` and
+``check_closed_characterization``, run on bitmasks: each scale's
+compiled ``ScaleMasks`` and a memoized table of preimage masks per map
+table.  Targets are visited in ``set_key`` order, so the first failure
+and its certificate are the canonical ones.  Certificates hold canonical
+tuples, and ``replay_certificate``, ``ScaledMap.preimage`` and
+``ScaledMap.image`` stay on frozensets: a failure is reconfirmed from
+scratch by code that shares nothing with the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
-from .finite_topology import PointSet, canon, connected_components, set_key
-from .scales import Scale, q_open, require_valid, trivial_scale
+from .finite_topology import PointSet, connected_components, mask_points
+from .scales import Scale, scale_masks, trivial_masks, trivial_scale
 
 Strength = Literal["strong", "weak"]
 Locus = Literal["at-point", "local", "global"]
@@ -104,10 +111,6 @@ class ScaledMap:
     def image(self, s: PointSet) -> PointSet:
         return frozenset(self.table[x] for x in s)
 
-    @property
-    def is_surjective(self) -> bool:
-        return frozenset(self.table) == self.codomain.space.carrier
-
 
 @dataclass(frozen=True)
 class ComposedScaledMap(ScaledMap):
@@ -162,93 +165,119 @@ def _domain_scale(f: ScaledMap, mode: ContinuityMode) -> Scale:
     return trivial_scale(f.domain.space) if mode.trivial_domain else f.domain
 
 
-def _sorted_sets(fams) -> list[PointSet]:
-    return sorted(fams, key=set_key)
+class _Preimages(dict):
+    """Codomain mask -> preimage mask under one table, each entry
+    computed on first use from the preimages of single points."""
+
+    def __init__(self, table: tuple[int, ...], ny: int) -> None:
+        super().__init__()
+        self.of_point = [0] * ny
+        for x, y in enumerate(table):
+            self.of_point[y] |= 1 << x
+
+    def __missing__(self, target: int) -> int:
+        pre = 0
+        for y, xs in enumerate(self.of_point):
+            if target >> y & 1:
+                pre |= xs
+        self[target] = pre
+        return pre
+
+
+@lru_cache(maxsize=1 << 12)
+def _preimages(table: tuple[int, ...], ny: int) -> _Preimages:
+    return _Preimages(table, ny)
 
 
 def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
-    require_valid(f.domain)
-    require_valid(f.codomain)
-    dom = _domain_scale(f, mode)
-    if mode.locus == "at-point":
-        return _check_at_point(f, dom, mode, mode.at_point)
-    if mode.locus == "local":
-        for x in f.domain.space.points:
-            sub = _check_at_point(f, dom, mode, x)
-            if not sub.holds:
-                return ContinuityVerdict(False, mode, sub.certificate)
+    dom = scale_masks(f.domain)
+    cod = scale_masks(f.codomain)
+    if mode.trivial_domain:
+        dom = trivial_masks(f.domain.space)
+    pre = _preimages(f.table, f.codomain.space.n_points)
+    strong = mode.strength == "strong"
+    if mode.locus == "global":
+        for target in cod.tq:
+            p = pre[target]
+            if not p:
+                continue  # no domain point is constrained by this set
+            if strong:
+                if p not in dom.tq_set:
+                    return ContinuityVerdict(
+                        False,
+                        mode,
+                        {"r_open": mask_points(target), "preimage": mask_points(p)},
+                    )
+            else:
+                for v in dom.tq:
+                    if not v & ~p:  # image(v) lies inside the target
+                        break
+                else:
+                    return ContinuityVerdict(
+                        False, mode, {"r_open": mask_points(target)}
+                    )
         return ContinuityVerdict(True, mode)
-    return _check_global(f, dom, mode)
-
-
-def _check_at_point(
-    f: ScaledMap, dom: Scale, mode: ContinuityMode, x: int
-) -> ContinuityVerdict:
-    if not 0 <= x < f.domain.space.n_points:
-        raise ValueError(f"point {x} outside the domain carrier")
-    y = f.apply(x)
-    for target in _sorted_sets(f.codomain.at(y)):
-        if mode.strength == "strong":
-            pre = f.preimage(target)
-            if pre not in dom.at(x):
-                return ContinuityVerdict(
-                    False,
-                    mode,
-                    {
-                        "point": x,
-                        "target": canon(target),
-                        "preimage": canon(pre),
-                    },
-                )
-        else:
-            if not any(f.image(u) <= target for u in dom.at(x)):
-                return ContinuityVerdict(
-                    False, mode, {"point": x, "target": canon(target)}
-                )
+    if mode.locus == "at-point":
+        x = mode.at_point
+        if not 0 <= x < f.domain.space.n_points:
+            raise ValueError(f"point {x} outside the domain carrier")
+        points = (x,)
+    else:
+        points = f.domain.space.points
+    table = f.table
+    for x in points:
+        fam = dom.at[x]
+        for target in cod.at[table[x]]:
+            p = pre[target]
+            if strong:
+                if p not in fam:
+                    return ContinuityVerdict(
+                        False,
+                        mode,
+                        {
+                            "point": x,
+                            "target": mask_points(target),
+                            "preimage": mask_points(p),
+                        },
+                    )
+            else:
+                for u in fam:
+                    if not u & ~p:
+                        break
+                else:
+                    return ContinuityVerdict(
+                        False, mode, {"point": x, "target": mask_points(target)}
+                    )
     return ContinuityVerdict(True, mode)
 
 
-def _check_global(
-    f: ScaledMap, dom: Scale, mode: ContinuityMode
-) -> ContinuityVerdict:
-    dom_open = dom.assigned_union()
-    for target in _sorted_sets(f.codomain.assigned_union()):
-        pre = f.preimage(target)
-        if not pre:
-            continue  # no domain point is constrained by this set
-        if mode.strength == "strong":
-            if pre not in dom_open:
-                return ContinuityVerdict(
-                    False,
-                    mode,
-                    {"r_open": canon(target), "preimage": canon(pre)},
-                )
-        else:
-            if not any(f.image(v) <= target for v in dom_open):
-                return ContinuityVerdict(False, mode, {"r_open": canon(target)})
-    return ContinuityVerdict(True, mode)
+_CLOSED_MODE = ContinuityMode(strength="strong", locus="global")
 
 
 def check_closed_characterization(f: ScaledMap) -> ContinuityVerdict:
     """Preimages of assigned-set complements are q-closed (whole-carrier
-    preimages vacuous); equivalent to global strong continuity."""
-    require_valid(f.domain)
-    require_valid(f.codomain)
-    mode = ContinuityMode(strength="strong", locus="global")
-    carrier_y = f.codomain.space.carrier
-    carrier_x = f.domain.space.carrier
-    for target in _sorted_sets(f.codomain.assigned_union()):
-        z = carrier_y - target
-        pre = f.preimage(z)
-        if pre == carrier_x:
-            continue
-        if not q_open(f.domain, carrier_x - pre):
+    preimages vacuous); equivalent to global strong continuity.
+
+    On masks: the preimage of the complement of a target is the
+    complement of the target's preimage, so it is q-closed exactly when
+    the target's preimage is declared in the domain."""
+    dom = scale_masks(f.domain)
+    cod = scale_masks(f.codomain)
+    pre = _preimages(f.table, f.codomain.space.n_points)
+    for target in cod.tq:
+        p = pre[target]
+        if p and p not in dom.tq_set:
+            full_x = (1 << f.domain.space.n_points) - 1
+            full_y = (1 << f.codomain.space.n_points) - 1
             return ContinuityVerdict(
                 False,
-                mode,
-                {"r_closed": canon(z), "preimage": canon(pre)},
+                _CLOSED_MODE,
+                {
+                    "r_closed": mask_points(full_y & ~target),
+                    "preimage": mask_points(full_x & ~p),
+                },
             )
-    return ContinuityVerdict(True, mode)
+    return ContinuityVerdict(True, _CLOSED_MODE)
 
 
 def replay_certificate(

@@ -4,6 +4,13 @@ Points are integers ``0..n-1``; point sets are frozensets kept in a
 canonical order (size, then sorted elements) wherever families are
 serialized or enumerated, so enumeration and reports are deterministic.
 
+Frozensets are the representation at the edges: construction, JSON,
+certificates and every public predicate.  Inside the continuity kernels
+a point set is an int bitmask (bit ``i`` set when point ``i`` is in the
+set), and a family of sets is a tuple of masks in ``set_key`` order,
+memoized per space (``FiniteSpace.family_masks``); ``mask_points`` turns
+a mask back into the canonical tuple a certificate carries.
+
 Spaces on ``n`` points are in bijection with reflexive transitive
 relations (preorders) via the specialization order; production
 enumeration walks preorders and emits the corresponding up-set
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 PointSet = frozenset[int]
@@ -30,6 +38,21 @@ def set_key(s: PointSet) -> tuple[int, tuple[int, ...]]:
 
 def family_key(opens: frozenset[PointSet]) -> tuple:
     return tuple(sorted((set_key(s) for s in opens)))
+
+
+def mask_of(s) -> int:
+    """The bitmask of a set of points: bit ``i`` set when ``i`` is in it."""
+    m = 0
+    for i in s:
+        m |= 1 << i
+    return m
+
+
+@lru_cache(maxsize=1 << 12)
+def mask_points(m: int) -> tuple[int, ...]:
+    """The canonical tuple of the points in mask ``m`` (inverse of
+    ``mask_of``, equal to ``canon`` of the set)."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -90,8 +113,10 @@ def validate_topology(opens: frozenset[PointSet], n: int) -> ValidationResult:
 class FiniteSpace:
     """A finite topological space; ``opens`` must satisfy the axioms.
 
-    ``carrier`` is built once, at construction, and stored outside the
-    fields, so it takes no part in equality, hashing or ``repr``."""
+    ``carrier`` is built once, at construction, and the derived tables
+    (family masks, smallest open neighborhoods, connected components) on
+    first use; all are stored outside the fields, so they take no part
+    in equality, hashing or ``repr``."""
 
     n_points: int
     opens: frozenset[PointSet]
@@ -113,22 +138,33 @@ class FiniteSpace:
     def opens_sorted(self) -> list[PointSet]:
         return sorted(self.opens, key=set_key)
 
+    @cached_property
+    def family_masks(self) -> dict[frozenset[PointSet], tuple[tuple[int, ...], int]]:
+        """Memo: a family of open sets -> (their masks in ``set_key``
+        order, the mask of the points they share), filled by
+        ``scales.validate_scale``."""
+        return {}
+
+    @cached_property
+    def _min_opens(self) -> tuple[PointSet, ...]:
+        # The smallest open around x is itself open (opens are closed
+        # under intersection), so it is the smallest of the opens holding x.
+        return tuple(
+            min((o for o in self.opens if x in o), key=len) for x in self.points
+        )
+
     def closeds(self) -> list[PointSet]:
         return sorted((self.carrier - o for o in self.opens), key=set_key)
-
-    def is_open(self, s: PointSet) -> bool:
-        return s in self.opens
 
     def is_closed(self, s: PointSet) -> bool:
         return (self.carrier - s) in self.opens
 
     def min_open_around(self, x: int) -> PointSet:
-        """Smallest open set containing x (exists on finite carriers)."""
-        out = self.carrier
-        for o in self.opens:
-            if x in o:
-                out = out & o
-        return out
+        """Smallest open set containing x (exists on finite carriers);
+        the carrier when x is not a point, as no open set holds it."""
+        if not 0 <= x < self.n_points:
+            return self.carrier
+        return self._min_opens[x]
 
     def key(self) -> tuple:
         return family_key(self.opens)
@@ -163,7 +199,16 @@ def _check_subset(space: FiniteSpace, s: PointSet) -> None:
 def connected_components(space: FiniteSpace) -> list[PointSet]:
     """Partition into maximal connected subsets, computed from the
     minimal-open-neighborhood adjacency (x adjacent to y when one lies in
-    the other's smallest open neighborhood)."""
+    the other's smallest open neighborhood).  Computed once per space;
+    each call returns a fresh list."""
+    blocks = space.__dict__.get("_components")
+    if blocks is None:
+        blocks = _components(space)
+        object.__setattr__(space, "_components", blocks)
+    return list(blocks)
+
+
+def _components(space: FiniteSpace) -> tuple[PointSet, ...]:
     n = space.n_points
     mins = [space.min_open_around(x) for x in range(n)]
     parent = list(range(n))
@@ -184,11 +229,7 @@ def connected_components(space: FiniteSpace) -> list[PointSet]:
     blocks: dict[int, set[int]] = {}
     for x in range(n):
         blocks.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(b) for b in blocks.values()), key=set_key)
-
-
-def is_connected(space: FiniteSpace) -> bool:
-    return len(connected_components(space)) == 1
+    return tuple(sorted((frozenset(b) for b in blocks.values()), key=set_key))
 
 
 def is_T1(space: FiniteSpace) -> bool:

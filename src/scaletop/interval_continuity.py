@@ -113,7 +113,7 @@ def _generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
     """Codomain probe sets around the images of the map's critical
     coordinates."""
     criticals = codomain_critical_coords(m)
-    out: list[SheetSet] = []
+    out: dict[SheetSet, None] = {}  # insertion-ordered set
     for sheet, line in enumerate(m.pam.codomain.sheets):
         anchor_xs: list[ExactNumber] = []
         for c in criticals:
@@ -126,9 +126,8 @@ def _generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
             for probe in m.codomain_scale.point_probes(
                 SheetPoint(sheet, x), critical=criticals
             ):
-                if probe not in out:
-                    out.append(probe)
-    return out
+                out[probe] = None
+    return list(out)
 
 
 def iw_check_continuity(
@@ -180,10 +179,7 @@ def _check_at_point(
 def _check_global(
     m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
 ) -> IntervalVerdict:
-    probes = list(m.probe_family)
-    for gen in _generated_global_probes(m):
-        if gen not in probes:
-            probes.append(gen)
+    probes = dict.fromkeys([*m.probe_family, *_generated_global_probes(m)])
     for target in probes:
         pre = m.pam.preimage(target.intersect(m.pam.codomain))
         if pre.is_empty:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .finite_topology import (
     FiniteSpace,
@@ -34,6 +34,7 @@ from .finite_topology import (
     ValidationResult,
     VALID,
     canon,
+    mask_of,
     set_key,
 )
 
@@ -50,8 +51,12 @@ class Scale:
     frozensets and tuples), so its validity never changes:
     :func:`require_valid` stores the verdict on the instance, outside the
     fields, and a repeat check of the same object reads it back.  The
-    stored verdict takes no part in equality or hashing and travels with
-    the scale through ``pickle``.
+    pass of :func:`validate_scale` that accepts a scale also stores the
+    scale's bitmask form (:class:`ScaleMasks`), which the continuity
+    kernels read through :func:`scale_masks`; the scale itself, and every
+    public function here, stays on frozensets.  Neither stored value takes
+    part in equality, hashing or ``repr``, and both travel with the scale
+    through ``pickle``.
     """
 
     space: FiniteSpace
@@ -81,24 +86,64 @@ class Scale:
         )
 
 
+class ScaleMasks(NamedTuple):
+    """A valid scale as bitmasks (see ``finite_topology``): each family
+    and the declared family as masks in ``set_key`` order, and the
+    declared masks as a set for membership tests."""
+
+    at: tuple[tuple[int, ...], ...]
+    tq: tuple[int, ...]
+    tq_set: frozenset[int]
+
+
 def validate_scale(scale: Scale) -> ValidationResult:
     """VALID, or the first violated condition with a witness.
 
     A valid scale is recognized with set algebra alone: ``tq`` is open,
     every family lies in ``tq`` and contains its point, and the families
-    cover ``tq``.  Only a scale that fails this runs the ordered search,
-    which decides the first violation and its witness."""
+    cover ``tq``.  That pass also compiles the scale's :class:`ScaleMasks`
+    and stores it on the instance.  Only a scale that fails the pass runs
+    the ordered search, which decides the first violation and its
+    witness."""
+    masks = _compile(scale)
+    if masks is None:
+        return _first_violation(scale)
+    object.__setattr__(scale, "_masks", masks)
+    return VALID
+
+
+def _compile(scale: Scale) -> ScaleMasks | None:
+    """The scale's mask form, or None when the set-algebra pass rejects
+    it (exactly when the scale is invalid)."""
     tq = scale.tq
-    if scale.space.opens.issuperset(tq):
-        assigned: set[PointSet] = set()
-        for x, fam in enumerate(scale.assignment):
-            if not tq.issuperset(fam) or not all(x in a for a in fam):
-                break
-            assigned.update(fam)
-        else:
-            if assigned == tq:
-                return VALID
-    return _first_violation(scale)
+    space = scale.space
+    if not space.opens.issuperset(tq):
+        return None
+    at = []
+    for x, fam in enumerate(scale.assignment):
+        if not tq.issuperset(fam):
+            return None
+        masks, shared = _family_masks(space, fam)
+        if not shared >> x & 1:
+            return None
+        at.append(masks)
+    declared = _family_masks(space, tq)[0]
+    if len(set().union(*at)) != len(declared):
+        return None  # every family lies in tq, so some tq set is unassigned
+    return ScaleMasks(tuple(at), declared, frozenset(declared))
+
+
+def _family_masks(space: FiniteSpace, fam: frozenset[PointSet]) -> tuple:
+    """(the masks of a family of opens in ``set_key`` order, the mask of
+    the points every member holds), memoized on the space."""
+    entry = space.family_masks.get(fam)
+    if entry is None:
+        masks = tuple(mask_of(a) for a in sorted(fam, key=set_key))
+        shared = -1
+        for m in masks:
+            shared &= m
+        entry = space.family_masks[fam] = (masks, shared)
+    return entry
 
 
 def _first_violation(scale: Scale) -> ValidationResult:
@@ -151,6 +196,26 @@ def require_valid(scale: Scale) -> Scale:
     if not result:
         raise ValueError(f"invalid scale: {result.code} {result.witness}")
     return scale
+
+
+def scale_masks(scale: Scale) -> ScaleMasks:
+    """The mask form of a valid scale; raises like :func:`require_valid`.
+    Only a valid scale carries one, so a stored form is read back as is."""
+    masks = scale.__dict__.get("_masks")
+    if masks is None:
+        require_valid(scale)
+        masks = scale.__dict__["_masks"]
+    return masks
+
+
+def trivial_masks(space: FiniteSpace) -> ScaleMasks:
+    """The mask form of ``trivial_scale(space)``, compiled once per space
+    (the trivial scale is valid by construction)."""
+    masks = space.__dict__.get("_trivial_masks")
+    if masks is None:
+        masks = _compile(trivial_scale(space))
+        object.__setattr__(space, "_trivial_masks", masks)
+    return masks
 
 
 def trivial_scale(space: FiniteSpace) -> Scale:

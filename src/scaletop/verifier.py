@@ -170,11 +170,11 @@ def _space(ref: tuple[int, int]) -> FiniteSpace:
     return _spaces(ref[0])[ref[1]]
 
 
-_SCALE_CACHE: dict[tuple, tuple[Scale, ...]] = {}
+_SCALE_CACHE: dict[tuple[FiniteSpace, int], tuple[Scale, ...]] = {}
 
 
 def _scales(space: FiniteSpace, budget: int) -> tuple[Scale, ...]:
-    key = (space.key(), budget)
+    key = (space, budget)
     if key not in _SCALE_CACHE:
         _SCALE_CACHE[key] = tuple(enumerate_scales(space, budget=budget))
     return _SCALE_CACHE[key]
@@ -188,14 +188,9 @@ def _maps(nx: int, ny: int, budget: int | None) -> Iterator[tuple[int, ...]]:
         yield from itertools.islice(it, budget)
 
 
-def _preimages_by_set(table: tuple[int, ...], ny: int) -> dict[PointSet, PointSet]:
-    """Preimage of every subset of the codomain carrier (codomains are
-    tiny, so the full table is cheap and makes scale loops set lookups)."""
-    out: dict[PointSet, PointSet] = {}
-    for bits in range(1 << ny):
-        s = frozenset(i for i in range(ny) if bits >> i & 1)
-        out[s] = frozenset(x for x, y in enumerate(table) if y in s)
-    return out
+@lru_cache(maxsize=None)
+def _discrete(ny: int) -> FiniteSpace:
+    return discrete_space(ny)
 
 
 # -- the independent classical-continuity oracle ---------------------------------
@@ -458,12 +453,15 @@ def _run_p4(task, cfg: SweepConfig) -> TaskResult:
     xs, ys = _space(xref), _space(yref)
     x_scales = _scales(xs, cfg.scale_budget)
     y_scales = _scales(ys, cfg.scale_budget)
+    x_families = [q.assigned_union() for q in x_scales]
+    declared = frozenset().union(*(r.tq for r in y_scales))
     for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-        pre = _preimages_by_set(table, ys.n_points)
+        pre = {
+            v: frozenset(x for x, y in enumerate(table) if y in v) for v in declared
+        }
         for r in y_scales:
             pres = [pre[v] for v in r.tq]
-            for q in x_scales:
-                tq = q.assigned_union()
+            for q, tq in zip(x_scales, x_families):
                 strong = all((not p) or p in tq for p in pres)
                 f = ScaledMap(table, q, r)
                 closed = check_closed_characterization(f).holds
@@ -473,7 +471,7 @@ def _run_p4(task, cfg: SweepConfig) -> TaskResult:
     return res
 
 
-def _build_filter_refinements(q: Scale, cfg: SweepConfig) -> list[Scale]:
+def _build_filter_refinements(q: Scale) -> list[Scale]:
     """Deterministic filter structures refining q: the trivial scale and
     the filter closure of q (a pointwise superscale is always finer)."""
     out = [trivial_scale(q.space)]
@@ -488,7 +486,7 @@ def _run_p7a(task, cfg: SweepConfig) -> TaskResult:
     xref, yref = task
     xs, ys = _space(xref), _space(yref)
     for q in _scales(xs, cfg.scale_budget):
-        refinements = _build_filter_refinements(q, cfg)
+        refinements = _build_filter_refinements(q)
         for r in _scales(ys, cfg.scale_budget):
             for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
                 f = ScaledMap(table, q, r)
@@ -517,7 +515,7 @@ def _run_p7a(task, cfg: SweepConfig) -> TaskResult:
     return res
 
 
-def _coarsenings(r: Scale, rng: random.Random) -> list[Scale]:
+def _coarsenings(r: Scale) -> list[Scale]:
     """Pointwise sub-assignments of r (valid by construction: the declared
     family shrinks to whatever stays assigned)."""
     out = []
@@ -543,7 +541,6 @@ def _run_p8(task, cfg: SweepConfig, which: str) -> TaskResult:
     res = TaskResult()
     xref, yref = task
     xs, ys = _space(xref), _space(yref)
-    rng = random.Random(cfg.seed)
     for q in _scales(xs, cfg.scale_budget):
         if which == "C14" and q != trivial_scale(xs):
             continue
@@ -557,7 +554,7 @@ def _run_p8(task, cfg: SweepConfig, which: str) -> TaskResult:
                     ]
                 else:
                     variants = [
-                        ScaledMap(table, q, v) for v in _coarsenings(r, rng)
+                        ScaledMap(table, q, v) for v in _coarsenings(r)
                     ]
                 for locus in ("local", "global"):
                     if not check_continuity(f, ContinuityMode("strong", locus)).holds:
@@ -588,7 +585,6 @@ def _run_p7b(task, cfg: SweepConfig) -> TaskResult:
     res = TaskResult()
     xref, yref = task
     xs, ys = _space(xref), _space(yref)
-    rng = random.Random(cfg.seed)
     for q in _scales(xs, cfg.scale_budget):
         q_is_filter = classify(q).is_F
         for r in _scales(ys, cfg.scale_budget):
@@ -596,7 +592,7 @@ def _run_p7b(task, cfg: SweepConfig) -> TaskResult:
             if not (q_is_filter or r_is_filter):
                 continue
             coarser = [
-                v for v in _coarsenings(r, rng) if finer(r, v)
+                v for v in _coarsenings(r) if finer(r, v)
             ]
             for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
                 f = ScaledMap(table, q, r)
@@ -891,7 +887,7 @@ def _run_t3(task, cfg: SweepConfig) -> TaskResult:
     space = _space(task)
     structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
     for ny in (1, 2, 3):
-        y_space = discrete_space(ny)
+        y_space = _discrete(ny)
         if not is_T1(y_space):
             continue
         ty = trivial_scale(y_space)
@@ -920,7 +916,7 @@ def _run_c10(task, cfg: SweepConfig) -> TaskResult:
     structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
     components = connected_components(space)
     for ny in (1, 2, 3):
-        y_space = discrete_space(ny)
+        y_space = _discrete(ny)
         ty = trivial_scale(y_space)
         for ps in structures:
             chosen = _chosen_neighborhoods(ps)
@@ -1261,19 +1257,18 @@ def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
     if property_id not in PROPERTIES:
         raise KeyError(f"unknown property id {property_id!r}")
     spec = PROPERTIES[property_id]
-    effective = cfg
-    tasks = spec.tasks(effective)
+    tasks = spec.tasks(cfg)
     workers = min(sweep_parallelism(), os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _run_task_entry,
-                    [(property_id, t, effective) for t in tasks],
+                    [(property_id, t, cfg) for t in tasks],
                 )
             )
     else:
-        results = [spec.run(t, effective) for t in tasks]
+        results = [spec.run(t, cfg) for t in tasks]
     tested = sum(r.tested for r in results)
     skipped = sum(r.skipped for r in results)
     violations = sorted(

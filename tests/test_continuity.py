@@ -8,9 +8,20 @@ scale that assigns {1,2} only to the off-image point 2, so the preimage
 {1} of {1,2} is never assigned, while every pointwise demand passes.
 """
 
-import pytest
+import pickle
 
-from scaletop.finite_topology import FiniteSpace, discrete_space, sierpinski
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scaletop.finite_topology import (
+    FiniteSpace,
+    canon,
+    discrete_space,
+    enumerate_topologies,
+    set_key,
+    sierpinski,
+)
 from scaletop.continuity import (
     ALL_MODES,
     ComposedScaledMap,
@@ -24,7 +35,13 @@ from scaletop.continuity import (
     parse_mode,
     replay_certificate,
 )
-from scaletop.scales import Scale, p_structure, trivial_scale
+from scaletop.scales import (
+    Scale,
+    p_structure,
+    q_open,
+    require_valid,
+    trivial_scale,
+)
 
 
 def fz(*sets):
@@ -202,3 +219,199 @@ def test_weak_at_point_vs_principal_domain():
     assert not verdict.holds  # identity is not constant on {0,1}
     const = ScaledMap((1, 1), ps, cod)
     assert check_continuity(const, ContinuityMode("weak", "at-point", at_point=0)).holds
+
+
+# -- the mask kernels against a frozenset reference ----------------------------
+# The reference is the frozenset implementation the mask kernels replaced,
+# kept verbatim: every verdict and certificate must agree with it.
+
+
+def _ref_domain_scale(f, mode):
+    return trivial_scale(f.domain.space) if mode.trivial_domain else f.domain
+
+
+def _ref_sorted_sets(fams):
+    return sorted(fams, key=set_key)
+
+
+def ref_check_continuity(f, mode):
+    require_valid(f.domain)
+    require_valid(f.codomain)
+    dom = _ref_domain_scale(f, mode)
+    if mode.locus == "at-point":
+        return _ref_check_at_point(f, dom, mode, mode.at_point)
+    if mode.locus == "local":
+        for x in f.domain.space.points:
+            holds, cert = _ref_check_at_point(f, dom, mode, x)
+            if not holds:
+                return False, cert
+        return True, None
+    return _ref_check_global(f, dom, mode)
+
+
+def _ref_check_at_point(f, dom, mode, x):
+    if not 0 <= x < f.domain.space.n_points:
+        raise ValueError(f"point {x} outside the domain carrier")
+    y = f.apply(x)
+    for target in _ref_sorted_sets(f.codomain.at(y)):
+        if mode.strength == "strong":
+            pre = f.preimage(target)
+            if pre not in dom.at(x):
+                return False, {
+                    "point": x,
+                    "target": canon(target),
+                    "preimage": canon(pre),
+                }
+        else:
+            if not any(f.image(u) <= target for u in dom.at(x)):
+                return False, {"point": x, "target": canon(target)}
+    return True, None
+
+
+def _ref_check_global(f, dom, mode):
+    dom_open = dom.assigned_union()
+    for target in _ref_sorted_sets(f.codomain.assigned_union()):
+        pre = f.preimage(target)
+        if not pre:
+            continue
+        if mode.strength == "strong":
+            if pre not in dom_open:
+                return False, {"r_open": canon(target), "preimage": canon(pre)}
+        else:
+            if not any(f.image(v) <= target for v in dom_open):
+                return False, {"r_open": canon(target)}
+    return True, None
+
+
+def ref_check_closed_characterization(f):
+    require_valid(f.domain)
+    require_valid(f.codomain)
+    carrier_y = f.codomain.space.carrier
+    carrier_x = f.domain.space.carrier
+    for target in _ref_sorted_sets(f.codomain.assigned_union()):
+        z = carrier_y - target
+        pre = f.preimage(z)
+        if pre == carrier_x:
+            continue
+        if not q_open(f.domain, carrier_x - pre):
+            return False, {"r_closed": canon(z), "preimage": canon(pre)}
+    return True, None
+
+
+SMALL_SPACES = [space for n in (1, 2, 3) for space in enumerate_topologies(n)]
+FOUR_POINT_SPACES = list(enumerate_topologies(4))
+spaces = st.one_of(st.sampled_from(SMALL_SPACES), st.sampled_from(FOUR_POINT_SPACES))
+
+
+@st.composite
+def scales_on(draw, space):
+    """A valid scale: each point keeps a random subset of its nonempty
+    open neighborhoods, and the declared family is what stays assigned."""
+    fams = []
+    for x in space.points:
+        options = [o for o in space.opens_sorted() if o and x in o]
+        fams.append(frozenset(draw(st.lists(st.sampled_from(options), unique=True))))
+    return Scale(space, frozenset().union(*fams), tuple(fams))
+
+
+@st.composite
+def scaled_maps(draw, xs):
+    ys = draw(spaces)
+    table = tuple(
+        draw(st.integers(0, ys.n_points - 1)) for _ in range(xs.n_points)
+    )
+    return ScaledMap(table, draw(scales_on(xs)), draw(scales_on(ys)))
+
+
+def _every_mode(f):
+    yield from ALL_MODES
+    for x in f.domain.space.points:
+        for strength in ("strong", "weak"):
+            for trivial in (False, True):
+                yield ContinuityMode(strength, "at-point", trivial, at_point=x)
+
+
+@pytest.mark.parametrize(
+    "domain_space", [*SMALL_SPACES, None], ids=lambda s: "n4" if s is None else None
+)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_mask_kernels_match_frozenset_reference(domain_space, data):
+    """Every topology with n <= 3 as the domain (None: a sampled n = 4
+    one), against scales and tables drawn at random."""
+    xs = domain_space or data.draw(st.sampled_from(FOUR_POINT_SPACES))
+    f = data.draw(scaled_maps(xs))
+    for mode in _every_mode(f):
+        verdict = check_continuity(f, mode)
+        assert (verdict.holds, verdict.certificate) == ref_check_continuity(f, mode)
+        assert verdict.mode == mode
+        if not verdict.holds:
+            assert replay_certificate(f, mode, verdict.certificate)
+    closed = check_closed_characterization(f)
+    assert (closed.holds, closed.certificate) == ref_check_closed_characterization(f)
+    assert closed.holds == check_continuity(f, ContinuityMode("strong", "global")).holds
+
+
+def _fresh(scale):
+    return Scale(scale.space, scale.tq, scale.assignment)
+
+
+def _error_text(kernel, f):
+    with pytest.raises(ValueError) as info:
+        kernel(f)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_invalid_scales_raise_the_same_error_through_both_kernels(side):
+    s = sierpinski()
+    good = trivial_scale(s)
+    for bad in (
+        mk_scale(s, [(0,), (0, 1)], [(0,), (0, 1)], [(0,)]),  # SC1
+        mk_scale(s, [(0,), (0, 1)], [(0, 1)], [(0, 1)]),  # SC2
+        mk_scale(s, [(1,)], [], [(1,)]),  # TQ_NOT_OPEN
+    ):
+        def build():
+            q, r = (_fresh(bad), good) if side == "domain" else (good, _fresh(bad))
+            return ScaledMap((0, 1), q, r)
+
+        mode = ContinuityMode("weak", "local")
+        want = _error_text(lambda f: ref_check_continuity(f, mode), build())
+        assert want.startswith("invalid scale: ")
+        assert _error_text(lambda f: check_continuity(f, mode), build()) == want
+        assert _error_text(check_closed_characterization, build()) == want
+        assert (
+            _error_text(ref_check_closed_characterization, build()) == want
+        )
+
+
+def test_at_point_outside_the_carrier_is_rejected():
+    t = trivial_scale(sierpinski())
+    f = ScaledMap((0, 1), t, t)
+    for x in (-1, 2):
+        with pytest.raises(ValueError, match="outside the domain carrier"):
+            check_continuity(f, ContinuityMode("strong", "at-point", at_point=x))
+
+
+def test_compiled_forms_leave_equality_hash_repr_and_pickle_alone():
+    space = FiniteSpace.of(3, [(), (0,), (0, 1), (0, 1, 2)])
+    plain_space = FiniteSpace.of(3, [(), (0,), (0, 1), (0, 1, 2)])
+    q = p_structure(space, [frozenset({0}), frozenset({0, 1}), space.carrier])
+    plain = Scale(plain_space, q.tq, q.assignment)
+    f = ScaledMap((0, 0, 1), q, q)
+    for mode in ALL_MODES:
+        check_continuity(f, mode)
+    constancy_profile(f)
+    assert space.__dict__.keys() > plain_space.__dict__.keys()  # tables built
+    assert q.__dict__.keys() > plain.__dict__.keys()  # mask form stored
+    assert space == plain_space and hash(space) == hash(plain_space)
+    assert repr(space) == repr(plain_space)
+    assert q == plain and hash(q) == hash(plain) and repr(q) == repr(plain)
+    for obj, twin in ((space, plain_space), (q, plain)):
+        back, twin_back = pickle.loads(pickle.dumps((obj, twin)))
+        assert back == obj == twin_back and hash(back) == hash(twin)
+        assert repr(back) == repr(twin_back)
+    back = pickle.loads(pickle.dumps(q))
+    g = ScaledMap((0, 0, 1), back, back)
+    for mode in ALL_MODES:
+        assert check_continuity(g, mode) == check_continuity(f, mode)

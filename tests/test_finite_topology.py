@@ -166,6 +166,24 @@ def test_components_match_oracle_exhaustive():
             assert connected_components(space) == oracle_components(space)
 
 
+def test_cached_components_are_a_fresh_list_each_call():
+    space = discrete_space(2)
+    first = connected_components(space)
+    first.clear()
+    assert connected_components(space) == [frozenset({0}), frozenset({1})]
+
+
+def test_min_open_around_is_the_intersection_of_the_opens_holding_x():
+    for n in (1, 2, 3):
+        for space in enumerate_topologies(n):
+            for x in (-1, *space.points, n):
+                want = space.carrier
+                for o in space.opens:
+                    if x in o:
+                        want = want & o
+                assert space.min_open_around(x) == want
+
+
 def test_components_form_partition():
     for space in enumerate_topologies(3):
         blocks = connected_components(space)
