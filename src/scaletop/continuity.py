@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .finite_topology import PointSet, connected_components, mask_points
-from .scales import Scale, scale_masks, trivial_masks, trivial_scale
+from .scales import Scale, scale_masks, trivial_scale
 
 Strength = Literal["strong", "weak"]
 Locus = Literal["at-point", "local", "global"]
@@ -96,10 +96,13 @@ class ScaledMap:
     codomain: Scale
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.domain.space.n_points:
+        table = self.table
+        if len(table) != self.domain.space.n_points:
             raise ValueError("table must be total on the domain carrier")
-        for v in self.table:
-            if not 0 <= v < self.codomain.space.n_points:
+        # a loop over the few entries costs less than a min/max pair
+        n = self.codomain.space.n_points
+        for v in table:
+            if not 0 <= v < n:
                 raise ValueError("image point outside the codomain carrier")
 
     def apply(self, x: int) -> int:
@@ -193,7 +196,7 @@ def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
     dom = scale_masks(f.domain)
     cod = scale_masks(f.codomain)
     if mode.trivial_domain:
-        dom = trivial_masks(f.domain.space)
+        dom = scale_masks(trivial_scale(f.domain.space))
     pre = _preimages(f.table, f.codomain.space.n_points)
     strong = mode.strength == "strong"
     if mode.locus == "global":

@@ -114,9 +114,10 @@ class FiniteSpace:
     """A finite topological space; ``opens`` must satisfy the axioms.
 
     ``carrier`` is built once, at construction, and the derived tables
-    (family masks, smallest open neighborhoods, connected components) on
-    first use; all are stored outside the fields, so they take no part
-    in equality, hashing or ``repr``."""
+    (open neighborhoods, up-sets, family masks, smallest open
+    neighborhoods, connected components, the trivial scale) on first
+    use; all are stored outside the fields, so they take no part in
+    equality, hashing or ``repr``."""
 
     n_points: int
     opens: frozenset[PointSet]
@@ -139,6 +140,19 @@ class FiniteSpace:
         return sorted(self.opens, key=set_key)
 
     @cached_property
+    def neighborhoods(self) -> tuple[tuple[PointSet, ...], ...]:
+        """For each point, the opens that contain it, in ``set_key`` order."""
+        ordered = self.opens_sorted()
+        return tuple(tuple(o for o in ordered if x in o) for x in self.points)
+
+    @cached_property
+    def up_sets(self) -> dict[PointSet, frozenset[PointSet]]:
+        """Each open mapped to the opens that contain it."""
+        return {
+            a: frozenset(b for b in self.opens if a <= b) for a in self.opens
+        }
+
+    @cached_property
     def family_masks(self) -> dict[frozenset[PointSet], tuple[tuple[int, ...], int]]:
         """Memo: a family of open sets -> (their masks in ``set_key``
         order, the mask of the points they share), filled by
@@ -148,10 +162,9 @@ class FiniteSpace:
     @cached_property
     def _min_opens(self) -> tuple[PointSet, ...]:
         # The smallest open around x is itself open (opens are closed
-        # under intersection), so it is the smallest of the opens holding x.
-        return tuple(
-            min((o for o in self.opens if x in o), key=len) for x in self.points
-        )
+        # under intersection), so it is the first, smallest, of x's
+        # neighborhoods.
+        return tuple(around[0] for around in self.neighborhoods)
 
     def closeds(self) -> list[PointSet]:
         return sorted((self.carrier - o for o in self.opens), key=set_key)

@@ -194,6 +194,31 @@ class IntervalScale:
 # -- trivial ------------------------------------------------------------------
 
 
+def _open_component_inside(
+    carrier: Carrier, x: SheetPoint, s: SheetSet
+) -> SheetSet | None:
+    """The component around x of the relative interior of s in the
+    carrier: the largest connected open neighborhood of x inside s."""
+    inner = interior_in_carrier(carrier, s.intersect(carrier))
+    return component_containing(inner, x)
+
+
+def _open_component_probes(
+    carrier: Carrier, x: SheetPoint, critical: Sequence[ExactNumber]
+) -> list[SheetSet]:
+    """The whole carrier, then the open component around x inside each
+    open ball at a derived radius, without repeats."""
+    probes = [carrier.whole()]
+    for r in _derived_radii(x.x, critical):
+        ball = carrier.lift(
+            LineSet.of(Interval(x.x - r, x.x + r, False, False)), x.sheet
+        )
+        comp = _open_component_inside(carrier, x, ball)
+        if comp is not None and comp not in probes:
+            probes.append(comp)
+    return probes
+
+
 @dataclass(frozen=True)
 class TrivialIntervalScale(IntervalScale):
     tag: str = field(init=False, default="Trivial")
@@ -207,20 +232,11 @@ class TrivialIntervalScale(IntervalScale):
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         self._contains_point(x)
-        inner = interior_in_carrier(self.carrier, s.intersect(self.carrier))
-        return component_containing(inner, x)
+        return _open_component_inside(self.carrier, x, s)
 
     def point_probes(self, x, critical=()):
         self._contains_point(x)
-        probes = [self.carrier.whole()]
-        for r in _derived_radii(x.x, critical):
-            ball = self.carrier.lift(
-                LineSet.of(Interval(x.x - r, x.x + r, False, False)), x.sheet
-            ).intersect(self.carrier)
-            comp = component_containing(interior_in_carrier(self.carrier, ball), x)
-            if comp is not None and comp not in probes:
-                probes.append(comp)
-        return probes
+        return _open_component_probes(self.carrier, x, critical)
 
 
 # -- ball kinds on the full line -------------------------------------------------
@@ -716,20 +732,11 @@ class ConnectedOpenScale(IntervalScale):
         self._contains_point(x)
         if s == self.carrier.whole():
             return s
-        inner = interior_in_carrier(self.carrier, s.intersect(self.carrier))
-        return component_containing(inner, x)
+        return _open_component_inside(self.carrier, x, s)
 
     def point_probes(self, x, critical=()):
         self._contains_point(x)
-        probes = [self.carrier.whole()]
-        for r in _derived_radii(x.x, critical):
-            ball = self.carrier.lift(
-                LineSet.of(Interval(x.x - r, x.x + r, False, False)), x.sheet
-            ).intersect(self.carrier)
-            comp = component_containing(interior_in_carrier(self.carrier, ball), x)
-            if comp is not None and comp not in probes:
-                probes.append(comp)
-        return probes
+        return _open_component_probes(self.carrier, x, critical)
 
 
 # -- tabulated principal structures ----------------------------------------------------

@@ -207,7 +207,9 @@ class LineSet:
         last = self.pieces[-1]
         if last.hi is not None:
             out.append(Interval(last.hi, None, not last.hi_closed, False))
-        return normalize(out)
+        # The gaps of a canonical set come out sorted, and each pair is
+        # kept apart by a nonempty piece, so they are canonical as they are.
+        return LineSet(tuple(out))
 
     def difference(self, other: LineSet) -> LineSet:
         return self.intersect(other.complement())
@@ -229,21 +231,27 @@ class LineSet:
         return True
 
     def closure(self) -> LineSet:
-        """Topological closure in the whole line (close finite endpoints)."""
-        closed = [
-            Interval(p.lo, p.hi, p.lo is not None, p.hi is not None)
-            for p in self.pieces
-        ]
-        return normalize(closed)
+        """Topological closure in the whole line (close finite endpoints).
+        The closed pieces stay in order; two of them touch only where a
+        point was missing between them, and one merge pass joins those."""
+        return _merge_sorted(
+            [
+                Interval(p.lo, p.hi, p.lo is not None, p.hi is not None)
+                for p in self.pieces
+            ]
+        )
 
     def interior(self) -> LineSet:
-        """Topological interior in the whole line (open finite endpoints)."""
-        out = []
-        for p in self.pieces:
-            if p.is_point:
-                continue
-            out.append(Interval(p.lo, p.hi, False, False))
-        return normalize(out)
+        """Topological interior in the whole line (open finite endpoints).
+        Opening the ends of separated pieces keeps them separated and in
+        order, so the result is canonical without a merge."""
+        return LineSet(
+            tuple(
+                Interval(p.lo, p.hi, False, False)
+                for p in self.pieces
+                if not p.is_point
+            )
+        )
 
     def is_open_in_line(self) -> bool:
         return all(
@@ -269,8 +277,6 @@ class LineSet:
 def normalize(intervals: Iterable[Interval]) -> LineSet:
     """Canonical form: sorted, merged where overlapping or adjacent."""
     items = [iv for iv in intervals if iv is not None]
-    if not items:
-        return LineSet(())
 
     import functools
 
@@ -281,6 +287,14 @@ def normalize(intervals: Iterable[Interval]) -> LineSet:
         return _cmp_upper(x.hi, x.hi_closed, y.hi, y.hi_closed)
 
     items.sort(key=functools.cmp_to_key(cmp))
+    return _merge_sorted(items)
+
+
+def _merge_sorted(items: list[Interval]) -> LineSet:
+    """Merge overlapping or adjacent neighbours of pieces sorted by lower
+    bound; the result is canonical."""
+    if not items:
+        return LineSet(())
     merged = [items[0]]
     for nxt in items[1:]:
         cur = merged[-1]

@@ -38,10 +38,6 @@ def fraction_to_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def fraction_from_json(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def exact_to_json(x: ExactNumber) -> dict:
     return {"a": fraction_to_json(x.a), "b": fraction_to_json(x.b)}
 

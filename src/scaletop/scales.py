@@ -208,23 +208,17 @@ def scale_masks(scale: Scale) -> ScaleMasks:
     return masks
 
 
-def trivial_masks(space: FiniteSpace) -> ScaleMasks:
-    """The mask form of ``trivial_scale(space)``, compiled once per space
-    (the trivial scale is valid by construction)."""
-    masks = space.__dict__.get("_trivial_masks")
-    if masks is None:
-        masks = _compile(trivial_scale(space))
-        object.__setattr__(space, "_trivial_masks", masks)
-    return masks
-
-
 def trivial_scale(space: FiniteSpace) -> Scale:
-    """Every point gets all of its open neighborhoods."""
-    tq = frozenset(o for o in space.opens if o)
-    assignment = tuple(
-        frozenset(o for o in space.opens if x in o) for x in space.points
-    )
-    return Scale(space, tq, assignment)
+    """Every point gets all of its open neighborhoods.  Built once per
+    space and stored on it (see :class:`FiniteSpace`), so every caller
+    shares one object, validated and compiled once."""
+    scale = space.__dict__.get("_trivial_scale")
+    if scale is None:
+        tq = frozenset(o for o in space.opens if o)
+        assignment = tuple(frozenset(around) for around in space.neighborhoods)
+        scale = Scale(space, tq, assignment)
+        object.__setattr__(space, "_trivial_scale", scale)
+    return scale
 
 
 def p_structure(space: FiniteSpace, chosen: Sequence[PointSet]) -> Scale:
@@ -235,11 +229,9 @@ def p_structure(space: FiniteSpace, chosen: Sequence[PointSet]) -> Scale:
     for x, o in enumerate(chosen):
         if o not in space.opens or x not in o:
             raise ValueError(f"chosen set at {x} must be an open neighborhood of it")
-    assignment = tuple(
-        frozenset(b for b in space.opens if chosen[x] <= b) for x in space.points
-    )
-    tq = frozenset(itertools.chain.from_iterable(assignment))
-    return Scale(space, tq, assignment)
+    up_sets = space.up_sets
+    assignment = tuple(up_sets[frozenset(o)] for o in chosen)
+    return Scale(space, frozenset().union(*assignment), assignment)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,9 @@ from .continuity import (
 )
 from .exactnum import ExactNumber
 from .finite_topology import (
+    MAX_ENUMERATION_POINTS,
     FiniteSpace,
     PointSet,
-    canon,
     connected_components,
     discrete_space,
     enumerate_topologies,
@@ -78,6 +78,25 @@ PROPERTY_IDS = (
 )
 
 SEARCH_IDS = ("PROBLEM1", "PROBLEM2", "PROBLEM3", "PROBLEM4", "P3")
+
+# One mode object per check kind, shared by every runner instead of a
+# new one per check; at-point modes are indexed by the point.
+_MODES = {
+    (strength, locus): ContinuityMode(strength, locus)
+    for strength in ("strong", "weak")
+    for locus in ("local", "global")
+}
+_TRIVIAL_DOMAIN = {
+    locus: ContinuityMode("strong", locus, trivial_domain=True)
+    for locus in ("local", "global")
+}
+_AT_POINT = {
+    strength: tuple(
+        ContinuityMode(strength, "at-point", at_point=x)
+        for x in range(MAX_ENUMERATION_POINTS)
+    )
+    for strength in ("strong", "weak")
+}
 
 CONFIRMED = "CONFIRMED_ON_SWEEP"
 REFUTED = "COUNTEREXAMPLE_FOUND"
@@ -321,19 +340,17 @@ def _run_lemma_sweep(task, cfg: SweepConfig, which: str) -> TaskResult:
         f = ScaledMap(table, tx, ty)
         oracle = classical_continuous(table, xs, ys)
         if which == "L1":
-            got = check_continuity(f, ContinuityMode("strong", "global")).holds
+            got = check_continuity(f, _MODES["strong", "global"]).holds
             want = oracle
         elif which == "L2":
-            got = check_continuity(f, ContinuityMode("strong", "local")).holds
+            got = check_continuity(f, _MODES["strong", "local"]).holds
             want = oracle
         elif which == "L6":
-            got = check_continuity(f, ContinuityMode("weak", "local")).holds
+            got = check_continuity(f, _MODES["weak", "local"]).holds
             want = oracle
         else:  # L5: pointwise
             got = all(
-                check_continuity(
-                    f, ContinuityMode("weak", "at-point", at_point=x)
-                ).holds
+                check_continuity(f, _AT_POINT["weak"][x]).holds
                 == classical_continuous_at(table, xs, ys, x)
                 for x in xs.points
             )
@@ -354,12 +371,12 @@ def _run_l3(task, cfg: SweepConfig) -> TaskResult:
             for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
                 f = ScaledMap(table, q, r)
                 for locus in ("local", "global"):
-                    strong = check_continuity(f, ContinuityMode("strong", locus))
+                    strong = check_continuity(f, _MODES["strong", locus])
                     if not strong.holds:
                         res.skipped += 1
                         continue
                     res.tested += 1
-                    weak = check_continuity(f, ContinuityMode("weak", locus))
+                    weak = check_continuity(f, _MODES["weak", locus])
                     if not weak.holds:
                         res.violation(_map_doc(f, locus=locus))
     return res
@@ -378,12 +395,12 @@ def _run_l4(task, cfg: SweepConfig) -> TaskResult:
             continue
         for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
             f = ScaledMap(table, tx, r)
-            if not check_continuity(f, ContinuityMode("weak", "local")).holds:
+            if not check_continuity(f, _MODES["weak", "local"]).holds:
                 res.skipped += 1
                 continue
             res.tested += 1
             for locus in ("local", "global"):
-                if not check_continuity(f, ContinuityMode("strong", locus)).holds:
+                if not check_continuity(f, _MODES["strong", locus]).holds:
                     res.violation(_map_doc(f, locus=locus))
     return res
 
@@ -408,8 +425,8 @@ def _run_projection(task, cfg: SweepConfig, which: str) -> TaskResult:
             for table in tables:
                 f = ScaledMap(table, tx, r)
                 res.tested += 1
-                loc = check_continuity(f, ContinuityMode("strong", "local")).holds
-                glob = check_continuity(f, ContinuityMode("strong", "global")).holds
+                loc = check_continuity(f, _MODES["strong", "local"]).holds
+                glob = check_continuity(f, _MODES["strong", "global"]).holds
                 if loc != glob:
                     res.violation(_map_doc(f, local=loc, global_=glob))
         return res
@@ -418,11 +435,11 @@ def _run_projection(task, cfg: SweepConfig, which: str) -> TaskResult:
         for r in _scales(ys, cfg.scale_budget):
             for table in tables:
                 f = ScaledMap(table, q, r)
-                if not check_continuity(f, ContinuityMode(strength, "local")).holds:
+                if not check_continuity(f, _MODES[strength, "local"]).holds:
                     res.skipped += 1
                     continue
                 res.tested += 1
-                if not check_continuity(f, ContinuityMode(strength, "global")).holds:
+                if not check_continuity(f, _MODES[strength, "global"]).holds:
                     res.violation(_map_doc(f))
     return res
 
@@ -438,8 +455,8 @@ def _run_p3(task, cfg: SweepConfig) -> TaskResult:
         for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
             f = ScaledMap(table, tx, r)
             res.tested += 1
-            loc = check_continuity(f, ContinuityMode("strong", "local")).holds
-            glob = check_continuity(f, ContinuityMode("strong", "global")).holds
+            loc = check_continuity(f, _MODES["strong", "local"]).holds
+            glob = check_continuity(f, _MODES["strong", "global"]).holds
             if loc != glob:
                 res.violation(_map_doc(f, local=loc, global_=glob))
     return res
@@ -496,15 +513,11 @@ def _run_p7a(task, cfg: SweepConfig) -> TaskResult:
                         continue
                     g = ScaledMap(table, p, r)
                     for locus in ("local", "global"):
-                        if not check_continuity(
-                            f, ContinuityMode("strong", locus)
-                        ).holds:
+                        if not check_continuity(f, _MODES["strong", locus]).holds:
                             res.skipped += 1
                             continue
                         res.tested += 1
-                        if not check_continuity(
-                            g, ContinuityMode("strong", locus)
-                        ).holds:
+                        if not check_continuity(g, _MODES["strong", locus]).holds:
                             res.violation(
                                 _map_doc(
                                     f,
@@ -557,14 +570,12 @@ def _run_p8(task, cfg: SweepConfig, which: str) -> TaskResult:
                         ScaledMap(table, q, v) for v in _coarsenings(r)
                     ]
                 for locus in ("local", "global"):
-                    if not check_continuity(f, ContinuityMode("strong", locus)).holds:
+                    if not check_continuity(f, _MODES["strong", locus]).holds:
                         res.skipped += len(variants)
                         continue
                     for g in variants:
                         res.tested += 1
-                        if not check_continuity(
-                            g, ContinuityMode("strong", locus)
-                        ).holds:
+                        if not check_continuity(g, _MODES["strong", locus]).holds:
                             res.violation(
                                 _map_doc(
                                     g,
@@ -598,16 +609,12 @@ def _run_p7b(task, cfg: SweepConfig) -> TaskResult:
                 f = ScaledMap(table, q, r)
                 for v in coarser:
                     for locus in ("local", "global"):
-                        if not check_continuity(
-                            f, ContinuityMode("strong", locus)
-                        ).holds:
+                        if not check_continuity(f, _MODES["strong", locus]).holds:
                             res.skipped += 1
                             continue
                         res.tested += 1
                         g = ScaledMap(table, q, v)
-                        if not check_continuity(
-                            g, ContinuityMode("strong", locus)
-                        ).holds:
+                        if not check_continuity(g, _MODES["strong", locus]).holds:
                             res.violation(
                                 _map_doc(
                                     f,
@@ -630,13 +637,11 @@ def _run_c15(task, cfg: SweepConfig) -> TaskResult:
             for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
                 f = ScaledMap(table, q, r)
                 for locus in ("local", "global"):
-                    if not check_continuity(f, ContinuityMode("strong", locus)).holds:
+                    if not check_continuity(f, _MODES["strong", locus]).holds:
                         res.skipped += 1
                         continue
                     res.tested += 1
-                    if not check_continuity(
-                        f, ContinuityMode("strong", locus, trivial_domain=True)
-                    ).holds:
+                    if not check_continuity(f, _TRIVIAL_DOMAIN[locus]).holds:
                         res.violation(_map_doc(f, locus=locus))
     return res
 
@@ -653,18 +658,18 @@ def _run_c16(task, cfg: SweepConfig) -> TaskResult:
             classical = ScaledMap(table, tx, ty)
             scaled = ScaledMap(table, tx, r)
             for x in xs.points:
-                mode = ContinuityMode("strong", "at-point", at_point=x)
+                mode = _AT_POINT["strong"][x]
                 if not check_continuity(classical, mode).holds:
                     res.skipped += 1
                     continue
                 res.tested += 1
                 if not check_continuity(scaled, mode).holds:
                     res.violation(_map_doc(scaled, point=x))
-            if not check_continuity(classical, ContinuityMode("strong", "global")).holds:
+            if not check_continuity(classical, _MODES["strong", "global"]).holds:
                 res.skipped += 1
                 continue
             res.tested += 1
-            if not check_continuity(scaled, ContinuityMode("strong", "global")).holds:
+            if not check_continuity(scaled, _MODES["strong", "global"]).holds:
                 res.violation(_map_doc(scaled, locus="global"))
     return res
 
@@ -702,12 +707,12 @@ def _run_c17(task, cfg: SweepConfig) -> TaskResult:
             with_base = ScaledMap(table, tx, r)
             classical = ScaledMap(table, tx, ty)
             res.tested += 1
-            lhs = check_continuity(with_base, ContinuityMode("strong", "global")).holds
-            rhs = check_continuity(classical, ContinuityMode("strong", "global")).holds
+            lhs = check_continuity(with_base, _MODES["strong", "global"]).holds
+            rhs = check_continuity(classical, _MODES["strong", "global"]).holds
             if lhs != rhs:
                 res.violation(_map_doc(with_base, base_side=lhs, trivial_side=rhs))
             for x in xs.points:
-                mode = ContinuityMode("strong", "at-point", at_point=x)
+                mode = _AT_POINT["strong"][x]
                 if check_continuity(classical, mode).holds:
                     res.tested += 1
                     if not check_continuity(with_base, mode).holds:
@@ -738,28 +743,18 @@ def _random_scale(space: FiniteSpace, rng: random.Random) -> Scale:
     if style == 0:
         return trivial_scale(space)
     if style == 1:
-        chosen = []
-        for x in space.points:
-            options = sorted(
-                (o for o in space.opens if x in o), key=set_key
-            )
-            chosen.append(rng.choice(options))
-        return p_structure(space, chosen)
-    fams = []
-    for x in space.points:
-        fam = [
-            o
-            for o in sorted((o for o in space.opens if o and x in o), key=set_key)
-            if rng.random() < 0.5
-        ]
-        fams.append(frozenset(fam))
-    tq = frozenset(itertools.chain.from_iterable(fams))
-    return Scale(space, tq, tuple(fams))
+        return p_structure(
+            space, [rng.choice(around) for around in space.neighborhoods]
+        )
+    fams = tuple(
+        frozenset(o for o in around if rng.random() < 0.5)
+        for around in space.neighborhoods
+    )
+    return Scale(space, frozenset().union(*fams), fams)
 
 
 def _random_space(rng: random.Random, max_points: int) -> FiniteSpace:
-    n = rng.randint(1, max_points)
-    fam = _spaces(n)
+    fam = _spaces(rng.randrange(1, max_points + 1))
     return fam[rng.randrange(len(fam))]
 
 
@@ -773,65 +768,55 @@ def _extend_scale(base: Scale, rng: random.Random) -> Scale:
 def _run_composition(task, cfg: SweepConfig, which: str) -> TaskResult:
     """T1 (pointwise), T2 (local/global), P9 (equal middle scales), and
     the companion specializations: composites inherit continuity when
-    the middle-scale refinement hypothesis holds."""
+    the middle-scale refinement hypothesis holds.  g is checked only
+    when f passes, and the composite is built only for tested trials."""
     res = TaskResult()
     chunk_index, trials = task
     rng = random.Random(f"{cfg.seed}:{which}:{chunk_index}")
     loci = ("at-point",) if which == "T1" else ("local", "global")
+    max_points = min(cfg.max_points, 3)
     for trial in range(trials):
-        xs = _random_space(rng, min(cfg.max_points, 3))
-        ys = _random_space(rng, min(cfg.max_points, 3))
-        zs = _random_space(rng, min(cfg.max_points, 3))
+        xs = _random_space(rng, max_points)
+        ys = _random_space(rng, max_points)
+        zs = _random_space(rng, max_points)
         q = _random_scale(xs, rng)
         p = _random_scale(zs, rng)
         r = _random_scale(ys, rng)
         h = r if which == "P9" else _extend_scale(r, rng)
         f_table = tuple(rng.randrange(ys.n_points) for _ in range(xs.n_points))
         g_table = tuple(rng.randrange(zs.n_points) for _ in range(ys.n_points))
-        f = ScaledMap(f_table, q, h)
-        g = ScaledMap(g_table, r, p)
         if not middle_refines(r, h):
             res.skipped += 1
             continue
-        composite = compose_scaled(g, f)
+        f = ScaledMap(f_table, q, h)
+        g = ScaledMap(g_table, r, p)
         locus = loci[trial % len(loci)]
         if locus == "at-point":
             x = rng.randrange(xs.n_points)
-            f_ok = check_continuity(
-                f, ContinuityMode("strong", "at-point", at_point=x)
-            ).holds
-            g_ok = check_continuity(
-                g, ContinuityMode("strong", "at-point", at_point=f_table[x])
-            ).holds
-            if not (f_ok and g_ok):
-                res.skipped += 1
-                continue
-            res.tested += 1
-            if not check_continuity(
-                composite, ContinuityMode("strong", "at-point", at_point=x)
-            ).holds:
-                res.violation(
-                    {
-                        "f": jsonio.scaled_map_to_json(f),
-                        "g": jsonio.scaled_map_to_json(g),
-                        "point": x,
-                    }
-                )
+            mode = _AT_POINT["strong"][x]
+            hypothesis = (
+                check_continuity(f, mode).holds
+                and check_continuity(g, _AT_POINT["strong"][f_table[x]]).holds
+            )
+            witness = {"point": x}
         else:
-            f_ok = check_continuity(f, ContinuityMode("strong", locus)).holds
-            g_ok = check_continuity(g, ContinuityMode("strong", locus)).holds
-            if not (f_ok and g_ok):
-                res.skipped += 1
-                continue
-            res.tested += 1
-            if not check_continuity(composite, ContinuityMode("strong", locus)).holds:
-                res.violation(
-                    {
-                        "f": jsonio.scaled_map_to_json(f),
-                        "g": jsonio.scaled_map_to_json(g),
-                        "locus": locus,
-                    }
-                )
+            mode = _MODES["strong", locus]
+            hypothesis = (
+                check_continuity(f, mode).holds and check_continuity(g, mode).holds
+            )
+            witness = {"locus": locus}
+        if not hypothesis:
+            res.skipped += 1
+            continue
+        res.tested += 1
+        if not check_continuity(compose_scaled(g, f), mode).holds:
+            res.violation(
+                {
+                    "f": jsonio.scaled_map_to_json(f),
+                    "g": jsonio.scaled_map_to_json(g),
+                    **witness,
+                }
+            )
     return res
 
 
@@ -850,20 +835,15 @@ def _sampled_p_structures(
     space: FiniteSpace, budget: int, seed: int
 ) -> list[Scale]:
     rng = random.Random(f"{seed}:{space.key()}")
-    seen: set[tuple] = set()
+    seen: set[tuple[PointSet, ...]] = set()
     out: list[Scale] = []
-    options = [
-        sorted((o for o in space.opens if x in o), key=set_key)
-        for x in space.points
-    ]
     attempts = 0
     while len(out) < budget and attempts < budget * 8:
         attempts += 1
-        chosen = tuple(rng.choice(options[x]) for x in space.points)
-        key = tuple(canon(c) for c in chosen)
-        if key in seen:
+        chosen = tuple(rng.choice(around) for around in space.neighborhoods)
+        if chosen in seen:
             continue
-        seen.add(key)
+        seen.add(chosen)
         out.append(p_structure(space, chosen))
     return out
 
@@ -897,9 +877,7 @@ def _run_t3(task, cfg: SweepConfig) -> TaskResult:
                 f = ScaledMap(table, ps, ty)
                 res.tested += 1
                 for x in space.points:
-                    weak = check_continuity(
-                        f, ContinuityMode("weak", "at-point", at_point=x)
-                    ).holds
+                    weak = check_continuity(f, _AT_POINT["weak"][x]).holds
                     const = constant_on(f, chosen[x])
                     if weak != const:
                         res.violation(
@@ -924,14 +902,12 @@ def _run_c10(task, cfg: SweepConfig) -> TaskResult:
                 any(c <= block for block in components) for c in chosen
             )
             for table in _maps(space.n_points, ny, cfg.map_budget):
-                f = ScaledMap(table, ps, ty)
                 if not connected_choice:
                     res.skipped += 1
                     continue
+                f = ScaledMap(table, ps, ty)
                 res.tested += 1
-                weak_everywhere = check_continuity(
-                    f, ContinuityMode("weak", "local")
-                ).holds
+                weak_everywhere = check_continuity(f, _MODES["weak", "local"]).holds
                 per_component = constancy_profile(f).constant_on_components
                 if weak_everywhere != per_component:
                     res.violation(
@@ -977,9 +953,9 @@ def _run_t5_t6(task, cfg: SweepConfig, which: str) -> TaskResult:
                 part_maps = [ScaledMap(table, q, ri) for ri in parts]
                 if which == "T5":
                     res.tested += 1
-                    whole = check_continuity(f, ContinuityMode("weak", "global")).holds
+                    whole = check_continuity(f, _MODES["weak", "global"]).holds
                     each = all(
-                        check_continuity(g, ContinuityMode("weak", "global")).holds
+                        check_continuity(g, _MODES["weak", "global"]).holds
                         for g in part_maps
                     )
                     if whole != each:
@@ -989,7 +965,7 @@ def _run_t5_t6(task, cfg: SweepConfig, which: str) -> TaskResult:
                 else:
                     for x in xs.points:
                         res.tested += 1
-                        mode = ContinuityMode("weak", "at-point", at_point=x)
+                        mode = _AT_POINT["weak"][x]
                         whole = check_continuity(f, mode).holds
                         each = all(
                             check_continuity(g, mode).holds for g in part_maps
@@ -1311,26 +1287,22 @@ def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
     for f in _search_instances(cfg):
         tested += 1
         if claim == "PROBLEM1":
-            a = check_continuity(f, ContinuityMode("weak", "local")).holds
-            b = check_continuity(f, ContinuityMode("weak", "global")).holds
+            a = check_continuity(f, _MODES["weak", "local"]).holds
+            b = check_continuity(f, _MODES["weak", "global"]).holds
             separated = a and not b
         elif claim == "PROBLEM2":
-            a = check_continuity(f, ContinuityMode("weak", "global")).holds
-            b = check_continuity(f, ContinuityMode("weak", "local")).holds
+            a = check_continuity(f, _MODES["weak", "global"]).holds
+            b = check_continuity(f, _MODES["weak", "local"]).holds
             separated = a and not b
         elif claim == "PROBLEM3":
-            a = check_continuity(f, ContinuityMode("weak", "global")).holds
-            b = check_continuity(f, ContinuityMode("strong", "global")).holds
+            a = check_continuity(f, _MODES["weak", "global"]).holds
+            b = check_continuity(f, _MODES["strong", "global"]).holds
             separated = a and not b
         else:  # PROBLEM4
             separated = False
             for x in f.domain.space.points:
-                wa = check_continuity(
-                    f, ContinuityMode("weak", "at-point", at_point=x)
-                ).holds
-                sa = check_continuity(
-                    f, ContinuityMode("strong", "at-point", at_point=x)
-                ).holds
+                wa = check_continuity(f, _AT_POINT["weak"][x]).holds
+                sa = check_continuity(f, _AT_POINT["strong"][x]).holds
                 if wa and not sa:
                     separated = True
                     break

@@ -292,3 +292,58 @@ def test_issubset_needs_a_single_containing_piece():
     assert not LineSet.of(iv(0, 1, hc=True)).issubset(LineSet.of(iv(None, 1)))
     assert LineSet.empty().issubset(LineSet.empty())
     assert not LineSet.of(point_interval(SQRT2)).issubset(LineSet.empty())
+
+
+# -- one-pass complement, closure and interior vs the normalize reference ------
+
+
+def ref_complement(a: LineSet) -> LineSet:
+    """The gaps between the pieces, passed through ``normalize``."""
+    if not a.pieces:
+        return LineSet.full_line()
+    out = []
+    if a.pieces[0].lo is not None:
+        out.append(Interval(None, a.pieces[0].lo, False, not a.pieces[0].lo_closed))
+    for left, right in zip(a.pieces, a.pieces[1:]):
+        out.append(Interval(left.hi, right.lo, not left.hi_closed, not right.lo_closed))
+    if a.pieces[-1].hi is not None:
+        out.append(Interval(a.pieces[-1].hi, None, not a.pieces[-1].hi_closed, False))
+    return normalize(out)
+
+
+def ref_closure(a: LineSet) -> LineSet:
+    return normalize(
+        Interval(p.lo, p.hi, p.lo is not None, p.hi is not None) for p in a.pieces
+    )
+
+
+def ref_interior(a: LineSet) -> LineSet:
+    return normalize(
+        Interval(p.lo, p.hi, False, False) for p in a.pieces if not p.is_point
+    )
+
+
+@given(mixed_line_sets())
+@settings(max_examples=400)
+def test_one_pass_forms_match_the_normalize_reference(a):
+    for got, want in (
+        (a.complement(), ref_complement(a)),
+        (a.closure(), ref_closure(a)),
+        (a.interior(), ref_interior(a)),
+    ):
+        assert got.pieces == want.pieces
+        assert normalize(got.pieces) == got
+
+
+def test_closure_joins_pieces_split_at_single_points():
+    split = LineSet.of(iv(0, 1), iv(1, 2), iv(2, 3, hc=True), iv(5, None))
+    assert split.closure() == LineSet.of(
+        iv(0, 3, lc=True, hc=True), iv(5, None, lc=True)
+    )
+    assert split.interior() == LineSet.of(iv(0, 1), iv(1, 2), iv(2, 3), iv(5, None))
+    assert split.complement() == LineSet.of(
+        iv(None, 0, hc=True),
+        point_interval(num(1)),
+        point_interval(num(2)),
+        iv(3, 5, hc=True),
+    )
