@@ -90,8 +90,6 @@ from .interval_scales import (
     iw_is_q_closed,
     iw_is_q_open,
     iw_is_subscale,
-    iw_membership,
-    iw_witness_inside,
     segment_carrier,
 )
 from .continuity import (

@@ -138,26 +138,27 @@ def _cmd_check(args) -> int:
     if args.at is not None:
         try:
             at_point = _parse_point(args.at, interval_world)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"cannot parse --at {args.at!r}: {exc}") from exc
     try:
         mode = parse_mode(args.mode, at_point=at_point,
                           trivial_domain=args.trivial_domain)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if interval_world and args.probes:
+        probe_doc = _load_json(args.probes)
+        try:
+            probes = tuple(jsonio.sheetset_from_json(p) for p in probe_doc["probes"])
+            target = IntervalScaledMap(
+                pam=target.pam,
+                domain_scale=target.domain_scale,
+                codomain_scale=target.codomain_scale,
+                probe_family=probes,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"malformed probes document: {exc}") from exc
     try:
         if interval_world:
-            if args.probes:
-                probe_doc = _load_json(args.probes)
-                probes = tuple(
-                    jsonio.sheetset_from_json(p) for p in probe_doc["probes"]
-                )
-                target = IntervalScaledMap(
-                    pam=target.pam,
-                    domain_scale=target.domain_scale,
-                    codomain_scale=target.codomain_scale,
-                    probe_family=probes,
-                )
             verdict = iw_check_continuity(target, mode)
         else:
             verdict = check_continuity(target, mode)

@@ -944,18 +944,8 @@ class TruncatedBallScale(IntervalScale):
 # -- spec'd operation names --------------------------------------------------------
 
 
-def iw_membership(kind: IntervalScale, x: SheetPoint, s: SheetSet) -> bool:
-    return kind.member(x, s)
-
-
 def iw_is_q_open(kind: IntervalScale, s: SheetSet) -> bool:
     return kind.is_q_open(s)
-
-
-def iw_witness_inside(
-    kind: IntervalScale, x: SheetPoint, s: SheetSet
-) -> SheetSet | None:
-    return kind.witness_inside(x, s)
 
 
 def iw_is_q_closed(kind: IntervalScale, s: SheetSet) -> bool:

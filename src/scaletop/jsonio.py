@@ -38,12 +38,31 @@ def fraction_to_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def fraction_from_json(text) -> Fraction:
+    """A rational from its exact string; a zero denominator is malformed
+    input like any other, so it raises ``ValueError``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def flag_from_json(doc: dict, key: str, default: bool | None = None) -> bool:
+    """A flag must be a JSON boolean; ``default`` applies when the key is
+    absent, and without one the key is required."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a JSON boolean, not {value!r}")
+    return value
+
+
 def exact_to_json(x: ExactNumber) -> dict:
     return {"a": fraction_to_json(x.a), "b": fraction_to_json(x.b)}
 
 
 def exact_from_json(doc: dict) -> ExactNumber:
-    return ExactNumber(Fraction(doc["a"]), Fraction(doc.get("b", "0")))
+    a = fraction_from_json(doc["a"])
+    return ExactNumber(a, fraction_from_json(doc.get("b", "0")))
 
 
 def interval_to_json(iv: Interval) -> dict:
@@ -58,7 +77,8 @@ def interval_to_json(iv: Interval) -> dict:
 def interval_from_json(doc: dict) -> Interval:
     lo = None if doc["lo"] == "-inf" else exact_from_json(doc["lo"])
     hi = None if doc["hi"] == "+inf" else exact_from_json(doc["hi"])
-    return Interval(lo, hi, doc["lo_closed"], doc["hi_closed"])
+    lo_closed = flag_from_json(doc, "lo_closed")
+    return Interval(lo, hi, lo_closed, flag_from_json(doc, "hi_closed"))
 
 
 def lineset_to_json(ls: LineSet) -> list:
@@ -167,8 +187,8 @@ def pam_from_json(doc: dict) -> PiecewiseAffineMap:
             p["sheet"],
             interval_from_json(p["part"]),
             p["out_sheet"],
-            Fraction(p["slope"]),
-            Fraction(p["intercept"]),
+            fraction_from_json(p["slope"]),
+            fraction_from_json(p["intercept"]),
         )
         for p in doc["pieces"]
     )
@@ -220,7 +240,8 @@ def interval_scale_from_json(doc: dict) -> IntervalScale:
     if kind == "IrrationalEnds":
         return EndClassScale(carrier, mode="irrational")
     if kind == "MixedRationalIrrational":
-        return EndClassScale(carrier, mode="mixed", crossed=doc.get("crossed", False))
+        crossed = flag_from_json(doc, "crossed", default=False)
+        return EndClassScale(carrier, mode="mixed", crossed=crossed)
     if kind == "ConnectedOpen":
         return ConnectedOpenScale(carrier)
     if kind == "TruncatedQ_a":

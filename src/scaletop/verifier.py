@@ -2,16 +2,31 @@
 over exhaustively enumerated or seed-sampled finite instances and
 reports verdicts with replayable counterexample certificates.
 
-Every property is registered as a list of independent tasks plus a task
-runner; tasks are evaluated in a fixed order (optionally in parallel,
-on as many workers as the SCALETOP_THREADS environment variable asks,
-capped by the CPU count and the task count) and merged deterministically,
-so identical (property, config) pairs produce byte-identical reports.
-Violations are listed in canonical order (lexicographic on their
-serialized form) and capped by the config.
+Every property is a list of independent tasks plus a task runner.  Most
+are about maps between two spaces, one space pair per task:
+``_pair_universe`` picks the pair's domain scales, codomain scales and
+map tables, ``_pair_maps`` walks them as ``ScaledMap`` instances (domain
+scale outermost, then codomain scale, then table), and a per-instance
+check decides each one, counting its trials through
+``TaskResult.trial(hypothesis)``: tested when the hypothesis holds (only
+then is the conclusion checked), skipped otherwise, so ``generated =
+tested + skipped``.  The separation searches PROBLEM1-4 are predicates
+over the same universe; P1A, P1B, C1 and EX16 check each scale of one
+space.  Runners that stay separate: P4 (tables outermost, so its
+independent frozenset strong side reads each table's preimages once),
+T1/T2/P9 and BQOA_CLAIM (sampled from pinned RNG streams), T3/C10
+(sampled principal scales against discrete codomains) and T5/T6 (one
+random split per scale pair from an RNG seeded per task).
 
-Hypothesis-violating instances are skipped and counted separately:
-``generated = tested + skipped`` is reported explicitly.
+Tasks run in a fixed order (optionally in parallel, on as many workers
+as the SCALETOP_THREADS environment variable asks, capped by the CPU
+count and the task count) and ``_report`` merges them, so identical
+(property, config) pairs produce byte-identical reports.  Violations are
+listed in canonical order (lexicographic on their serialized form) and
+capped by the config; a search keeps the smallest.  Checks reach the
+kernels (``check_continuity``, ``ScaledMap``, ``classify``, ...) through
+this module's globals, so a tracer that rebinds them here sees every
+call.
 
 The classical-continuity oracle used by the L1/L2/L5/L6 properties is
 coded here directly against open-set families, independent of the scale
@@ -49,7 +64,6 @@ from .finite_topology import (
     connected_components,
     discrete_space,
     enumerate_topologies,
-    is_T1,
     set_key,
 )
 from .interval_scales import BoundedBallSupersetScale, full_line_carrier, iw_is_q_open
@@ -67,28 +81,16 @@ from .scales import (
     validate_scale,
 )
 
-PROPERTY_IDS = (
-    "P1A", "P1B", "C1",
-    "L1", "L2", "L3", "L4", "L5", "L6",
-    "P2", "P3", "P4", "P5", "P6",
-    "P7A", "P7B", "P8A", "P8B", "P9",
-    "T1", "T2", "T3", "T5", "T6",
-    "C10", "C14", "C15", "C16", "C17",
-    "EX16", "BQOA_CLAIM",
-)
-
-SEARCH_IDS = ("PROBLEM1", "PROBLEM2", "PROBLEM3", "PROBLEM4", "P3")
-
-# One mode object per check kind, shared by every runner instead of a
-# new one per check; at-point modes are indexed by the point.
+# One mode object per check kind, shared by every check instead of a
+# new one per call; at-point modes are indexed by the point.
+_LOCI = ("local", "global")
 _MODES = {
     (strength, locus): ContinuityMode(strength, locus)
     for strength in ("strong", "weak")
-    for locus in ("local", "global")
+    for locus in _LOCI
 }
 _TRIVIAL_DOMAIN = {
-    locus: ContinuityMode("strong", locus, trivial_domain=True)
-    for locus in ("local", "global")
+    locus: ContinuityMode("strong", locus, trivial_domain=True) for locus in _LOCI
 }
 _AT_POINT = {
     strength: tuple(
@@ -117,6 +119,11 @@ class SweepConfig:
             raise ValueError("max_points must be between 1 and 4")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        for name in ("scale_budget", "sample_budget", "max_violations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.map_budget is not None and self.map_budget < 0:
+            raise ValueError("map_budget must be None or >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -165,6 +172,15 @@ class TaskResult:
     skipped: int = 0
     violations: list[dict] = field(default_factory=list)
 
+    def trial(self, hypothesis: bool, count: int = 1) -> bool:
+        """Count ``count`` trials, as tested when the hypothesis holds and
+        as skipped otherwise; returns whether to check the conclusion."""
+        if hypothesis:
+            self.tested += count
+        else:
+            self.skipped += count
+        return hypothesis
+
     def violation(self, doc: dict) -> None:
         self.violations.append(doc)
 
@@ -200,16 +216,88 @@ def _scales(space: FiniteSpace, budget: int) -> tuple[Scale, ...]:
 
 
 def _maps(nx: int, ny: int, budget: int | None) -> Iterator[tuple[int, ...]]:
-    it = itertools.product(range(ny), repeat=nx)
-    if budget is None:
-        yield from it
-    else:
-        yield from itertools.islice(it, budget)
+    return itertools.islice(itertools.product(range(ny), repeat=nx), budget)
 
 
 @lru_cache(maxsize=None)
 def _discrete(ny: int) -> FiniteSpace:
     return discrete_space(ny)
+
+
+def _tasks_per_space(cfg: SweepConfig):
+    return _space_refs(cfg.max_points)
+
+
+def _tasks_space_pairs(cfg: SweepConfig, cap: int | None = None):
+    refs = _space_refs(cfg.max_points if cap is None else min(cfg.max_points, cap))
+    return [(a, b) for a in refs for b in refs]
+
+
+# Scale choices for one side of a space pair: (space, cfg) -> scales.
+
+
+def _enumerated(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
+    return _scales(space, cfg.scale_budget)
+
+
+def _trivial(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
+    return (trivial_scale(space),)
+
+
+def _trivial_if_enumerated(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
+    """The trivial scale, only when it is among the first
+    ``scale_budget`` enumerated scales."""
+    t = trivial_scale(space)
+    return tuple(q for q in _scales(space, cfg.scale_budget) if q == t)
+
+
+def _neighborhood_closed(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
+    return tuple(
+        r for r in _scales(space, cfg.scale_budget) if classify(r).neighborhood_closed
+    )
+
+
+def _base_member(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
+    """Scales listing the members of a base around each point, for two
+    deterministic bases of the topology: the minimal base (smallest open
+    neighborhoods) and the full family of nonempty opens."""
+    minimal = frozenset(space.min_open_around(x) for x in space.points)
+    full = frozenset(o for o in space.opens if o)
+    bases = (minimal,) if full == minimal else (minimal, full)
+    points = space.points
+    return tuple(
+        Scale(space, base, tuple(frozenset(b for b in base if x in b) for x in points))
+        for base in bases
+    )
+
+
+def _pair_universe(
+    task, cfg: SweepConfig, domain=_enumerated, codomain=_enumerated, surjective=False
+) -> tuple[tuple[Scale, ...], tuple[Scale, ...], tuple[tuple[int, ...], ...]]:
+    """The domain scales, codomain scales and map tables of one space
+    pair; ``surjective`` keeps only the tables onto the codomain."""
+    xs, ys = _space(task[0]), _space(task[1])
+    tables = _maps(xs.n_points, ys.n_points, cfg.map_budget)
+    if surjective:
+        tables = (t for t in tables if frozenset(t) == ys.carrier)
+    return domain(xs, cfg), codomain(ys, cfg), tuple(tables)
+
+
+def _pair_maps(task, cfg: SweepConfig, **universe) -> Iterator[ScaledMap]:
+    """Every instance of a pair universe: domain scale outermost, then
+    codomain scale, then table (T5/T6 draw their RNG in this order)."""
+    qs, rs, tables = _pair_universe(task, cfg, **universe)
+    for q in qs:
+        for r in rs:
+            for table in tables:
+                yield ScaledMap(table, q, r)
+
+
+def _sweep(task, cfg: SweepConfig, check, **universe) -> TaskResult:
+    res = TaskResult()
+    for f in _pair_maps(task, cfg, **universe):
+        check(res, f, cfg)
+    return res
 
 
 # -- the independent classical-continuity oracle ---------------------------------
@@ -250,22 +338,16 @@ def _map_doc(f: ScaledMap, **extra) -> dict:
     return doc
 
 
-def _violation_key(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
+# -- per-scale checks: check(res, scale) --------------------------------------------
 
 
-# -- property implementations -------------------------------------------------------
-# Each property provides tasks(cfg) and run(task, cfg) -> TaskResult.
-
-
-def _tasks_per_space(cfg: SweepConfig, cap: int | None = None):
-    n = cfg.max_points if cap is None else min(cfg.max_points, cap)
-    return _space_refs(n)
-
-
-def _tasks_space_pairs(cfg: SweepConfig, cap: int | None = None):
-    refs = _tasks_per_space(cfg, cap)
-    return [(a, b) for a in refs for b in refs]
+def _run_scales(task, cfg: SweepConfig, check) -> TaskResult:
+    """One tested trial per enumerated scale of the task's space."""
+    res = TaskResult()
+    for scale in _scales(_space(task), cfg.scale_budget):
+        res.tested += 1
+        check(res, scale)
+    return res
 
 
 def _closed_sets(scale: Scale) -> list[PointSet]:
@@ -273,262 +355,141 @@ def _closed_sets(scale: Scale) -> list[PointSet]:
     return sorted({carrier - a for a in scale.tq}, key=set_key)
 
 
-def _run_p1(task, cfg: SweepConfig, which: str) -> TaskResult:
-    res = TaskResult()
-    space = _space(task)
-    carrier = space.carrier
-    for scale in _scales(space, cfg.scale_budget):
-        flags = classify(scale)
-        closeds = _closed_sets(scale)
-        if which == "P1A":
-            flag = flags.weak_U
-            ok = True
-            for r in range(1, len(closeds) + 1):
-                for combo in itertools.combinations(closeds, r):
-                    inter = carrier
-                    for z in combo:
-                        inter = inter & z
-                    if not q_closed(scale, inter):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        elif which == "P1B":
-            flag = flags.weak_I
-            ok = True
-            for r in range(1, len(closeds) + 1):
-                for combo in itertools.combinations(closeds, r):
-                    union = frozenset().union(*combo)
-                    if union == carrier:
-                        continue  # complement empty: never declarable
-                    if not q_closed(scale, union):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        else:  # C1: pairwise lattice form
-            flag = flags.weak_L
-            ok = True
-            for z1, z2 in itertools.combinations_with_replacement(closeds, 2):
-                if not q_closed(scale, z1 & z2):
-                    ok = False
-                    break
-                union = z1 | z2
-                if union != carrier and not q_closed(scale, union):
-                    ok = False
-                    break
-        res.tested += 1
-        if flag != ok:
-            res.violation(
-                {
-                    "scale": jsonio.scale_to_json(scale),
-                    "flag": flag,
-                    "closed_set_side": ok,
-                }
-            )
-    return res
+def _subfamilies(scale: Scale) -> Iterator[tuple[PointSet, ...]]:
+    closeds = _closed_sets(scale)
+    return itertools.chain.from_iterable(
+        itertools.combinations(closeds, k) for k in range(1, len(closeds) + 1)
+    )
 
 
-def _run_lemma_sweep(task, cfg: SweepConfig, which: str) -> TaskResult:
-    """L1/L2/L5/L6: with trivial scales the four scaled notions agree with
-    the independently coded classical oracle."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tx, ty = trivial_scale(xs), trivial_scale(ys)
-    for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-        f = ScaledMap(table, tx, ty)
-        oracle = classical_continuous(table, xs, ys)
-        if which == "L1":
-            got = check_continuity(f, _MODES["strong", "global"]).holds
-            want = oracle
-        elif which == "L2":
-            got = check_continuity(f, _MODES["strong", "local"]).holds
-            want = oracle
-        elif which == "L6":
-            got = check_continuity(f, _MODES["weak", "local"]).holds
-            want = oracle
-        else:  # L5: pointwise
+def _intersections_closed(scale: Scale) -> bool:
+    carrier = scale.space.carrier
+    return all(
+        q_closed(scale, carrier.intersection(*combo)) for combo in _subfamilies(scale)
+    )
+
+
+def _proper_unions_closed(scale: Scale) -> bool:
+    # A union equal to the carrier has an empty complement, which is
+    # never declarable.
+    carrier = scale.space.carrier
+    unions = (frozenset().union(*combo) for combo in _subfamilies(scale))
+    return all(u == carrier or q_closed(scale, u) for u in unions)
+
+
+def _pairwise_lattice_closed(scale: Scale) -> bool:
+    carrier = scale.space.carrier
+    return all(
+        q_closed(scale, z1 & z2) and (z1 | z2 == carrier or q_closed(scale, z1 | z2))
+        for z1, z2 in itertools.combinations_with_replacement(_closed_sets(scale), 2)
+    )
+
+
+def _flag_law(flag: str, closed_side: Callable[[Scale], bool]):
+    """P1A/P1B/C1: a structure flag of the declared family agrees with a
+    closure law of the scale's closed sets."""
+
+    def check(res: TaskResult, scale: Scale) -> None:
+        want = getattr(classify(scale), flag)
+        got = closed_side(scale)
+        if want != got:
+            scale_doc = jsonio.scale_to_json(scale)
+            res.violation({"scale": scale_doc, "flag": want, "closed_set_side": got})
+
+    return check
+
+
+def _check_ex16(res: TaskResult, scale: Scale) -> None:
+    """The trivial scale refines every valid scale on the space."""
+    if not finer(trivial_scale(scale.space), scale):
+        res.violation({"scale": jsonio.scale_to_json(scale)})
+
+
+# -- per-instance checks on a space pair: check(res, f, cfg) -----------------------
+
+
+def _transfer(res: TaskResult, source: ScaledMap, target: ScaledMap, steps) -> None:
+    """One trial per ``(hypothesis, conclusion, witness)`` step: when
+    ``source`` is continuous in the hypothesis mode, ``target`` must be
+    continuous in the conclusion mode."""
+    for hypothesis, conclusion, witness in steps:
+        if (
+            res.trial(check_continuity(source, hypothesis).holds)
+            and not check_continuity(target, conclusion).holds
+        ):
+            res.violation(_map_doc(target, **witness))
+
+
+def _implies(*steps):
+    """A check made of ``_transfer`` steps on the instance itself."""
+    return lambda res, f, cfg: _transfer(res, f, f, steps)
+
+
+def _at_points(strength: str, f: ScaledMap) -> list:
+    """The at-point modes over f's domain, each with its witness."""
+    return [(_AT_POINT[strength][x], {"point": x}) for x in f.domain.space.points]
+
+
+def _classical_lemma(lemma: str, mode: ContinuityMode | None = None):
+    """L1/L2/L6: with trivial scales, continuity in ``mode`` agrees with
+    the independently coded classical oracle.  L5 (no mode): weak
+    continuity at each point agrees with the oracle at that point."""
+
+    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+        xs, ys = f.domain.space, f.codomain.space
+        oracle = classical_continuous(f.table, xs, ys)
+        if mode is None:
+            want = True
             got = all(
                 check_continuity(f, _AT_POINT["weak"][x]).holds
-                == classical_continuous_at(table, xs, ys, x)
+                == classical_continuous_at(f.table, xs, ys, x)
                 for x in xs.points
             )
-            want = True
+        else:
+            got, want = check_continuity(f, mode).holds, oracle
         res.tested += 1
         if got != want:
-            res.violation(_map_doc(f, lemma=which, oracle=oracle, scaled=got))
-    return res
+            res.violation(_map_doc(f, lemma=lemma, oracle=oracle, scaled=got))
+
+    return check
 
 
-def _run_l3(task, cfg: SweepConfig) -> TaskResult:
-    """Strong continuity implies weak, locus by locus, on every instance."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    for q in _scales(xs, cfg.scale_budget):
-        for r in _scales(ys, cfg.scale_budget):
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                for locus in ("local", "global"):
-                    strong = check_continuity(f, _MODES["strong", locus])
-                    if not strong.holds:
-                        res.skipped += 1
-                        continue
-                    res.tested += 1
-                    weak = check_continuity(f, _MODES["weak", locus])
-                    if not weak.holds:
-                        res.violation(_map_doc(f, locus=locus))
-    return res
-
-
-def _run_l4(task, cfg: SweepConfig) -> TaskResult:
+def _check_l4(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
     """With a trivial domain scale and a neighborhood-closed codomain
     scale, locally weak continuity upgrades to strong continuity, both
     locally and globally."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tx = trivial_scale(xs)
-    for r in _scales(ys, cfg.scale_budget):
-        if not classify(r).neighborhood_closed:
-            continue
-        for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-            f = ScaledMap(table, tx, r)
-            if not check_continuity(f, _MODES["weak", "local"]).holds:
-                res.skipped += 1
-                continue
-            res.tested += 1
-            for locus in ("local", "global"):
-                if not check_continuity(f, _MODES["strong", locus]).holds:
-                    res.violation(_map_doc(f, locus=locus))
-    return res
+    if res.trial(check_continuity(f, _MODES["weak", "local"]).holds):
+        for locus in _LOCI:
+            if not check_continuity(f, _MODES["strong", locus]).holds:
+                res.violation(_map_doc(f, locus=locus))
 
 
-def _run_projection(task, cfg: SweepConfig, which: str) -> TaskResult:
-    """P2/P5: locally continuous surjections are globally continuous.
-    P6: surjections with trivial domain scale are globally continuous
-    iff locally continuous."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tables = [
-        t
-        for t in _maps(xs.n_points, ys.n_points, cfg.map_budget)
-        if frozenset(t) == ys.carrier
-    ]
-    if not tables:
-        return res
-    if which == "P6":
-        tx = trivial_scale(xs)
-        for r in _scales(ys, cfg.scale_budget):
-            for table in tables:
-                f = ScaledMap(table, tx, r)
-                res.tested += 1
-                loc = check_continuity(f, _MODES["strong", "local"]).holds
-                glob = check_continuity(f, _MODES["strong", "global"]).holds
-                if loc != glob:
-                    res.violation(_map_doc(f, local=loc, global_=glob))
-        return res
-    strength = "strong" if which == "P2" else "weak"
-    for q in _scales(xs, cfg.scale_budget):
-        for r in _scales(ys, cfg.scale_budget):
-            for table in tables:
-                f = ScaledMap(table, q, r)
-                if not check_continuity(f, _MODES[strength, "local"]).holds:
-                    res.skipped += 1
-                    continue
-                res.tested += 1
-                if not check_continuity(f, _MODES[strength, "global"]).holds:
-                    res.violation(_map_doc(f))
-    return res
+def _check_local_is_global(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+    """P3 (any map; a claim under test, not presumed) and P6
+    (surjections): with a trivial domain scale, local and global strong
+    continuity coincide."""
+    res.tested += 1
+    loc = check_continuity(f, _MODES["strong", "local"]).holds
+    glob = check_continuity(f, _MODES["strong", "global"]).holds
+    if loc != glob:
+        res.violation(_map_doc(f, local=loc, global_=glob))
 
 
-def _run_p3(task, cfg: SweepConfig) -> TaskResult:
-    """Claim under test (not presumed): with a trivial domain scale,
-    local and global strong continuity coincide for arbitrary maps."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tx = trivial_scale(xs)
-    for r in _scales(ys, cfg.scale_budget):
-        for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-            f = ScaledMap(table, tx, r)
-            res.tested += 1
-            loc = check_continuity(f, _MODES["strong", "local"]).holds
-            glob = check_continuity(f, _MODES["strong", "global"]).holds
-            if loc != glob:
-                res.violation(_map_doc(f, local=loc, global_=glob))
-    return res
+@lru_cache(maxsize=None)
+def _is_filter(scale: Scale) -> bool:
+    return classify(scale).is_F
 
 
-def _run_p4(task, cfg: SweepConfig) -> TaskResult:
-    """The closed-set characterization agrees with global strong
-    continuity on every instance (independent code paths)."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    x_scales = _scales(xs, cfg.scale_budget)
-    y_scales = _scales(ys, cfg.scale_budget)
-    x_families = [q.assigned_union() for q in x_scales]
-    declared = frozenset().union(*(r.tq for r in y_scales))
-    for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-        pre = {
-            v: frozenset(x for x, y in enumerate(table) if y in v) for v in declared
-        }
-        for r in y_scales:
-            pres = [pre[v] for v in r.tq]
-            for q, tq in zip(x_scales, x_families):
-                strong = all((not p) or p in tq for p in pres)
-                f = ScaledMap(table, q, r)
-                closed = check_closed_characterization(f).holds
-                res.tested += 1
-                if strong != closed:
-                    res.violation(_map_doc(f, strong_global=strong, closed_side=closed))
-    return res
-
-
-def _build_filter_refinements(q: Scale) -> list[Scale]:
+@lru_cache(maxsize=None)
+def _filter_refinements(q: Scale) -> tuple[Scale, ...]:
     """Deterministic filter structures refining q: the trivial scale and
     the filter closure of q (a pointwise superscale is always finer)."""
-    out = [trivial_scale(q.space)]
-    fc = f_closure(q)
-    if fc not in out:
-        out.append(fc)
-    return out
+    t, fc = trivial_scale(q.space), f_closure(q)
+    return (t,) if fc == t else (t, fc)
 
 
-def _run_p7a(task, cfg: SweepConfig) -> TaskResult:
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    for q in _scales(xs, cfg.scale_budget):
-        refinements = _build_filter_refinements(q)
-        for r in _scales(ys, cfg.scale_budget):
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                for p in refinements:
-                    if not (classify(p).is_F and finer(p, q)):
-                        res.skipped += 1
-                        continue
-                    g = ScaledMap(table, p, r)
-                    for locus in ("local", "global"):
-                        if not check_continuity(f, _MODES["strong", locus]).holds:
-                            res.skipped += 1
-                            continue
-                        res.tested += 1
-                        if not check_continuity(g, _MODES["strong", locus]).holds:
-                            res.violation(
-                                _map_doc(
-                                    f,
-                                    refined=jsonio.scale_to_json(p),
-                                    locus=locus,
-                                )
-                            )
-    return res
-
-
-def _coarsenings(r: Scale) -> list[Scale]:
+@lru_cache(maxsize=None)
+def _coarsenings(r: Scale) -> tuple[Scale, ...]:
     """Pointwise sub-assignments of r (valid by construction: the declared
     family shrinks to whatever stays assigned)."""
     out = []
@@ -544,194 +505,175 @@ def _coarsenings(r: Scale) -> list[Scale]:
                 fams.append(frozenset(fam[: max(1, len(fam) - 1)]))
         tq = frozenset(itertools.chain.from_iterable(fams))
         out.append(Scale(r.space, tq, tuple(fams)))
-    return [v for v in out if validate_scale(v)]
+    return tuple(v for v in out if validate_scale(v))
 
 
-def _run_p8(task, cfg: SweepConfig, which: str) -> TaskResult:
-    """P8A: pointwise-larger domain scales preserve continuity.
-    P8B/C14: pointwise-smaller codomain scales preserve continuity
-    (C14 is the trivial-domain special case)."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    for q in _scales(xs, cfg.scale_budget):
-        if which == "C14" and q != trivial_scale(xs):
-            continue
-        for r in _scales(ys, cfg.scale_budget):
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                if which == "P8A":
-                    others = _scales(xs, min(cfg.scale_budget, 4))
-                    variants = [
-                        ScaledMap(table, scale_union(q, s), r) for s in others
-                    ]
-                else:
-                    variants = [
-                        ScaledMap(table, q, v) for v in _coarsenings(r)
-                    ]
-                for locus in ("local", "global"):
-                    if not check_continuity(f, _MODES["strong", locus]).holds:
-                        res.skipped += len(variants)
-                        continue
-                    for g in variants:
-                        res.tested += 1
-                        if not check_continuity(g, _MODES["strong", locus]).holds:
-                            res.violation(
-                                _map_doc(
-                                    g,
-                                    base_domain=jsonio.scale_to_json(q),
-                                    base_codomain=jsonio.scale_to_json(r),
-                                    locus=locus,
-                                )
-                            )
-    return res
+def _preserved_by(variants, doc):
+    """P7A/P7B/P8A/P8B/C14: strong continuity of f carries over to each
+    variant g of f with one scale changed.  Each (variant, locus) pair is
+    one trial, skipped when f fails in that locus; ``variants(res, f,
+    cfg)`` may skip trials of its own, and ``doc(f, g)`` documents a
+    failure."""
+
+    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+        gs = variants(res, f, cfg)
+        for locus in _LOCI:
+            mode = _MODES["strong", locus]
+            if gs and res.trial(check_continuity(f, mode).holds, len(gs)):
+                for g in gs:
+                    if not check_continuity(g, mode).holds:
+                        res.violation({**doc(f, g), "locus": locus})
+
+    return check
 
 
-def _run_p7b(task, cfg: SweepConfig) -> TaskResult:
-    """As stated (either side a filter structure): when the codomain
-    scale refines a coarser one, continuity should transfer to the
-    coarser target.  The filter-codomain branch is sound; the
-    filter-domain branch is searched, and counterexamples are recorded
-    as found."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    for q in _scales(xs, cfg.scale_budget):
-        q_is_filter = classify(q).is_F
-        for r in _scales(ys, cfg.scale_budget):
-            r_is_filter = classify(r).is_F
-            if not (q_is_filter or r_is_filter):
-                continue
-            coarser = [
-                v for v in _coarsenings(r) if finer(r, v)
-            ]
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                for v in coarser:
-                    for locus in ("local", "global"):
-                        if not check_continuity(f, _MODES["strong", locus]).holds:
-                            res.skipped += 1
-                            continue
-                        res.tested += 1
-                        g = ScaledMap(table, q, v)
-                        if not check_continuity(g, _MODES["strong", locus]).holds:
-                            res.violation(
-                                _map_doc(
-                                    f,
-                                    coarser=jsonio.scale_to_json(v),
-                                    locus=locus,
-                                    domain_is_filter=q_is_filter,
-                                    codomain_is_filter=r_is_filter,
-                                )
-                            )
-    return res
+def _filter_refined_domains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+    """P7A: the domain scale's filter refinements; a refinement that is
+    not a finer filter structure skips its trial."""
+    gs = []
+    for p in _filter_refinements(f.domain):
+        if _is_filter(p) and finer(p, f.domain):
+            gs.append(ScaledMap(f.table, p, f.codomain))
+        else:
+            res.skipped += 1
+    return gs
 
 
-def _run_c15(task, cfg: SweepConfig) -> TaskResult:
-    """Scaled continuity implies trivial-domain continuity."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    for q in _scales(xs, cfg.scale_budget):
-        for r in _scales(ys, cfg.scale_budget):
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                for locus in ("local", "global"):
-                    if not check_continuity(f, _MODES["strong", locus]).holds:
-                        res.skipped += 1
-                        continue
-                    res.tested += 1
-                    if not check_continuity(f, _TRIVIAL_DOMAIN[locus]).holds:
-                        res.violation(_map_doc(f, locus=locus))
-    return res
+def _coarser_filter_codomains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+    """P7B, as stated (either side a filter structure): coarser codomain
+    targets that the codomain scale refines.  The filter-codomain branch
+    is sound; the filter-domain branch is searched, and counterexamples
+    are recorded as found."""
+    q, r = f.domain, f.codomain
+    if not (_is_filter(q) or _is_filter(r)):
+        return []
+    return [ScaledMap(f.table, q, v) for v in _coarsenings(r) if finer(r, v)]
 
 
-def _run_c16(task, cfg: SweepConfig) -> TaskResult:
+def _larger_domains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+    """P8A: unions of the domain scale with the first (at most four)
+    enumerated scales."""
+    others = _scales(f.domain.space, min(cfg.scale_budget, 4))
+    return [ScaledMap(f.table, scale_union(f.domain, s), f.codomain) for s in others]
+
+
+def _smaller_codomains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+    """P8B/C14: pointwise sub-assignments of the codomain scale."""
+    return [ScaledMap(f.table, f.domain, v) for v in _coarsenings(f.codomain)]
+
+
+def _refined_doc(f: ScaledMap, g: ScaledMap) -> dict:
+    return _map_doc(f, refined=jsonio.scale_to_json(g.domain))
+
+
+def _coarser_doc(f: ScaledMap, g: ScaledMap) -> dict:
+    return _map_doc(
+        f,
+        coarser=jsonio.scale_to_json(g.codomain),
+        domain_is_filter=_is_filter(f.domain),
+        codomain_is_filter=_is_filter(f.codomain),
+    )
+
+
+def _base_doc(f: ScaledMap, g: ScaledMap) -> dict:
+    return _map_doc(
+        g,
+        base_domain=jsonio.scale_to_json(f.domain),
+        base_codomain=jsonio.scale_to_json(f.codomain),
+    )
+
+
+def _check_c16(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
     """Continuity with trivial scales implies trivial-domain continuity
     against any codomain scale, pointwise and globally."""
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tx, ty = trivial_scale(xs), trivial_scale(ys)
-    for r in _scales(ys, cfg.scale_budget):
-        for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-            classical = ScaledMap(table, tx, ty)
-            scaled = ScaledMap(table, tx, r)
-            for x in xs.points:
-                mode = _AT_POINT["strong"][x]
-                if not check_continuity(classical, mode).holds:
-                    res.skipped += 1
-                    continue
-                res.tested += 1
-                if not check_continuity(scaled, mode).holds:
-                    res.violation(_map_doc(scaled, point=x))
-            if not check_continuity(classical, _MODES["strong", "global"]).holds:
-                res.skipped += 1
-                continue
-            res.tested += 1
-            if not check_continuity(scaled, _MODES["strong", "global"]).holds:
-                res.violation(_map_doc(scaled, locus="global"))
-    return res
+    classical = ScaledMap(f.table, f.domain, trivial_scale(f.codomain.space))
+    global_ = (_MODES["strong", "global"], {"locus": "global"})
+    modes = [*_at_points("strong", f), global_]
+    _transfer(res, classical, f, [(m, m, w) for m, w in modes])
 
 
-def _bases_of(space: FiniteSpace) -> list[frozenset[PointSet]]:
-    """Deterministic bases of the topology: the minimal base (smallest
-    open neighborhoods) and the full family of nonempty opens."""
-    minimal = frozenset(space.min_open_around(x) for x in space.points)
-    full = frozenset(o for o in space.opens if o)
-    out = [minimal]
-    if full != minimal:
-        out.append(full)
-    return out
-
-
-def _base_scale(space: FiniteSpace, base: frozenset[PointSet]) -> Scale:
-    assignment = tuple(
-        frozenset(b for b in base if x in b) for x in space.points
-    )
-    return Scale(space, base, assignment)
-
-
-def _run_c17(task, cfg: SweepConfig) -> TaskResult:
+def _check_c17(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
     """With a codomain scale listing the members of a base around each
     point, trivial-domain continuity coincides globally with continuity
     at trivial scales, and pointwise continuity transfers from the
     trivial-scale side."""
+    classical = ScaledMap(f.table, f.domain, trivial_scale(f.codomain.space))
+    res.tested += 1
+    lhs = check_continuity(f, _MODES["strong", "global"]).holds
+    rhs = check_continuity(classical, _MODES["strong", "global"]).holds
+    if lhs != rhs:
+        res.violation(_map_doc(f, base_side=lhs, trivial_side=rhs))
+    _transfer(res, classical, f, [(m, m, w) for m, w in _at_points("strong", f)])
+
+
+# -- P4: table-outermost walk ------------------------------------------------------
+
+
+def _run_p4(task, cfg: SweepConfig) -> TaskResult:
+    """The closed-set characterization agrees with global strong
+    continuity on every instance (independent code paths).  A runner of
+    its own: it walks tables outermost so that its frozenset strong side
+    reads each table's preimages once."""
     res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    tx, ty = trivial_scale(xs), trivial_scale(ys)
-    for base in _bases_of(ys):
-        r = _base_scale(ys, base)
-        for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-            with_base = ScaledMap(table, tx, r)
-            classical = ScaledMap(table, tx, ty)
+    x_scales, y_scales, tables = _pair_universe(task, cfg)
+    x_families = [q.assigned_union() for q in x_scales]
+    declared = frozenset().union(*(r.tq for r in y_scales))
+    for table in tables:
+        pre = {
+            v: frozenset(x for x, y in enumerate(table) if y in v) for v in declared
+        }
+        for r in y_scales:
+            pres = [pre[v] for v in r.tq]
+            for q, tq in zip(x_scales, x_families):
+                strong = all((not p) or p in tq for p in pres)
+                f = ScaledMap(table, q, r)
+                closed = check_closed_characterization(f).holds
+                res.tested += 1
+                if strong != closed:
+                    res.violation(_map_doc(f, strong_global=strong, closed_side=closed))
+    return res
+
+
+# -- T5/T6: covering splits of the codomain scale ----------------------------------
+
+
+def _split_scale(r: Scale, parts: int, rng: random.Random) -> list[Scale]:
+    """Subscales whose pointwise union is r: every assigned set keeps at
+    least one home, so each part and the family jointly satisfy the base
+    and refinement hypotheses by construction."""
+    fams = [[set() for _ in r.space.points] for _ in range(parts)]
+    for y in r.space.points:
+        for a in sorted(r.at(y), key=set_key):
+            home = rng.randrange(parts)
+            fams[home][y].add(a)
+    out = []
+    for i in range(parts):
+        assignment = tuple(frozenset(f) for f in fams[i])
+        tq = frozenset(itertools.chain.from_iterable(assignment))
+        out.append(Scale(r.space, tq, assignment))
+    return out
+
+
+def _run_split(task, cfg: SweepConfig, which: str, modes) -> TaskResult:
+    """T5 (global) / T6 (pointwise): weak continuity against a scale is
+    weak continuity against every part of a random covering split.  A
+    runner of its own because its RNG is seeded per task: one split is
+    drawn per (q, r) pair, in universe order."""
+    rng = random.Random(f"{cfg.seed}:{which}:{task[0]}:{task[1]}")
+    pair: list = [None, None, ()]
+
+    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+        if pair[0] is not f.domain or pair[1] is not f.codomain:
+            pair[:] = f.domain, f.codomain, _split_scale(f.codomain, 2, rng)
+        part_maps = [ScaledMap(f.table, f.domain, ri) for ri in pair[2]]
+        for mode, witness in modes(f):
             res.tested += 1
-            lhs = check_continuity(with_base, _MODES["strong", "global"]).holds
-            rhs = check_continuity(classical, _MODES["strong", "global"]).holds
-            if lhs != rhs:
-                res.violation(_map_doc(with_base, base_side=lhs, trivial_side=rhs))
-            for x in xs.points:
-                mode = _AT_POINT["strong"][x]
-                if check_continuity(classical, mode).holds:
-                    res.tested += 1
-                    if not check_continuity(with_base, mode).holds:
-                        res.violation(_map_doc(with_base, point=x))
-                else:
-                    res.skipped += 1
-    return res
+            whole = check_continuity(f, mode).holds
+            each = all(check_continuity(g, mode).holds for g in part_maps)
+            if whole != each:
+                res.violation(_map_doc(f, whole=whole, parts=each, **witness))
 
-
-def _run_ex16(task, cfg: SweepConfig) -> TaskResult:
-    """The trivial scale refines every valid scale on the space."""
-    res = TaskResult()
-    space = _space(task)
-    t = trivial_scale(space)
-    for scale in _scales(space, cfg.scale_budget):
-        res.tested += 1
-        if not finer(t, scale):
-            res.violation({"scale": jsonio.scale_to_json(scale)})
-    return res
+    return _sweep(task, cfg, check)
 
 
 # -- composition sweeps ---------------------------------------------------------
@@ -859,122 +801,48 @@ def _chosen_neighborhoods(ps: Scale) -> list[PointSet]:
     return out
 
 
-def _run_t3(task, cfg: SweepConfig) -> TaskResult:
+def _run_constancy(task, cfg: SweepConfig, check, admits=None) -> TaskResult:
+    """T3/C10: sampled principal scales, not enumerated scale pairs,
+    against trivially scaled discrete codomains on 1-3 points.  Every
+    table of a structure whose chosen neighborhoods ``admits`` rejects is
+    a skipped trial."""
+    res = TaskResult()
+    space = _space(task)
+    structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
+    for ny in (1, 2, 3):
+        ty = trivial_scale(_discrete(ny))
+        for ps in structures:
+            chosen = _chosen_neighborhoods(ps)
+            admitted = admits is None or admits(space, chosen)
+            for table in _maps(space.n_points, ny, cfg.map_budget):
+                if res.trial(admitted):
+                    check(res, ScaledMap(table, ps, ty), chosen)
+    return res
+
+
+def _check_t3(res: TaskResult, f: ScaledMap, chosen: list[PointSet]) -> None:
     """On a discrete codomain with a principal domain scale, weak
     continuity at a point is exactly constancy on the chosen
     neighborhood of that point."""
-    res = TaskResult()
-    space = _space(task)
-    structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
-    for ny in (1, 2, 3):
-        y_space = _discrete(ny)
-        if not is_T1(y_space):
-            continue
-        ty = trivial_scale(y_space)
-        for ps in structures:
-            chosen = _chosen_neighborhoods(ps)
-            for table in _maps(space.n_points, ny, cfg.map_budget):
-                f = ScaledMap(table, ps, ty)
-                res.tested += 1
-                for x in space.points:
-                    weak = check_continuity(f, _AT_POINT["weak"][x]).holds
-                    const = constant_on(f, chosen[x])
-                    if weak != const:
-                        res.violation(
-                            _map_doc(f, point=x, weak=weak, constant=const)
-                        )
-    return res
+    for x in f.domain.space.points:
+        weak = check_continuity(f, _AT_POINT["weak"][x]).holds
+        const = constant_on(f, chosen[x])
+        if weak != const:
+            res.violation(_map_doc(f, point=x, weak=weak, constant=const))
 
 
-def _run_c10(task, cfg: SweepConfig) -> TaskResult:
+def _chosen_connected(space: FiniteSpace, chosen: list[PointSet]) -> bool:
+    components = connected_components(space)
+    return all(any(c <= block for block in components) for c in chosen)
+
+
+def _check_c10(res: TaskResult, f: ScaledMap, chosen: list[PointSet]) -> None:
     """With connected chosen neighborhoods, weak continuity at every
     point is exactly constancy on each connected component."""
-    res = TaskResult()
-    space = _space(task)
-    structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
-    components = connected_components(space)
-    for ny in (1, 2, 3):
-        y_space = _discrete(ny)
-        ty = trivial_scale(y_space)
-        for ps in structures:
-            chosen = _chosen_neighborhoods(ps)
-            connected_choice = all(
-                any(c <= block for block in components) for c in chosen
-            )
-            for table in _maps(space.n_points, ny, cfg.map_budget):
-                if not connected_choice:
-                    res.skipped += 1
-                    continue
-                f = ScaledMap(table, ps, ty)
-                res.tested += 1
-                weak_everywhere = check_continuity(f, _MODES["weak", "local"]).holds
-                per_component = constancy_profile(f).constant_on_components
-                if weak_everywhere != per_component:
-                    res.violation(
-                        _map_doc(
-                            f,
-                            weak_local=weak_everywhere,
-                            constant_on_components=per_component,
-                        )
-                    )
-    return res
-
-
-# -- base families (finite index sets) ----------------------------------------------
-
-
-def _split_scale(r: Scale, parts: int, rng: random.Random) -> list[Scale]:
-    """Subscales whose pointwise union is r: every assigned set keeps at
-    least one home, so each part and the family jointly satisfy the base
-    and refinement hypotheses by construction."""
-    fams = [[set() for _ in r.space.points] for _ in range(parts)]
-    for y in r.space.points:
-        for a in sorted(r.at(y), key=set_key):
-            home = rng.randrange(parts)
-            fams[home][y].add(a)
-    out = []
-    for i in range(parts):
-        assignment = tuple(frozenset(f) for f in fams[i])
-        tq = frozenset(itertools.chain.from_iterable(assignment))
-        out.append(Scale(r.space, tq, assignment))
-    return out
-
-
-def _run_t5_t6(task, cfg: SweepConfig, which: str) -> TaskResult:
-    res = TaskResult()
-    xref, yref = task
-    xs, ys = _space(xref), _space(yref)
-    rng = random.Random(f"{cfg.seed}:{which}:{xref}:{yref}")
-    for q in _scales(xs, cfg.scale_budget):
-        for r in _scales(ys, cfg.scale_budget):
-            parts = _split_scale(r, 2, rng)
-            for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                f = ScaledMap(table, q, r)
-                part_maps = [ScaledMap(table, q, ri) for ri in parts]
-                if which == "T5":
-                    res.tested += 1
-                    whole = check_continuity(f, _MODES["weak", "global"]).holds
-                    each = all(
-                        check_continuity(g, _MODES["weak", "global"]).holds
-                        for g in part_maps
-                    )
-                    if whole != each:
-                        res.violation(
-                            _map_doc(f, whole=whole, parts=each, locus="global")
-                        )
-                else:
-                    for x in xs.points:
-                        res.tested += 1
-                        mode = _AT_POINT["weak"][x]
-                        whole = check_continuity(f, mode).holds
-                        each = all(
-                            check_continuity(g, mode).holds for g in part_maps
-                        )
-                        if whole != each:
-                            res.violation(
-                                _map_doc(f, whole=whole, parts=each, point=x)
-                            )
-    return res
+    weak = check_continuity(f, _MODES["weak", "local"]).holds
+    const = constancy_profile(f).constant_on_components
+    if weak != const:
+        res.violation(_map_doc(f, weak_local=weak, constant_on_components=const))
 
 
 # -- the interval-world claim ---------------------------------------------------------
@@ -1028,6 +896,11 @@ def _tasks_bqoa(cfg: SweepConfig):
 
 
 # -- registry ---------------------------------------------------------------------
+# A space-pair property names its check, its cap on the number of points
+# and its universe (domain and codomain scale choices, ``_enumerated``
+# unless given, and whether only surjective tables count); ``_sweep``
+# feeds it each instance.  The other runners say in their docstrings why
+# they stay separate.
 
 
 @dataclass(frozen=True)
@@ -1041,96 +914,114 @@ def _pair_cap(cap):
     return lambda cfg: _tasks_space_pairs(cfg, cap)
 
 
+def _pair_property(description: str, check, cap=None, **universe) -> PropertySpec:
+    return PropertySpec(
+        description,
+        _pair_cap(cap),
+        lambda task, cfg: _sweep(task, cfg, check, **universe),
+    )
+
+
+def _scale_property(description: str, check) -> PropertySpec:
+    return PropertySpec(
+        description, _tasks_per_space, lambda task, cfg: _run_scales(task, cfg, check)
+    )
+
+
+_TRIVIAL_PAIR = {"domain": _trivial, "codomain": _trivial}
+
 PROPERTIES: dict[str, PropertySpec] = {
-    "P1A": PropertySpec(
+    "P1A": _scale_property(
         "declared family union-closed iff intersections of closed sets stay closed",
-        _tasks_per_space,
-        lambda t, c: _run_p1(t, c, "P1A"),
+        _flag_law("weak_U", _intersections_closed),
     ),
-    "P1B": PropertySpec(
+    "P1B": _scale_property(
         "declared family intersection-closed iff proper unions of closed sets stay closed",
-        _tasks_per_space,
-        lambda t, c: _run_p1(t, c, "P1B"),
+        _flag_law("weak_I", _proper_unions_closed),
     ),
-    "C1": PropertySpec(
+    "C1": _scale_property(
         "lattice flag iff pairwise closed-set closure",
-        _tasks_per_space,
-        lambda t, c: _run_p1(t, c, "C1"),
+        _flag_law("weak_L", _pairwise_lattice_closed),
     ),
-    "L1": PropertySpec(
+    "L1": _pair_property(
         "trivial scales: global strong continuity = classical continuity",
-        _tasks_space_pairs,
-        lambda t, c: _run_lemma_sweep(t, c, "L1"),
+        _classical_lemma("L1", _MODES["strong", "global"]),
+        **_TRIVIAL_PAIR,
     ),
-    "L2": PropertySpec(
+    "L2": _pair_property(
         "trivial scales: local strong continuity = classical continuity",
-        _tasks_space_pairs,
-        lambda t, c: _run_lemma_sweep(t, c, "L2"),
+        _classical_lemma("L2", _MODES["strong", "local"]),
+        **_TRIVIAL_PAIR,
     ),
-    "L3": PropertySpec(
+    "L3": _pair_property(
         "strong continuity implies weak continuity",
-        _pair_cap(2),
-        _run_l3,
+        _implies(
+            *((_MODES["strong", l], _MODES["weak", l], {"locus": l}) for l in _LOCI)
+        ),
+        cap=2,
     ),
-    "L4": PropertySpec(
+    "L4": _pair_property(
         "nbhd-closed codomain + trivial domain: locally weak implies strong",
-        _pair_cap(3),
-        _run_l4,
+        _check_l4,
+        cap=3,
+        domain=_trivial,
+        codomain=_neighborhood_closed,
     ),
-    "L5": PropertySpec(
+    "L5": _pair_property(
         "trivial scales: weak continuity at a point = classical continuity at it",
-        _tasks_space_pairs,
-        lambda t, c: _run_lemma_sweep(t, c, "L5"),
+        _classical_lemma("L5"),
+        **_TRIVIAL_PAIR,
     ),
-    "L6": PropertySpec(
+    "L6": _pair_property(
         "trivial scales: locally weak continuity = classical continuity",
-        _tasks_space_pairs,
-        lambda t, c: _run_lemma_sweep(t, c, "L6"),
+        _classical_lemma("L6", _MODES["weak", "local"]),
+        **_TRIVIAL_PAIR,
     ),
-    "P2": PropertySpec(
+    "P2": _pair_property(
         "locally strong-continuous surjections are globally strong-continuous",
-        _tasks_space_pairs,
-        lambda t, c: _run_projection(t, c, "P2"),
+        _implies((_MODES["strong", "local"], _MODES["strong", "global"], {})),
+        surjective=True,
     ),
-    "P3": PropertySpec(
+    "P3": _pair_property(
         "claim searched: trivial-domain local = global for arbitrary maps",
-        _tasks_space_pairs,
-        _run_p3,
+        _check_local_is_global,
+        domain=_trivial,
     ),
     "P4": PropertySpec(
         "closed-set characterization = global strong continuity",
         _tasks_space_pairs,
         _run_p4,
     ),
-    "P5": PropertySpec(
+    "P5": _pair_property(
         "locally weakly continuous surjections are globally weakly continuous",
-        _tasks_space_pairs,
-        lambda t, c: _run_projection(t, c, "P5"),
+        _implies((_MODES["weak", "local"], _MODES["weak", "global"], {})),
+        surjective=True,
     ),
-    "P6": PropertySpec(
+    "P6": _pair_property(
         "surjections with trivial domain scale: local = global",
-        _tasks_space_pairs,
-        lambda t, c: _run_projection(t, c, "P6"),
+        _check_local_is_global,
+        domain=_trivial,
+        surjective=True,
     ),
-    "P7A": PropertySpec(
+    "P7A": _pair_property(
         "filter refinements of the domain scale preserve continuity",
-        _pair_cap(2),
-        _run_p7a,
+        _preserved_by(_filter_refined_domains, _refined_doc),
+        cap=2,
     ),
-    "P7B": PropertySpec(
+    "P7B": _pair_property(
         "coarser codomain targets under a filter hypothesis (searched)",
-        _pair_cap(2),
-        _run_p7b,
+        _preserved_by(_coarser_filter_codomains, _coarser_doc),
+        cap=2,
     ),
-    "P8A": PropertySpec(
+    "P8A": _pair_property(
         "pointwise-larger domain scales preserve continuity",
-        _pair_cap(2),
-        lambda t, c: _run_p8(t, c, "P8A"),
+        _preserved_by(_larger_domains, _base_doc),
+        cap=2,
     ),
-    "P8B": PropertySpec(
+    "P8B": _pair_property(
         "pointwise-smaller codomain scales preserve continuity",
-        _pair_cap(2),
-        lambda t, c: _run_p8(t, c, "P8B"),
+        _preserved_by(_smaller_codomains, _base_doc),
+        cap=2,
     ),
     "P9": PropertySpec(
         "composition with matching middle scales preserves continuity",
@@ -1150,48 +1041,51 @@ PROPERTIES: dict[str, PropertySpec] = {
     "T3": PropertySpec(
         "principal domain scale on a discrete codomain: weak at a point = constant on the chosen neighborhood",
         _tasks_per_space,
-        _run_t3,
+        lambda t, c: _run_constancy(t, c, _check_t3),
     ),
     "T5": PropertySpec(
         "weak continuity against a scale = against every member of a covering split (global)",
         _pair_cap(2),
-        lambda t, c: _run_t5_t6(t, c, "T5"),
+        lambda t, c: _run_split(
+            t, c, "T5", lambda f: [(_MODES["weak", "global"], {"locus": "global"})]
+        ),
     ),
     "T6": PropertySpec(
         "weak continuity against a scale = against every member of a covering split (pointwise)",
         _pair_cap(2),
-        lambda t, c: _run_t5_t6(t, c, "T6"),
+        lambda t, c: _run_split(t, c, "T6", lambda f: _at_points("weak", f)),
     ),
     "C10": PropertySpec(
         "connected chosen neighborhoods: locally weak = constant on components",
         _tasks_per_space,
-        _run_c10,
+        lambda t, c: _run_constancy(t, c, _check_c10, _chosen_connected),
     ),
-    "C14": PropertySpec(
+    "C14": _pair_property(
         "trivial domain: pointwise-smaller codomain scales preserve continuity",
-        _pair_cap(2),
-        lambda t, c: _run_p8(t, c, "C14"),
+        _preserved_by(_smaller_codomains, _base_doc),
+        cap=2,
+        domain=_trivial_if_enumerated,
     ),
-    "C15": PropertySpec(
+    "C15": _pair_property(
         "scaled continuity implies trivial-domain continuity",
-        _pair_cap(2),
-        _run_c15,
+        _implies(
+            *((_MODES["strong", l], _TRIVIAL_DOMAIN[l], {"locus": l}) for l in _LOCI)
+        ),
+        cap=2,
     ),
-    "C16": PropertySpec(
+    "C16": _pair_property(
         "trivial-scale continuity implies continuity against any codomain scale",
-        _pair_cap(3),
-        _run_c16,
+        _check_c16,
+        cap=3,
+        domain=_trivial,
     ),
-    "C17": PropertySpec(
+    "C17": _pair_property(
         "base-member codomain scales recover classical continuity globally",
-        _tasks_space_pairs,
-        _run_c17,
+        _check_c17,
+        domain=_trivial,
+        codomain=_base_member,
     ),
-    "EX16": PropertySpec(
-        "the trivial scale refines every scale",
-        _tasks_per_space,
-        _run_ex16,
-    ),
+    "EX16": _scale_property("the trivial scale refines every scale", _check_ex16),
     "BQOA_CLAIM": PropertySpec(
         "bounded-ball scale: no bounded nonempty closed sets except empty",
         _tasks_bqoa,
@@ -1199,19 +1093,12 @@ PROPERTIES: dict[str, PropertySpec] = {
     ),
 }
 
-# Properties whose statements carry complete arguments; their sweeps are
-# required to come back clean.  The rest are recorded as searched.
-MUST_PASS = (
-    "P1A", "P1B", "C1",
-    "L1", "L2", "L3", "L4", "L5", "L6",
-    "P2", "P4", "P5", "P6",
-    "P7A", "P8A", "P8B", "P9",
-    "T1", "T2", "T3", "T5", "T6",
-    "C10", "C14", "C15", "C16", "C17",
-    "EX16", "BQOA_CLAIM",
-)
+PROPERTY_IDS = tuple(PROPERTIES)
 
-REPORT_ONLY = tuple(p for p in PROPERTY_IDS if p not in MUST_PASS)
+# Properties whose statements carry complete arguments must come back
+# clean; the report-only ones are recorded as searched.
+REPORT_ONLY = ("P3", "P7B")
+MUST_PASS = tuple(p for p in PROPERTY_IDS if p not in REPORT_ONLY)
 
 
 def sweep_parallelism() -> int:
@@ -1227,6 +1114,26 @@ def _run_task_entry(args: tuple) -> TaskResult:
     property_id, task, cfg = args
     spec = PROPERTIES[property_id]
     return spec.run(task, cfg)
+
+
+def _report(
+    pid: str, cfg: SweepConfig, results: list[TaskResult], keep: int
+) -> VerificationReport:
+    """Merge task results: counts add up, and the first ``keep``
+    violations in canonical order are listed, the rest counted."""
+    violations = sorted(
+        (v for r in results for v in r.violations),
+        key=lambda doc: json.dumps(doc, sort_keys=True),
+    )
+    kept = tuple(violations[:keep])
+    return VerificationReport(
+        property_id=pid,
+        config=cfg,
+        instances_tested=sum(r.tested for r in results),
+        hypothesis_skipped=sum(r.skipped for r in results),
+        violations=kept,
+        truncated_violations=len(violations) - len(kept),
+    )
 
 
 def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
@@ -1245,33 +1152,30 @@ def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
             )
     else:
         results = [spec.run(t, cfg) for t in tasks]
-    tested = sum(r.tested for r in results)
-    skipped = sum(r.skipped for r in results)
-    violations = sorted(
-        (v for r in results for v in r.violations), key=_violation_key
-    )
-    kept = tuple(violations[: cfg.max_violations])
-    return VerificationReport(
-        property_id=property_id,
-        config=cfg,
-        instances_tested=tested,
-        hypothesis_skipped=skipped,
-        violations=kept,
-        truncated_violations=max(0, len(violations) - len(kept)),
-    )
+    return _report(property_id, cfg, results, cfg.max_violations)
 
 
 # -- separation searches ----------------------------------------------------------
 
 
-def _search_instances(cfg: SweepConfig):
-    for xref in _space_refs(cfg.max_points):
-        for yref in _space_refs(cfg.max_points):
-            xs, ys = _space(xref), _space(yref)
-            for q in _scales(xs, cfg.scale_budget):
-                for r in _scales(ys, cfg.scale_budget):
-                    for table in _maps(xs.n_points, ys.n_points, cfg.map_budget):
-                        yield ScaledMap(table, q, r)
+def _separates(f: ScaledMap, a: ContinuityMode, b: ContinuityMode) -> bool:
+    return check_continuity(f, a).holds and not check_continuity(f, b).holds
+
+
+# Each search asks for an instance continuous in one notion but not in
+# another, over every scale pair and table of every space pair.
+_WEAK_LOCAL, _WEAK_GLOBAL = _MODES["weak", "local"], _MODES["weak", "global"]
+_SEARCHES: dict[str, Callable[[ScaledMap], bool]] = {
+    "PROBLEM1": lambda f: _separates(f, _WEAK_LOCAL, _WEAK_GLOBAL),
+    "PROBLEM2": lambda f: _separates(f, _WEAK_GLOBAL, _WEAK_LOCAL),
+    "PROBLEM3": lambda f: _separates(f, _WEAK_GLOBAL, _MODES["strong", "global"]),
+    "PROBLEM4": lambda f: any(
+        _separates(f, _AT_POINT["weak"][x], _AT_POINT["strong"][x])
+        for x in f.domain.space.points
+    ),
+}
+
+SEARCH_IDS = (*_SEARCHES, "P3")
 
 
 def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
@@ -1280,41 +1184,14 @@ def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
     (lexicographic on the serialized form)."""
     if claim == "P3":
         return run_property("P3", cfg)
-    if claim not in SEARCH_IDS:
+    if claim not in _SEARCHES:
         raise KeyError(f"unknown search claim {claim!r}")
-    found: list[dict] = []
-    tested = 0
-    for f in _search_instances(cfg):
-        tested += 1
-        if claim == "PROBLEM1":
-            a = check_continuity(f, _MODES["weak", "local"]).holds
-            b = check_continuity(f, _MODES["weak", "global"]).holds
-            separated = a and not b
-        elif claim == "PROBLEM2":
-            a = check_continuity(f, _MODES["weak", "global"]).holds
-            b = check_continuity(f, _MODES["weak", "local"]).holds
-            separated = a and not b
-        elif claim == "PROBLEM3":
-            a = check_continuity(f, _MODES["weak", "global"]).holds
-            b = check_continuity(f, _MODES["strong", "global"]).holds
-            separated = a and not b
-        else:  # PROBLEM4
-            separated = False
-            for x in f.domain.space.points:
-                wa = check_continuity(f, _AT_POINT["weak"][x]).holds
-                sa = check_continuity(f, _AT_POINT["strong"][x]).holds
-                if wa and not sa:
-                    separated = True
-                    break
-        if separated:
-            found.append(_map_doc(f, claim=claim))
-    found.sort(key=_violation_key)
-    kept = tuple(found[:1])
-    return VerificationReport(
-        property_id=claim,
-        config=cfg,
-        instances_tested=tested,
-        hypothesis_skipped=0,
-        violations=kept,
-        truncated_violations=max(0, len(found) - len(kept)),
-    )
+    separated = _SEARCHES[claim]
+
+    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+        res.tested += 1
+        if separated(f):
+            res.violation(_map_doc(f, claim=claim))
+
+    results = [_sweep(task, cfg, check) for task in _tasks_space_pairs(cfg)]
+    return _report(claim, cfg, results, keep=1)

@@ -246,6 +246,24 @@ def test_verify_out_of_range_config_exits_2(capsys):
     assert captured.err == "error: max_points must be between 1 and 4\n"
 
 
+@pytest.mark.parametrize(
+    "prop, flag, message",
+    [
+        ("P4", "--map-budget", "map_budget must be None or >= 0"),
+        ("PROBLEM1", "--map-budget", "map_budget must be None or >= 0"),
+        ("P4", "--scale-budget", "scale_budget must be >= 0"),
+        ("T1", "--budget", "sample_budget must be >= 0"),
+        ("P3", "--max-violations", "max_violations must be >= 0"),
+    ],
+)
+def test_verify_negative_budget_exits_2(capsys, prop, flag, message):
+    code = main(["verify", "--property", prop, "--max-n", "2", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_enumerate_streams(capsys):
     code = main(["--quiet", "enumerate", "--n", "2"])
     out = capsys.readouterr().out

@@ -1,0 +1,131 @@
+"""The CLI exit-code contract under garbled input (0 = holds, 1 = claim
+fails, 2 = bad input).
+
+Every single-field mutation of a fixture document must come back as one
+of those codes, never as a traceback.  A mutation can leave a document
+well formed, and then 0 or 1 is a verdict on it; a malformed one exits
+2 with a one-line error on stderr.  Zero denominators and non-boolean
+flags are always malformed.
+"""
+
+import copy
+import json
+
+import pytest
+
+from scaletop import jsonio
+from scaletop.cli import main
+from scaletop.fixtures import load_fixture
+
+# One garble per kind of damage: a zero denominator, a container where a
+# scalar goes, a float, a null, a stray string, an out-of-range index and
+# a boolean where a number or string goes.
+GARBLES = ("1/0", [], {}, 1.5, None, "x", -1, True)
+RATIONAL_KEYS = ("a", "b", "slope", "intercept")
+FLAG_KEYS = ("lo_closed", "hi_closed", "crossed")
+
+
+def _paths(doc, path=()):
+    """Every node's path, leaves and containers alike (the root too)."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, path + (i,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return out
+
+
+def _always_malformed(path, value) -> bool:
+    if not path:
+        return True
+    if path[-1] in RATIONAL_KEYS and value == "1/0":
+        return True
+    return path[-1] in FLAG_KEYS and not isinstance(value, bool)
+
+
+def _run(capsys, *argv):
+    code = main(["--quiet", *argv])
+    return code, capsys.readouterr().err
+
+
+def test_garbled_map_documents_keep_the_exit_code_contract(tmp_path, capsys):
+    base = jsonio.interval_scaled_map_to_json(load_fixture("ex12"))
+    doc_file = tmp_path / "map.json"
+    malformed = 0
+    for path in _paths(base):
+        for value in GARBLES:
+            case = (path, value)
+            doc_file.write_text(json.dumps(_mutated(base, path, value)))
+            code, err = _run(
+                capsys, "check", "--map", str(doc_file), "--mode", "global-strong"
+            )
+            assert code in (0, 1, 2), case
+            if code == 2:
+                assert err.startswith("error: "), (case, err)
+                assert err.count("\n") == 1, (case, err)
+            if _always_malformed(path, value):
+                malformed += 1
+                assert code == 2, case
+    assert malformed > 50
+
+
+def _ex12_file(tmp_path):
+    doc_file = tmp_path / "map.json"
+    doc = jsonio.interval_scaled_map_to_json(load_fixture("ex12"))
+    doc_file.write_text(json.dumps(doc))
+    return doc_file
+
+
+def test_probes_document_without_probes_key_is_bad_input(tmp_path, capsys):
+    doc_file = _ex12_file(tmp_path)
+    for probes in ({}, {"probes": 3}, {"probes": [{"sheets": "x"}]}):
+        probe_file = tmp_path / "probes.json"
+        probe_file.write_text(json.dumps(probes))
+        code, err = _run(
+            capsys,
+            "check",
+            "--map",
+            str(doc_file),
+            "--mode",
+            "global-strong",
+            "--probes",
+            str(probe_file),
+        )
+        assert code == 2, probes
+        assert err.startswith("error: malformed probes document"), err
+
+
+def test_zero_denominator_point_is_bad_input(tmp_path, capsys):
+    doc_file = _ex12_file(tmp_path)
+    argv = ("check", "--map", str(doc_file), "--mode", "at-strong", "--at", "0:1/0")
+    code, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: cannot parse --at")
+
+
+@pytest.mark.parametrize("value", ["1/0", "3/0", "-1/0"])
+def test_parsers_reject_zero_denominators(value):
+    with pytest.raises(ValueError):
+        jsonio.exact_from_json({"a": value})
+    with pytest.raises(ValueError):
+        jsonio.exact_from_json({"a": "1", "b": value})
+
+
+@pytest.mark.parametrize("flag", [1, 0, 1.5, None, "true", [], {}])
+def test_parsers_reject_non_boolean_flags(flag):
+    doc = {"lo": "-inf", "hi": "+inf", "lo_closed": False, "hi_closed": False}
+    for key in ("lo_closed", "hi_closed"):
+        with pytest.raises(ValueError):
+            jsonio.interval_from_json({**doc, key: flag})

@@ -23,8 +23,6 @@ from scaletop.interval_scales import (
     iw_is_q_closed,
     iw_is_q_open,
     iw_is_subscale,
-    iw_membership,
-    iw_witness_inside,
     segment_carrier,
 )
 from scaletop.intervals import (
@@ -102,9 +100,9 @@ def test_ball_parameters_validated():
 def test_witnesses_for_ball_kinds():
     q = BallSupersetScale(LINE, a=num("1/10"))
     x = SheetPoint(0, num("1/2"))
-    w = iw_witness_inside(q, x, line(iv(0, 1)))
+    w = q.witness_inside(x, line(iv(0, 1)))
     assert w is not None and w.issubset(line(iv(0, 1))) and q.member(x, w)
-    assert iw_witness_inside(q, x, line(iv("2/5", "3/5"))) is None
+    assert q.witness_inside(x, line(iv("2/5", "3/5"))) is None
     cq = BallScale(LINE, a=num("1/10"))
     w2 = cq.witness_inside(ORIGIN, line(iv(-2, 3)))
     assert w2 is not None and cq.member(ORIGIN, w2)
@@ -266,7 +264,7 @@ def test_trivial_interval_scale():
     assert iw_is_q_open(scale, open_disconnected)  # trivial scale keeps it
     assert not iw_is_q_open(scale, SheetSet((LineSet.empty(),)))
     p = SheetPoint(0, num("1/4"))
-    assert iw_membership(scale, p, open_disconnected)
+    assert scale.member(p, open_disconnected)
 
 
 # -- tabulated principal structure -------------------------------------------------------

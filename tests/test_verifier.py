@@ -8,6 +8,7 @@ off-image point is vacuously satisfied on the finer side yet its
 counterpart constrains a nonempty preimage on the coarser side.
 """
 
+import collections
 import json
 
 import pytest
@@ -186,6 +187,40 @@ def test_worker_count_is_clamped(monkeypatch):
     assert requested == [3, len(tasks)]
 
 
+def test_sweeps_reach_kernels_through_module_globals(monkeypatch):
+    """A tracer times the kernels by rebinding their names on the verifier
+    module; a check that bound a kernel locally would hide its calls."""
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(verifier, name)
+
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return stand_in
+
+    for name in ("check_continuity", "ScaledMap", "check_closed_characterization"):
+        monkeypatch.setattr(verifier, name, counting(name))
+    monkeypatch.setenv("SCALETOP_THREADS", "1")  # workers would miss the patch
+    cfg = SweepConfig(max_points=2, scale_budget=3)
+    hooks = {
+        "L3": ("ScaledMap", "check_continuity"),
+        "P4": ("ScaledMap", "check_closed_characterization"),
+        "T3": ("ScaledMap", "check_continuity"),
+        "PROBLEM1": ("ScaledMap", "check_continuity"),
+    }
+    for pid, names in hooks.items():
+        calls.clear()
+        if pid in PROPERTY_IDS:
+            run_property(pid, cfg)
+        else:
+            search_counterexample(pid, cfg)
+        for name in names:
+            assert calls[name] > 0, (pid, name)
+
+
 def test_classical_oracle_matches_definitions():
     s = sierpinski()
     d = discrete_space(2)
@@ -203,6 +238,15 @@ def test_report_json_shape():
     for key in ("property", "config", "tested", "skipped", "verdict", "violations"):
         assert key in doc
     assert doc["property"] == "EX16"
+
+
+@pytest.mark.parametrize(
+    "field", ["scale_budget", "sample_budget", "max_violations", "map_budget"]
+)
+def test_negative_budgets_are_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(**{field: -1})
+    SweepConfig(**{field: 0})  # an empty budget stays valid
 
 
 def test_violation_cap_and_truncation_count():
