@@ -139,11 +139,14 @@ def iw_check_continuity(
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
             raise ValueError("interval-world at-point modes take a SheetPoint")
-        return _check_at_point(m, dom_scale, mode, mode.at_point)
+        return _check_at_point(
+            m, dom_scale, mode, mode.at_point, codomain_critical_coords(m)
+        )
     if mode.locus == "local":
+        criticals = codomain_critical_coords(m)
         for p in default_probe_points(m):
             sub = _check_at_point(
-                m, dom_scale, replace(mode, locus="at-point", at_point=p), p
+                m, dom_scale, replace(mode, locus="at-point", at_point=p), p, criticals
             )
             if not sub.holds:
                 return IntervalVerdict(False, mode, sub.certificate)
@@ -156,9 +159,9 @@ def _check_at_point(
     dom_scale: IntervalScale,
     mode: ContinuityMode,
     p: SheetPoint,
+    criticals: list[ExactNumber],
 ) -> IntervalVerdict:
     y = m.pam.eval(p)
-    criticals = codomain_critical_coords(m)
     for target in m.codomain_scale.point_probes(y, critical=criticals):
         pre = m.pam.preimage(target.intersect(m.pam.codomain))
         if mode.strength == "strong":

@@ -53,7 +53,7 @@ from .intervals import (
     SheetPoint,
     SheetSet,
     component_containing,
-    interior_in_carrier,
+    interior_component_containing,
     is_connected_in_carrier,
     is_open_in_carrier,
 )
@@ -194,29 +194,20 @@ class IntervalScale:
 # -- trivial ------------------------------------------------------------------
 
 
-def _open_component_inside(
-    carrier: Carrier, x: SheetPoint, s: SheetSet
-) -> SheetSet | None:
-    """The component around x of the relative interior of s in the
-    carrier: the largest connected open neighborhood of x inside s."""
-    inner = interior_in_carrier(carrier, s.intersect(carrier))
-    return component_containing(inner, x)
-
-
 def _open_component_probes(
     carrier: Carrier, x: SheetPoint, critical: Sequence[ExactNumber]
 ) -> list[SheetSet]:
     """The whole carrier, then the open component around x inside each
     open ball at a derived radius, without repeats."""
-    probes = [carrier.whole()]
+    probes: dict[SheetSet, None] = {carrier.whole(): None}  # insertion-ordered set
     for r in _derived_radii(x.x, critical):
         ball = carrier.lift(
             LineSet.of(Interval(x.x - r, x.x + r, False, False)), x.sheet
         )
-        comp = _open_component_inside(carrier, x, ball)
-        if comp is not None and comp not in probes:
-            probes.append(comp)
-    return probes
+        comp = interior_component_containing(carrier, ball, x)
+        if comp is not None:
+            probes[comp] = None
+    return list(probes)
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,7 @@ class TrivialIntervalScale(IntervalScale):
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         self._contains_point(x)
-        return _open_component_inside(self.carrier, x, s)
+        return interior_component_containing(self.carrier, s, x)
 
     def point_probes(self, x, critical=()):
         self._contains_point(x)
@@ -732,7 +723,7 @@ class ConnectedOpenScale(IntervalScale):
         self._contains_point(x)
         if s == self.carrier.whole():
             return s
-        return _open_component_inside(self.carrier, x, s)
+        return interior_component_containing(self.carrier, s, x)
 
     def point_probes(self, x, critical=()):
         self._contains_point(x)

@@ -429,13 +429,34 @@ def complement_within(carrier: SheetSet, s: SheetSet) -> SheetSet:
     return carrier.difference(s)
 
 
+def _kept_closed_ends(piece: Interval, home: Interval) -> tuple[bool, bool]:
+    """Which ends of ``piece`` stay closed in the relative interior, where
+    ``home`` is the carrier piece holding it.  A closed end stays closed
+    only if it is the same closed end of ``home``; otherwise carrier
+    points lie just beyond it, and none of them are in the set, since a
+    canonical set has no piece adjacent to ``piece``."""
+    return (
+        piece.lo_closed and home.lo_closed and piece.lo == home.lo,
+        piece.hi_closed and home.hi_closed and piece.hi == home.hi,
+    )
+
+
 def is_open_in_carrier(carrier: SheetSet, s: SheetSet) -> bool:
     """Openness in the subspace topology: no point of s is a limit of
-    carrier-minus-s."""
+    carrier-minus-s.  Each piece of s lies in one carrier piece, the first
+    one that does not end before it, so one walk per sheet finds it and
+    checks that every closed end of the piece is kept."""
     if not s.issubset(carrier):
         raise ValueError("set is not contained in the carrier")
-    rest = carrier.difference(s)
-    return s.intersect(rest.closure()).is_empty
+    for line, home_line in zip(s.sheets, carrier.sheets):
+        homes = home_line.pieces
+        j = 0
+        for x in line.pieces:
+            while _cmp_upper(homes[j].hi, homes[j].hi_closed, x.hi, x.hi_closed) < 0:
+                j += 1
+            if _kept_closed_ends(x, homes[j]) != (x.lo_closed, x.hi_closed):
+                return False
+    return True
 
 
 def interior_in_carrier(carrier: SheetSet, s: SheetSet) -> SheetSet:
@@ -450,6 +471,39 @@ def is_connected_in_carrier(carrier: SheetSet, s: SheetSet) -> bool:
     if not s.issubset(carrier):
         raise ValueError("set is not contained in the carrier")
     return s.piece_count <= 1
+
+
+def interior_component_containing(
+    carrier: SheetSet, s: SheetSet, p: SheetPoint
+) -> SheetSet | None:
+    """The component around p of the relative interior of s (cut to the
+    carrier), that is ``component_containing(interior_in_carrier(carrier,
+    s.intersect(carrier)), p)``, without building the interior: the piece
+    of s holding p cut to the carrier piece holding p, with each closed
+    end kept only where the carrier piece keeps it."""
+    s._check_arity(carrier)
+    if not 0 <= p.sheet < len(s.sheets):
+        return None
+    piece = _piece_holding(s.sheets[p.sheet], p.x)
+    home = _piece_holding(carrier.sheets[p.sheet], p.x)
+    if piece is None or home is None:
+        return None
+    cut = _intersect_intervals(piece, home)
+    lc, hc = _kept_closed_ends(cut, home)
+    if (cut.lo_closed and not lc and p.x == cut.lo) or (
+        cut.hi_closed and not hc and p.x == cut.hi
+    ):
+        return None  # p is an end that the interior drops
+    out = [LineSet.empty()] * len(s.sheets)
+    out[p.sheet] = LineSet((Interval(cut.lo, cut.hi, lc, hc),))
+    return SheetSet(tuple(out))
+
+
+def _piece_holding(line: LineSet, x: ExactNumber) -> Interval | None:
+    for piece in line.pieces:
+        if piece.contains(x):
+            return piece
+    return None
 
 
 def component_containing(s: SheetSet, p: SheetPoint) -> SheetSet | None:

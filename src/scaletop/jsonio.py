@@ -39,8 +39,11 @@ def fraction_to_json(q: Fraction) -> str:
 
 
 def fraction_from_json(text) -> Fraction:
-    """A rational from its exact string; a zero denominator is malformed
-    input like any other, so it raises ``ValueError``."""
+    """A rational from its exact string.  A JSON number or boolean would
+    lose exactness or mean nothing, so anything but a string is malformed
+    input like a zero denominator, and raises ``ValueError``."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a JSON string, not {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

@@ -17,6 +17,7 @@ is at most ``a`` (inclusive threshold).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _cmp_lower,
+    _intersect_intervals,
+    _merge_sorted,
     normalize,
     point_interval,
 )
@@ -58,8 +62,6 @@ class AffinePiece:
 
     def preimage_interval(self, target: Interval) -> Interval | None:
         """Solve slope*x + intercept in target, restricted to this piece."""
-        from .intervals import _intersect_intervals
-
         if self.slope == 0:
             if target.contains(ExactNumber(self.intercept)):
                 return self.part
@@ -75,6 +77,13 @@ class AffinePiece:
         return _intersect_intervals(pre, self.part)
 
 
+_by_lower_end = functools.cmp_to_key(
+    lambda x, y: _cmp_lower(
+        x.part.lo, x.part.lo_closed, y.part.lo, y.part.lo_closed
+    )
+)
+
+
 class MapDomainError(ValueError):
     """Raised when a point or set falls outside the relevant carrier."""
 
@@ -86,10 +95,15 @@ class PiecewiseAffineMap:
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self) -> None:
+        by_sheet = []
         for sheet in range(self.domain.n_sheets):
-            parts = [p.part for p in self.pieces if p.sheet == sheet]
+            pieces = sorted(
+                (p for p in self.pieces if p.sheet == sheet), key=_by_lower_end
+            )
+            parts = [p.part for p in pieces]
             if normalize(parts) != self.domain.sheets[sheet]:
                 raise ValueError(f"pieces do not cover domain sheet {sheet} exactly")
+            by_sheet.append(tuple(pieces))
             for i, a in enumerate(parts):
                 for b in parts[i + 1 :]:
                     if not LineSet((a,)).intersect(LineSet((b,))).is_empty:
@@ -100,6 +114,9 @@ class PiecewiseAffineMap:
             img = LineSet((p.image_interval(),))
             if not img.issubset(self.codomain.sheets[p.out_sheet]):
                 raise ValueError("piece image leaves the codomain carrier")
+        # Each domain sheet's pieces in order, outside the fields, so that
+        # equality, hashing and repr see only the pieces as given.
+        object.__setattr__(self, "_sheet_pieces", tuple(by_sheet))
 
     # -- evaluation --------------------------------------------------------
 
@@ -131,13 +148,22 @@ class PiecewiseAffineMap:
     def preimage(self, s: SheetSet) -> SheetSet:
         if not s.issubset(self.codomain):
             raise MapDomainError("preimage argument not inside the codomain carrier")
-        out = [LineSet.empty()] * self.domain.n_sheets
-        for piece in self.pieces:
-            target = s.sheets[piece.out_sheet]
-            pres = [piece.preimage_interval(t) for t in target.pieces]
-            out[piece.sheet] = out[piece.sheet].union(
-                normalize([p for p in pres if p is not None])
-            )
+        # The pieces of a sheet are disjoint and in order, and an affine
+        # piece keeps the order of the target pieces (reverses it when the
+        # slope is negative), so the cuts come out sorted and one merge
+        # makes them canonical.
+        out = []
+        for pieces in self._sheet_pieces:
+            cuts = []
+            for piece in pieces:
+                targets = s.sheets[piece.out_sheet].pieces
+                if piece.slope < 0:
+                    targets = reversed(targets)
+                for target in targets:
+                    cut = piece.preimage_interval(target)
+                    if cut is not None:
+                        cuts.append(cut)
+            out.append(_merge_sorted(cuts))
         return SheetSet(tuple(out))
 
     # -- limits and gaps ----------------------------------------------------

@@ -4,8 +4,8 @@ fails, 2 = bad input).
 Every single-field mutation of a fixture document must come back as one
 of those codes, never as a traceback.  A mutation can leave a document
 well formed, and then 0 or 1 is a verdict on it; a malformed one exits
-2 with a one-line error on stderr.  Zero denominators and non-boolean
-flags are always malformed.
+2 with a one-line error on stderr.  Zero denominators, rationals that
+are not JSON strings and non-boolean flags are always malformed.
 """
 
 import copy
@@ -50,7 +50,7 @@ def _mutated(doc, path, value):
 def _always_malformed(path, value) -> bool:
     if not path:
         return True
-    if path[-1] in RATIONAL_KEYS and value == "1/0":
+    if path[-1] in RATIONAL_KEYS and (value == "1/0" or not isinstance(value, str)):
         return True
     return path[-1] in FLAG_KEYS and not isinstance(value, bool)
 
@@ -121,6 +121,16 @@ def test_parsers_reject_zero_denominators(value):
         jsonio.exact_from_json({"a": value})
     with pytest.raises(ValueError):
         jsonio.exact_from_json({"a": "1", "b": value})
+
+
+@pytest.mark.parametrize("value", [0.1, 1.5, 1, 0, True, False, None, [], {}])
+def test_parsers_reject_rationals_that_are_not_strings(value):
+    with pytest.raises(ValueError):
+        jsonio.exact_from_json({"a": value})
+    with pytest.raises(ValueError):
+        jsonio.exact_from_json({"a": "1", "b": value})
+    with pytest.raises(ValueError):
+        jsonio.fraction_from_json(value)
 
 
 @pytest.mark.parametrize("flag", [1, 0, 1.5, None, "true", [], {}])
