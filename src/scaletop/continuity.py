@@ -15,10 +15,17 @@ equivalence between scaled and classical continuity at trivial scales.
 The closed-set characterization mirrors this by allowing the preimage
 of an assigned-complement to be the whole carrier.
 
-The two kernels, ``check_continuity`` and
-``check_closed_characterization``, run on bitmasks: each scale's
-compiled ``ScaleMasks`` and a memoized table of preimage masks per map
-table.  Targets are visited in ``set_key`` order, so the first failure
+Deciding runs in three steps: compile, decide, materialize.  A map is
+compiled to its table's preimage masks (``Preimages``, memoized per
+table) and its scales to their ``ScaleMasks``; ``first_failure``, the
+one walk over those forms, finds the first failure or none; and only
+then is a verdict with a certificate built.  ``check_continuity`` is
+the three steps for one ``ScaledMap``.  The verifier's sweeps compile
+each table and scale once and call ``first_failure`` themselves,
+building a ``ScaledMap`` only for a violation they report.
+``check_closed_characterization`` is a path of its own: it pulls back
+the complement of each target and looks it up among the domain's closed
+sets.  Targets are visited in ``set_key`` order, so the first failure
 and its certificate are the canonical ones.  Certificates hold canonical
 tuples, and ``replay_certificate``, ``ScaledMap.preimage`` and
 ``ScaledMap.image`` stay on frozensets: a failure is reconfirmed from
@@ -32,7 +39,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .finite_topology import PointSet, connected_components, mask_points
-from .scales import Scale, scale_masks, trivial_scale
+from .scales import Scale, ScaleMasks, scale_masks, trivial_scale
 
 Strength = Literal["strong", "weak"]
 Locus = Literal["at-point", "local", "global"]
@@ -168,9 +175,10 @@ def _domain_scale(f: ScaledMap, mode: ContinuityMode) -> Scale:
     return trivial_scale(f.domain.space) if mode.trivial_domain else f.domain
 
 
-class _Preimages(dict):
+class Preimages(dict):
     """Codomain mask -> preimage mask under one table, each entry
-    computed on first use from the preimages of single points."""
+    computed on first use from the preimages of single points
+    (``of_point[y]``, the mask of the points mapped to y)."""
 
     def __init__(self, table: tuple[int, ...], ny: int) -> None:
         super().__init__()
@@ -188,16 +196,23 @@ class _Preimages(dict):
 
 
 @lru_cache(maxsize=1 << 12)
-def _preimages(table: tuple[int, ...], ny: int) -> _Preimages:
-    return _Preimages(table, ny)
+def _preimages(table: tuple[int, ...], ny: int) -> Preimages:
+    return Preimages(table, ny)
 
 
-def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
-    dom = scale_masks(f.domain)
-    cod = scale_masks(f.codomain)
-    if mode.trivial_domain:
-        dom = scale_masks(trivial_scale(f.domain.space))
-    pre = _preimages(f.table, f.codomain.space.n_points)
+def first_failure(
+    table: tuple[int, ...],
+    pre: Preimages,
+    dom: ScaleMasks,
+    cod: ScaleMasks,
+    mode: ContinuityMode,
+) -> tuple[int | None, int, int] | None:
+    """The first failure of continuity in ``mode`` of the map ``table``
+    with preimage masks ``pre``, from a domain with masks ``dom`` (the
+    trivial scale's in a trivial-domain mode) to a codomain with masks
+    ``cod``; None when the map is continuous.  A failure is ``(x, target,
+    preimage)`` as masks, with ``x`` None in global modes.  Raises
+    ValueError when an at-point mode's point is not a domain point."""
     strong = mode.strength == "strong"
     if mode.locus == "global":
         for target in cod.tq:
@@ -206,52 +221,57 @@ def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
                 continue  # no domain point is constrained by this set
             if strong:
                 if p not in dom.tq_set:
-                    return ContinuityVerdict(
-                        False,
-                        mode,
-                        {"r_open": mask_points(target), "preimage": mask_points(p)},
-                    )
+                    return None, target, p
             else:
                 for v in dom.tq:
                     if not v & ~p:  # image(v) lies inside the target
                         break
                 else:
-                    return ContinuityVerdict(
-                        False, mode, {"r_open": mask_points(target)}
-                    )
-        return ContinuityVerdict(True, mode)
+                    return None, target, p
+        return None
     if mode.locus == "at-point":
         x = mode.at_point
-        if not 0 <= x < f.domain.space.n_points:
+        if not 0 <= x < len(table):
             raise ValueError(f"point {x} outside the domain carrier")
         points = (x,)
     else:
-        points = f.domain.space.points
-    table = f.table
+        points = range(len(table))
     for x in points:
         fam = dom.at[x]
         for target in cod.at[table[x]]:
             p = pre[target]
             if strong:
                 if p not in fam:
-                    return ContinuityVerdict(
-                        False,
-                        mode,
-                        {
-                            "point": x,
-                            "target": mask_points(target),
-                            "preimage": mask_points(p),
-                        },
-                    )
+                    return x, target, p
             else:
                 for u in fam:
                     if not u & ~p:
                         break
                 else:
-                    return ContinuityVerdict(
-                        False, mode, {"point": x, "target": mask_points(target)}
-                    )
-    return ContinuityVerdict(True, mode)
+                    return x, target, p
+    return None
+
+
+def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
+    """Compile f (its scales' masks and its table's preimage masks),
+    find the first failure with :func:`first_failure`, and certify it."""
+    table = f.table
+    dom = scale_masks(f.domain)
+    cod = scale_masks(f.codomain)
+    if mode.trivial_domain:
+        dom = scale_masks(trivial_scale(f.domain.space))
+    pre = _preimages(table, f.codomain.space.n_points)
+    failure = first_failure(table, pre, dom, cod, mode)
+    if failure is None:
+        return ContinuityVerdict(True, mode)
+    x, target, p = failure
+    if x is None:
+        certificate = {"r_open": mask_points(target)}
+    else:
+        certificate = {"point": x, "target": mask_points(target)}
+    if mode.strength == "strong":
+        certificate["preimage"] = mask_points(p)
+    return ContinuityVerdict(False, mode, certificate)
 
 
 _CLOSED_MODE = ContinuityMode(strength="strong", locus="global")
@@ -261,24 +281,23 @@ def check_closed_characterization(f: ScaledMap) -> ContinuityVerdict:
     """Preimages of assigned-set complements are q-closed (whole-carrier
     preimages vacuous); equivalent to global strong continuity.
 
-    On masks: the preimage of the complement of a target is the
-    complement of the target's preimage, so it is q-closed exactly when
-    the target's preimage is declared in the domain."""
+    On masks, on a path of its own: the complement of each declared
+    codomain set is pulled back and looked up among the domain's closed
+    sets, the complements of its declared sets."""
     dom = scale_masks(f.domain)
     cod = scale_masks(f.codomain)
     pre = _preimages(f.table, f.codomain.space.n_points)
+    full_x = (1 << f.domain.space.n_points) - 1
+    full_y = (1 << f.codomain.space.n_points) - 1
+    closed = {full_x ^ m for m in dom.tq}
     for target in cod.tq:
-        p = pre[target]
-        if p and p not in dom.tq_set:
-            full_x = (1 << f.domain.space.n_points) - 1
-            full_y = (1 << f.codomain.space.n_points) - 1
+        z = full_y & ~target
+        p = pre[z]
+        if p != full_x and p not in closed:
             return ContinuityVerdict(
                 False,
                 _CLOSED_MODE,
-                {
-                    "r_closed": mask_points(full_y & ~target),
-                    "preimage": mask_points(full_x & ~p),
-                },
+                {"r_closed": mask_points(z), "preimage": mask_points(p)},
             )
     return ContinuityVerdict(True, _CLOSED_MODE)
 
@@ -311,21 +330,16 @@ class ConstancyProfile:
     constant_on_components: bool
 
 
+def constant_on(f: ScaledMap, s: PointSet) -> bool:
+    return len({f.apply(x) for x in s}) <= 1
+
+
 def constancy_profile(f: ScaledMap) -> ConstancyProfile:
     """Per-point constancy on some open neighborhood (equivalently on the
     smallest one) and global constancy on connected components."""
     space = f.domain.space
     local = frozenset(
-        x
-        for x in space.points
-        if len({f.apply(z) for z in space.min_open_around(x)}) == 1
+        x for x in space.points if constant_on(f, space.min_open_around(x))
     )
-    per_component = all(
-        len({f.apply(x) for x in block}) == 1
-        for block in connected_components(space)
-    )
+    per_component = all(constant_on(f, block) for block in connected_components(space))
     return ConstancyProfile(local, per_component)
-
-
-def constant_on(f: ScaledMap, s: PointSet) -> bool:
-    return len({f.apply(x) for x in s}) <= 1

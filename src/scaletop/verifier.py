@@ -3,20 +3,26 @@ over exhaustively enumerated or seed-sampled finite instances and
 reports verdicts with replayable counterexample certificates.
 
 Every property is a list of independent tasks plus a task runner.  Most
-are about maps between two spaces, one space pair per task:
-``_pair_universe`` picks the pair's domain scales, codomain scales and
-map tables, ``_pair_maps`` walks them as ``ScaledMap`` instances (domain
-scale outermost, then codomain scale, then table), and a per-instance
-check decides each one, counting its trials through
+are about maps between two spaces, one space pair per task, and run in
+three steps: compile, decide, materialize.  ``_pair_universe`` picks the
+pair's domain scales, codomain scales and map tables; each table comes
+with its preimage masks from ``_tables``, built once per (domain size,
+codomain size, map budget) and shared by every pair of those sizes.
+``_pair_maps`` walks them as compiled ``_Instance`` objects (domain
+scale outermost, then codomain scale, then table), each scale compiled
+to its mask form once per task, and a per-instance check decides each
+one through ``continuity.first_failure``, counting its trials through
 ``TaskResult.trial(hypothesis)``: tested when the hypothesis holds (only
 then is the conclusion checked), skipped otherwise, so ``generated =
-tested + skipped``.  The separation searches PROBLEM1-4 are predicates
-over the same universe; P1A, P1B, C1 and EX16 check each scale of one
-space.  Runners that stay separate: P4 (tables outermost, so its
-independent frozenset strong side reads each table's preimages once),
-T1/T2/P9 and BQOA_CLAIM (sampled from pinned RNG streams), T3/C10
-(sampled principal scales against discrete codomains) and T5/T6 (one
-random split per scale pair from an RNG seeded per task).
+tested + skipped``.  A ``ScaledMap`` and its document are built only for
+a violation.  The separation searches PROBLEM1-4 are predicates over the
+same universe; P1A, P1B, C1 and EX16 check each scale of one space.
+Runners that stay separate: P4 (tables outermost, each instance two
+independent subset tests), T1/T2/P9 and BQOA_CLAIM (sampled from pinned
+RNG streams; T1/T2/P9 decide ``ScaledMap`` objects through
+``check_continuity``), T3/C10 (sampled principal scales against
+discrete codomains, constancy decided on masks) and T5/T6 (one random
+split per scale pair from an RNG seeded per task).
 
 Tasks run in a fixed order (optionally in parallel, on as many workers
 as the SCALETOP_THREADS environment variable asks, capped by the CPU
@@ -24,9 +30,13 @@ count and the task count) and ``_report`` merges them, so identical
 (property, config) pairs produce byte-identical reports.  Violations are
 listed in canonical order (lexicographic on their serialized form) and
 capped by the config; a search keeps the smallest.  Checks reach the
-kernels (``check_continuity``, ``ScaledMap``, ``classify``, ...) through
-this module's globals, so a tracer that rebinds them here sees every
-call.
+kernels through this module's globals, so a tracer that rebinds them
+here sees every call: the pair sweeps reach ``scale_masks``,
+``first_failure`` and, once per violation, ``ScaledMap``; T1/T2/P9
+reach ``ScaledMap``, ``check_continuity`` and ``compose_scaled``; and
+``classify``, ``validate_scale`` and the enumerations are reached where
+they are used.  ``check_closed_characterization``, ``constancy_profile``
+and ``constant_on`` stay bound here, but no sweep calls them.
 
 The classical-continuity oracle used by the L1/L2/L5/L6 properties is
 coded here directly against open-set families, independent of the scale
@@ -48,14 +58,15 @@ from typing import Callable, Iterator
 from . import jsonio
 from .continuity import (
     ContinuityMode,
+    Preimages,
     ScaledMap,
-    check_closed_characterization,
     check_continuity,
     compose_scaled,
-    constancy_profile,
-    constant_on,
+    first_failure,
     middle_refines,
 )
+# Bound here for tracers that rebind them, though no sweep calls them.
+from .continuity import check_closed_characterization, constancy_profile, constant_on  # noqa: F401
 from .exactnum import ExactNumber
 from .finite_topology import (
     MAX_ENUMERATION_POINTS,
@@ -64,6 +75,8 @@ from .finite_topology import (
     connected_components,
     discrete_space,
     enumerate_topologies,
+    mask_of,
+    mask_points,
     set_key,
 )
 from .interval_scales import BoundedBallSupersetScale, full_line_carrier, iw_is_q_open
@@ -76,6 +89,7 @@ from .scales import (
     finer,
     p_structure,
     q_closed,
+    scale_masks,
     scale_union,
     trivial_scale,
     validate_scale,
@@ -215,8 +229,17 @@ def _scales(space: FiniteSpace, budget: int) -> tuple[Scale, ...]:
     return _SCALE_CACHE[key]
 
 
-def _maps(nx: int, ny: int, budget: int | None) -> Iterator[tuple[int, ...]]:
-    return itertools.islice(itertools.product(range(ny), repeat=nx), budget)
+@lru_cache(maxsize=None)
+def _tables(
+    nx: int, ny: int, budget: int | None, surjective: bool = False
+) -> tuple[tuple[tuple[int, ...], Preimages], ...]:
+    """The first ``budget`` maps from nx points to ny points, each with
+    its preimage masks, shared by every space pair of those sizes;
+    ``surjective`` keeps only the maps onto the ny points."""
+    if surjective:
+        return tuple(e for e in _tables(nx, ny, budget) if len(set(e[0])) == ny)
+    tables = itertools.islice(itertools.product(range(ny), repeat=nx), budget)
+    return tuple((t, Preimages(t, ny)) for t in tables)
 
 
 @lru_cache(maxsize=None)
@@ -273,24 +296,54 @@ def _base_member(space: FiniteSpace, cfg: SweepConfig) -> tuple[Scale, ...]:
 
 def _pair_universe(
     task, cfg: SweepConfig, domain=_enumerated, codomain=_enumerated, surjective=False
-) -> tuple[tuple[Scale, ...], tuple[Scale, ...], tuple[tuple[int, ...], ...]]:
-    """The domain scales, codomain scales and map tables of one space
-    pair; ``surjective`` keeps only the tables onto the codomain."""
+) -> tuple[tuple[Scale, ...], tuple[Scale, ...], tuple]:
+    """The domain scales, codomain scales and ``(table, preimage masks)``
+    maps of one space pair; ``surjective`` keeps only the maps onto the
+    codomain."""
     xs, ys = _space(task[0]), _space(task[1])
-    tables = _maps(xs.n_points, ys.n_points, cfg.map_budget)
-    if surjective:
-        tables = (t for t in tables if frozenset(t) == ys.carrier)
-    return domain(xs, cfg), codomain(ys, cfg), tuple(tables)
+    tables = _tables(xs.n_points, ys.n_points, cfg.map_budget, surjective)
+    return domain(xs, cfg), codomain(ys, cfg), tables
 
 
-def _pair_maps(task, cfg: SweepConfig, **universe) -> Iterator[ScaledMap]:
+class _Instance:
+    """One compiled instance: a map table with its preimage masks,
+    between the scales q and r with their mask forms ``dom`` and ``cod``.
+    It is decided through ``first_failure``; ``map()`` builds the
+    ``ScaledMap`` that a violation document serializes."""
+
+    __slots__ = ("table", "pre", "q", "dom", "r", "cod")
+
+    def __init__(self, table, pre, q: Scale, dom, r: Scale, cod) -> None:
+        self.table, self.pre = table, pre
+        self.q, self.dom, self.r, self.cod = q, dom, r, cod
+
+    def holds(self, mode: ContinuityMode) -> bool:
+        dom = self.dom
+        if mode.trivial_domain:
+            dom = scale_masks(trivial_scale(self.q.space))
+        return first_failure(self.table, self.pre, dom, self.cod, mode) is None
+
+    def with_domain(self, q: Scale) -> _Instance:
+        return _Instance(self.table, self.pre, q, scale_masks(q), self.r, self.cod)
+
+    def with_codomain(self, r: Scale) -> _Instance:
+        return _Instance(self.table, self.pre, self.q, self.dom, r, scale_masks(r))
+
+    def map(self) -> ScaledMap:
+        return ScaledMap(self.table, self.q, self.r)
+
+
+def _pair_maps(task, cfg: SweepConfig, **universe) -> Iterator[_Instance]:
     """Every instance of a pair universe: domain scale outermost, then
-    codomain scale, then table (T5/T6 draw their RNG in this order)."""
+    codomain scale, then table (T5/T6 draw their RNG in this order).
+    Each scale is compiled once."""
     qs, rs, tables = _pair_universe(task, cfg, **universe)
+    rs = [(r, scale_masks(r)) for r in rs]
     for q in qs:
-        for r in rs:
-            for table in tables:
-                yield ScaledMap(table, q, r)
+        dom = scale_masks(q)
+        for r, cod in rs:
+            for table, pre in tables:
+                yield _Instance(table, pre, q, dom, r, cod)
 
 
 def _sweep(task, cfg: SweepConfig, check, **universe) -> TaskResult:
@@ -332,8 +385,8 @@ def classical_continuous_at(
 # -- instance serialization --------------------------------------------------------
 
 
-def _map_doc(f: ScaledMap, **extra) -> dict:
-    doc = {"map": jsonio.scaled_map_to_json(f)}
+def _map_doc(f: _Instance, **extra) -> dict:
+    doc = {"map": jsonio.scaled_map_to_json(f.map())}
     doc.update(extra)
     return doc
 
@@ -408,15 +461,12 @@ def _check_ex16(res: TaskResult, scale: Scale) -> None:
 # -- per-instance checks on a space pair: check(res, f, cfg) -----------------------
 
 
-def _transfer(res: TaskResult, source: ScaledMap, target: ScaledMap, steps) -> None:
+def _transfer(res: TaskResult, source: _Instance, target: _Instance, steps) -> None:
     """One trial per ``(hypothesis, conclusion, witness)`` step: when
     ``source`` is continuous in the hypothesis mode, ``target`` must be
     continuous in the conclusion mode."""
     for hypothesis, conclusion, witness in steps:
-        if (
-            res.trial(check_continuity(source, hypothesis).holds)
-            and not check_continuity(target, conclusion).holds
-        ):
+        if res.trial(source.holds(hypothesis)) and not target.holds(conclusion):
             res.violation(_map_doc(target, **witness))
 
 
@@ -425,9 +475,9 @@ def _implies(*steps):
     return lambda res, f, cfg: _transfer(res, f, f, steps)
 
 
-def _at_points(strength: str, f: ScaledMap) -> list:
+def _at_points(strength: str, f: _Instance) -> list:
     """The at-point modes over f's domain, each with its witness."""
-    return [(_AT_POINT[strength][x], {"point": x}) for x in f.domain.space.points]
+    return [(_AT_POINT[strength][x], {"point": x}) for x in range(len(f.table))]
 
 
 def _classical_lemma(lemma: str, mode: ContinuityMode | None = None):
@@ -435,18 +485,18 @@ def _classical_lemma(lemma: str, mode: ContinuityMode | None = None):
     the independently coded classical oracle.  L5 (no mode): weak
     continuity at each point agrees with the oracle at that point."""
 
-    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
-        xs, ys = f.domain.space, f.codomain.space
+    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
+        xs, ys = f.q.space, f.r.space
         oracle = classical_continuous(f.table, xs, ys)
         if mode is None:
             want = True
             got = all(
-                check_continuity(f, _AT_POINT["weak"][x]).holds
+                f.holds(_AT_POINT["weak"][x])
                 == classical_continuous_at(f.table, xs, ys, x)
                 for x in xs.points
             )
         else:
-            got, want = check_continuity(f, mode).holds, oracle
+            got, want = f.holds(mode), oracle
         res.tested += 1
         if got != want:
             res.violation(_map_doc(f, lemma=lemma, oracle=oracle, scaled=got))
@@ -454,23 +504,23 @@ def _classical_lemma(lemma: str, mode: ContinuityMode | None = None):
     return check
 
 
-def _check_l4(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+def _check_l4(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
     """With a trivial domain scale and a neighborhood-closed codomain
     scale, locally weak continuity upgrades to strong continuity, both
     locally and globally."""
-    if res.trial(check_continuity(f, _MODES["weak", "local"]).holds):
+    if res.trial(f.holds(_MODES["weak", "local"])):
         for locus in _LOCI:
-            if not check_continuity(f, _MODES["strong", locus]).holds:
+            if not f.holds(_MODES["strong", locus]):
                 res.violation(_map_doc(f, locus=locus))
 
 
-def _check_local_is_global(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+def _check_local_is_global(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
     """P3 (any map; a claim under test, not presumed) and P6
     (surjections): with a trivial domain scale, local and global strong
     continuity coincide."""
     res.tested += 1
-    loc = check_continuity(f, _MODES["strong", "local"]).holds
-    glob = check_continuity(f, _MODES["strong", "global"]).holds
+    loc = f.holds(_MODES["strong", "local"])
+    glob = f.holds(_MODES["strong", "global"])
     if loc != glob:
         res.violation(_map_doc(f, local=loc, global_=glob))
 
@@ -515,122 +565,143 @@ def _preserved_by(variants, doc):
     cfg)`` may skip trials of its own, and ``doc(f, g)`` documents a
     failure."""
 
-    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
         gs = variants(res, f, cfg)
         for locus in _LOCI:
             mode = _MODES["strong", locus]
-            if gs and res.trial(check_continuity(f, mode).holds, len(gs)):
+            if gs and res.trial(f.holds(mode), len(gs)):
                 for g in gs:
-                    if not check_continuity(g, mode).holds:
+                    if not g.holds(mode):
                         res.violation({**doc(f, g), "locus": locus})
 
     return check
 
 
-def _filter_refined_domains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+def _filter_refined_domains(res: TaskResult, f: _Instance, cfg: SweepConfig) -> list:
     """P7A: the domain scale's filter refinements; a refinement that is
     not a finer filter structure skips its trial."""
     gs = []
-    for p in _filter_refinements(f.domain):
-        if _is_filter(p) and finer(p, f.domain):
-            gs.append(ScaledMap(f.table, p, f.codomain))
+    for p in _filter_refinements(f.q):
+        if _is_filter(p) and finer(p, f.q):
+            gs.append(f.with_domain(p))
         else:
             res.skipped += 1
     return gs
 
 
-def _coarser_filter_codomains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+def _coarser_filter_codomains(res: TaskResult, f: _Instance, cfg: SweepConfig) -> list:
     """P7B, as stated (either side a filter structure): coarser codomain
     targets that the codomain scale refines.  The filter-codomain branch
     is sound; the filter-domain branch is searched, and counterexamples
     are recorded as found."""
-    q, r = f.domain, f.codomain
+    q, r = f.q, f.r
     if not (_is_filter(q) or _is_filter(r)):
         return []
-    return [ScaledMap(f.table, q, v) for v in _coarsenings(r) if finer(r, v)]
+    return [f.with_codomain(v) for v in _coarsenings(r) if finer(r, v)]
 
 
-def _larger_domains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+def _larger_domains(res: TaskResult, f: _Instance, cfg: SweepConfig) -> list:
     """P8A: unions of the domain scale with the first (at most four)
     enumerated scales."""
-    others = _scales(f.domain.space, min(cfg.scale_budget, 4))
-    return [ScaledMap(f.table, scale_union(f.domain, s), f.codomain) for s in others]
+    others = _scales(f.q.space, min(cfg.scale_budget, 4))
+    return [f.with_domain(scale_union(f.q, s)) for s in others]
 
 
-def _smaller_codomains(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> list:
+def _smaller_codomains(res: TaskResult, f: _Instance, cfg: SweepConfig) -> list:
     """P8B/C14: pointwise sub-assignments of the codomain scale."""
-    return [ScaledMap(f.table, f.domain, v) for v in _coarsenings(f.codomain)]
+    return [f.with_codomain(v) for v in _coarsenings(f.r)]
 
 
-def _refined_doc(f: ScaledMap, g: ScaledMap) -> dict:
-    return _map_doc(f, refined=jsonio.scale_to_json(g.domain))
+def _refined_doc(f: _Instance, g: _Instance) -> dict:
+    return _map_doc(f, refined=jsonio.scale_to_json(g.q))
 
 
-def _coarser_doc(f: ScaledMap, g: ScaledMap) -> dict:
+def _coarser_doc(f: _Instance, g: _Instance) -> dict:
     return _map_doc(
         f,
-        coarser=jsonio.scale_to_json(g.codomain),
-        domain_is_filter=_is_filter(f.domain),
-        codomain_is_filter=_is_filter(f.codomain),
+        coarser=jsonio.scale_to_json(g.r),
+        domain_is_filter=_is_filter(f.q),
+        codomain_is_filter=_is_filter(f.r),
     )
 
 
-def _base_doc(f: ScaledMap, g: ScaledMap) -> dict:
+def _base_doc(f: _Instance, g: _Instance) -> dict:
     return _map_doc(
         g,
-        base_domain=jsonio.scale_to_json(f.domain),
-        base_codomain=jsonio.scale_to_json(f.codomain),
+        base_domain=jsonio.scale_to_json(f.q),
+        base_codomain=jsonio.scale_to_json(f.r),
     )
 
 
-def _check_c16(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+def _check_c16(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
     """Continuity with trivial scales implies trivial-domain continuity
     against any codomain scale, pointwise and globally."""
-    classical = ScaledMap(f.table, f.domain, trivial_scale(f.codomain.space))
+    classical = f.with_codomain(trivial_scale(f.r.space))
     global_ = (_MODES["strong", "global"], {"locus": "global"})
     modes = [*_at_points("strong", f), global_]
     _transfer(res, classical, f, [(m, m, w) for m, w in modes])
 
 
-def _check_c17(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+def _check_c17(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
     """With a codomain scale listing the members of a base around each
     point, trivial-domain continuity coincides globally with continuity
     at trivial scales, and pointwise continuity transfers from the
     trivial-scale side."""
-    classical = ScaledMap(f.table, f.domain, trivial_scale(f.codomain.space))
+    classical = f.with_codomain(trivial_scale(f.r.space))
     res.tested += 1
-    lhs = check_continuity(f, _MODES["strong", "global"]).holds
-    rhs = check_continuity(classical, _MODES["strong", "global"]).holds
+    lhs = f.holds(_MODES["strong", "global"])
+    rhs = classical.holds(_MODES["strong", "global"])
     if lhs != rhs:
         res.violation(_map_doc(f, base_side=lhs, trivial_side=rhs))
     _transfer(res, classical, f, [(m, m, w) for m, w in _at_points("strong", f)])
 
 
-# -- P4: table-outermost walk ------------------------------------------------------
+# -- P4: two independent subset tests per instance -------------------------------
+
+
+@lru_cache(maxsize=1 << 12)
+def _point_set(m: int) -> PointSet:
+    return frozenset(mask_points(m))
+
+
+def _p4_sides(pre: Preimages, r_tq: tuple[int, ...], full: int) -> tuple:
+    """What P4 asks of a domain scale for one (table, r): the nonempty
+    preimages of r's declared masks ``r_tq`` as point sets, for the
+    strong side to find in the domain's declared family, and their
+    complements in the ``full`` domain mask, for the closed side to find
+    among the domain's closed masks."""
+    pres = [p for p in map(pre.__getitem__, r_tq) if p]
+    return frozenset(map(_point_set, pres)), frozenset(full & ~p for p in pres)
+
+
+def _closed_masks(q: Scale, full: int) -> frozenset[int]:
+    """The complements of q's declared sets in the ``full`` mask."""
+    return frozenset(full ^ m for m in scale_masks(q).tq)
 
 
 def _run_p4(task, cfg: SweepConfig) -> TaskResult:
     """The closed-set characterization agrees with global strong
-    continuity on every instance (independent code paths).  A runner of
-    its own: it walks tables outermost so that its frozenset strong side
-    reads each table's preimages once."""
+    continuity on every instance.  A runner of its own: each instance is
+    two independent subset tests of what its (table, r) asks
+    (``_p4_sides``) against its domain scale q, tables outermost so that
+    each (table, r) is read once."""
     res = TaskResult()
     x_scales, y_scales, tables = _pair_universe(task, cfg)
-    x_families = [q.assigned_union() for q in x_scales]
-    declared = frozenset().union(*(r.tq for r in y_scales))
-    for table in tables:
-        pre = {
-            v: frozenset(x for x, y in enumerate(table) if y in v) for v in declared
-        }
-        for r in y_scales:
-            pres = [pre[v] for v in r.tq]
-            for q, tq in zip(x_scales, x_families):
-                strong = all((not p) or p in tq for p in pres)
-                f = ScaledMap(table, q, r)
-                closed = check_closed_characterization(f).holds
-                res.tested += 1
-                if strong != closed:
-                    res.violation(_map_doc(f, strong_global=strong, closed_side=closed))
+    full = (1 << _space(task[0]).n_points) - 1
+    x_sides = [
+        (q, scale_masks(q), q.assigned_union(), _closed_masks(q, full)) for q in x_scales
+    ]
+    y_sides = [(r, scale_masks(r)) for r in y_scales]
+    for table, pre in tables:
+        for r, cod in y_sides:
+            opens, closeds = _p4_sides(pre, cod.tq, full)
+            res.tested += len(x_sides)
+            for q, dom, family, closed in x_sides:
+                strong = opens <= family
+                closed_side = closeds <= closed
+                if strong != closed_side:
+                    f = _Instance(table, pre, q, dom, r, cod)
+                    res.violation(_map_doc(f, strong_global=strong, closed_side=closed_side))
     return res
 
 
@@ -662,14 +733,14 @@ def _run_split(task, cfg: SweepConfig, which: str, modes) -> TaskResult:
     rng = random.Random(f"{cfg.seed}:{which}:{task[0]}:{task[1]}")
     pair: list = [None, None, ()]
 
-    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
-        if pair[0] is not f.domain or pair[1] is not f.codomain:
-            pair[:] = f.domain, f.codomain, _split_scale(f.codomain, 2, rng)
-        part_maps = [ScaledMap(f.table, f.domain, ri) for ri in pair[2]]
+    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
+        if pair[0] is not f.q or pair[1] is not f.r:
+            pair[:] = f.q, f.r, _split_scale(f.r, 2, rng)
+        parts = [f.with_codomain(ri) for ri in pair[2]]
         for mode, witness in modes(f):
             res.tested += 1
-            whole = check_continuity(f, mode).holds
-            each = all(check_continuity(g, mode).holds for g in part_maps)
+            whole = f.holds(mode)
+            each = all(g.holds(mode) for g in parts)
             if whole != each:
                 res.violation(_map_doc(f, whole=whole, parts=each, **witness))
 
@@ -805,28 +876,41 @@ def _run_constancy(task, cfg: SweepConfig, check, admits=None) -> TaskResult:
     """T3/C10: sampled principal scales, not enumerated scale pairs,
     against trivially scaled discrete codomains on 1-3 points.  Every
     table of a structure whose chosen neighborhoods ``admits`` rejects is
-    a skipped trial."""
+    a skipped trial.  ``check(res, f, chosen, blocks)`` gets the chosen
+    neighborhoods and the connected components as masks."""
     res = TaskResult()
     space = _space(task)
-    structures = _sampled_p_structures(space, cfg.scale_budget, cfg.seed)
+    blocks = [mask_of(b) for b in connected_components(space)]
+    structures = []
+    for ps in _sampled_p_structures(space, cfg.scale_budget, cfg.seed):
+        chosen = _chosen_neighborhoods(ps)
+        admitted = admits is None or admits(space, chosen)
+        structures.append((ps, scale_masks(ps), [mask_of(c) for c in chosen], admitted))
     for ny in (1, 2, 3):
         ty = trivial_scale(_discrete(ny))
-        for ps in structures:
-            chosen = _chosen_neighborhoods(ps)
-            admitted = admits is None or admits(space, chosen)
-            for table in _maps(space.n_points, ny, cfg.map_budget):
-                if res.trial(admitted):
-                    check(res, ScaledMap(table, ps, ty), chosen)
+        cod = scale_masks(ty)
+        tables = _tables(space.n_points, ny, cfg.map_budget)
+        for ps, dom, chosen, admitted in structures:
+            if res.trial(admitted, len(tables)):
+                for table, pre in tables:
+                    check(res, _Instance(table, pre, ps, dom, ty, cod), chosen, blocks)
     return res
 
 
-def _check_t3(res: TaskResult, f: ScaledMap, chosen: list[PointSet]) -> None:
+def _constant_on(f: _Instance, m: int) -> bool:
+    """Whether f's table is constant on the points of the nonempty mask
+    m: they all lie in the preimage of the image of its lowest point."""
+    low = (m & -m).bit_length() - 1
+    return not m & ~f.pre.of_point[f.table[low]]
+
+
+def _check_t3(res: TaskResult, f: _Instance, chosen: list[int], blocks) -> None:
     """On a discrete codomain with a principal domain scale, weak
     continuity at a point is exactly constancy on the chosen
     neighborhood of that point."""
-    for x in f.domain.space.points:
-        weak = check_continuity(f, _AT_POINT["weak"][x]).holds
-        const = constant_on(f, chosen[x])
+    for x, c in enumerate(chosen):
+        weak = f.holds(_AT_POINT["weak"][x])
+        const = _constant_on(f, c)
         if weak != const:
             res.violation(_map_doc(f, point=x, weak=weak, constant=const))
 
@@ -836,11 +920,11 @@ def _chosen_connected(space: FiniteSpace, chosen: list[PointSet]) -> bool:
     return all(any(c <= block for block in components) for c in chosen)
 
 
-def _check_c10(res: TaskResult, f: ScaledMap, chosen: list[PointSet]) -> None:
+def _check_c10(res: TaskResult, f: _Instance, chosen, blocks: list[int]) -> None:
     """With connected chosen neighborhoods, weak continuity at every
     point is exactly constancy on each connected component."""
-    weak = check_continuity(f, _MODES["weak", "local"]).holds
-    const = constancy_profile(f).constant_on_components
+    weak = f.holds(_MODES["weak", "local"])
+    const = all(_constant_on(f, b) for b in blocks)
     if weak != const:
         res.violation(_map_doc(f, weak_local=weak, constant_on_components=const))
 
@@ -1158,20 +1242,20 @@ def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
 # -- separation searches ----------------------------------------------------------
 
 
-def _separates(f: ScaledMap, a: ContinuityMode, b: ContinuityMode) -> bool:
-    return check_continuity(f, a).holds and not check_continuity(f, b).holds
+def _separates(f: _Instance, a: ContinuityMode, b: ContinuityMode) -> bool:
+    return f.holds(a) and not f.holds(b)
 
 
 # Each search asks for an instance continuous in one notion but not in
 # another, over every scale pair and table of every space pair.
 _WEAK_LOCAL, _WEAK_GLOBAL = _MODES["weak", "local"], _MODES["weak", "global"]
-_SEARCHES: dict[str, Callable[[ScaledMap], bool]] = {
+_SEARCHES: dict[str, Callable[[_Instance], bool]] = {
     "PROBLEM1": lambda f: _separates(f, _WEAK_LOCAL, _WEAK_GLOBAL),
     "PROBLEM2": lambda f: _separates(f, _WEAK_GLOBAL, _WEAK_LOCAL),
     "PROBLEM3": lambda f: _separates(f, _WEAK_GLOBAL, _MODES["strong", "global"]),
     "PROBLEM4": lambda f: any(
         _separates(f, _AT_POINT["weak"][x], _AT_POINT["strong"][x])
-        for x in f.domain.space.points
+        for x in range(len(f.table))
     ),
 }
 
@@ -1188,7 +1272,7 @@ def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
         raise KeyError(f"unknown search claim {claim!r}")
     separated = _SEARCHES[claim]
 
-    def check(res: TaskResult, f: ScaledMap, cfg: SweepConfig) -> None:
+    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
         res.tested += 1
         if separated(f):
             res.violation(_map_doc(f, claim=claim))

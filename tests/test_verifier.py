@@ -189,7 +189,12 @@ def test_worker_count_is_clamped(monkeypatch):
 
 def test_sweeps_reach_kernels_through_module_globals(monkeypatch):
     """A tracer times the kernels by rebinding their names on the verifier
-    module; a check that bound a kernel locally would hide its calls."""
+    module; a check that bound a kernel locally would hide its calls.
+    Pair instances are compiled through ``scale_masks`` and decided
+    through the shared walk ``first_failure`` (P4 through two subset
+    tests of its own), and a ``ScaledMap`` is built through
+    ``verifier.ScaledMap`` for each violation found and for nothing
+    else."""
     calls = collections.Counter()
 
     def counting(name):
@@ -201,24 +206,33 @@ def test_sweeps_reach_kernels_through_module_globals(monkeypatch):
 
         return stand_in
 
-    for name in ("check_continuity", "ScaledMap", "check_closed_characterization"):
+    for name in ("first_failure", "scale_masks", "ScaledMap"):
         monkeypatch.setattr(verifier, name, counting(name))
     monkeypatch.setenv("SCALETOP_THREADS", "1")  # workers would miss the patch
     cfg = SweepConfig(max_points=2, scale_budget=3)
     hooks = {
-        "L3": ("ScaledMap", "check_continuity"),
-        "P4": ("ScaledMap", "check_closed_characterization"),
-        "T3": ("ScaledMap", "check_continuity"),
-        "PROBLEM1": ("ScaledMap", "check_continuity"),
+        "L3": ("scale_masks", "first_failure"),
+        "P3": ("scale_masks", "first_failure"),
+        "P4": ("scale_masks",),
+        "P5": ("scale_masks", "first_failure"),
+        "T3": ("scale_masks", "first_failure"),
+        "C10": ("scale_masks", "first_failure"),
+        "PROBLEM1": ("scale_masks", "first_failure"),
+        "PROBLEM4": ("scale_masks", "first_failure"),
     }
+    refuting = {"P3": SweepConfig(max_points=3, scale_budget=2, map_budget=4)}
     for pid, names in hooks.items():
         calls.clear()
         if pid in PROPERTY_IDS:
-            run_property(pid, cfg)
+            report = run_property(pid, refuting.get(pid, cfg))
         else:
-            search_counterexample(pid, cfg)
+            report = search_counterexample(pid, cfg)
         for name in names:
             assert calls[name] > 0, (pid, name)
+        found = len(report.violations) + report.truncated_violations
+        assert calls["ScaledMap"] == found, pid
+        if pid == "P3":  # the refuted claim materializes its violations
+            assert found > 0
 
 
 def test_classical_oracle_matches_definitions():
