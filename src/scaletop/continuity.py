@@ -17,12 +17,13 @@ of an assigned-complement to be the whole carrier.
 
 Deciding runs in three steps: compile, decide, materialize.  A map is
 compiled to its table's preimage masks (``Preimages``, memoized per
-table) and its scales to their ``ScaleMasks``; ``first_failure``, the
-one walk over those forms, finds the first failure or none; and only
-then is a verdict with a certificate built.  ``check_continuity`` is
-the three steps for one ``ScaledMap``.  The verifier's sweeps compile
-each table and scale once and call ``first_failure`` themselves,
-building a ``ScaledMap`` only for a violation they report.
+table by ``preimages``) and its scales to their ``ScaleMasks``;
+``first_failure``, the one walk over those forms, finds the first
+failure or none; and only then is a verdict with a certificate built.
+``check_continuity`` is the three steps for one ``ScaledMap``.  The
+verifier's sweeps compile each table and scale once (the composition
+sweeps draw their scales as masks) and call ``first_failure``
+themselves, building a ``ScaledMap`` only for a violation they report.
 ``check_closed_characterization`` is a path of its own: it pulls back
 the complement of each target and looks it up among the domain's closed
 sets.  Targets are visited in ``set_key`` order, so the first failure
@@ -196,7 +197,9 @@ class Preimages(dict):
 
 
 @lru_cache(maxsize=1 << 12)
-def _preimages(table: tuple[int, ...], ny: int) -> Preimages:
+def preimages(table: tuple[int, ...], ny: int) -> Preimages:
+    """The preimage masks of a table into ny points, one shared
+    ``Preimages`` per (table, ny)."""
     return Preimages(table, ny)
 
 
@@ -260,7 +263,7 @@ def check_continuity(f: ScaledMap, mode: ContinuityMode) -> ContinuityVerdict:
     cod = scale_masks(f.codomain)
     if mode.trivial_domain:
         dom = scale_masks(trivial_scale(f.domain.space))
-    pre = _preimages(table, f.codomain.space.n_points)
+    pre = preimages(table, f.codomain.space.n_points)
     failure = first_failure(table, pre, dom, cod, mode)
     if failure is None:
         return ContinuityVerdict(True, mode)
@@ -286,7 +289,7 @@ def check_closed_characterization(f: ScaledMap) -> ContinuityVerdict:
     sets, the complements of its declared sets."""
     dom = scale_masks(f.domain)
     cod = scale_masks(f.codomain)
-    pre = _preimages(f.table, f.codomain.space.n_points)
+    pre = preimages(f.table, f.codomain.space.n_points)
     full_x = (1 << f.domain.space.n_points) - 1
     full_y = (1 << f.codomain.space.n_points) - 1
     closed = {full_x ^ m for m in dom.tq}

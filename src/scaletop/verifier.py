@@ -19,10 +19,12 @@ a violation.  The separation searches PROBLEM1-4 are predicates over the
 same universe; P1A, P1B, C1 and EX16 check each scale of one space.
 Runners that stay separate: P4 (tables outermost, each instance two
 independent subset tests), T1/T2/P9 and BQOA_CLAIM (sampled from pinned
-RNG streams; T1/T2/P9 decide ``ScaledMap`` objects through
-``check_continuity``), T3/C10 (sampled principal scales against
-discrete codomains, constancy decided on masks) and T5/T6 (one random
-split per scale pair from an RNG seeded per task).
+RNG streams; T1/T2/P9 draw each scale as its mask form, valid by
+construction, decide f, g and g o f through ``first_failure`` and build
+``Scale`` and ``ScaledMap`` objects only for a violation), T3/C10
+(sampled principal scales against discrete codomains, constancy decided
+on masks) and T5/T6 (one random split per scale pair from an RNG seeded
+per task).
 
 Tasks run in a fixed order (optionally in parallel, on as many workers
 as the SCALETOP_THREADS environment variable asks, capped by the CPU
@@ -33,10 +35,11 @@ capped by the config; a search keeps the smallest.  Checks reach the
 kernels through this module's globals, so a tracer that rebinds them
 here sees every call: the pair sweeps reach ``scale_masks``,
 ``first_failure`` and, once per violation, ``ScaledMap``; T1/T2/P9
-reach ``ScaledMap``, ``check_continuity`` and ``compose_scaled``; and
+reach ``first_failure`` and, twice per violation, ``ScaledMap``; and
 ``classify``, ``validate_scale`` and the enumerations are reached where
-they are used.  ``check_closed_characterization``, ``constancy_profile``
-and ``constant_on`` stay bound here, but no sweep calls them.
+they are used.  ``check_continuity``, ``compose_scaled``,
+``check_closed_characterization``, ``constancy_profile`` and
+``constant_on`` stay bound here, but no sweep calls them.
 
 The classical-continuity oracle used by the L1/L2/L5/L6 properties is
 coded here directly against open-set families, independent of the scale
@@ -53,20 +56,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import jsonio
 from .continuity import (
     ContinuityMode,
     Preimages,
     ScaledMap,
-    check_continuity,
-    compose_scaled,
     first_failure,
-    middle_refines,
+    preimages,
 )
 # Bound here for tracers that rebind them, though no sweep calls them.
 from .continuity import check_closed_characterization, constancy_profile, constant_on  # noqa: F401
+from .continuity import check_continuity, compose_scaled  # noqa: F401
 from .exactnum import ExactNumber
 from .finite_topology import (
     MAX_ENUMERATION_POINTS,
@@ -83,12 +85,14 @@ from .interval_scales import BoundedBallSupersetScale, full_line_carrier, iw_is_
 from .intervals import Interval, LineSet, SheetSet
 from .scales import (
     Scale,
+    ScaleMasks,
     classify,
     enumerate_scales,
     f_closure,
     finer,
     p_structure,
     q_closed,
+    require_valid,
     scale_masks,
     scale_union,
     trivial_scale,
@@ -750,20 +754,81 @@ def _run_split(task, cfg: SweepConfig, which: str, modes) -> TaskResult:
 # -- composition sweeps ---------------------------------------------------------
 
 
-def _random_scale(space: FiniteSpace, rng: random.Random) -> Scale:
-    """Random valid scale: random families pruned to what stays assigned."""
+class _DrawTables(NamedTuple):
+    """What drawing a random scale on one space reads, as masks: each
+    point's open neighborhoods (``rows``) and each neighborhood's up-set
+    (``up``), both in ``set_key`` order, each open's ``set_key`` rank
+    (``rank``), and the trivial scale's mask form."""
+
+    rows: tuple[tuple[int, ...], ...]
+    up: dict[int, tuple[int, ...]]
+    rank: dict[int, int]
+    trivial: ScaleMasks
+
+
+@lru_cache(maxsize=None)
+def _draw_tables(space: FiniteSpace) -> _DrawTables:
+    ordered = space.opens_sorted()
+    masks = [mask_of(o) for o in ordered]
+    rows = tuple(tuple(map(mask_of, around)) for around in space.neighborhoods)
+    up = {a: tuple(b for b in masks if not a & ~b) for a in masks if a}
+    rank = {m: i for i, m in enumerate(masks)}
+    return _DrawTables(rows, up, rank, scale_masks(trivial_scale(space)))
+
+
+def _with_union(at: tuple[tuple[int, ...], ...], rank: dict[int, int]) -> ScaleMasks:
+    """The mask form of the scale whose families are ``at`` and whose
+    declared family is their union."""
+    union = set().union(*at)
+    return ScaleMasks(at, tuple(sorted(union, key=rank.__getitem__)), frozenset(union))
+
+
+def _draw_scale(space: FiniteSpace, rng: random.Random) -> ScaleMasks:
+    """A random valid scale on the space, as its mask form: the trivial
+    scale, the principal scale of one random neighborhood per point, or a
+    random subfamily of each point's neighborhoods (a coin per
+    neighborhood, in order), with the union of the families declared.
+    Every family is a set of open neighborhoods of its point, so the
+    scale is valid by construction and is never validated here."""
+    t = _draw_tables(space)
     style = rng.randrange(3)
     if style == 0:
-        return trivial_scale(space)
+        return t.trivial
     if style == 1:
-        return p_structure(
-            space, [rng.choice(around) for around in space.neighborhoods]
+        at = tuple([t.up[rng.choice(row)] for row in t.rows])
+    else:
+        coin = rng.random
+        at = tuple([tuple([m for m in row if coin() < 0.5]) for row in t.rows])
+    return _with_union(at, t.rank)
+
+
+def _draw_superscale(
+    space: FiniteSpace, base: ScaleMasks, rng: random.Random
+) -> ScaleMasks:
+    """A pointwise superscale of base (for the middle-scale refinement
+    hypothesis): with probability 0.7 the union of base and a fresh draw,
+    which is drawn either way, else base itself."""
+    extra = _draw_scale(space, rng)
+    if rng.random() < 0.7:
+        rank = _draw_tables(space).rank
+        at = tuple(
+            tuple(sorted(set(a).union(b), key=rank.__getitem__))
+            for a, b in zip(base.at, extra.at)
         )
-    fams = tuple(
-        frozenset(o for o in around if rng.random() < 0.5)
-        for around in space.neighborhoods
-    )
-    return Scale(space, frozenset().union(*fams), fams)
+        return _with_union(at, rank)
+    return base
+
+
+def _refines(r: ScaleMasks, h: ScaleMasks) -> bool:
+    """``middle_refines`` on masks: r(y) <= h(y) at every point y."""
+    return all(set(b).issuperset(a) for a, b in zip(r.at, h.at))
+
+
+def _materialize(space: FiniteSpace, masks: ScaleMasks) -> Scale:
+    """The validated ``Scale`` of a drawn mask form, for a violation
+    document."""
+    at = tuple(frozenset(map(_point_set, fam)) for fam in masks.at)
+    return require_valid(Scale(space, frozenset(map(_point_set, masks.tq)), at))
 
 
 def _random_space(rng: random.Random, max_points: int) -> FiniteSpace:
@@ -771,18 +836,19 @@ def _random_space(rng: random.Random, max_points: int) -> FiniteSpace:
     return fam[rng.randrange(len(fam))]
 
 
-def _extend_scale(base: Scale, rng: random.Random) -> Scale:
-    """A pointwise superscale of base (used for the middle-scale
-    refinement hypothesis)."""
-    extra = _random_scale(base.space, rng)
-    return scale_union(base, extra) if rng.random() < 0.7 else base
-
-
 def _run_composition(task, cfg: SweepConfig, which: str) -> TaskResult:
     """T1 (pointwise), T2 (local/global), P9 (equal middle scales), and
     the companion specializations: composites inherit continuity when
-    the middle-scale refinement hypothesis holds.  g is checked only
-    when f passes, and the composite is built only for tested trials."""
+    the middle-scale refinement hypothesis holds.
+
+    Each trial draws its spaces, its scales q, h, r, p as mask forms
+    (``_draw_scale``) and its tables f: xs -> ys and g: ys -> zs.  h is
+    r (P9) or a pointwise superscale of it, so the middle hypothesis
+    holds by construction; it is still checked, on the masks.  f (q to
+    h) and g (r to p) are decided through ``first_failure`` on their
+    tables' memoized preimage masks, g only when f passes, and the
+    composite table only for tested trials.  Scales and ``ScaledMap``
+    objects are built only for a violation."""
     res = TaskResult()
     chunk_index, trials = task
     rng = random.Random(f"{cfg.seed}:{which}:{chunk_index}")
@@ -792,37 +858,35 @@ def _run_composition(task, cfg: SweepConfig, which: str) -> TaskResult:
         xs = _random_space(rng, max_points)
         ys = _random_space(rng, max_points)
         zs = _random_space(rng, max_points)
-        q = _random_scale(xs, rng)
-        p = _random_scale(zs, rng)
-        r = _random_scale(ys, rng)
-        h = r if which == "P9" else _extend_scale(r, rng)
-        f_table = tuple(rng.randrange(ys.n_points) for _ in range(xs.n_points))
-        g_table = tuple(rng.randrange(zs.n_points) for _ in range(ys.n_points))
-        if not middle_refines(r, h):
+        q = _draw_scale(xs, rng)
+        p = _draw_scale(zs, rng)
+        r = _draw_scale(ys, rng)
+        h = r if which == "P9" else _draw_superscale(ys, r, rng)
+        ny, nz = ys.n_points, zs.n_points
+        f_table = tuple(rng.randrange(ny) for _ in range(xs.n_points))
+        g_table = tuple(rng.randrange(nz) for _ in range(ny))
+        if not _refines(r, h):
             res.skipped += 1
             continue
-        f = ScaledMap(f_table, q, h)
-        g = ScaledMap(g_table, r, p)
         locus = loci[trial % len(loci)]
         if locus == "at-point":
             x = rng.randrange(xs.n_points)
-            mode = _AT_POINT["strong"][x]
-            hypothesis = (
-                check_continuity(f, mode).holds
-                and check_continuity(g, _AT_POINT["strong"][f_table[x]]).holds
-            )
+            mode, g_mode = _AT_POINT["strong"][x], _AT_POINT["strong"][f_table[x]]
             witness = {"point": x}
         else:
-            mode = _MODES["strong", locus]
-            hypothesis = (
-                check_continuity(f, mode).holds and check_continuity(g, mode).holds
-            )
+            mode = g_mode = _MODES["strong", locus]
             witness = {"locus": locus}
-        if not hypothesis:
+        if (
+            first_failure(f_table, preimages(f_table, ny), q, h, mode) is not None
+            or first_failure(g_table, preimages(g_table, nz), r, p, g_mode) is not None
+        ):
             res.skipped += 1
             continue
         res.tested += 1
-        if not check_continuity(compose_scaled(g, f), mode).holds:
+        gf_table = tuple([g_table[y] for y in f_table])
+        if first_failure(gf_table, preimages(gf_table, nz), q, p, mode) is not None:
+            f = ScaledMap(f_table, _materialize(xs, q), _materialize(ys, h))
+            g = ScaledMap(g_table, _materialize(ys, r), _materialize(zs, p))
             res.violation(
                 {
                     "f": jsonio.scaled_map_to_json(f),

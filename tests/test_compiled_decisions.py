@@ -10,24 +10,43 @@ say of the same ``ScaledMap``: ``check_continuity`` in all twelve modes
 frozenset strong side, and ``constancy_profile`` / ``constant_on``, on
 every topology with n <= 3 and on sampled n = 4 ones, with random valid
 scales and random tables.
+
+T1/T2/P9 draw each scale as its mask form and decide f, g and g o f
+through ``first_failure``.  They are compared with a copy of the object
+path they replaced (random ``Scale`` objects, ``ScaledMap``,
+``check_continuity`` and ``compose_scaled``): the same draws from the
+same generator states, and the same tested and skipped counts and
+violation documents.  As the composition claims hold, violations are
+forced on both paths alike.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaletop import verifier
+from scaletop import jsonio, verifier
 from scaletop.continuity import (
     ALL_MODES,
     ContinuityMode,
     ScaledMap,
     check_closed_characterization,
     check_continuity,
+    compose_scaled,
     constancy_profile,
     constant_on,
+    middle_refines,
 )
 from scaletop.finite_topology import connected_components, enumerate_topologies, mask_of
-from scaletop.scales import Scale, scale_masks
+from scaletop.scales import (
+    Scale,
+    p_structure,
+    scale_masks,
+    scale_union,
+    trivial_scale,
+    validate_scale,
+)
 
 SMALL_SPACES = [space for n in (1, 2, 3) for space in enumerate_topologies(n)]
 FOUR_POINT_SPACES = list(enumerate_topologies(4))
@@ -126,3 +145,180 @@ def test_compiled_decisions_match_the_public_kernels(domain_space, data):
     check_variants(data, f, inst)
     check_p4_sides(f, inst)
     check_constancy(data, f, inst)
+
+
+# -- T1/T2/P9 against the object path -------------------------------------------
+
+
+# The object path, kept as the reference for the compiled draws and
+# decisions: random ``Scale`` objects decided as ``ScaledMap`` objects.
+
+
+def parent_random_scale(space, rng):
+    style = rng.randrange(3)
+    if style == 0:
+        return trivial_scale(space)
+    if style == 1:
+        return p_structure(
+            space, [rng.choice(around) for around in space.neighborhoods]
+        )
+    fams = tuple(
+        frozenset(o for o in around if rng.random() < 0.5)
+        for around in space.neighborhoods
+    )
+    return Scale(space, frozenset().union(*fams), fams)
+
+
+def parent_extend_scale(base, rng):
+    extra = parent_random_scale(base.space, rng)
+    return scale_union(base, extra) if rng.random() < 0.7 else base
+
+
+def holds(f, mode) -> bool:
+    return check_continuity(f, mode).holds
+
+
+def parent_run_composition(task, cfg, which, decide=holds):
+    """The object path: ``Scale`` objects, ``ScaledMap``,
+    ``check_continuity`` (through ``decide``) and ``compose_scaled``."""
+    res = verifier.TaskResult()
+    chunk_index, trials = task
+    rng = random.Random(f"{cfg.seed}:{which}:{chunk_index}")
+    loci = ("at-point",) if which == "T1" else ("local", "global")
+    max_points = min(cfg.max_points, 3)
+    for trial in range(trials):
+        xs = verifier._random_space(rng, max_points)
+        ys = verifier._random_space(rng, max_points)
+        zs = verifier._random_space(rng, max_points)
+        q = parent_random_scale(xs, rng)
+        p = parent_random_scale(zs, rng)
+        r = parent_random_scale(ys, rng)
+        h = r if which == "P9" else parent_extend_scale(r, rng)
+        f_table = tuple(rng.randrange(ys.n_points) for _ in range(xs.n_points))
+        g_table = tuple(rng.randrange(zs.n_points) for _ in range(ys.n_points))
+        if not middle_refines(r, h):
+            res.skipped += 1
+            continue
+        f = ScaledMap(f_table, q, h)
+        g = ScaledMap(g_table, r, p)
+        locus = loci[trial % len(loci)]
+        if locus == "at-point":
+            x = rng.randrange(xs.n_points)
+            mode = ContinuityMode("strong", "at-point", at_point=x)
+            g_mode = ContinuityMode("strong", "at-point", at_point=f_table[x])
+            hypothesis = decide(f, mode) and decide(g, g_mode)
+            witness = {"point": x}
+        else:
+            mode = ContinuityMode("strong", locus)
+            hypothesis = decide(f, mode) and decide(g, mode)
+            witness = {"locus": locus}
+        if not hypothesis:
+            res.skipped += 1
+            continue
+        res.tested += 1
+        if not decide(compose_scaled(g, f), mode):
+            res.violation(
+                {
+                    "f": jsonio.scaled_map_to_json(f),
+                    "g": jsonio.scaled_map_to_json(g),
+                    **witness,
+                }
+            )
+    return res
+
+
+COMPOSITIONS = ("T1", "T2", "P9")
+
+
+@given(
+    which=st.sampled_from(COMPOSITIONS),
+    seed=st.integers(0, 2**16),
+    chunk=st.integers(0, 15),
+    trials=st.integers(0, 80),
+    max_points=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_composition_sweeps_match_the_object_path(which, seed, chunk, trials, max_points):
+    cfg = verifier.SweepConfig(max_points=max_points, seed=seed)
+    task = (chunk, trials)
+    got = verifier._run_composition(task, cfg, which)
+    assert got == parent_run_composition(task, cfg, which)
+
+
+def check_draw(space, draw, want, rng, ref) -> None:
+    assert draw == scale_masks(want)
+    assert verifier._materialize(space, draw) == want
+    assert rng.getstate() == ref.getstate()
+
+
+@given(
+    which=st.sampled_from(COMPOSITIONS),
+    seed=st.integers(0, 2**32),
+    chunk=st.integers(0, 15),
+)
+@settings(max_examples=30, deadline=None)
+def test_composition_draws_match_the_object_path(which, seed, chunk):
+    """Every scale of 25 trials' draws, in the sweep's order: the mask
+    form of the scale the object path draws, turned back into an equal
+    scale, with the generator left in the same state."""
+    rng = random.Random(f"{seed}:{which}:{chunk}")
+    ref = random.Random(f"{seed}:{which}:{chunk}")
+    for _ in range(25):
+        xs, ys, zs = (verifier._random_space(rng, 3) for _ in range(3))
+        for _ in range(3):
+            verifier._random_space(ref, 3)
+        for space in (xs, zs):
+            draw = verifier._draw_scale(space, rng)
+            check_draw(space, draw, parent_random_scale(space, ref), rng, ref)
+        r, r_ref = verifier._draw_scale(ys, rng), parent_random_scale(ys, ref)
+        check_draw(ys, r, r_ref, rng, ref)
+        if which != "P9":
+            h = verifier._draw_superscale(ys, r, rng)
+            check_draw(ys, h, parent_extend_scale(r_ref, ref), rng, ref)
+            assert verifier._refines(r, h)
+
+
+def forced(table) -> bool:
+    """A failure forced on both paths: every map sending all points to 0."""
+    return not any(table)
+
+
+def forced_holds(f, mode) -> bool:
+    return holds(f, mode) and not forced(f.table)
+
+
+def test_forced_violations_match_the_object_path(monkeypatch):
+    """With failures forced alike on the compiled decisions and on the
+    object path, the violation documents are equal, each one's scales
+    are valid, and each violation builds f and g, two maps, through
+    ``verifier.ScaledMap``."""
+    real = verifier.first_failure
+
+    def failing(table, pre, dom, cod, mode):
+        failure = real(table, pre, dom, cod, mode)
+        if failure is None and forced(table):
+            return None, 0, 0
+        return failure
+
+    built = []
+
+    def scaled_map(*args):
+        built.append(args)
+        return ScaledMap(*args)
+
+    monkeypatch.setattr(verifier, "first_failure", failing)
+    monkeypatch.setattr(verifier, "ScaledMap", scaled_map)
+    cfg = verifier.SweepConfig(max_points=3, seed=5)
+    total = 0
+    for which in COMPOSITIONS:
+        for chunk in range(3):
+            built.clear()
+            got = verifier._run_composition((chunk, 150), cfg, which)
+            assert got == parent_run_composition((chunk, 150), cfg, which, forced_holds)
+            assert len(built) == 2 * len(got.violations)
+            for doc in got.violations:
+                for side in ("f", "g"):
+                    f = jsonio.scaled_map_from_json(doc[side])
+                    assert validate_scale(f.domain) and validate_scale(f.codomain)
+            total += len(got.violations)
+    assert total > 0

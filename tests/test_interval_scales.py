@@ -371,18 +371,65 @@ def test_subscale_rule_validated_on_sampled_members():
             assert w is not None and q_oa.member(x, w)
 
 
-def test_probe_families_are_assigned():
-    scales = [
-        BallSupersetScale(LINE, a=num("1/10")),
-        BallScale(LINE, a=num("1/10")),
-        BoundedBallSupersetScale(LINE, a=num("1/10")),
-        EndClassScale(LINE, mode="rational"),
-        EndClassScale(LINE, mode="irrational"),
+def _every_kind():
+    """One scale of each of the nine concrete kinds (EndClassScale in each
+    mode), with a rational and an irrational point inside its carrier and
+    a family that is not empty at them."""
+    chosen = segment_carrier(num(0), num(1)).lift(LineSet.of(iv("1/4", "3/4")))
+    near_one = segment_carrier(num(0), num(1)).lift(LineSet.of(iv("1/2", 1, hc=True)))
+    points = (num("1/3"), SQRT2 * 2)
+    inner = (num("3/10"), SQRT2 / 4)
+    return [
+        (TrivialIntervalScale(punctured()), inner),
+        (BallSupersetScale(LINE, a=num("1/10")), points),
+        (BallSupersetScale(LINE, a=num("1/10"), closed_ball=False), points),
+        (BallScale(LINE, a=num("1/10")), points),
+        (BoundedBallSupersetScale(LINE, a=num("1/10")), points),
+        (SymmetricIntervalScale(punctured(), lo_amb=num(0), hi_amb=num(1)), inner),
+        (EndClassScale(LINE, mode="rational"), points),
+        (EndClassScale(LINE, mode="irrational"), points),
+        (EndClassScale(LINE, mode="mixed"), points),
+        (EndClassScale(LINE, mode="mixed", crossed=True), points),
+        (ConnectedOpenScale(two_sheets()), (num("1/3"), SQRT2 / 2)),
+        (
+            PStructureIntervalScale(
+                segment_carrier(num(0), num(1)),
+                table=(
+                    (SheetPoint(0, num("1/2")), chosen),
+                    (SheetPoint(0, SQRT2 / 2), near_one),
+                ),
+            ),
+            (num("1/2"), SQRT2 / 2),
+        ),
+        (truncated(), (num("1/20"), num("1/3"), SQRT2, 2 - SQRT2 / 100)),
     ]
-    for scale in scales:
-        for xv in (num("1/3"), SQRT2 * 2):
-            x = SheetPoint(0, xv)
-            probes = scale.point_probes(x, critical=[num(0), num(1)])
-            assert probes
-            for s in probes:
-                assert scale.member(x, s)
+
+
+def _sets_around(carrier, x: SheetPoint) -> list[SheetSet]:
+    """The carrier and its traces of open, closed and half-open intervals
+    around x at a few radii."""
+    out = [carrier.whole()]
+    for r in (num("1/20"), num("1/3"), num(3)):
+        for lc in (False, True):
+            for hc in (False, True):
+                ball = LineSet.of(Interval(x.x - r, x.x + r, lc, hc))
+                out.append(carrier.lift(ball, x.sheet).intersect(carrier.whole()))
+    return out
+
+
+def test_probe_families_are_assigned():
+    """Every probe of a point is assigned to it, and every set assigned
+    to a point is q-open, at rational and irrational points of each
+    kind's carrier."""
+    for scale, values in _every_kind():
+        for xv in values:
+            for sheet in range(scale.carrier.n_sheets):
+                x = SheetPoint(sheet, xv)
+                for critical in ((), (num(0), num(1)), (xv + num("1/7"),)):
+                    probes = scale.point_probes(x, critical=critical)
+                    assert probes, (scale.tag, x)
+                    for s in probes:
+                        assert scale.member(x, s), (scale.tag, x, s)
+                    for s in [*probes, *_sets_around(scale.carrier, x)]:
+                        if scale.member(x, s):
+                            assert scale.is_q_open(s), (scale.tag, x, s)

@@ -194,7 +194,8 @@ def test_sweeps_reach_kernels_through_module_globals(monkeypatch):
     through the shared walk ``first_failure`` (P4 through two subset
     tests of its own), and a ``ScaledMap`` is built through
     ``verifier.ScaledMap`` for each violation found and for nothing
-    else."""
+    else.  T1/T2/P9 draw their scales as masks, decide through
+    ``first_failure`` and build two maps, f and g, per violation."""
     calls = collections.Counter()
 
     def counting(name):
@@ -219,18 +220,28 @@ def test_sweeps_reach_kernels_through_module_globals(monkeypatch):
         "C10": ("scale_masks", "first_failure"),
         "PROBLEM1": ("scale_masks", "first_failure"),
         "PROBLEM4": ("scale_masks", "first_failure"),
+        "T1": ("first_failure",),
+        "T2": ("first_failure",),
+        "P9": ("first_failure",),
     }
-    refuting = {"P3": SweepConfig(max_points=3, scale_budget=2, map_budget=4)}
+    sampled = SweepConfig(max_points=3, sample_budget=400)
+    configs = {
+        "P3": SweepConfig(max_points=3, scale_budget=2, map_budget=4),  # refuted
+        "T1": sampled,
+        "T2": sampled,
+        "P9": sampled,
+    }
+    maps_per_violation = {"T1": 2, "T2": 2, "P9": 2}
     for pid, names in hooks.items():
         calls.clear()
         if pid in PROPERTY_IDS:
-            report = run_property(pid, refuting.get(pid, cfg))
+            report = run_property(pid, configs.get(pid, cfg))
         else:
             report = search_counterexample(pid, cfg)
         for name in names:
             assert calls[name] > 0, (pid, name)
         found = len(report.violations) + report.truncated_violations
-        assert calls["ScaledMap"] == found, pid
+        assert calls["ScaledMap"] == maps_per_violation.get(pid, 1) * found, pid
         if pid == "P3":  # the refuted claim materializes its violations
             assert found > 0
 
