@@ -22,7 +22,6 @@ from scaletop import (
     full_line_carrier,
     iw_finer,
     iw_is_q_closed,
-    iw_is_q_open,
     iw_is_subscale,
     p_structure,
     sierpinski,
@@ -110,10 +109,10 @@ bounded = SheetSet((LineSet.of(Interval(ExactNumber(0), ExactNumber(3), False, F
 empty = SheetSet((LineSet.empty(),))
 print()
 print("Bounded-ball scale on the whole line:")
-print(f"  (0,3) open?            {iw_is_q_open(bq, bounded)}")
+print(f"  (0,3) open?            {bq.is_q_open(bounded)}")
 print(f"  (0,3) closed?          {iw_is_q_closed(bq, bounded)}")
 print(f"  empty set closed?      {iw_is_q_closed(bq, empty)}")
-print(f"  empty set open?        {iw_is_q_open(bq, empty)}")
+print(f"  empty set open?        {bq.is_q_open(empty)}")
 print("No bounded nonempty set is closed here: complements of bounded sets")
 print("are unbounded and differ from the full line, so they are assigned")
 print("to no point.")

@@ -88,7 +88,6 @@ from .interval_scales import (
     full_line_carrier,
     iw_finer,
     iw_is_q_closed,
-    iw_is_q_open,
     iw_is_subscale,
     segment_carrier,
 )

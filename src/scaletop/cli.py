@@ -84,8 +84,8 @@ def _cmd_validate(args) -> int:
     if args.space:
         doc = _load_json(args.space)
         try:
-            opens = frozenset(frozenset(o) for o in doc["opens"])
-            result = validate_topology(opens, int(doc["n"]))
+            opens = frozenset(frozenset(jsonio.ints_from_json(o)) for o in doc["opens"])
+            result = validate_topology(opens, jsonio.int_from_json(doc["n"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"malformed space document: {exc}") from exc
         payload = {

@@ -82,10 +82,6 @@ class ExactNumber:
         return Fraction(self._q, self._d)
 
     @classmethod
-    def sqrt2(cls, coeff: _RationalLike = 1) -> ExactNumber:
-        return cls(0, coeff)
-
-    @classmethod
     def parse(cls, text: str) -> ExactNumber:
         """Parse a rational literal like ``"3/4"`` or ``"-2"``."""
         return cls(Fraction(text), 0)
@@ -289,10 +285,6 @@ def _cmp(x: ExactNumber, y: ExactNumber) -> int:
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
 SQRT2 = ExactNumber(0, 1)
-
-
-def exact_max(*values: ExactNumber) -> ExactNumber:
-    return max(values)
 
 
 def rational_between(lo: ExactNumber, hi: ExactNumber) -> ExactNumber:

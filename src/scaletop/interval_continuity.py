@@ -130,12 +130,34 @@ def _generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
     return list(out)
 
 
+def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
+    return TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
+
+
+def _holds_at(
+    dom_scale: IntervalScale, mode: ContinuityMode, p: SheetPoint, pre: SheetSet
+) -> bool:
+    """Strong modes ask that the preimage be assigned to p, weak modes
+    that it hold a neighborhood assigned to p."""
+    if mode.strength == "strong":
+        return dom_scale.member(p, pre)
+    return dom_scale.witness_inside(p, pre) is not None
+
+
+def _holds_open(
+    dom_scale: IntervalScale, mode: ContinuityMode, pre: SheetSet
+) -> bool:
+    """Strong modes ask that the preimage be q-open, weak modes that it
+    hold a q-open set."""
+    if mode.strength == "strong":
+        return dom_scale.is_q_open(pre)
+    return _find_open_witness(dom_scale, pre) is not None
+
+
 def iw_check_continuity(
     m: IntervalScaledMap, mode: ContinuityMode
 ) -> IntervalVerdict:
-    dom_scale: IntervalScale = (
-        TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
-    )
+    dom_scale = _domain_scale(m, mode)
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
             raise ValueError("interval-world at-point modes take a SheetPoint")
@@ -164,18 +186,10 @@ def _check_at_point(
     y = m.pam.eval(p)
     for target in m.codomain_scale.point_probes(y, critical=criticals):
         pre = m.pam.preimage(target.intersect(m.pam.codomain))
-        if mode.strength == "strong":
-            if not dom_scale.member(p, pre):
-                return IntervalVerdict(
-                    False,
-                    mode,
-                    {"point": p, "target": target, "preimage": pre},
-                )
-        else:
-            if dom_scale.witness_inside(p, pre) is None:
-                return IntervalVerdict(
-                    False, mode, {"point": p, "target": target, "preimage": pre}
-                )
+        if not _holds_at(dom_scale, mode, p, pre):
+            return IntervalVerdict(
+                False, mode, {"point": p, "target": target, "preimage": pre}
+            )
     return IntervalVerdict(True, mode)
 
 
@@ -185,24 +199,12 @@ def _check_global(
     probes = dict.fromkeys([*m.probe_family, *_generated_global_probes(m)])
     for target in probes:
         pre = m.pam.preimage(target.intersect(m.pam.codomain))
-        if pre.is_empty:
-            continue
-        if mode.strength == "strong":
-            if not dom_scale.is_q_open(pre):
-                return IntervalVerdict(
-                    False, mode, {"r_open": target, "preimage": pre}
-                )
-        else:
-            if _find_open_witness(m, dom_scale, pre) is None:
-                return IntervalVerdict(
-                    False, mode, {"r_open": target, "preimage": pre}
-                )
+        if not pre.is_empty and not _holds_open(dom_scale, mode, pre):
+            return IntervalVerdict(False, mode, {"r_open": target, "preimage": pre})
     return IntervalVerdict(True, mode)
 
 
-def _find_open_witness(
-    m: IntervalScaledMap, dom_scale: IntervalScale, pre: SheetSet
-) -> SheetSet | None:
+def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
     """Some q-open subset of ``pre``: witnesses are sought at the midpoint
     of each piece of the preimage."""
     for sheet, line in enumerate(pre.sheets):
@@ -228,25 +230,17 @@ def replay_interval_certificate(
     m: IntervalScaledMap, mode: ContinuityMode, certificate: dict
 ) -> bool:
     """Reconfirm a failure certificate through the scale predicates."""
-    dom_scale: IntervalScale = (
-        TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
-    )
+    dom_scale = _domain_scale(m, mode)
     if "r_open" in certificate:
         target = certificate["r_open"]
         if not m.codomain_scale.is_q_open(target):
             return False
         pre = m.pam.preimage(target.intersect(m.pam.codomain))
-        if pre.is_empty:
-            return False
-        if mode.strength == "strong":
-            return not dom_scale.is_q_open(pre)
-        return _find_open_witness(m, dom_scale, pre) is None
+        return not pre.is_empty and not _holds_open(dom_scale, mode, pre)
     p = certificate["point"]
     target = certificate["target"]
     y = m.pam.eval(p)
     if not m.codomain_scale.member(y, target):
         return False
     pre = m.pam.preimage(target.intersect(m.pam.codomain))
-    if mode.strength == "strong":
-        return not dom_scale.member(p, pre)
-    return dom_scale.witness_inside(p, pre) is None
+    return not _holds_at(dom_scale, mode, p, pre)

@@ -36,6 +36,18 @@ Membership rules, by tag:
   per tabulated point; points absent from the table carry the empty
   family.
 
+Most rules are about balls around the point, and the kinds share one
+implementation of each piece of that:
+
+* ``_ball``: the open (or closed) ball of radius r around x;
+* ``_ball_ladder``: the open balls of radius a plus each radius of
+  ``_derived_radii``, the probes of the ball kinds;
+* ``_capped_radius``: a radius pick from a ``_Range``, capped so the
+  open ball stays inside the host piece holding x;
+* ``_open_interval``: the "one bounded open interval" shape test;
+* ``_TraceScale``: the carrier traces of open balls whose radius lies
+  in a per-point range (``SymmetricIntervals`` and ``TruncatedQ_a``).
+
 All decisions are exact.
 """
 
@@ -52,7 +64,7 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
-    component_containing,
+    _piece_holding,
     interior_component_containing,
     is_connected_in_carrier,
     is_open_in_carrier,
@@ -101,9 +113,10 @@ class _Range:
             return True
         return self.lo == self.hi and self.lo_incl and self.hi_incl
 
-    def pick(self) -> ExactNumber:
+    def pick(self) -> ExactNumber | None:
+        """Some value in the range, or None when it is empty."""
         if not self.feasible:
-            raise ValueError("empty range")
+            return None
         if self.lo is None and self.hi is None:
             return _ONE
         if self.lo is None:
@@ -158,6 +171,44 @@ def _derived_radii(
     return sorted(set(out))[:12]
 
 
+# -- shared neighborhood primitives -----------------------------------------------
+
+
+def _ball(x: ExactNumber, r: ExactNumber, closed: bool = False) -> LineSet:
+    """The ball of radius r > 0 around x, open unless ``closed``."""
+    return LineSet((Interval(x - r, x + r, closed, closed),))
+
+
+def _ball_ladder(
+    x: ExactNumber, a: ExactNumber, critical: Sequence[ExactNumber]
+) -> list[SheetSet]:
+    """The open balls around x of radius a plus each derived radius."""
+    return [SheetSet((_ball(x, a + d),)) for d in _derived_radii(x, critical)]
+
+
+def _capped_radius(
+    rng: _Range, x: ExactNumber, host: Interval | None
+) -> ExactNumber | None:
+    """A radius from ``rng`` once capped so the open ball around x stays
+    inside ``host``, the piece holding x; None without a host or without
+    a feasible radius."""
+    if host is None:
+        return None
+    if host.lo is not None:
+        rng.at_most(x - host.lo)
+    if host.hi is not None:
+        rng.at_most(host.hi - x)
+    return rng.pick()
+
+
+def _open_interval(s: SheetSet) -> Interval | None:
+    """The piece of a one-sheet s that is one bounded open interval."""
+    pieces = _single_line(s).pieces
+    if len(pieces) == 1 and pieces[0].is_bounded and pieces[0].is_open_interval:
+        return pieces[0]
+    return None
+
+
 @dataclass(frozen=True)
 class IntervalScale:
     """Base for catalog kinds; concrete kinds override the rule methods."""
@@ -187,9 +238,6 @@ class IntervalScale:
         if not self.carrier.member(x):
             raise ValueError(f"point {x} outside this scale's carrier")
 
-    def _lift(self, iv: Interval) -> SheetSet:
-        return SheetSet((LineSet((iv,)),))
-
 
 # -- trivial ------------------------------------------------------------------
 
@@ -201,9 +249,7 @@ def _open_component_probes(
     open ball at a derived radius, without repeats."""
     probes: dict[SheetSet, None] = {carrier.whole(): None}  # insertion-ordered set
     for r in _derived_radii(x.x, critical):
-        ball = carrier.lift(
-            LineSet.of(Interval(x.x - r, x.x + r, False, False)), x.sheet
-        )
+        ball = carrier.lift(_ball(x.x, r), x.sheet)
         comp = interior_component_containing(carrier, ball, x)
         if comp is not None:
             probes[comp] = None
@@ -254,14 +300,12 @@ class BallSupersetScale(IntervalScale):
     def params(self) -> dict:
         return {"a": self.a}
 
-    def _ball(self, x: ExactNumber) -> LineSet:
-        c = self.closed_ball
-        return LineSet.of(Interval(x - self.a, x + self.a, c, c))
-
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         xx = _single_sheet_point(x)
         line = _single_line(s)
-        return line.is_open_in_line() and self._ball(xx).issubset(line)
+        return line.is_open_in_line() and _ball(xx, self.a, self.closed_ball).issubset(
+            line
+        )
 
     def is_q_open(self, s: SheetSet) -> bool:
         line = _single_line(s)
@@ -277,20 +321,19 @@ class BallSupersetScale(IntervalScale):
         return False
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
+        # The open component of s around x is assigned once it holds the
+        # a-ball, and any assigned set inside s lies in that component.
         xx = _single_sheet_point(x)
-        inner = _single_line(s).interior()
-        if not self._ball(xx).issubset(inner):
+        comp = interior_component_containing(self.carrier, s, x)
+        if comp is None or not _ball(xx, self.a, self.closed_ball).issubset(
+            comp.sheets[0]
+        ):
             return None
-        return component_containing(SheetSet((inner,)), SheetPoint(0, xx))
+        return comp
 
     def point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        probes = []
-        for extra in _derived_radii(xx, critical):
-            r = self.a + extra
-            probes.append(self._lift(Interval(xx - r, xx + r, False, False)))
-        probes.append(SheetSet((LineSet.full_line(),)))
-        return probes
+        return [*_ball_ladder(xx, self.a, critical), SheetSet((LineSet.full_line(),))]
 
 
 @dataclass(frozen=True)
@@ -315,55 +358,30 @@ class BallScale(IntervalScale):
     def _radius_ok(self, r: ExactNumber) -> bool:
         return r > self.a if self.strict else r >= self.a
 
-    def _symmetric_ball(self, s: SheetSet) -> tuple[ExactNumber, ExactNumber] | None:
-        """(center, radius) when s is a single bounded open interval."""
-        line = _single_line(s)
-        if len(line.pieces) != 1:
-            return None
-        piece = line.pieces[0]
-        if piece.lo is None or piece.hi is None or not piece.is_open_interval:
-            return None
-        return (piece.lo + piece.hi) * _HALF, (piece.hi - piece.lo) * _HALF
-
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         xx = _single_sheet_point(x)
-        ball = self._symmetric_ball(s)
-        return ball is not None and ball[0] == xx and self._radius_ok(ball[1])
+        piece = _open_interval(s)
+        return (
+            piece is not None
+            and piece.lo + piece.hi == xx * 2
+            and self._radius_ok(piece.hi - xx)
+        )
 
     def is_q_open(self, s: SheetSet) -> bool:
-        ball = self._symmetric_ball(s)
-        return ball is not None and self._radius_ok(ball[1])
+        piece = _open_interval(s)
+        return piece is not None and self._radius_ok((piece.hi - piece.lo) * _HALF)
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
-        line = _single_line(s)
-        host = next((p for p in line.pieces if p.contains(xx)), None)
-        if host is None:
-            return None
         rng = _Range()
         rng.at_least(self.a, incl=not self.strict)
-        if self.strict and self.a.sign() == 0:
-            rng.at_least(_ZERO, incl=False)
-        if host.lo is not None:
-            rng.at_most(xx - host.lo, incl=True)
-        if host.hi is not None:
-            rng.at_most(host.hi - xx, incl=True)
-        if not rng.feasible:
-            return None
-        r = rng.pick()
-        if r.sign() <= 0:
-            return None
-        return self._lift(Interval(xx - r, xx + r, False, False))
+        r = _capped_radius(rng, xx, _piece_holding(_single_line(s), xx))
+        return None if r is None else SheetSet((_ball(xx, r),))
 
     def point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        out = []
-        if not self.strict:
-            out.append(self._lift(Interval(xx - self.a, xx + self.a, False, False)))
-        for extra in _derived_radii(xx, critical):
-            r = self.a + extra
-            out.append(self._lift(Interval(xx - r, xx + r, False, False)))
-        return out
+        ladder = _ball_ladder(xx, self.a, critical)
+        return ladder if self.strict else [SheetSet((_ball(xx, self.a),)), *ladder]
 
 
 @dataclass(frozen=True)
@@ -391,10 +409,7 @@ class BoundedBallSupersetScale(IntervalScale):
             return True
         if not line.is_open_in_line() or not line.is_bounded or not line.member(xx):
             return False
-        if self.a.sign() == 0:
-            return True
-        ball = LineSet.of(Interval(xx - self.a, xx + self.a, False, False))
-        return ball.issubset(line)
+        return self.a.sign() == 0 or _ball(xx, self.a).issubset(line)
 
     def is_q_open(self, s: SheetSet) -> bool:
         line = _single_line(s)
@@ -410,46 +425,92 @@ class BoundedBallSupersetScale(IntervalScale):
         line = _single_line(s)
         if line == LineSet.full_line():
             return SheetSet((line,))
-        inner = line.interior()
-        host = next((p for p in inner.pieces if p.contains(xx)), None)
-        if host is None:
-            return None
         rng = _Range()
         rng.at_least(self.a, incl=self.a.sign() > 0)
-        if self.a.sign() == 0:
-            rng.at_least(_ZERO, incl=False)
-        if host.lo is not None:
-            rng.at_most(xx - host.lo, incl=True)
-        if host.hi is not None:
-            rng.at_most(host.hi - xx, incl=True)
-        if not rng.feasible:
-            return None
-        r = rng.pick()
-        return self._lift(Interval(xx - r, xx + r, False, False))
+        r = _capped_radius(rng, xx, _piece_holding(line, xx))
+        return None if r is None else SheetSet((_ball(xx, r),))
 
     def point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        out = []
-        for extra in _derived_radii(xx, critical):
-            r = self.a + extra
-            out.append(self._lift(Interval(xx - r, xx + r, False, False)))
-        out.append(SheetSet((LineSet.full_line(),)))
-        return out
+        return [*_ball_ladder(xx, self.a, critical), SheetSet((LineSet.full_line(),))]
 
 
-# -- symmetric traces within ambient bounds ----------------------------------------
+# -- carrier traces of symmetric balls ----------------------------------------------
 
 
 @dataclass(frozen=True)
-class SymmetricIntervalScale(IntervalScale):
-    """Traces carrier * (x-r, x+r), r > 0, subject to the ambient bounds
-    lo_amb <= x-r and x+r <= hi_amb.
+class _TraceScale(IntervalScale):
+    """Traces carrier * (x-r, x+r) on a one-sheet carrier, with r in a
+    range that each kind sets per point (``_radii``).
 
-    Deciding whether an arbitrary set s is such a trace reduces to a
-    box of endpoint constraints: s is carrier * (u, v) iff s lies inside
-    (u, v) and (u, v) avoids carrier-minus-s, which decouples into a
-    feasible range for u and one for v; q-openness additionally asks the
-    midpoint (u+v)/2 to land in the carrier."""
+    A set s is such a trace iff s lies inside (x-r, x+r) and the ball
+    misses every carrier point outside s.  Those points bound the host of
+    x, the piece of the line holding x that avoids them; s must lie
+    inside the host, and the ball fits while r stays within its ends."""
+
+    def _radii(self, x: ExactNumber) -> _Range:
+        """The radii admitted at x: a fresh range, open at its lower end."""
+        raise NotImplementedError
+
+    def _trace(self, x: ExactNumber, r: ExactNumber) -> SheetSet:
+        return SheetSet((self.carrier.sheets[0].intersect(_ball(x, r)),))
+
+    def _host(self, line: LineSet, x: ExactNumber) -> Interval | None:
+        """The piece of the line holding x that avoids every carrier point
+        outside ``line``; None when x is such a point."""
+        return _piece_holding(self.carrier.sheets[0].difference(line).complement(), x)
+
+    def _shaped_host(self, line: LineSet, x: ExactNumber) -> Interval | None:
+        """The host of x when ``line`` has the shape of a trace around x:
+        bounded, inside the carrier and inside that host; else None."""
+        host = self._host(line, x)
+        if (
+            host is None
+            or not line.is_bounded
+            or not line.issubset(self.carrier.sheets[0])
+            or not line.issubset(LineSet((host,)))
+        ):
+            return None
+        return host
+
+    @staticmethod
+    def _bounds_of(line: LineSet):
+        first, last = line.pieces[0], line.pieces[-1]
+        return (first.lo, first.lo_closed, last.hi, last.hi_closed)
+
+    def member(self, x: SheetPoint, s: SheetSet) -> bool:
+        xx = _single_sheet_point(x)
+        self._contains_point(x)
+        line = _single_line(s)
+        host = self._shaped_host(line, xx)
+        if host is None:
+            return False
+        m, m_in, mm, mm_in = self._bounds_of(line)
+        rng = self._radii(xx)
+        rng.at_least(xx - m, incl=not m_in)
+        rng.at_least(mm - xx, incl=not mm_in)
+        return _capped_radius(rng, xx, host) is not None
+
+    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
+        xx = _single_sheet_point(x)
+        self._contains_point(x)
+        r = _capped_radius(self._radii(xx), xx, self._host(_single_line(s), xx))
+        return None if r is None else self._trace(xx, r)
+
+    def point_probes(self, x, critical=()):
+        xx = _single_sheet_point(x)
+        self._contains_point(x)
+        rng = self._radii(xx)
+        radii = _derived_radii(xx, critical, lower_excl=rng.lo, upper_incl=rng.hi)
+        return list(dict.fromkeys(self._trace(xx, r) for r in radii))
+
+
+@dataclass(frozen=True)
+class SymmetricIntervalScale(_TraceScale):
+    """Traces carrier * (x-r, x+r), r > 0, subject to the ambient bounds
+    lo_amb <= x-r and x+r <= hi_amb.  q-openness asks, beyond the trace
+    shape, that the midpoint (u+v)/2 of some admissible (u, v) land in
+    the carrier."""
 
     lo_amb: ExactNumber = _ZERO
     hi_amb: ExactNumber = _ONE
@@ -465,70 +526,32 @@ class SymmetricIntervalScale(IntervalScale):
     def params(self) -> dict:
         return {"lo": self.lo_amb, "hi": self.hi_amb}
 
-    @staticmethod
-    def _bounds_of(line: LineSet):
-        first, last = line.pieces[0], line.pieces[-1]
-        return (first.lo, first.lo_closed, last.hi, last.hi_closed)
-
-    def _gap_analysis(self, line: LineSet):
-        """(ok, d_left, d_right): ok fails when the complement within the
-        carrier meets the open hull of the set; the d's are the nearest
-        complement values outside the hull (None when absent)."""
-        rest = self.carrier.sheets[0].difference(line)
-        m, _, mm, _ = self._bounds_of(line)
-        if m is None or mm is None:
-            return False, None, None
-        if m < mm:
-            hull = LineSet.of(Interval(m, mm, False, False))
-            if not rest.intersect(hull).is_empty:
-                return False, None, None
-        below = rest.intersect(LineSet.of(Interval(None, m, False, True)))
-        above = rest.intersect(LineSet.of(Interval(mm, None, True, False)))
-        d_left = None if below.is_empty else below.pieces[-1].hi
-        d_right = None if above.is_empty else above.pieces[0].lo
-        return True, d_left, d_right
-
-    def member(self, x: SheetPoint, s: SheetSet) -> bool:
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        line = _single_line(s)
-        if line.is_empty or not line.member(xx):
-            return False
-        if not line.issubset(self.carrier.sheets[0]):
-            return False
-        ok, d_left, d_right = self._gap_analysis(line)
-        if not ok:
-            return False
-        m, m_in, mm, mm_in = self._bounds_of(line)
+    def _radii(self, x: ExactNumber) -> _Range:
         rng = _Range()
         rng.at_least(_ZERO, incl=False)
-        rng.at_least(xx - m, incl=not m_in)
-        rng.at_least(mm - xx, incl=not mm_in)
-        rng.at_most(xx - self.lo_amb, incl=True)
-        rng.at_most(self.hi_amb - xx, incl=True)
-        if d_left is not None:
-            rng.at_most(xx - d_left, incl=True)
-        if d_right is not None:
-            rng.at_most(d_right - xx, incl=True)
-        return rng.feasible
+        rng.at_most(x - self.lo_amb)
+        rng.at_most(self.hi_amb - x)
+        return rng
 
     def is_q_open(self, s: SheetSet) -> bool:
         line = _single_line(s)
-        if line.is_empty or not line.issubset(self.carrier.sheets[0]):
+        if line.is_empty or not line.is_bounded:
             return False
-        ok, d_left, d_right = self._gap_analysis(line)
-        if not ok:
+        first = line.pieces[0]
+        inside = first.lo if first.lo_closed else (first.lo + first.hi) * _HALF
+        host = self._shaped_host(line, inside)
+        if host is None:
             return False
         m, m_in, mm, mm_in = self._bounds_of(line)
         u = _Range()
-        u.at_least(self.lo_amb, incl=True)
-        if d_left is not None:
-            u.at_least(d_left, incl=True)
+        u.at_least(self.lo_amb)
+        if host.lo is not None:
+            u.at_least(host.lo)
         u.at_most(m, incl=not m_in)
         v = _Range()
-        v.at_most(self.hi_amb, incl=True)
-        if d_right is not None:
-            v.at_most(d_right, incl=True)
+        v.at_most(self.hi_amb)
+        if host.hi is not None:
+            v.at_most(host.hi)
         v.at_least(mm, incl=not mm_in)
         if not u.feasible or not v.feasible:
             return False
@@ -540,55 +563,6 @@ class SymmetricIntervalScale(IntervalScale):
             return False
         centers = Interval(mid_lo, mid_hi, lo_incl, hi_incl)
         return not self.carrier.sheets[0].intersect(LineSet((centers,))).is_empty
-
-    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        line = _single_line(s)
-        if not line.member(xx):
-            return None
-        rest = self.carrier.sheets[0].difference(
-            line.intersect(self.carrier.sheets[0])
-        )
-        rng = _Range()
-        rng.at_least(_ZERO, incl=False)
-        rng.at_most(xx - self.lo_amb, incl=True)
-        rng.at_most(self.hi_amb - xx, incl=True)
-        below = rest.intersect(LineSet.of(Interval(None, xx, False, True)))
-        above = rest.intersect(LineSet.of(Interval(xx, None, True, False)))
-        if not below.is_empty:
-            b = below.pieces[-1].hi
-            if b is None:
-                return None
-            rng.at_most(xx - b, incl=True)
-        if not above.is_empty:
-            b = above.pieces[0].lo
-            if b is None:
-                return None
-            rng.at_most(b - xx, incl=True)
-        if not rng.feasible:
-            return None
-        r = rng.pick()
-        trace = self.carrier.sheets[0].intersect(
-            LineSet.of(Interval(xx - r, xx + r, False, False))
-        )
-        return SheetSet((trace,))
-
-    def point_probes(self, x, critical=()):
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        rmax = min(xx - self.lo_amb, self.hi_amb - xx)
-        if rmax.sign() <= 0:
-            return []
-        out = []
-        for r in _derived_radii(xx, critical, upper_incl=rmax):
-            trace = self.carrier.sheets[0].intersect(
-                LineSet.of(Interval(xx - r, xx + r, False, False))
-            )
-            probe = SheetSet((trace,))
-            if probe not in out:
-                out.append(probe)
-        return out
 
 
 # -- endpoint-rationality kinds ------------------------------------------------------
@@ -632,25 +606,31 @@ class EndClassScale(IntervalScale):
             return False
         return x.is_rational != self.crossed
 
-    def _interval_of(self, s: SheetSet) -> Interval | None:
-        line = _single_line(s)
-        if len(line.pieces) != 1:
-            return None
-        piece = line.pieces[0]
-        if piece.lo is None or piece.hi is None or not piece.is_open_interval:
-            return None
-        return piece
+    def _of_class(
+        self,
+        x: ExactNumber,
+        u_lo: ExactNumber,
+        u_hi: ExactNumber,
+        v_lo: ExactNumber,
+        v_hi: ExactNumber,
+    ) -> SheetSet:
+        """The open interval (u, v) with u in (u_lo, u_hi) and v in
+        (v_lo, v_hi), both of the endpoint class that x requires."""
+        want = self._required_rational(x)
+        u = _pick_of_class(u_lo, u_hi, want)
+        v = _pick_of_class(v_lo, v_hi, want)
+        return SheetSet((LineSet((Interval(u, v, False, False),)),))
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         xx = _single_sheet_point(x)
-        piece = self._interval_of(s)
+        piece = _open_interval(s)
         if piece is None or not piece.contains(xx):
             return False
         want = self._required_rational(xx)
         return piece.lo.is_rational == want and piece.hi.is_rational == want
 
     def is_q_open(self, s: SheetSet) -> bool:
-        piece = self._interval_of(s)
+        piece = _open_interval(s)
         if piece is None or piece.lo.is_rational != piece.hi.is_rational:
             return False
         cls = piece.lo.is_rational
@@ -664,8 +644,7 @@ class EndClassScale(IntervalScale):
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
-        line = _single_line(s)
-        host = next((p for p in line.pieces if p.contains(xx)), None)
+        host = _piece_holding(_single_line(s), xx)
         if host is None:
             return None
         lo_floor = host.lo if host.lo is not None else xx - 2
@@ -674,20 +653,14 @@ class EndClassScale(IntervalScale):
             # x sits at a closed end of its piece; no open interval inside
             # s contains it.
             return None
-        want = self._required_rational(xx)
-        u = _pick_of_class(lo_floor, xx, want)
-        v = _pick_of_class(xx, hi_ceil, want)
-        return self._lift(Interval(u, v, False, False))
+        return self._of_class(xx, lo_floor, xx, xx, hi_ceil)
 
     def point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        want = self._required_rational(xx)
-        out = []
-        for d in _derived_radii(xx, critical):
-            u = _pick_of_class(xx - d, xx - d * _HALF, want)
-            v = _pick_of_class(xx + d * _HALF, xx + d, want)
-            out.append(self._lift(Interval(u, v, False, False)))
-        return out
+        return [
+            self._of_class(xx, xx - d, xx - d * _HALF, xx + d * _HALF, xx + d)
+            for d in _derived_radii(xx, critical)
+        ]
 
 
 # -- connected relatively open neighborhoods ------------------------------------------
@@ -790,11 +763,11 @@ class PStructureIntervalScale(IntervalScale):
 
 
 @dataclass(frozen=True)
-class TruncatedBallScale(IntervalScale):
+class TruncatedBallScale(_TraceScale):
     """Symmetric open intervals of radius k > a on the segment [lo, hi]:
     interior points get (x-k, x+k) within the segment; points within a of
     the left end get [lo, x+k); points within a of the right end get
-    (x-k, hi]."""
+    (x-k, hi].  Each is the segment's trace of (x-k, x+k)."""
 
     a: ExactNumber = _ONE
     lo: ExactNumber = _ZERO
@@ -813,130 +786,32 @@ class TruncatedBallScale(IntervalScale):
     def params(self) -> dict:
         return {"a": self.a, "lo": self.lo, "hi": self.hi}
 
-    def _region(self, x: ExactNumber) -> str:
-        if x <= self.lo + self.a:
-            return "left"
-        if x >= self.hi - self.a:
-            return "right"
-        return "middle"
-
-    def member(self, x: SheetPoint, s: SheetSet) -> bool:
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        line = _single_line(s)
-        if len(line.pieces) != 1:
-            return False
-        piece = line.pieces[0]
-        if piece.lo is None or piece.hi is None:
-            return False
-        region = self._region(xx)
-        if region == "middle":
-            if not piece.is_open_interval or piece.lo + piece.hi != xx * 2:
-                return False
-            k = (piece.hi - piece.lo) * _HALF
-            return k > self.a and piece.lo >= self.lo and piece.hi <= self.hi
-        if region == "left":
-            if not (piece.lo == self.lo and piece.lo_closed and not piece.hi_closed):
-                return False
-            return piece.hi - xx > self.a and piece.hi <= self.hi
-        if not (piece.hi == self.hi and piece.hi_closed and not piece.lo_closed):
-            return False
-        return xx - piece.lo > self.a and piece.lo >= self.lo
-
-    def is_q_open(self, s: SheetSet) -> bool:
-        line = _single_line(s)
-        if len(line.pieces) != 1:
-            return False
-        piece = line.pieces[0]
-        if piece.lo is None or piece.hi is None:
-            return False
-        if piece.is_open_interval:
-            center = (piece.lo + piece.hi) * _HALF
-            k = (piece.hi - piece.lo) * _HALF
-            return (
-                self._region(center) == "middle"
-                and k > self.a
-                and piece.lo >= self.lo
-                and piece.hi <= self.hi
-            )
-        if piece.lo == self.lo and piece.lo_closed and not piece.hi_closed:
-            # [lo, v): served by left-band points x with v - x > a.
-            return piece.hi <= self.hi and piece.hi - self.lo > self.a
-        if piece.hi == self.hi and piece.hi_closed and not piece.lo_closed:
-            return piece.lo >= self.lo and self.hi - piece.lo > self.a
-        return False
-
-    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        line = _single_line(s)
-        region = self._region(xx)
+    def _radii(self, x: ExactNumber) -> _Range:
+        # k > a, and the ball may overhang only the segment end that x is
+        # within a of; an edge point's ball always overhangs that end.
         rng = _Range()
         rng.at_least(self.a, incl=False)
-        if region == "middle":
-            host = next((p for p in line.pieces if p.contains(xx)), None)
-            if host is None:
-                return None
-            if host.lo is not None:
-                rng.at_most(xx - host.lo, incl=True)
-            if host.hi is not None:
-                rng.at_most(host.hi - xx, incl=True)
-            rng.at_most(xx - self.lo, incl=True)
-            rng.at_most(self.hi - xx, incl=True)
-            if not rng.feasible:
-                return None
-            k = rng.pick()
-            return self._lift(Interval(xx - k, xx + k, False, False))
-        if region == "left":
-            host = next(
-                (p for p in line.pieces if p.lo == self.lo and p.lo_closed), None
-            )
-            if host is None or host.hi is None:
-                return None
-            rng.at_most(host.hi - xx, incl=True)
-            rng.at_most(self.hi - xx, incl=True)
-            if not rng.feasible:
-                return None
-            k = rng.pick()
-            return self._lift(Interval(self.lo, xx + k, True, False))
-        host = next(
-            (p for p in line.pieces if p.hi == self.hi and p.hi_closed), None
-        )
-        if host is None or host.lo is None:
-            return None
-        rng.at_most(xx - host.lo, incl=True)
-        rng.at_most(xx - self.lo, incl=True)
-        if not rng.feasible:
-            return None
-        k = rng.pick()
-        return self._lift(Interval(xx - k, self.hi, False, True))
+        if x > self.lo + self.a:
+            rng.at_most(x - self.lo)
+        if x < self.hi - self.a:
+            rng.at_most(self.hi - x)
+        return rng
 
-    def point_probes(self, x, critical=()):
-        xx = _single_sheet_point(x)
-        self._contains_point(x)
-        region = self._region(xx)
-        if region == "middle":
-            cap = min(xx - self.lo, self.hi - xx)
-        elif region == "left":
-            cap = self.hi - xx
+    def is_q_open(self, s: SheetSet) -> bool:
+        # An open interval can only be assigned to its centre, a half-open
+        # one to the segment end it keeps (if to any point of its band).
+        piece = _open_interval(s)
+        if piece is None:
+            points = (self.lo, self.hi)
         else:
-            cap = xx - self.lo
-        out = []
-        for k in _derived_radii(xx, critical, lower_excl=self.a, upper_incl=cap):
-            if region == "middle":
-                out.append(self._lift(Interval(xx - k, xx + k, False, False)))
-            elif region == "left":
-                out.append(self._lift(Interval(self.lo, xx + k, True, False)))
-            else:
-                out.append(self._lift(Interval(xx - k, self.hi, False, True)))
-        return out
+            points = ((piece.lo + piece.hi) * _HALF,)
+        return any(
+            self.carrier.member(SheetPoint(0, p)) and self.member(SheetPoint(0, p), s)
+            for p in points
+        )
 
 
 # -- spec'd operation names --------------------------------------------------------
-
-
-def iw_is_q_open(kind: IntervalScale, s: SheetSet) -> bool:
-    return kind.is_q_open(s)
 
 
 def iw_is_q_closed(kind: IntervalScale, s: SheetSet) -> bool:
@@ -971,21 +846,6 @@ def iw_is_subscale(h: IntervalScale, q: IntervalScale) -> bool:
 
 def iw_finer(p: IntervalScale, q: IntervalScale) -> bool:
     """p refines q: every q-neighborhood of a point contains a
-    p-neighborhood of it (catalog rules for the ball kinds)."""
-    if p.carrier != q.carrier:
-        raise ValueError("finer comparison requires a common carrier")
-    if p == q:
-        return True
-    if isinstance(p, BallSupersetScale) and isinstance(q, BallSupersetScale):
-        # Every q-neighborhood contains its required q-ball and is itself
-        # a p-neighborhood once the p-ball fits inside that q-ball.
-        if q.closed_ball or not p.closed_ball:
-            return p.a <= q.a
-        return p.a < q.a
-    if isinstance(p, BallScale) and isinstance(q, BallScale):
-        # Need some radius in p's range below every radius in q's range;
-        # only {r > a} against {r >= b} forces a < b.
-        if not p.strict or q.strict:
-            return p.a <= q.a
-        return p.a < q.a
-    return False
+    p-neighborhood of it.  On the catalog rules this is q being a
+    subscale of p, since every q-neighborhood is then a p-neighborhood."""
+    return iw_is_subscale(q, p)

@@ -323,6 +323,9 @@ class SheetSet:
     sheets: tuple[LineSet, ...]
 
     def __post_init__(self) -> None:
+        # A no-op kept on purpose: the generated ``__init__`` calls
+        # ``__post_init__`` only when this class defines one, and
+        # ``Carrier`` inherits that ``__init__`` to run its own checks.
         pass
 
     def __eq__(self, other: object) -> bool:
@@ -333,10 +336,6 @@ class SheetSet:
 
     def __hash__(self) -> int:
         return hash(self.sheets)
-
-    @staticmethod
-    def single(ls: LineSet) -> SheetSet:
-        return SheetSet((ls,))
 
     @property
     def n_sheets(self) -> int:
@@ -385,10 +384,6 @@ class SheetSet:
     @property
     def is_bounded(self) -> bool:
         return all(s.is_bounded for s in self.sheets)
-
-    def components(self) -> list[tuple[int, Interval]]:
-        """All maximal pieces as (sheet, interval) pairs."""
-        return [(i, p) for i, ls in enumerate(self.sheets) for p in ls.pieces]
 
     def __str__(self) -> str:
         if len(self.sheets) == 1:

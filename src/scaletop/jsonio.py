@@ -59,6 +59,22 @@ def flag_from_json(doc: dict, key: str, default: bool | None = None) -> bool:
     return value
 
 
+def int_from_json(value) -> int:
+    """A point, count, index, sheet or table entry must be a JSON integer.  A
+    boolean would read as 0 or 1 and a float would index nothing, so both
+    are malformed input and raise ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, not {value!r}")
+    return value
+
+
+def ints_from_json(doc) -> list[int]:
+    """A JSON list of integers: a point set, a family or a map table."""
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a JSON list of integers, not {doc!r}")
+    return [int_from_json(v) for v in doc]
+
+
 def exact_to_json(x: ExactNumber) -> dict:
     return {"a": fraction_to_json(x.a), "b": fraction_to_json(x.b)}
 
@@ -109,7 +125,7 @@ def sheet_point_to_json(p: SheetPoint) -> dict:
 
 
 def sheet_point_from_json(doc: dict) -> SheetPoint:
-    return SheetPoint(doc["sheet"], exact_from_json(doc["x"]))
+    return SheetPoint(int_from_json(doc["sheet"]), exact_from_json(doc["x"]))
 
 
 # -- finite world -------------------------------------------------------------
@@ -123,7 +139,9 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> FiniteSpace:
-    return FiniteSpace.of(doc["n"], [tuple(o) for o in doc["opens"]])
+    return FiniteSpace.of(
+        int_from_json(doc["n"]), [ints_from_json(o) for o in doc["opens"]]
+    )
 
 
 def scale_to_json(scale: Scale) -> dict:
@@ -140,10 +158,11 @@ def scale_to_json(scale: Scale) -> dict:
 
 def scale_from_json(doc: dict) -> Scale:
     space = space_from_json(doc["space"])
-    tq_sorted = [frozenset(s) for s in doc["tq"]]
-    assignment = tuple(
-        frozenset(tq_sorted[i] for i in fam) for fam in doc["assignment"]
-    )
+    tq_sorted = [frozenset(ints_from_json(s)) for s in doc["tq"]]
+    families = [ints_from_json(fam) for fam in doc["assignment"]]
+    if any(not 0 <= i < len(tq_sorted) for fam in families for i in fam):
+        raise ValueError("an assignment index is outside the tq list")
+    assignment = tuple(frozenset(tq_sorted[i] for i in fam) for fam in families)
     return Scale(space, frozenset(tq_sorted), assignment)
 
 
@@ -158,7 +177,7 @@ def scaled_map_to_json(f: ScaledMap) -> dict:
 
 def scaled_map_from_json(doc: dict) -> ScaledMap:
     return ScaledMap(
-        tuple(doc["table"]),
+        tuple(ints_from_json(doc["table"])),
         scale_from_json(doc["domain"]),
         scale_from_json(doc["codomain"]),
     )
@@ -187,9 +206,9 @@ def pam_to_json(pam: PiecewiseAffineMap) -> dict:
 def pam_from_json(doc: dict) -> PiecewiseAffineMap:
     pieces = tuple(
         AffinePiece(
-            p["sheet"],
+            int_from_json(p["sheet"]),
             interval_from_json(p["part"]),
-            p["out_sheet"],
+            int_from_json(p["out_sheet"]),
             fraction_from_json(p["slope"]),
             fraction_from_json(p["intercept"]),
         )

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactNumber, exact_max
+from .exactnum import ExactNumber
 from .intervals import (
     Carrier,
     Interval,
@@ -217,7 +217,7 @@ class PiecewiseAffineMap:
             candidates.append(abs(left - right))
         if not candidates:
             return ExactNumber(0)
-        return exact_max(*candidates)
+        return max(candidates)
 
     def gaps(self) -> list[tuple[SheetPoint, ExactNumber]]:
         """All points with positive gap.  Away from piece endpoints the map

@@ -81,7 +81,7 @@ from .finite_topology import (
     mask_points,
     set_key,
 )
-from .interval_scales import BoundedBallSupersetScale, full_line_carrier, iw_is_q_open
+from .interval_scales import BoundedBallSupersetScale, full_line_carrier
 from .intervals import Interval, LineSet, SheetSet
 from .scales import (
     Scale,
@@ -1025,14 +1025,14 @@ def _run_bqoa(task, cfg: SweepConfig) -> TaskResult:
             continue
         res.tested += 1
         complement = line.difference(s)
-        if iw_is_q_open(kind, complement):
+        if kind.is_q_open(complement):
             res.violation({"set": jsonio.sheetset_to_json(s)})
     if chunk_index == 0:
         # Edge claims: the empty set is closed (the whole line is open)
         # yet is itself never open.
         empty = SheetSet((LineSet.empty(),))
         res.tested += 1
-        if not iw_is_q_open(kind, line.whole()) or iw_is_q_open(kind, empty):
+        if not kind.is_q_open(line.whole()) or kind.is_q_open(empty):
             res.violation({"edge": "empty-set"})
     return res
 

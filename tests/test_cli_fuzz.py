@@ -5,7 +5,9 @@ Every single-field mutation of a fixture document must come back as one
 of those codes, never as a traceback.  A mutation can leave a document
 well formed, and then 0 or 1 is a verdict on it; a malformed one exits
 2 with a one-line error on stderr.  Zero denominators, rationals that
-are not JSON strings and non-boolean flags are always malformed.
+are not JSON strings and non-boolean flags are always malformed, and so
+are floats and booleans where a document holds integers (sheets, and the
+points, counts, indices and tables of a finite document).
 """
 
 import copy
@@ -15,7 +17,10 @@ import pytest
 
 from scaletop import jsonio
 from scaletop.cli import main
+from scaletop.continuity import ScaledMap
+from scaletop.finite_topology import sierpinski
 from scaletop.fixtures import load_fixture
+from scaletop.scales import trivial_scale
 
 # One garble per kind of damage: a zero denominator, a container where a
 # scalar goes, a float, a null, a stray string, an out-of-range index and
@@ -23,6 +28,9 @@ from scaletop.fixtures import load_fixture
 GARBLES = ("1/0", [], {}, 1.5, None, "x", -1, True)
 RATIONAL_KEYS = ("a", "b", "slope", "intercept")
 FLAG_KEYS = ("lo_closed", "hi_closed", "crossed")
+# Where a finite document holds integers, or lists of them.
+INT_KEYS = ("n", "opens", "tq", "assignment", "table")
+SHEET_KEYS = ("sheet", "out_sheet")
 
 
 def _paths(doc, path=()):
@@ -52,7 +60,15 @@ def _always_malformed(path, value) -> bool:
         return True
     if path[-1] in RATIONAL_KEYS and (value == "1/0" or not isinstance(value, str)):
         return True
+    if path[-1] in SHEET_KEYS and isinstance(value, (bool, float)):
+        return True
     return path[-1] in FLAG_KEYS and not isinstance(value, bool)
+
+
+def _finite_malformed(path, value) -> bool:
+    if not path:
+        return True
+    return isinstance(value, (bool, float)) and any(k in INT_KEYS for k in path)
 
 
 def _run(capsys, *argv):
@@ -60,25 +76,63 @@ def _run(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-def test_garbled_map_documents_keep_the_exit_code_contract(tmp_path, capsys):
-    base = jsonio.interval_scaled_map_to_json(load_fixture("ex12"))
-    doc_file = tmp_path / "map.json"
+def _garbles_keep_the_contract(tmp_path, capsys, base, commands, malformed_if):
+    """Run every single-field garble of ``base`` through each command, the
+    document's path last, and check the exit codes; returns how many runs
+    had an always-malformed document."""
+    doc_file = tmp_path / "doc.json"
     malformed = 0
     for path in _paths(base):
         for value in GARBLES:
-            case = (path, value)
             doc_file.write_text(json.dumps(_mutated(base, path, value)))
-            code, err = _run(
-                capsys, "check", "--map", str(doc_file), "--mode", "global-strong"
-            )
-            assert code in (0, 1, 2), case
-            if code == 2:
-                assert err.startswith("error: "), (case, err)
-                assert err.count("\n") == 1, (case, err)
-            if _always_malformed(path, value):
-                malformed += 1
-                assert code == 2, case
-    assert malformed > 50
+            for command in commands:
+                case = (path, value, command)
+                code, err = _run(capsys, *command, str(doc_file))
+                assert code in (0, 1, 2), case
+                if code == 2:
+                    assert err.startswith("error: "), (case, err)
+                    assert err.count("\n") == 1, (case, err)
+                if malformed_if(path, value):
+                    malformed += 1
+                    assert code == 2, case
+    return malformed
+
+
+def test_garbled_map_documents_keep_the_exit_code_contract(tmp_path, capsys):
+    base = jsonio.interval_scaled_map_to_json(load_fixture("ex12"))
+    commands = [("check", "--mode", "global-strong", "--map")]
+    assert _garbles_keep_the_contract(
+        tmp_path, capsys, base, commands, _always_malformed
+    ) > 50
+
+
+def _finite_map_doc():
+    t = trivial_scale(sierpinski())
+    return jsonio.scaled_map_to_json(ScaledMap((0, 1), t, t))
+
+
+def test_garbled_finite_map_documents_keep_the_exit_code_contract(tmp_path, capsys):
+    commands = [
+        ("check", "--mode", "global-strong", "--map"),
+        ("check", "--mode", "at-strong", "--at", "0", "--map"),
+    ]
+    assert _garbles_keep_the_contract(
+        tmp_path, capsys, _finite_map_doc(), commands, _finite_malformed
+    ) > 50
+
+
+def test_garbled_scale_documents_keep_the_exit_code_contract(tmp_path, capsys):
+    commands = [("validate", "--scale"), ("classify", "--scale")]
+    assert _garbles_keep_the_contract(
+        tmp_path, capsys, _finite_map_doc()["domain"], commands, _finite_malformed
+    ) > 20
+
+
+def test_garbled_space_documents_keep_the_exit_code_contract(tmp_path, capsys):
+    space = _finite_map_doc()["domain"]["space"]
+    assert _garbles_keep_the_contract(
+        tmp_path, capsys, space, [("validate", "--space")], _finite_malformed
+    ) > 5
 
 
 def _ex12_file(tmp_path):
@@ -139,3 +193,11 @@ def test_parsers_reject_non_boolean_flags(flag):
     for key in ("lo_closed", "hi_closed"):
         with pytest.raises(ValueError):
             jsonio.interval_from_json({**doc, key: flag})
+
+
+@pytest.mark.parametrize("value", [False, True, 0.0, 1.5, "0", None, [], {}])
+def test_parsers_reject_indices_that_are_not_integers(value):
+    with pytest.raises(ValueError):
+        jsonio.sheet_point_from_json({"sheet": value, "x": {"a": "0"}})
+    with pytest.raises(ValueError):
+        jsonio.ints_from_json([0, value])

@@ -6,6 +6,8 @@ set, and the empty set itself is never assigned."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scaletop.exactnum import SQRT2, ExactNumber
 from scaletop.interval_scales import (
@@ -21,7 +23,6 @@ from scaletop.interval_scales import (
     full_line_carrier,
     iw_finer,
     iw_is_q_closed,
-    iw_is_q_open,
     iw_is_subscale,
     segment_carrier,
 )
@@ -118,12 +119,12 @@ def test_bounded_ball_closed_sets():
     # Bounded nonempty sets are never q-closed: their complements are
     # unbounded and differ from the whole line.
     assert not iw_is_q_closed(bq, bounded)
-    assert iw_is_q_open(bq, bounded)
+    assert bq.is_q_open(bounded)
     empty = SheetSet((LineSet.empty(),))
     assert iw_is_q_closed(bq, empty)  # complement is the whole line
-    assert not iw_is_q_open(bq, empty)
+    assert not bq.is_q_open(empty)
     whole = SheetSet((LineSet.full_line(),))
-    assert iw_is_q_open(bq, whole)
+    assert bq.is_q_open(whole)
     assert not iw_is_q_closed(bq, whole)
 
 
@@ -198,8 +199,8 @@ def test_irrational_ends_membership():
     s_rat = line(iv(-1, 1))
     assert scale.member(ORIGIN, s_irr)
     assert not scale.member(ORIGIN, s_rat)
-    assert iw_is_q_open(scale, s_irr)
-    assert not iw_is_q_open(scale, s_rat)
+    assert scale.is_q_open(s_irr)
+    assert not scale.is_q_open(s_rat)
 
 
 def test_rational_ends_membership():
@@ -208,7 +209,7 @@ def test_rational_ends_membership():
     assert not scale.member(ORIGIN, line(Interval(-SQRT2, SQRT2, False, False)))
     mixed_ends = line(Interval(num(-1), SQRT2, False, False))
     assert not scale.member(ORIGIN, mixed_ends)
-    assert not iw_is_q_open(scale, mixed_ends)
+    assert not scale.is_q_open(mixed_ends)
 
 
 def test_mixed_ends_scale():
@@ -222,7 +223,7 @@ def test_mixed_ends_scale():
     assert matching.member(ORIGIN, line(iv(-1, 1)))
     assert crossed.member(ORIGIN, line(Interval(-SQRT2, SQRT2, False, False)))
     # Any same-class open interval is assigned somewhere in mixed modes.
-    assert iw_is_q_open(matching, s_rat) and iw_is_q_open(crossed, s_rat)
+    assert matching.is_q_open(s_rat) and crossed.is_q_open(s_rat)
 
 
 def test_end_class_witness_and_probes():
@@ -251,8 +252,8 @@ def test_connected_open_two_sheets():
     assert scale.member(p, one_sheet)
     assert not scale.member(p, both)  # disconnected across sheets
     assert scale.member(p, c.whole())  # the whole carrier is included
-    assert iw_is_q_open(scale, one_sheet)
-    assert not iw_is_q_open(scale, both)
+    assert scale.is_q_open(one_sheet)
+    assert not scale.is_q_open(both)
     w = scale.witness_inside(p, both)
     assert w is not None and scale.member(p, w) and w.issubset(both)
 
@@ -261,8 +262,8 @@ def test_trivial_interval_scale():
     c = punctured()
     scale = TrivialIntervalScale(c)
     open_disconnected = SheetSet((LineSet.of(iv(0, "1/2"), iv("1/2", 1)),))
-    assert iw_is_q_open(scale, open_disconnected)  # trivial scale keeps it
-    assert not iw_is_q_open(scale, SheetSet((LineSet.empty(),)))
+    assert scale.is_q_open(open_disconnected)  # trivial scale keeps it
+    assert not scale.is_q_open(SheetSet((LineSet.empty(),)))
     p = SheetPoint(0, num("1/4"))
     assert scale.member(p, open_disconnected)
 
@@ -279,7 +280,7 @@ def test_p_structure_interval_scale():
     assert scale.member(x, c.lift(LineSet.of(iv("1/8", "7/8"))))
     assert not scale.member(x, c.lift(LineSet.of(iv("3/8", "5/8"))))
     assert not scale.member(SheetPoint(0, num("1/4")), chosen)  # not tabulated
-    assert iw_is_q_open(scale, chosen)
+    assert scale.is_q_open(chosen)
     assert scale.witness_inside(x, c.whole()) == chosen
     with pytest.raises(ValueError):
         PStructureIntervalScale(
@@ -433,3 +434,87 @@ def test_probe_families_are_assigned():
                     for s in [*probes, *_sets_around(scale.carrier, x)]:
                         if scale.member(x, s):
                             assert scale.is_q_open(s), (scale.tag, x, s)
+
+# -- the witness and order contracts under drawn points and sets --------------------
+
+# Small pools, so that equal radii, shared ends and both endpoint classes
+# come up often.
+RADII = tuple(num(Fraction(n, 16)) for n in (1, 2, 4, 6, 8, 16, 24)) + tuple(
+    SQRT2 * Fraction(n, 16) for n in (1, 2, 4, 8)
+)
+OFFSETS = (num(0), num("1/8"), num("-1/4"), num(1), SQRT2 / 8, -SQRT2 / 4)
+KINDS = _every_kind()
+
+
+@st.composite
+def points_in(draw, scale, values):
+    xv = draw(st.sampled_from(values)) + draw(st.sampled_from(OFFSETS))
+    x = SheetPoint(draw(st.integers(0, scale.carrier.n_sheets - 1)), xv)
+    assume(scale.carrier.member(x))
+    return x
+
+
+@st.composite
+def sets_near(draw, scale, x):
+    """A probe of x, the whole carrier, or the carrier's trace of an
+    interval around x (possibly lopsided, possibly with a far piece)."""
+    pick = draw(st.integers(0, 3))
+    if pick == 0:
+        return scale.carrier.whole()
+    if pick == 1:
+        probes = scale.point_probes(x, critical=(num(0), num(1)))
+        if probes:
+            return draw(st.sampled_from(probes))
+    r_lo = draw(st.sampled_from(RADII))
+    r_hi = r_lo if draw(st.booleans()) else draw(st.sampled_from(RADII))
+    closed = draw(st.sampled_from([(False, False), (True, False), (False, True)]))
+    near = LineSet.of(Interval(x.x - r_lo, x.x + r_hi, *closed))
+    if draw(st.booleans()):
+        far = x.x + draw(st.sampled_from(RADII)) + 2
+        near = near.union(LineSet.of(Interval(far, far + 1, False, False)))
+    return scale.carrier.lift(near, x.sheet).intersect(scale.carrier.whole())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_witnesses_are_members_inside_their_set(data):
+    """A witness is assigned to its point and lies inside the set, and a
+    set assigned to a point has a witness inside it."""
+    scale, values = data.draw(st.sampled_from(KINDS))
+    x = data.draw(points_in(scale, values))
+    s = data.draw(sets_near(scale, x))
+    w = scale.witness_inside(x, s)
+    if w is not None:
+        assert scale.member(x, w) and w.issubset(s), (scale.tag, x, s, w)
+    if scale.member(x, s):
+        assert w is not None, (scale.tag, x, s)
+
+
+@st.composite
+def ball_kind(draw, family):
+    a = draw(st.sampled_from(RADII))
+    if family == "Q_a":
+        return BallSupersetScale(LINE, a=a, closed_ball=draw(st.booleans()))
+    strict = draw(st.booleans())
+    if strict and draw(st.booleans()):
+        a = num(0)
+    return BallScale(LINE, a=a, strict=strict)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_order_rules_agree_with_probes(data):
+    """If p is a subscale of q, every p-probe is a q-member; if p is finer
+    than q, every q-probe holds a p-witness."""
+    family = data.draw(st.sampled_from(["Q_a", "CQ_a"]))
+    p, q = data.draw(ball_kind(family)), data.draw(ball_kind(family))
+    xv = data.draw(st.sampled_from(OFFSETS)) + data.draw(st.sampled_from(RADII))
+    x = SheetPoint(0, xv)
+    critical = data.draw(st.lists(st.sampled_from(RADII), max_size=3))
+    if iw_is_subscale(p, q):
+        for s in p.point_probes(x, critical):
+            assert q.member(x, s), (p, q, x, s)
+    if iw_finer(p, q):
+        for s in q.point_probes(x, critical):
+            w = p.witness_inside(x, s)
+            assert w is not None and w.issubset(s) and p.member(x, w), (p, q, x, s)
