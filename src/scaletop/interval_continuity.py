@@ -10,6 +10,17 @@ critical sets.  Each probe is decided exactly, so a failing verdict is
 an unconditional counterexample certificate, while a passing verdict
 means "holds on all probes".
 
+Probes are taken one at a time, in order and without repeats, and a
+check stops at the first probe that fails, so the probes after it are
+never built.  Strong at-point and global checks, and every check whose
+domain scale is a ``PStructure``, pull each probe back through the
+whole map.  Weak at-point and weak local checks on the other kinds ask
+only whether the preimage holds an assigned neighborhood of the point,
+which its component around the point decides, so they pull back only
+that component (see ``IntervalScale.local_witness``).  The whole
+preimage is computed for a failing probe, because its certificate
+carries it.
+
 Mirroring the finite world, globally-checked sets with empty preimage
 are vacuously satisfied.
 """
@@ -17,11 +28,13 @@ are vacuously satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Iterator
 
 from .continuity import ContinuityMode
 from .exactnum import ExactNumber, irrational_between
 from .interval_scales import IntervalScale, TrivialIntervalScale
-from .intervals import SheetPoint, SheetSet
+from .intervals import SheetPoint, SheetSet, _first_occurrences
 from .pwmaps import PiecewiseAffineMap
 
 
@@ -109,11 +122,14 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
     return points
 
 
-def _generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
-    """Codomain probe sets around the images of the map's critical
-    coordinates."""
+def _global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
+    """The declared probe family, then codomain probe sets around the
+    images of the map's critical coordinates, without repeats."""
+    return _first_occurrences(chain(m.probe_family, _generated_global_probes(m)))
+
+
+def _generated_global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
     criticals = codomain_critical_coords(m)
-    out: dict[SheetSet, None] = {}  # insertion-ordered set
     for sheet, line in enumerate(m.pam.codomain.sheets):
         anchor_xs: list[ExactNumber] = []
         for c in criticals:
@@ -123,11 +139,9 @@ def _generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
             if piece.lo is not None and piece.hi is not None and piece.lo < piece.hi:
                 anchor_xs.append(piece.lo + (piece.hi - piece.lo) / 2)
         for x in anchor_xs:
-            for probe in m.codomain_scale.point_probes(
+            yield from m.codomain_scale.iter_point_probes(
                 SheetPoint(sheet, x), critical=criticals
-            ):
-                out[probe] = None
-    return list(out)
+            )
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
@@ -142,6 +156,16 @@ def _holds_at(
     if mode.strength == "strong":
         return dom_scale.member(p, pre)
     return dom_scale.witness_inside(p, pre) is not None
+
+
+def _weak_holds_locally(
+    pam: PiecewiseAffineMap, dom_scale: IntervalScale, p: SheetPoint, cut: SheetSet
+) -> bool:
+    """The weak at-point decision for the preimage of ``cut`` (a subset
+    of the codomain), read off its component around p.  Equal to
+    ``_holds_at`` on the whole preimage when ``dom_scale.local_witness``."""
+    comp = pam._preimage_component(cut, p)
+    return comp is not None and dom_scale.witness_inside(p, comp) is not None
 
 
 def _holds_open(
@@ -183,22 +207,30 @@ def _check_at_point(
     p: SheetPoint,
     criticals: list[ExactNumber],
 ) -> IntervalVerdict:
-    y = m.pam.eval(p)
-    for target in m.codomain_scale.point_probes(y, critical=criticals):
-        pre = m.pam.preimage(target.intersect(m.pam.codomain))
-        if not _holds_at(dom_scale, mode, p, pre):
-            return IntervalVerdict(
-                False, mode, {"point": p, "target": target, "preimage": pre}
-            )
+    pam = m.pam
+    local = mode.strength == "weak" and dom_scale.local_witness
+    probes = m.codomain_scale.iter_point_probes(pam.eval(p), critical=criticals)
+    for target in _first_occurrences(probes):
+        cut = target.intersect(pam.codomain)
+        if local:
+            if _weak_holds_locally(pam, dom_scale, p, cut):
+                continue
+            pre = pam._preimage(cut)
+        else:
+            pre = pam._preimage(cut)
+            if _holds_at(dom_scale, mode, p, pre):
+                continue
+        return IntervalVerdict(
+            False, mode, {"point": p, "target": target, "preimage": pre}
+        )
     return IntervalVerdict(True, mode)
 
 
 def _check_global(
     m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
 ) -> IntervalVerdict:
-    probes = dict.fromkeys([*m.probe_family, *_generated_global_probes(m)])
-    for target in probes:
-        pre = m.pam.preimage(target.intersect(m.pam.codomain))
+    for target in _global_probes(m):
+        pre = m.pam._preimage(target.intersect(m.pam.codomain))
         if not pre.is_empty and not _holds_open(dom_scale, mode, pre):
             return IntervalVerdict(False, mode, {"r_open": target, "preimage": pre})
     return IntervalVerdict(True, mode)

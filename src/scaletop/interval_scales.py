@@ -11,7 +11,8 @@ three exact decision procedures instead of an enumerated family:
 plus ``point_probes(x, critical)``, a deterministic finite family of
 assigned neighborhoods of x used by the continuity checkers (generated
 around the supplied critical coordinates so straddling and
-non-straddling shapes both appear).
+non-straddling shapes both appear).  The checkers take the same family
+from ``iter_point_probes``, one set at a time.
 
 Membership rules, by tag:
 
@@ -55,7 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import attrgetter
+from typing import ClassVar, Iterator, Sequence
 
 from .exactnum import ExactNumber, irrational_between, rational_between
 from .intervals import (
@@ -64,6 +66,9 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _first_occurrences,
+    _intersect_intervals,
+    _ordered,
     _piece_holding,
     interior_component_containing,
     is_connected_in_carrier,
@@ -73,6 +78,7 @@ from .intervals import (
 _ZERO = ExactNumber(0)
 _ONE = ExactNumber(1)
 _HALF = ExactNumber(Fraction(1, 2))
+_THREE_HALVES = ExactNumber(Fraction(3, 2))
 
 
 def full_line_carrier() -> Carrier:
@@ -152,7 +158,7 @@ def _derived_radii(
     for c in critical:
         d = abs(x - c)
         if d.sign() > 0:
-            cands.update({d, d * _HALF, d + d * _HALF})
+            cands.update({d, d * _HALF, d * _THREE_HALVES})
     if upper_incl is not None:
         cands.update({upper_incl, upper_incl * _HALF})
     if lower_excl is not None:
@@ -168,7 +174,7 @@ def _derived_radii(
         if upper_incl is not None and r > upper_incl:
             continue
         out.append(r)
-    return sorted(set(out))[:12]
+    return sorted(out)[:12]
 
 
 # -- shared neighborhood primitives -----------------------------------------------
@@ -176,14 +182,15 @@ def _derived_radii(
 
 def _ball(x: ExactNumber, r: ExactNumber, closed: bool = False) -> LineSet:
     """The ball of radius r > 0 around x, open unless ``closed``."""
-    return LineSet((Interval(x - r, x + r, closed, closed),))
+    return LineSet((_ordered(x - r, x + r, closed, closed),))
 
 
 def _ball_ladder(
     x: ExactNumber, a: ExactNumber, critical: Sequence[ExactNumber]
-) -> list[SheetSet]:
+) -> Iterator[SheetSet]:
     """The open balls around x of radius a plus each derived radius."""
-    return [SheetSet((_ball(x, a + d),)) for d in _derived_radii(x, critical)]
+    for d in _derived_radii(x, critical):
+        yield SheetSet((_ball(x, a + d),))
 
 
 def _capped_radius(
@@ -211,11 +218,17 @@ def _open_interval(s: SheetSet) -> Interval | None:
 
 @dataclass(frozen=True)
 class IntervalScale:
-    """Base for catalog kinds; concrete kinds override the rule methods."""
+    """Base for catalog kinds; concrete kinds override the rule methods.
+
+    A kind sets ``local_witness`` when ``witness_inside(x, s)`` finds a
+    witness exactly when it finds one for the component of s around x
+    alone: it reads s only near x, through the carrier.  The weak
+    at-point checks then pull back only that component."""
 
     carrier: Carrier
 
     tag: str = field(init=False, default="")
+    local_witness: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         raise NotImplementedError
@@ -229,6 +242,13 @@ class IntervalScale:
     def point_probes(
         self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
     ) -> list[SheetSet]:
+        return list(self.iter_point_probes(x, critical))
+
+    def iter_point_probes(
+        self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
+    ) -> Iterator[SheetSet]:
+        """The probes of ``point_probes``, in order, each built only when
+        it is taken, so a check that fails early builds no more."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -244,21 +264,27 @@ class IntervalScale:
 
 def _open_component_probes(
     carrier: Carrier, x: SheetPoint, critical: Sequence[ExactNumber]
-) -> list[SheetSet]:
+) -> Iterator[SheetSet]:
     """The whole carrier, then the open component around x inside each
-    open ball at a derived radius, without repeats."""
-    probes: dict[SheetSet, None] = {carrier.whole(): None}  # insertion-ordered set
-    for r in _derived_radii(x.x, critical):
-        ball = carrier.lift(_ball(x.x, r), x.sheet)
-        comp = interior_component_containing(carrier, ball, x)
-        if comp is not None:
-            probes[comp] = None
-    return list(probes)
+    open ball at a derived radius, without repeats.  That component is
+    the ball cut to the carrier piece holding x: the ball is open, so the
+    cut keeps only closed ends of that piece, and the interior keeps
+    those."""
+    home = _piece_holding(carrier.sheets[x.sheet], x.x)
+
+    def components() -> Iterator[SheetSet]:
+        yield carrier.whole()
+        for r in _derived_radii(x.x, critical):
+            cut = _intersect_intervals(_ordered(x.x - r, x.x + r, False, False), home)
+            yield carrier.lift(LineSet((cut,)), x.sheet)
+
+    return _first_occurrences(components())
 
 
 @dataclass(frozen=True)
 class TrivialIntervalScale(IntervalScale):
     tag: str = field(init=False, default="Trivial")
+    local_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)
@@ -271,7 +297,7 @@ class TrivialIntervalScale(IntervalScale):
         self._contains_point(x)
         return interior_component_containing(self.carrier, s, x)
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         self._contains_point(x)
         return _open_component_probes(self.carrier, x, critical)
 
@@ -290,6 +316,8 @@ class BallSupersetScale(IntervalScale):
 
     a: ExactNumber = _ONE
     closed_ball: bool = True
+
+    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -331,9 +359,10 @@ class BallSupersetScale(IntervalScale):
             return None
         return comp
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        return [*_ball_ladder(xx, self.a, critical), SheetSet((LineSet.full_line(),))]
+        yield from _ball_ladder(xx, self.a, critical)
+        yield SheetSet((LineSet.full_line(),))
 
 
 @dataclass(frozen=True)
@@ -342,6 +371,8 @@ class BallScale(IntervalScale):
 
     a: ExactNumber = _ZERO
     strict: bool = True
+
+    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -378,10 +409,11 @@ class BallScale(IntervalScale):
         r = _capped_radius(rng, xx, _piece_holding(_single_line(s), xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        ladder = _ball_ladder(xx, self.a, critical)
-        return ladder if self.strict else [SheetSet((_ball(xx, self.a),)), *ladder]
+        if not self.strict:
+            yield SheetSet((_ball(xx, self.a),))
+        yield from _ball_ladder(xx, self.a, critical)
 
 
 @dataclass(frozen=True)
@@ -393,6 +425,7 @@ class BoundedBallSupersetScale(IntervalScale):
     a: ExactNumber = _ZERO
 
     tag: str = field(init=False, default="BQ_Oa")
+    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -430,12 +463,67 @@ class BoundedBallSupersetScale(IntervalScale):
         r = _capped_radius(rng, xx, _piece_holding(line, xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        return [*_ball_ladder(xx, self.a, critical), SheetSet((LineSet.full_line(),))]
+        yield from _ball_ladder(xx, self.a, critical)
+        yield SheetSet((LineSet.full_line(),))
 
 
 # -- carrier traces of symmetric balls ----------------------------------------------
+
+
+_LOWER_END = attrgetter("lo", "lo_closed")
+_UPPER_END = attrgetter("hi", "hi_closed")
+
+
+def _first_uncovered(
+    carrier: Sequence[Interval],
+    line: Sequence[Interval],
+    x: ExactNumber,
+    rightward: bool,
+) -> tuple[ExactNumber, bool] | None:
+    """Walking from x (included) to the right or to the left, the first
+    carrier point that ``line`` does not cover, as (v, closed): the
+    uncovered points start at v, with v itself only when closed.  None
+    when every carrier point that way is covered.  Both arguments are
+    the pieces of canonical sets; each list is walked once, from x out."""
+    near, far = _LOWER_END, _UPPER_END
+    beyond = ExactNumber.__gt__
+    if not rightward:
+        carrier, line = carrier[::-1], line[::-1]
+        near, far = far, near
+        beyond = ExactNumber.__lt__
+
+    def ends_before(iv: Interval, v: ExactNumber, closed: bool) -> bool:
+        e, ec = far(iv)
+        return e is not None and (beyond(v, e) or (e == v and not (ec and closed)))
+
+    def starts_by(iv: Interval, v: ExactNumber, closed: bool) -> bool:
+        e, ec = near(iv)
+        return e is None or beyond(v, e) or (e == v and (ec or not closed))
+
+    pos, closed = x, True
+    j = 0
+    for piece in carrier:
+        if ends_before(piece, pos, closed):
+            continue
+        if not starts_by(piece, pos, closed):
+            pos, closed = near(piece)
+        while j < len(line):
+            cover = line[j]
+            if ends_before(cover, pos, closed):
+                j += 1
+            elif starts_by(cover, pos, closed):
+                end, end_closed = far(cover)
+                if end is None:
+                    return None
+                pos, closed = end, not end_closed
+                j += 1
+            else:
+                break
+        if not ends_before(piece, pos, closed):
+            return pos, closed
+    return None
 
 
 @dataclass(frozen=True)
@@ -448,6 +536,15 @@ class _TraceScale(IntervalScale):
     x, the piece of the line holding x that avoids them; s must lie
     inside the host, and the ball fits while r stays within its ends."""
 
+    # A witness is a radius in the range ``_radii`` admits, capped by the
+    # distances from x to the ends of its host.  Given only the component
+    # of s around x, a host end can move nearer only to a further piece of
+    # s, across a gap of s that holds no carrier point.  On TruncatedQ_a's
+    # segment every gap holds carrier points, so the host is the same; on
+    # SymmetricIntervals the range asks only r > 0, and x lies strictly
+    # inside the one host exactly when it does inside the other.
+    local_witness: ClassVar[bool] = True
+
     def _radii(self, x: ExactNumber) -> _Range:
         """The radii admitted at x: a fresh range, open at its lower end."""
         raise NotImplementedError
@@ -457,8 +554,16 @@ class _TraceScale(IntervalScale):
 
     def _host(self, line: LineSet, x: ExactNumber) -> Interval | None:
         """The piece of the line holding x that avoids every carrier point
-        outside ``line``; None when x is such a point."""
-        return _piece_holding(self.carrier.sheets[0].difference(line).complement(), x)
+        outside ``line``; None when x is such a point.  Its ends are the
+        first such points met walking out from x on either side."""
+        carrier = self.carrier.sheets[0].pieces
+        right = _first_uncovered(carrier, line.pieces, x, rightward=True)
+        if right == (x, True):
+            return None
+        left = _first_uncovered(carrier, line.pieces, x, rightward=False)
+        lo, lc = (None, False) if left is None else (left[0], not left[1])
+        hi, hc = (None, False) if right is None else (right[0], not right[1])
+        return Interval(lo, hi, lc, hc)
 
     def _shaped_host(self, line: LineSet, x: ExactNumber) -> Interval | None:
         """The host of x when ``line`` has the shape of a trace around x:
@@ -497,12 +602,12 @@ class _TraceScale(IntervalScale):
         r = _capped_radius(self._radii(xx), xx, self._host(_single_line(s), xx))
         return None if r is None else self._trace(xx, r)
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
         self._contains_point(x)
         rng = self._radii(xx)
         radii = _derived_radii(xx, critical, lower_excl=rng.lo, upper_incl=rng.hi)
-        return list(dict.fromkeys(self._trace(xx, r) for r in radii))
+        return _first_occurrences(self._trace(xx, r) for r in radii)
 
 
 @dataclass(frozen=True)
@@ -582,6 +687,8 @@ class EndClassScale(IntervalScale):
     mode: str = "rational"
     crossed: bool = False
 
+    local_witness: ClassVar[bool] = True
+
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
         if self.mode not in ("rational", "irrational", "mixed"):
@@ -655,12 +762,10 @@ class EndClassScale(IntervalScale):
             return None
         return self._of_class(xx, lo_floor, xx, xx, hi_ceil)
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
-        return [
-            self._of_class(xx, xx - d, xx - d * _HALF, xx + d * _HALF, xx + d)
-            for d in _derived_radii(xx, critical)
-        ]
+        for d in _derived_radii(xx, critical):
+            yield self._of_class(xx, xx - d, xx - d * _HALF, xx + d * _HALF, xx + d)
 
 
 # -- connected relatively open neighborhoods ------------------------------------------
@@ -671,6 +776,7 @@ class ConnectedOpenScale(IntervalScale):
     """The whole carrier plus connected relatively open neighborhoods."""
 
     tag: str = field(init=False, default="ConnectedOpen")
+    local_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)
@@ -698,7 +804,7 @@ class ConnectedOpenScale(IntervalScale):
             return s
         return interior_component_containing(self.carrier, s, x)
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         self._contains_point(x)
         return _open_component_probes(self.carrier, x, critical)
 
@@ -751,12 +857,10 @@ class PStructureIntervalScale(IntervalScale):
             return chosen
         return None
 
-    def point_probes(self, x, critical=()):
+    def iter_point_probes(self, x, critical=()):
         self._contains_point(x)
         chosen = self._chosen(x)
-        if chosen is None:
-            return []
-        return [chosen, self.carrier.whole()]
+        return iter(() if chosen is None else (chosen, self.carrier.whole()))
 
 
 # -- truncated symmetric balls on a segment ---------------------------------------------

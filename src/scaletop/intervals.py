@@ -15,7 +15,7 @@ All operations are pure and exact; no floats are consulted anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .exactnum import ExactNumber
 
@@ -110,6 +110,22 @@ def point_interval(p: ExactNumber) -> Interval:
 
 FULL_LINE_INTERVAL = Interval(None, None, False, False)
 
+_new = object.__new__
+
+
+def _ordered(lo: Bound, hi: Bound, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An ``Interval`` from ends the caller already knows to be valid (in
+    order, infinite ends open, a point closed on both sides), built
+    without ``__post_init__``: cuts, merges and balls come from valid
+    intervals or are valid by construction."""
+    iv = _new(Interval)
+    d = iv.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    d["lo_closed"] = lo_closed
+    d["hi_closed"] = hi_closed
+    return iv
+
 
 def _intersect_intervals(x: Interval, y: Interval) -> Interval | None:
     if _cmp_lower(x.lo, x.lo_closed, y.lo, y.lo_closed) >= 0:
@@ -123,7 +139,7 @@ def _intersect_intervals(x: Interval, y: Interval) -> Interval | None:
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and not (lc and hc)):
             return None
-    return Interval(lo, hi, lc, hc)
+    return _ordered(lo, hi, lc, hc)
 
 
 def _touches(first: Interval, second: Interval) -> bool:
@@ -178,6 +194,8 @@ class LineSet:
         from disjoint, non-adjacent pieces stay so, and they come out in
         order, so the result is canonical without ``normalize``."""
         xs, ys = self.pieces, other.pieces
+        if len(ys) == 1 and ys[0].lo is None and ys[0].hi is None:
+            return self  # cut to the whole line
         nx, ny = len(xs), len(ys)
         out = []
         i = j = 0
@@ -303,7 +321,7 @@ def _merge_sorted(items: list[Interval]) -> LineSet:
                 hi, hc = nxt.hi, nxt.hi_closed
             else:
                 hi, hc = cur.hi, cur.hi_closed
-            merged[-1] = Interval(cur.lo, hi, cur.lo_closed, hc)
+            merged[-1] = _ordered(cur.lo, hi, cur.lo_closed, hc)
         else:
             merged.append(nxt)
     return LineSet(tuple(merged))
@@ -389,6 +407,15 @@ class SheetSet:
         if len(self.sheets) == 1:
             return str(self.sheets[0])
         return "; ".join(f"sheet {i}: {s}" for i, s in enumerate(self.sheets))
+
+
+def _first_occurrences(sets: Iterable[SheetSet]) -> Iterator[SheetSet]:
+    """``sets`` without repeats, each where it first occurs."""
+    seen: set[SheetSet] = set()
+    for s in sets:
+        if s not in seen:
+            seen.add(s)
+            yield s
 
 
 class Carrier(SheetSet):

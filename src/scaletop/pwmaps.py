@@ -29,8 +29,10 @@ from .intervals import (
     SheetPoint,
     SheetSet,
     _cmp_lower,
-    _intersect_intervals,
+    _cmp_upper,
     _merge_sorted,
+    _ordered,
+    _touches,
     normalize,
     point_interval,
 )
@@ -39,7 +41,10 @@ from .intervals import (
 @dataclass(frozen=True)
 class AffinePiece:
     """One affine piece: on ``part`` of domain sheet ``sheet``, the map is
-    x -> slope*x + intercept, landing on codomain sheet ``out_sheet``."""
+    x -> slope*x + intercept, landing on codomain sheet ``out_sheet``.
+
+    The image interval and the inverse are computed on first use and kept
+    on the piece, outside the fields."""
 
     sheet: int
     part: Interval
@@ -51,6 +56,10 @@ class AffinePiece:
         return x * self.slope + self.intercept
 
     def image_interval(self) -> Interval:
+        return self._image
+
+    @functools.cached_property
+    def _image(self) -> Interval:
         if self.slope == 0:
             return point_interval(ExactNumber(self.intercept))
         lo, hi = self.part.lo, self.part.hi
@@ -60,21 +69,61 @@ class AffinePiece:
             return Interval(lo_v, hi_v, self.part.lo_closed, self.part.hi_closed)
         return Interval(hi_v, lo_v, self.part.hi_closed, self.part.lo_closed)
 
+    @functools.cached_property
+    def _inverse(self) -> tuple[ExactNumber, ExactNumber]:
+        """(1/slope, -intercept/slope) of a piece that is not constant, so
+        that x = y*inv + shift solves slope*x + intercept = y."""
+        return ExactNumber(1 / self.slope), ExactNumber(-self.intercept / self.slope)
+
+    @functools.cached_property
+    def _descending(self) -> bool:
+        return self.slope < 0
+
     def preimage_interval(self, target: Interval) -> Interval | None:
-        """Solve slope*x + intercept in target, restricted to this piece."""
-        if self.slope == 0:
-            if target.contains(ExactNumber(self.intercept)):
-                return self.part
-            return None
-        inv = Fraction(1, 1) / self.slope
-        lo, hi = target.lo, target.hi
-        lo_v = None if lo is None else (lo - self.intercept) * inv
-        hi_v = None if hi is None else (hi - self.intercept) * inv
-        if self.slope > 0:
-            pre = Interval(lo_v, hi_v, target.lo_closed, target.hi_closed)
+        """Solve slope*x + intercept in target, restricted to this piece.
+
+        The target is cut to the piece's image first, so a target that
+        misses the image costs two comparisons, and an end that the image
+        sets maps back to the piece's own end without arithmetic."""
+        img = self._image
+        if _cmp_lower(target.lo, target.lo_closed, img.lo, img.lo_closed) > 0:
+            lo, lc, lo_img = target.lo, target.lo_closed, False
         else:
-            pre = Interval(hi_v, lo_v, target.hi_closed, target.lo_closed)
-        return _intersect_intervals(pre, self.part)
+            lo, lc, lo_img = img.lo, img.lo_closed, True
+        if _cmp_upper(target.hi, target.hi_closed, img.hi, img.hi_closed) < 0:
+            hi, hc, hi_img = target.hi, target.hi_closed, False
+        else:
+            hi, hc, hi_img = img.hi, img.hi_closed, True
+        if lo is not None and hi is not None:
+            if lo > hi or (lo == hi and not (lc and hc)):
+                return None
+        part = self.part
+        if lo_img and hi_img:
+            # The target holds the image, as it must when the piece is
+            # constant and the cut is not empty.
+            return part
+        inv, shift = self._inverse
+        if not self._descending:
+            x_lo = part.lo if lo_img else lo * inv + shift
+            x_hi = part.hi if hi_img else hi * inv + shift
+            return _ordered(x_lo, x_hi, lc, hc)
+        x_lo = part.lo if hi_img else hi * inv + shift
+        x_hi = part.hi if lo_img else lo * inv + shift
+        return _ordered(x_lo, x_hi, hc, lc)
+
+    def _cuts(self, line: LineSet) -> list[Interval]:
+        """The pieces of this part that map into ``line``, in domain order.
+        They are mutually separated: the map is a homeomorphism of the part
+        onto its image (or constant, giving at most one cut)."""
+        targets = line.pieces
+        if self._descending:
+            targets = reversed(targets)
+        out = []
+        for target in targets:
+            cut = self.preimage_interval(target)
+            if cut is not None:
+                out.append(cut)
+        return out
 
 
 _by_lower_end = functools.cmp_to_key(
@@ -86,6 +135,13 @@ _by_lower_end = functools.cmp_to_key(
 
 class MapDomainError(ValueError):
     """Raised when a point or set falls outside the relevant carrier."""
+
+
+def _index_holding(pieces: tuple[AffinePiece, ...], p: SheetPoint) -> int:
+    for i, piece in enumerate(pieces):
+        if piece.part.contains(p.x):
+            return i
+    raise MapDomainError(f"point {p} outside the domain carrier")
 
 
 @dataclass(frozen=True)
@@ -121,10 +177,14 @@ class PiecewiseAffineMap:
     # -- evaluation --------------------------------------------------------
 
     def piece_at(self, p: SheetPoint) -> AffinePiece:
-        for piece in self.pieces:
-            if piece.sheet == p.sheet and piece.part.contains(p.x):
-                return piece
-        raise MapDomainError(f"point {p} outside the domain carrier")
+        pieces = self._pieces_on(p)
+        return pieces[_index_holding(pieces, p)]
+
+    def _pieces_on(self, p: SheetPoint) -> tuple[AffinePiece, ...]:
+        """The pieces, in order, of the domain sheet that p names."""
+        if not 0 <= p.sheet < len(self._sheet_pieces):
+            raise MapDomainError(f"point {p} outside the domain carrier")
+        return self._sheet_pieces[p.sheet]
 
     def eval(self, p: SheetPoint) -> SheetPoint:
         piece = self.piece_at(p)
@@ -146,24 +206,64 @@ class PiecewiseAffineMap:
         return SheetSet(tuple(out))
 
     def preimage(self, s: SheetSet) -> SheetSet:
+        """The whole preimage of ``s``, which must lie in the codomain.
+
+        The continuity checkers pull back sets they have already cut to
+        the codomain, so they call ``_preimage`` and skip this check.  The
+        strong at-point, global and ``PStructure`` checks read the whole
+        preimage, and so does every failure certificate; weak at-point and
+        weak local checks on the other kinds read only
+        ``_preimage_component``."""
         if not s.issubset(self.codomain):
             raise MapDomainError("preimage argument not inside the codomain carrier")
-        # The pieces of a sheet are disjoint and in order, and an affine
-        # piece keeps the order of the target pieces (reverses it when the
-        # slope is negative), so the cuts come out sorted and one merge
-        # makes them canonical.
+        return self._preimage(s)
+
+    def _preimage(self, s: SheetSet) -> SheetSet:
+        # The pieces of a sheet are disjoint and in order, and each piece's
+        # cuts come out in order, so one merge makes them canonical.
         out = []
         for pieces in self._sheet_pieces:
             cuts = []
             for piece in pieces:
-                targets = s.sheets[piece.out_sheet].pieces
-                if piece.slope < 0:
-                    targets = reversed(targets)
-                for target in targets:
-                    cut = piece.preimage_interval(target)
-                    if cut is not None:
-                        cuts.append(cut)
+                cuts += piece._cuts(s.sheets[piece.out_sheet])
             out.append(_merge_sorted(cuts))
+        return SheetSet(tuple(out))
+
+    def _preimage_component(self, s: SheetSet, p: SheetPoint) -> SheetSet | None:
+        """The component around p of ``_preimage(s)``, that is
+        ``component_containing(self._preimage(s), p)``, found by walking
+        outward from the piece holding p: within a piece the cuts are
+        separated, so the component crosses into the next piece only from
+        the last cut of a piece, and on into a third only when the next
+        piece has that one cut."""
+        pieces = self._pieces_on(p)
+        i = _index_holding(pieces, p)
+        cuts = pieces[i]._cuts(s.sheets[pieces[i].out_sheet])
+        k = next((k for k, cut in enumerate(cuts) if cut.contains(p.x)), None)
+        if k is None:
+            return None
+        comp = cuts[k]
+        # A cut of a later piece ends after every cut of an earlier one, so
+        # merging two touching cuts keeps the outer ends, as _merge_sorted
+        # does.
+        if k == len(cuts) - 1:
+            for piece in pieces[i + 1 :]:
+                more = piece._cuts(s.sheets[piece.out_sheet])
+                if not more or not _touches(comp, more[0]):
+                    break
+                comp = _ordered(comp.lo, more[0].hi, comp.lo_closed, more[0].hi_closed)
+                if len(more) > 1:
+                    break
+        if k == 0:
+            for piece in reversed(pieces[:i]):
+                more = piece._cuts(s.sheets[piece.out_sheet])
+                if not more or not _touches(more[-1], comp):
+                    break
+                comp = _ordered(more[-1].lo, comp.hi, more[-1].lo_closed, comp.hi_closed)
+                if len(more) > 1:
+                    break
+        out = [LineSet.empty()] * len(self._sheet_pieces)
+        out[p.sheet] = LineSet((comp,))
         return SheetSet(tuple(out))
 
     # -- limits and gaps ----------------------------------------------------

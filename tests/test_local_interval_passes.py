@@ -5,8 +5,15 @@ they replace.
   ``component_containing(interior_in_carrier(C, s ∩ C), p)``;
 * ``is_open_in_carrier`` against ``s ∩ cl(C \\ s) = ∅``;
 * ``PiecewiseAffineMap.preimage`` against the union of each piece's
-  ``normalize``d cuts;
-* ``_open_component_probes`` against a list scanned for repeats.
+  ``normalize``d cuts, each cut solved through ``1/slope`` and cut to
+  the piece;
+* ``PiecewiseAffineMap._preimage_component`` against the component of
+  the whole preimage around the point;
+* ``_open_component_probes`` against a list scanned for repeats;
+* ``_TraceScale._host`` against the piece holding x of the complement
+  of carrier-minus-s;
+* the weak at-point decision on the component of the preimage around a
+  point against ``_holds_at`` on the whole preimage, for every kind.
 
 The references are written out here as the library computed them
 before, so a change to the library cannot move both sides.
@@ -17,17 +24,33 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
-from scaletop.interval_scales import _derived_radii, _open_component_probes
+from scaletop.interval_continuity import _holds_at, _weak_holds_locally
+from scaletop.interval_scales import (
+    BallScale,
+    BallSupersetScale,
+    BoundedBallSupersetScale,
+    ConnectedOpenScale,
+    EndClassScale,
+    PStructureIntervalScale,
+    SymmetricIntervalScale,
+    TrivialIntervalScale,
+    TruncatedBallScale,
+    _derived_radii,
+    _open_component_probes,
+    segment_carrier,
+)
 from scaletop.intervals import (
     Carrier,
     Interval,
     LineSet,
     SheetPoint,
     SheetSet,
+    _piece_holding,
     component_containing,
     interior_component_containing,
     interior_in_carrier,
@@ -55,13 +78,28 @@ def ref_is_open(carrier: SheetSet, s: SheetSet) -> bool:
     return s.intersect(carrier.difference(s).closure()).is_empty
 
 
+def ref_preimage_interval(piece: AffinePiece, target: Interval) -> Interval | None:
+    if piece.slope == 0:
+        return piece.part if target.contains(ExactNumber(piece.intercept)) else None
+    inv = Fraction(1, 1) / piece.slope
+    lo, hi = target.lo, target.hi
+    lo_v = None if lo is None else (lo - piece.intercept) * inv
+    hi_v = None if hi is None else (hi - piece.intercept) * inv
+    if piece.slope > 0:
+        pre = LineSet((Interval(lo_v, hi_v, target.lo_closed, target.hi_closed),))
+    else:
+        pre = LineSet((Interval(hi_v, lo_v, target.hi_closed, target.lo_closed),))
+    cut = pre.intersect(LineSet((piece.part,))).pieces
+    return cut[0] if cut else None
+
+
 def ref_preimage(m: PiecewiseAffineMap, s: SheetSet) -> SheetSet:
     if not s.issubset(m.codomain):
         raise MapDomainError("preimage argument not inside the codomain carrier")
     out = [LineSet.empty()] * m.domain.n_sheets
     for piece in m.pieces:
         target = s.sheets[piece.out_sheet]
-        pres = [piece.preimage_interval(t) for t in target.pieces]
+        pres = [ref_preimage_interval(piece, t) for t in target.pieces]
         out[piece.sheet] = out[piece.sheet].union(
             normalize([p for p in pres if p is not None])
         )
@@ -252,8 +290,14 @@ def test_openness_rejects_sets_outside_the_carrier():
 
 # -- preimages ------------------------------------------------------------------
 
-SLOPES = [Fraction(s) for s in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 3)]
-INTERCEPTS = [Fraction(b) for b in (-1, 0, Fraction(1, 2), 2)]
+# Zero is drawn as often as a sign, so constant pieces are common, and
+# the intercepts spread the images apart, so a target piece often misses
+# a piece's image altogether.
+SLOPES = [
+    Fraction(s)
+    for s in (-3, -2, -1, Fraction(-1, 2), 0, 0, 0, Fraction(1, 3), 1, 3)
+]
+INTERCEPTS = [Fraction(b) for b in (-5, -1, 0, Fraction(1, 2), 2, 6)]
 
 
 @st.composite
@@ -282,11 +326,12 @@ def split(draw, part: Interval) -> list[Interval]:
 
 
 @st.composite
-def maps(draw):
-    """A map from a carrier of up to three sheets to one of up to two, the
-    pieces in a shuffled order; each codomain sheet holds the images
-    routed to it and maybe more."""
-    domain = draw(carriers())
+def maps(draw, domain=None):
+    """A map from a carrier of up to three sheets (or from ``domain``) to
+    one of up to two, the pieces in a shuffled order; each codomain sheet
+    holds the images routed to it and maybe more."""
+    if domain is None:
+        domain = draw(carriers())
     n_out = draw(st.integers(min_value=1, max_value=2))
     pieces = []
     for sheet, line in enumerate(domain.sheets):
@@ -313,24 +358,94 @@ def maps(draw):
     return PiecewiseAffineMap(domain, Carrier(tuple(codomain)), tuple(pieces))
 
 
+def image_ends(m: PiecewiseAffineMap) -> list[ExactNumber]:
+    return ends_of(*(SheetSet((LineSet((p.image_interval(),)),)) for p in m.pieces))
+
+
+@st.composite
+def targets(draw, m: PiecewiseAffineMap) -> SheetSet:
+    """A subset of the codomain with ends drawn near the codomain's ends
+    and the pieces' image ends, so its pieces straddle, fill and miss the
+    images; sometimes its relative interior."""
+    near = sorted(set(ends_of(m.codomain)) | set(image_ends(m)))
+    s = draw(sheet_sets(m.codomain.n_sheets, near=near)).intersect(m.codomain)
+    if draw(st.booleans()):
+        s = interior_in_carrier(m.codomain, s)
+    return s
+
+
 @st.composite
 def preimage_cases(draw):
     m = draw(maps())
-    s = draw(sheet_sets(m.codomain.n_sheets, near=ends_of(m.codomain)))
-    s = s.intersect(m.codomain)
-    if draw(st.booleans()):
-        s = interior_in_carrier(m.codomain, s)
-    return m, s
+    return m, draw(targets(m))
+
+
+def misses(piece: AffinePiece, target: Interval) -> bool:
+    return LineSet((piece.image_interval(),)).intersect(LineSet((target,))).is_empty
 
 
 @given(preimage_cases())
-@settings(max_examples=100)
+@settings(max_examples=150)
 def test_preimage_matches_the_union_of_normalized_cuts(case):
     m, s = case
     got = m.preimage(s)
     assert got.sheets == ref_preimage(m, s).sheets
     assert all(normalize(line.pieces) == line for line in got.sheets)
     assert m.preimage(m.codomain) == m.domain.whole()
+    for piece in m.pieces:
+        for target in s.sheets[piece.out_sheet].pieces:
+            if misses(piece, target):
+                event("a target piece misses a piece's image")
+                assert piece.preimage_interval(target) is None
+            if piece.slope == 0:
+                event("a constant piece")
+            elif piece.slope < 0:
+                event("a descending piece")
+
+
+def test_preimage_skips_targets_that_miss_the_image():
+    """A target piece off a piece's image is dropped before any inverse
+    arithmetic; one that covers the image gives the whole part."""
+    piece = AffinePiece(0, Interval(num(0), num(1), True, False), 0, Fraction(-2), Fraction(1))
+    assert piece.image_interval() == Interval(num(-1), num(1), False, True)
+    for target in (
+        Interval(num(1), num(2), False, False),
+        Interval(num(-3), num(-1), False, True),
+        point_interval(num(5)),
+    ):
+        assert piece.preimage_interval(target) is None
+        assert ref_preimage_interval(piece, target) is None
+    assert "_inverse" not in piece.__dict__
+    assert piece.preimage_interval(Interval(num(-1), num(1), True, True)) == piece.part
+    assert "_inverse" not in piece.__dict__
+    half = Interval(num(0), num(1), False, True)
+    assert piece.preimage_interval(half) == ref_preimage_interval(piece, half)
+    assert piece.preimage_interval(half) == Interval(num(0), num("1/2"), True, False)
+    flat = AffinePiece(0, Interval(num(0), num(1), True, False), 0, Fraction(0), Fraction(3))
+    assert flat.preimage_interval(Interval(num(3), None, True, False)) == flat.part
+    assert flat.preimage_interval(Interval(num(3), None, False, False)) is None
+
+
+@st.composite
+def component_preimage_cases(draw):
+    m = draw(maps())
+    s = draw(targets(m))
+    pre = m.preimage(s)
+    sheet = draw(st.integers(min_value=0, max_value=m.domain.n_sheets - 1))
+    line = m.domain.sheets[sheet]
+    inside = [x for x in ends_of(m.domain, pre) if line.member(x)]
+    inside += [x for x in ends_of(*(SheetSet((LineSet((p.part,)),)) for p in m.pieces))
+               if line.member(x)]
+    inside += [inner_point(piece) for piece in line.pieces + pre.sheets[sheet].pieces]
+    x = draw(st.sampled_from([x for x in inside if line.member(x)]))
+    return m, s, SheetPoint(sheet, x)
+
+
+@given(component_preimage_cases())
+@settings(max_examples=150)
+def test_preimage_component_matches_the_whole_preimage(case):
+    m, s, p = case
+    assert m._preimage_component(s, p) == component_containing(m.preimage(s), p)
 
 
 def test_preimage_argument_checks_are_kept():
@@ -396,6 +511,162 @@ def probe_cases(draw):
 def test_open_component_probes_keep_their_order(case):
     carrier, x, critical = case
     assert carrier.member(x)
-    assert _open_component_probes(carrier, x, critical) == ref_probes(
+    assert list(_open_component_probes(carrier, x, critical)) == ref_probes(
         carrier, x, critical
     )
+
+
+# -- the host of x for carrier traces ------------------------------------------------
+
+
+@st.composite
+def host_cases(draw):
+    carrier = Carrier((draw(line_sets(nonempty=True)),))
+    line = draw(line_sets(near=ends_of(carrier)))
+    if draw(st.booleans()):
+        line = line.intersect(carrier.sheets[0])
+    p = draw(points_near(1, carrier, SheetSet((line,))))
+    return carrier, line, p.x
+
+
+@given(host_cases())
+@settings(max_examples=200)
+@example((Carrier.of(seg(0, 2, True, True)), seg(0, 1, True, False), num(1)))
+@example((Carrier.of(LineSet.of(Interval(num(0), num(1), True, False),
+                                Interval(num(1), num(2), False, True))),
+          seg(0, 1, False, False), num("1/2")))
+def test_host_walk_matches_the_whole_set_form(case):
+    carrier, line, x = case
+    scale = SymmetricIntervalScale(carrier, lo_amb=num(-10), hi_amb=num(10))
+    want = _piece_holding(carrier.sheets[0].difference(line).complement(), x)
+    assert scale._host(line, x) == want
+
+
+# -- the weak at-point decision on the component around the point --------------------
+
+BALL_RADII = (num("1/4"), num("1/2"), num(1), ExactNumber(0, Fraction(1, 2)))
+
+
+@st.composite
+def catalog_scales(draw):
+    """A scale of any kind whose ``witness_inside`` reads only the
+    component around x, on a carrier that kind accepts: drawn carriers
+    (often punctured) for Trivial, ConnectedOpen and SymmetricIntervals,
+    a segment for TruncatedQ_a, the full line for the ball and endpoint
+    kinds."""
+    kind = draw(st.sampled_from(
+        ["Trivial", "ConnectedOpen", "SymmetricIntervals", "TruncatedQ_a", "Q_a",
+         "CQ_a", "BQ_Oa", "EndClass"]
+    ))
+    a = draw(st.sampled_from(BALL_RADII))
+    line = Carrier.of(LineSet.full_line())
+    if kind == "Trivial":
+        return TrivialIntervalScale(draw(carriers()))
+    if kind == "ConnectedOpen":
+        return ConnectedOpenScale(draw(carriers()))
+    if kind == "SymmetricIntervals":
+        lo = draw(coords)
+        return SymmetricIntervalScale(
+            Carrier((draw(line_sets(nonempty=True)),)),
+            lo_amb=lo,
+            hi_amb=lo + draw(st.sampled_from((num("1/2"), num(2), num(6)))),
+        )
+    if kind == "TruncatedQ_a":
+        lo = draw(coords)
+        hi = lo + draw(st.sampled_from((num(2), num(3))))
+        a = (hi - lo) / draw(st.sampled_from((3, 4, 7)))
+        return TruncatedBallScale(
+            Carrier.of(LineSet.of(Interval(lo, hi, True, True))), a=a, lo=lo, hi=hi
+        )
+    if kind == "Q_a":
+        return BallSupersetScale(line, a=a, closed_ball=draw(st.booleans()))
+    if kind == "CQ_a":
+        strict = draw(st.booleans())
+        if strict and draw(st.booleans()):
+            a = num(0)
+        return BallScale(line, a=a, strict=strict)
+    if kind == "BQ_Oa":
+        return BoundedBallSupersetScale(line, a=draw(st.sampled_from((num(0), a))))
+    mode = draw(st.sampled_from(["rational", "irrational", "mixed"]))
+    return EndClassScale(line, mode=mode, crossed=mode == "mixed" and draw(st.booleans()))
+
+
+@st.composite
+def weak_cases(draw):
+    """A scale, a map from its carrier, a point of the carrier at a piece
+    end, a carrier end, a preimage end or inside a piece, and a subset of
+    the codomain, often made to hold a neighborhood of the point's value."""
+    scale = draw(catalog_scales())
+    m = draw(maps(domain=scale.carrier))
+    sheet = draw(st.integers(min_value=0, max_value=m.domain.n_sheets - 1))
+    line = m.domain.sheets[sheet]
+    parts = [piece.part for piece in m.pieces if piece.sheet == sheet]
+    inside = [x for x in ends_of(m.domain, SheetSet((LineSet.of(*parts),))) if line.member(x)]
+    inside += [inner_point(piece) for piece in line.pieces + tuple(parts)]
+    p = SheetPoint(sheet, draw(st.sampled_from(inside)))
+    s = draw(targets(m))
+    if draw(st.booleans()):
+        y = m.eval(p)
+        r = draw(st.sampled_from(BALL_RADII + (num(3),)))
+        ball = Interval(y.x - r, y.x + r, draw(st.booleans()), draw(st.booleans()))
+        s = s.union(m.codomain.lift(LineSet.of(ball), y.sheet)).intersect(m.codomain)
+    pre = m.preimage(s)
+    if draw(st.booleans()) and not pre.sheets[sheet].is_empty:
+        ends = [x for x in pre.sheets[sheet].finite_endpoints() if line.member(x)]
+        if ends:
+            p = SheetPoint(sheet, draw(st.sampled_from(ends)))
+    return scale, m, p, s
+
+
+# Two one-sheet punctured carriers: the component of the preimage around
+# the point is then a proper part of it.
+PUNCTURED = Carrier.of(
+    LineSet.of(Interval(num(0), num(1), True, False), Interval(num(1), num(2), False, True))
+)
+
+
+@given(weak_cases())
+@settings(max_examples=300, deadline=None)
+@example((
+    SymmetricIntervalScale(PUNCTURED, lo_amb=num(0), hi_amb=num(2)),
+    PiecewiseAffineMap(PUNCTURED, PUNCTURED, (
+        AffinePiece(0, PUNCTURED.sheets[0].pieces[0], 0, Fraction(1), Fraction(0)),
+        AffinePiece(0, PUNCTURED.sheets[0].pieces[1], 0, Fraction(1), Fraction(0)),
+    )),
+    SheetPoint(0, num("1/2")),
+    PUNCTURED.whole(),
+))
+@example((
+    TrivialIntervalScale(PUNCTURED),
+    PiecewiseAffineMap(PUNCTURED, PUNCTURED, (
+        AffinePiece(0, PUNCTURED.sheets[0].pieces[0], 0, Fraction(-1), Fraction(2)),
+        AffinePiece(0, PUNCTURED.sheets[0].pieces[1], 0, Fraction(1), Fraction(0)),
+    )),
+    SheetPoint(0, num(0)),
+    SheetSet((seg(1, 2, False, True),)),
+))
+def test_weak_decision_on_the_component_matches_the_whole_preimage(case):
+    scale, m, p, s = case
+    assert scale.local_witness
+    weak = ContinuityMode("weak", "at-point", at_point=p)
+    want = _holds_at(scale, weak, p, m.preimage(s))
+    event(f"{scale.tag}: {'holds' if want else 'fails'}")
+    assert _weak_holds_locally(m, scale, p, s) == want
+
+
+def test_p_structures_read_the_whole_preimage():
+    """A chosen neighborhood with two pieces lies in the preimage but not
+    in its component around the point, so PStructure keeps the whole
+    preimage."""
+    carrier = segment_carrier(num(0), num(3))
+    chosen = SheetSet((LineSet.of(seg(0, 1, True, False).pieces[0],
+                                  Interval(num(2), num(3), False, True)),))
+    x = SheetPoint(0, num("1/2"))
+    scale = PStructureIntervalScale(carrier, table=((x, chosen),))
+    assert not scale.local_witness
+    m = PiecewiseAffineMap(carrier, carrier, (
+        AffinePiece(0, Interval(num(0), num(3), True, True), 0, Fraction(1), Fraction(0)),
+    ))
+    weak = ContinuityMode("weak", "at-point", at_point=x)
+    assert _holds_at(scale, weak, x, m.preimage(chosen))
+    assert not _weak_holds_locally(m, scale, x, chosen)
