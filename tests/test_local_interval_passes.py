@@ -385,7 +385,7 @@ def misses(piece: AffinePiece, target: Interval) -> bool:
 
 
 @given(preimage_cases())
-@settings(max_examples=150)
+@settings(max_examples=100)
 def test_preimage_matches_the_union_of_normalized_cuts(case):
     m, s = case
     got = m.preimage(s)
@@ -442,7 +442,7 @@ def component_preimage_cases(draw):
 
 
 @given(component_preimage_cases())
-@settings(max_examples=150)
+@settings(max_examples=100)
 def test_preimage_component_matches_the_whole_preimage(case):
     m, s, p = case
     assert m._preimage_component(s, p) == component_containing(m.preimage(s), p)
@@ -626,7 +626,7 @@ PUNCTURED = Carrier.of(
 
 
 @given(weak_cases())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @example((
     SymmetricIntervalScale(PUNCTURED, lo_amb=num(0), hi_amb=num(2)),
     PiecewiseAffineMap(PUNCTURED, PUNCTURED, (
