@@ -77,7 +77,25 @@ def _parse_point(text: str, interval_world: bool):
     return SheetPoint(sheet, ExactNumber(Fraction(coord)))
 
 
+def _gap_list(gaps) -> list[dict]:
+    return [
+        {"point": jsonio.sheet_point_to_json(p), "gap": jsonio.exact_to_json(g)}
+        for p, g in gaps
+    ]
+
+
 # -- subcommands ------------------------------------------------------------
+
+
+def _emit_validation(kind: str, result, quiet: bool) -> int:
+    payload = {
+        "valid": result.ok,
+        "code": result.code,
+        "witness": result.witness,
+        "message": result.message,
+    }
+    _emit(payload, quiet, f"{kind}: {'valid' if result.ok else result.code}")
+    return OK if result.ok else CLAIM_FAILS
 
 
 def _cmd_validate(args) -> int:
@@ -88,28 +106,13 @@ def _cmd_validate(args) -> int:
             result = validate_topology(opens, jsonio.int_from_json(doc["n"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"malformed space document: {exc}") from exc
-        payload = {
-            "valid": result.ok,
-            "code": result.code,
-            "witness": result.witness,
-            "message": result.message,
-        }
-        _emit(payload, args.quiet, f"space: {'valid' if result.ok else result.code}")
-        return OK if result.ok else CLAIM_FAILS
+        return _emit_validation("space", result, args.quiet)
     doc = _load_json(args.scale)
     try:
         scale = jsonio.scale_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed scale document: {exc}") from exc
-    result = validate_scale(scale)
-    payload = {
-        "valid": result.ok,
-        "code": result.code,
-        "witness": result.witness,
-        "message": result.message,
-    }
-    _emit(payload, args.quiet, f"scale: {'valid' if result.ok else result.code}")
-    return OK if result.ok else CLAIM_FAILS
+    return _emit_validation("scale", validate_scale(scale), args.quiet)
 
 
 def _cmd_classify(args) -> int:
@@ -186,15 +189,7 @@ def _cmd_gaps(args) -> int:
         gaps = pam.gaps()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    payload: dict = {
-        "gaps": [
-            {
-                "point": jsonio.sheet_point_to_json(p),
-                "gap": jsonio.exact_to_json(g),
-            }
-            for p, g in gaps
-        ]
-    }
+    payload: dict = {"gaps": _gap_list(gaps)}
     code = OK
     summary = f"{len(gaps)} gap(s)"
     if args.threshold is not None:
@@ -208,13 +203,7 @@ def _cmd_gaps(args) -> int:
             raise CliError(str(exc)) from exc
         payload["threshold"] = jsonio.exact_to_json(level)
         payload["within_threshold"] = verdict.holds
-        payload["witnesses"] = [
-            {
-                "point": jsonio.sheet_point_to_json(p),
-                "gap": jsonio.exact_to_json(g),
-            }
-            for p, g in verdict.witnesses
-        ]
+        payload["witnesses"] = _gap_list(verdict.witnesses)
         code = OK if verdict.holds else CLAIM_FAILS
         summary += f"; threshold {args.threshold}: {'ok' if verdict.holds else 'exceeded'}"
     _emit(payload, args.quiet, summary)

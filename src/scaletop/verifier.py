@@ -2,42 +2,63 @@
 over exhaustively enumerated or seed-sampled finite instances and
 reports verdicts with replayable counterexample certificates.
 
-Every property is a list of independent tasks plus a task runner.  Most
-are about maps between two spaces, one space pair per task, and run in
-three steps: compile, decide, materialize.  ``_pair_universe`` picks the
-pair's domain scales, codomain scales and map tables; each table comes
-with its preimage masks from ``_tables``, built once per (domain size,
-codomain size, map budget) and shared by every pair of those sizes.
-``_pair_maps`` walks them as compiled ``_Instance`` objects (domain
-scale outermost, then codomain scale, then table), each scale compiled
-to its mask form once per task, and a per-instance check decides each
-one through ``continuity.first_failure``, counting its trials through
-``TaskResult.trial(hypothesis)``: tested when the hypothesis holds (only
-then is the conclusion checked), skipped otherwise, so ``generated =
-tested + skipped``.  A ``ScaledMap`` and its document are built only for
-a violation.  The separation searches PROBLEM1-4 are predicates over the
-same universe; P1A, P1B, C1 and EX16 check each scale of one space.
-Runners that stay separate: P4 (tables outermost, each instance two
-independent subset tests), T1/T2/P9 and BQOA_CLAIM (sampled from pinned
-RNG streams; T1/T2/P9 draw each scale as its mask form, valid by
-construction, decide f, g and g o f through ``first_failure`` and build
-``Scale`` and ``ScaledMap`` objects only for a violation), T3/C10
-(sampled principal scales against discrete codomains, constancy decided
-on masks) and T5/T6 (one random split per scale pair from an RNG seeded
-per task).
+Every property and every separation search is a ``PropertySpec`` in one
+of two registries, ``PROPERTIES`` and ``SEARCHES`` (PROBLEM1-4): a list
+of independent tasks plus a task runner.  One dispatcher, ``_run``,
+serves ``run_property`` and ``search_counterexample``: it runs the tasks
+in a fixed order (optionally in parallel, on as many workers as the
+SCALETOP_THREADS environment variable asks, capped by the CPU count and
+the task count) and ``_report`` merges them, so identical (property,
+config) pairs produce byte-identical reports.  Violations are listed in
+canonical order (lexicographic on their serialized form) and capped by
+the config; a search keeps the smallest.
 
-Tasks run in a fixed order (optionally in parallel, on as many workers
-as the SCALETOP_THREADS environment variable asks, capped by the CPU
-count and the task count) and ``_report`` merges them, so identical
-(property, config) pairs produce byte-identical reports.  Violations are
-listed in canonical order (lexicographic on their serialized form) and
-capped by the config; a search keeps the smallest.  Checks reach the
-kernels through this module's globals, so a tracer that rebinds them
-here sees every call: the pair sweeps reach ``scale_masks``,
-``first_failure`` and, once per violation, ``ScaledMap``; T1/T2/P9
-reach ``first_failure`` and, twice per violation, ``ScaledMap``; and
-``classify``, ``validate_scale`` and the enumerations are reached where
-they are used.  ``check_continuity``, ``compose_scaled``,
+Most entries are about maps between two spaces, one space pair per
+task, and run in three steps: compile, decide, materialize.
+``_pair_universe`` picks the pair's domain scales, codomain scales and
+map tables; each table comes with its preimage masks from ``_tables``,
+built once per (domain size, codomain size, map budget) and shared by
+every pair of those sizes.  ``_pair_maps`` walks them as compiled
+``_Instance`` objects (domain scale outermost, then codomain scale, then
+table), each scale compiled to its mask form once per task, and a
+per-instance check decides each one through ``continuity.first_failure``,
+counting its trials through ``TaskResult.trial(hypothesis)``: tested
+when the hypothesis holds (only then is the conclusion checked), skipped
+otherwise, so ``generated = tested + skipped``.  A ``ScaledMap`` and its
+document are built only for a violation.  A search is a pair property
+whose check (``_search``) counts every instance as tested and keeps
+those continuous in one notion but not in another.  P1A, P1B, C1 and
+EX16 check each scale of one space.  Checks that state an equivalence
+(L1/L2/L5/L6, P3/P6, C17, T5/T6, T3/C10, P1A/P1B/C1) compare their two
+evaluated sides through ``_agree``, which documents a disagreement only
+when there is one.
+
+Runners that stay separate, and why:
+
+* P4 loops over tables first, so that what each (table, r) asks of a
+  domain scale is computed once for every domain scale and each
+  instance is two subset tests.  Folded into the pair sweep, where that
+  work repeats per instance, criterion 05's sweep (n <= 3,
+  ``scale_budget=12``) took 4.4-14 s instead of 0.75-1.2 s on a 2-core
+  Xeon host.
+* T1/T2/P9 and BQOA_CLAIM sample from pinned RNG streams whose draw
+  order fixes the report bytes.  T1/T2/P9 draw each scale as its mask
+  form, valid by construction, decide f, g and g o f through
+  ``first_failure`` and build ``Scale`` and ``ScaledMap`` objects only
+  for a violation.
+* T3/C10 sample principal scales against discrete codomains; the sampler
+  hands back each scale's chosen neighborhoods, and constancy is decided
+  on masks.
+* T5/T6 draw one random split per scale pair from an RNG seeded per
+  task, so their check keeps state across the pair sweep.
+
+Checks reach the kernels through this module's globals, so a tracer that
+rebinds them here sees every call: the pair sweeps reach
+``scale_masks``, ``first_failure`` and, once per violation,
+``ScaledMap``; T1/T2/P9 reach ``first_failure`` and, twice per
+violation, ``ScaledMap``; and ``classify``, ``validate_scale``,
+``connected_components`` and the enumerations are reached where they
+are used.  ``check_continuity``, ``compose_scaled``,
 ``check_closed_characterization``, ``constancy_profile`` and
 ``constant_on`` stay bound here, but no sweep calls them.
 
@@ -53,7 +74,7 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -144,15 +165,7 @@ class SweepConfig:
             raise ValueError("map_budget must be None or >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "max_points": self.max_points,
-            "scale_budget": self.scale_budget,
-            "map_budget": self.map_budget,
-            "seed": self.seed,
-            "mode": self.mode,
-            "sample_budget": self.sample_budget,
-            "max_violations": self.max_violations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -223,14 +236,9 @@ def _space(ref: tuple[int, int]) -> FiniteSpace:
     return _spaces(ref[0])[ref[1]]
 
 
-_SCALE_CACHE: dict[tuple[FiniteSpace, int], tuple[Scale, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _scales(space: FiniteSpace, budget: int) -> tuple[Scale, ...]:
-    key = (space, budget)
-    if key not in _SCALE_CACHE:
-        _SCALE_CACHE[key] = tuple(enumerate_scales(space, budget=budget))
-    return _SCALE_CACHE[key]
+    return tuple(enumerate_scales(space, budget=budget))
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +263,15 @@ def _tasks_per_space(cfg: SweepConfig):
     return _space_refs(cfg.max_points)
 
 
-def _tasks_space_pairs(cfg: SweepConfig, cap: int | None = None):
-    refs = _space_refs(cfg.max_points if cap is None else min(cfg.max_points, cap))
-    return [(a, b) for a in refs for b in refs]
+def _space_pairs(cap: int | None = None) -> Callable[[SweepConfig], list]:
+    """The task list of a space-pair entry: every ordered pair of spaces
+    on at most ``max_points`` points, and at most ``cap`` when given."""
+
+    def tasks(cfg: SweepConfig) -> list:
+        refs = _space_refs(cfg.max_points if cap is None else min(cfg.max_points, cap))
+        return [(a, b) for a in refs for b in refs]
+
+    return tasks
 
 
 # Scale choices for one side of a space pair: (space, cfg) -> scales.
@@ -390,9 +404,19 @@ def classical_continuous_at(
 
 
 def _map_doc(f: _Instance, **extra) -> dict:
-    doc = {"map": jsonio.scaled_map_to_json(f.map())}
-    doc.update(extra)
-    return doc
+    return {"map": jsonio.scaled_map_to_json(f.map()), **extra}
+
+
+def _scale_doc(scale: Scale, **extra) -> dict:
+    return {"scale": jsonio.scale_to_json(scale), **extra}
+
+
+def _agree(res: TaskResult, lhs: bool, rhs: bool, doc: Callable[[], dict]) -> None:
+    """The conclusion of an equivalence: its two evaluated sides agree.
+    A disagreement is a violation documented by ``doc()``, which is
+    called only then."""
+    if lhs != rhs:
+        res.violation(doc())
 
 
 # -- per-scale checks: check(res, scale) --------------------------------------------
@@ -449,9 +473,7 @@ def _flag_law(flag: str, closed_side: Callable[[Scale], bool]):
     def check(res: TaskResult, scale: Scale) -> None:
         want = getattr(classify(scale), flag)
         got = closed_side(scale)
-        if want != got:
-            scale_doc = jsonio.scale_to_json(scale)
-            res.violation({"scale": scale_doc, "flag": want, "closed_set_side": got})
+        _agree(res, want, got, lambda: _scale_doc(scale, flag=want, closed_set_side=got))
 
     return check
 
@@ -459,7 +481,7 @@ def _flag_law(flag: str, closed_side: Callable[[Scale], bool]):
 def _check_ex16(res: TaskResult, scale: Scale) -> None:
     """The trivial scale refines every valid scale on the space."""
     if not finer(trivial_scale(scale.space), scale):
-        res.violation({"scale": jsonio.scale_to_json(scale)})
+        res.violation(_scale_doc(scale))
 
 
 # -- per-instance checks on a space pair: check(res, f, cfg) -----------------------
@@ -502,8 +524,7 @@ def _classical_lemma(lemma: str, mode: ContinuityMode | None = None):
         else:
             got, want = f.holds(mode), oracle
         res.tested += 1
-        if got != want:
-            res.violation(_map_doc(f, lemma=lemma, oracle=oracle, scaled=got))
+        _agree(res, got, want, lambda: _map_doc(f, lemma=lemma, oracle=oracle, scaled=got))
 
     return check
 
@@ -525,8 +546,7 @@ def _check_local_is_global(res: TaskResult, f: _Instance, cfg: SweepConfig) -> N
     res.tested += 1
     loc = f.holds(_MODES["strong", "local"])
     glob = f.holds(_MODES["strong", "global"])
-    if loc != glob:
-        res.violation(_map_doc(f, local=loc, global_=glob))
+    _agree(res, loc, glob, lambda: _map_doc(f, local=loc, global_=glob))
 
 
 @lru_cache(maxsize=None)
@@ -655,8 +675,7 @@ def _check_c17(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
     res.tested += 1
     lhs = f.holds(_MODES["strong", "global"])
     rhs = classical.holds(_MODES["strong", "global"])
-    if lhs != rhs:
-        res.violation(_map_doc(f, base_side=lhs, trivial_side=rhs))
+    _agree(res, lhs, rhs, lambda: _map_doc(f, base_side=lhs, trivial_side=rhs))
     _transfer(res, classical, f, [(m, m, w) for m, w in _at_points("strong", f)])
 
 
@@ -745,8 +764,7 @@ def _run_split(task, cfg: SweepConfig, which: str, modes) -> TaskResult:
             res.tested += 1
             whole = f.holds(mode)
             each = all(g.holds(mode) for g in parts)
-            if whole != each:
-                res.violation(_map_doc(f, whole=whole, parts=each, **witness))
+            _agree(res, whole, each, lambda: _map_doc(f, whole=whole, parts=each, **witness))
 
     return _sweep(task, cfg, check)
 
@@ -910,10 +928,12 @@ def _tasks_composition(cfg: SweepConfig):
 
 def _sampled_p_structures(
     space: FiniteSpace, budget: int, seed: int
-) -> list[Scale]:
+) -> list[tuple[tuple[PointSet, ...], Scale]]:
+    """Up to ``budget`` distinct principal scales, each with the open
+    neighborhood chosen at every point to generate it."""
     rng = random.Random(f"{seed}:{space.key()}")
     seen: set[tuple[PointSet, ...]] = set()
-    out: list[Scale] = []
+    out: list[tuple[tuple[PointSet, ...], Scale]] = []
     attempts = 0
     while len(out) < budget and attempts < budget * 8:
         attempts += 1
@@ -921,35 +941,25 @@ def _sampled_p_structures(
         if chosen in seen:
             continue
         seen.add(chosen)
-        out.append(p_structure(space, chosen))
-    return out
-
-
-def _chosen_neighborhoods(ps: Scale) -> list[PointSet]:
-    """The principal generator at each point (intersection of the family)."""
-    out = []
-    for x in ps.space.points:
-        gen = ps.space.carrier
-        for a in ps.at(x):
-            gen = gen & a
-        out.append(gen)
+        out.append((chosen, p_structure(space, chosen)))
     return out
 
 
 def _run_constancy(task, cfg: SweepConfig, check, admits=None) -> TaskResult:
     """T3/C10: sampled principal scales, not enumerated scale pairs,
     against trivially scaled discrete codomains on 1-3 points.  Every
-    table of a structure whose chosen neighborhoods ``admits`` rejects is
-    a skipped trial.  ``check(res, f, chosen, blocks)`` gets the chosen
-    neighborhoods and the connected components as masks."""
+    table of a structure whose chosen neighborhoods ``admits(chosen,
+    blocks)`` rejects is a skipped trial.  ``check(res, f, chosen,
+    blocks)`` gets the chosen neighborhoods and the connected components,
+    both as masks."""
     res = TaskResult()
     space = _space(task)
     blocks = [mask_of(b) for b in connected_components(space)]
     structures = []
-    for ps in _sampled_p_structures(space, cfg.scale_budget, cfg.seed):
-        chosen = _chosen_neighborhoods(ps)
-        admitted = admits is None or admits(space, chosen)
-        structures.append((ps, scale_masks(ps), [mask_of(c) for c in chosen], admitted))
+    for chosen, ps in _sampled_p_structures(space, cfg.scale_budget, cfg.seed):
+        chosen = [mask_of(c) for c in chosen]
+        admitted = admits is None or admits(chosen, blocks)
+        structures.append((ps, scale_masks(ps), chosen, admitted))
     for ny in (1, 2, 3):
         ty = trivial_scale(_discrete(ny))
         cod = scale_masks(ty)
@@ -975,13 +985,13 @@ def _check_t3(res: TaskResult, f: _Instance, chosen: list[int], blocks) -> None:
     for x, c in enumerate(chosen):
         weak = f.holds(_AT_POINT["weak"][x])
         const = _constant_on(f, c)
-        if weak != const:
-            res.violation(_map_doc(f, point=x, weak=weak, constant=const))
+        _agree(res, weak, const, lambda: _map_doc(f, point=x, weak=weak, constant=const))
 
 
-def _chosen_connected(space: FiniteSpace, chosen: list[PointSet]) -> bool:
-    components = connected_components(space)
-    return all(any(c <= block for block in components) for c in chosen)
+def _chosen_connected(chosen: list[int], blocks: list[int]) -> bool:
+    """Whether every chosen neighborhood lies in one connected component
+    (all masks)."""
+    return all(any(not c & ~b for b in blocks) for c in chosen)
 
 
 def _check_c10(res: TaskResult, f: _Instance, chosen, blocks: list[int]) -> None:
@@ -989,8 +999,12 @@ def _check_c10(res: TaskResult, f: _Instance, chosen, blocks: list[int]) -> None
     point is exactly constancy on each connected component."""
     weak = f.holds(_MODES["weak", "local"])
     const = all(_constant_on(f, b) for b in blocks)
-    if weak != const:
-        res.violation(_map_doc(f, weak_local=weak, constant_on_components=const))
+    _agree(
+        res,
+        weak,
+        const,
+        lambda: _map_doc(f, weak_local=weak, constant_on_components=const),
+    )
 
 
 # -- the interval-world claim ---------------------------------------------------------
@@ -1043,8 +1057,24 @@ def _tasks_bqoa(cfg: SweepConfig):
     return [(i, per) for i in range(4)]
 
 
+# -- separation searches ----------------------------------------------------------
+
+
+def _search(claim: str, pairs):
+    """PROBLEM1-4: every instance is one tested trial, and it separates
+    two continuity notions when it is continuous in the first mode of
+    some pair of ``pairs(f)`` but not in the second."""
+
+    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
+        res.tested += 1
+        if any(f.holds(a) and not f.holds(b) for a, b in pairs(f)):
+            res.violation(_map_doc(f, claim=claim))
+
+    return check
+
+
 # -- registry ---------------------------------------------------------------------
-# A space-pair property names its check, its cap on the number of points
+# A space-pair entry names its check, its cap on the number of points
 # and its universe (domain and codomain scale choices, ``_enumerated``
 # unless given, and whether only surjective tables count); ``_sweep``
 # feeds it each instance.  The other runners say in their docstrings why
@@ -1058,14 +1088,10 @@ class PropertySpec:
     run: Callable[[object, SweepConfig], TaskResult]
 
 
-def _pair_cap(cap):
-    return lambda cfg: _tasks_space_pairs(cfg, cap)
-
-
 def _pair_property(description: str, check, cap=None, **universe) -> PropertySpec:
     return PropertySpec(
         description,
-        _pair_cap(cap),
+        _space_pairs(cap),
         lambda task, cfg: _sweep(task, cfg, check, **universe),
     )
 
@@ -1073,6 +1099,14 @@ def _pair_property(description: str, check, cap=None, **universe) -> PropertySpe
 def _scale_property(description: str, check) -> PropertySpec:
     return PropertySpec(
         description, _tasks_per_space, lambda task, cfg: _run_scales(task, cfg, check)
+    )
+
+
+def _composition_property(description: str, which: str) -> PropertySpec:
+    return PropertySpec(
+        description,
+        _tasks_composition,
+        lambda task, cfg: _run_composition(task, cfg, which),
     )
 
 
@@ -1137,7 +1171,7 @@ PROPERTIES: dict[str, PropertySpec] = {
     ),
     "P4": PropertySpec(
         "closed-set characterization = global strong continuity",
-        _tasks_space_pairs,
+        _space_pairs(),
         _run_p4,
     ),
     "P5": _pair_property(
@@ -1171,20 +1205,14 @@ PROPERTIES: dict[str, PropertySpec] = {
         _preserved_by(_smaller_codomains, _base_doc),
         cap=2,
     ),
-    "P9": PropertySpec(
-        "composition with matching middle scales preserves continuity",
-        _tasks_composition,
-        lambda t, c: _run_composition(t, c, "P9"),
+    "P9": _composition_property(
+        "composition with matching middle scales preserves continuity", "P9"
     ),
-    "T1": PropertySpec(
-        "pointwise composition under the middle refinement hypothesis",
-        _tasks_composition,
-        lambda t, c: _run_composition(t, c, "T1"),
+    "T1": _composition_property(
+        "pointwise composition under the middle refinement hypothesis", "T1"
     ),
-    "T2": PropertySpec(
-        "local/global composition under the middle refinement hypothesis",
-        _tasks_composition,
-        lambda t, c: _run_composition(t, c, "T2"),
+    "T2": _composition_property(
+        "local/global composition under the middle refinement hypothesis", "T2"
     ),
     "T3": PropertySpec(
         "principal domain scale on a discrete codomain: weak at a point = constant on the chosen neighborhood",
@@ -1193,14 +1221,14 @@ PROPERTIES: dict[str, PropertySpec] = {
     ),
     "T5": PropertySpec(
         "weak continuity against a scale = against every member of a covering split (global)",
-        _pair_cap(2),
+        _space_pairs(2),
         lambda t, c: _run_split(
             t, c, "T5", lambda f: [(_MODES["weak", "global"], {"locus": "global"})]
         ),
     ),
     "T6": PropertySpec(
         "weak continuity against a scale = against every member of a covering split (pointwise)",
-        _pair_cap(2),
+        _space_pairs(2),
         lambda t, c: _run_split(t, c, "T6", lambda f: _at_points("weak", f)),
     ),
     "C10": PropertySpec(
@@ -1248,6 +1276,37 @@ PROPERTY_IDS = tuple(PROPERTIES)
 REPORT_ONLY = ("P3", "P7B")
 MUST_PASS = tuple(p for p in PROPERTY_IDS if p not in REPORT_ONLY)
 
+# Each search asks for an instance continuous in one notion but not in
+# another, over every scale pair and table of every space pair.
+_WEAK_LOCAL, _WEAK_GLOBAL = _MODES["weak", "local"], _MODES["weak", "global"]
+SEARCHES: dict[str, PropertySpec] = {
+    "PROBLEM1": _pair_property(
+        "search: locally weak without globally weak continuity",
+        _search("PROBLEM1", lambda f: [(_WEAK_LOCAL, _WEAK_GLOBAL)]),
+    ),
+    "PROBLEM2": _pair_property(
+        "search: globally weak without locally weak continuity",
+        _search("PROBLEM2", lambda f: [(_WEAK_GLOBAL, _WEAK_LOCAL)]),
+    ),
+    "PROBLEM3": _pair_property(
+        "search: globally weak without globally strong continuity",
+        _search("PROBLEM3", lambda f: [(_WEAK_GLOBAL, _MODES["strong", "global"])]),
+    ),
+    "PROBLEM4": _pair_property(
+        "search: weak without strong continuity at some point",
+        _search(
+            "PROBLEM4",
+            lambda f: [
+                (_AT_POINT["weak"][x], _AT_POINT["strong"][x])
+                for x in range(len(f.table))
+            ],
+        ),
+    ),
+}
+
+# A search for P3 runs the property itself.
+SEARCH_IDS = (*SEARCHES, "P3")
+
 
 def sweep_parallelism() -> int:
     raw = os.environ.get("SCALETOP_THREADS", "1")
@@ -1258,10 +1317,13 @@ def sweep_parallelism() -> int:
     return max(1, value)
 
 
+def _spec(pid: str) -> PropertySpec:
+    return PROPERTIES[pid] if pid in PROPERTIES else SEARCHES[pid]
+
+
 def _run_task_entry(args: tuple) -> TaskResult:
-    property_id, task, cfg = args
-    spec = PROPERTIES[property_id]
-    return spec.run(task, cfg)
+    pid, task, cfg = args
+    return _spec(pid).run(task, cfg)
 
 
 def _report(
@@ -1284,46 +1346,23 @@ def _report(
     )
 
 
+def _run(pid: str, cfg: SweepConfig, keep: int) -> VerificationReport:
+    """Run every task of a registered property or search, in order, and
+    merge them into a report listing at most ``keep`` violations."""
+    jobs = [(pid, task, cfg) for task in _spec(pid).tasks(cfg)]
+    workers = min(sweep_parallelism(), os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task_entry, jobs))
+    else:
+        results = list(map(_run_task_entry, jobs))
+    return _report(pid, cfg, results, keep)
+
+
 def run_property(property_id: str, cfg: SweepConfig) -> VerificationReport:
     if property_id not in PROPERTIES:
         raise KeyError(f"unknown property id {property_id!r}")
-    spec = PROPERTIES[property_id]
-    tasks = spec.tasks(cfg)
-    workers = min(sweep_parallelism(), os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _run_task_entry,
-                    [(property_id, t, cfg) for t in tasks],
-                )
-            )
-    else:
-        results = [spec.run(t, cfg) for t in tasks]
-    return _report(property_id, cfg, results, cfg.max_violations)
-
-
-# -- separation searches ----------------------------------------------------------
-
-
-def _separates(f: _Instance, a: ContinuityMode, b: ContinuityMode) -> bool:
-    return f.holds(a) and not f.holds(b)
-
-
-# Each search asks for an instance continuous in one notion but not in
-# another, over every scale pair and table of every space pair.
-_WEAK_LOCAL, _WEAK_GLOBAL = _MODES["weak", "local"], _MODES["weak", "global"]
-_SEARCHES: dict[str, Callable[[_Instance], bool]] = {
-    "PROBLEM1": lambda f: _separates(f, _WEAK_LOCAL, _WEAK_GLOBAL),
-    "PROBLEM2": lambda f: _separates(f, _WEAK_GLOBAL, _WEAK_LOCAL),
-    "PROBLEM3": lambda f: _separates(f, _WEAK_GLOBAL, _MODES["strong", "global"]),
-    "PROBLEM4": lambda f: any(
-        _separates(f, _AT_POINT["weak"][x], _AT_POINT["strong"][x])
-        for x in range(len(f.table))
-    ),
-}
-
-SEARCH_IDS = (*_SEARCHES, "P3")
+    return _run(property_id, cfg, cfg.max_violations)
 
 
 def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
@@ -1332,14 +1371,6 @@ def search_counterexample(claim: str, cfg: SweepConfig) -> VerificationReport:
     (lexicographic on the serialized form)."""
     if claim == "P3":
         return run_property("P3", cfg)
-    if claim not in _SEARCHES:
+    if claim not in SEARCHES:
         raise KeyError(f"unknown search claim {claim!r}")
-    separated = _SEARCHES[claim]
-
-    def check(res: TaskResult, f: _Instance, cfg: SweepConfig) -> None:
-        res.tested += 1
-        if separated(f):
-            res.violation(_map_doc(f, claim=claim))
-
-    results = [_sweep(task, cfg, check) for task in _tasks_space_pairs(cfg)]
-    return _report(claim, cfg, results, keep=1)
+    return _run(claim, cfg, keep=1)

@@ -112,21 +112,32 @@ def _subsets(points):
     ]
 
 
+# The spaces with an open set that is neither empty nor the carrier.
+SPACES_WITH_PROPER_OPENS = [
+    space for space in SPACES if any(o and o != space.carrier for o in space.opens)
+]
+
+
 @st.composite
-def valid_scales(draw):
+def valid_scales(draw, proper=False):
     """A valid scale: a declared family of nonempty opens, random
     per-point subfamilies, and every declared set given to one of its
-    points (or dropped from the family) so that SC2 holds."""
-    space = draw(st.sampled_from(SPACES))
+    points (or dropped from the family) so that SC2 holds.  ``proper``
+    declares and keeps at least one set that misses a point."""
+    space = draw(st.sampled_from(SPACES_WITH_PROPER_OPENS if proper else SPACES))
     nonempty = [o for o in space.opens_sorted() if o]
     tq = set(draw(st.lists(st.sampled_from(nonempty), unique=True)))
+    kept = set()
+    if proper:
+        kept.add(draw(st.sampled_from([o for o in nonempty if o != space.carrier])))
+        tq |= kept
     families = []
     for x in space.points:
         options = sorted((a for a in tq if x in a), key=set_key)
         families.append(set(draw(st.lists(st.sampled_from(options)))) if options else set())
     for a in sorted(tq, key=set_key):
         if not any(a in fam for fam in families):
-            if draw(st.booleans()):
+            if a in kept or draw(st.booleans()):
                 families[draw(st.sampled_from(sorted(a)))].add(a)
             else:
                 tq.discard(a)
@@ -142,7 +153,10 @@ def _with_family(scale, x, fam, tq=None):
 def _mutate(draw, scale, code):
     """Break ``scale`` so that its first violation is ``code``."""
     space, tq = scale.space, scale.tq
-    x = draw(st.sampled_from(list(space.points)))
+    points = list(space.points)
+    if code == "SC1":  # x must miss a declared set
+        points = [p for p in points if any(p not in a for a in tq)]
+    x = draw(st.sampled_from(points))
     fam = scale.at(x)
     if code == "MALFORMED":
         stray = frozenset({x, space.n_points})
@@ -158,7 +172,6 @@ def _mutate(draw, scale, code):
         return _with_family(scale, min(bad), scale.at(min(bad)) | {bad}, tq | {bad})
     if code == "SC1":
         options = sorted((a for a in tq if x not in a), key=set_key)
-        assume(options)
         return _with_family(scale, x, fam | {draw(st.sampled_from(options))})
     assert code == "SC2"
     assume(tq)
@@ -203,7 +216,7 @@ def test_fast_path_accepts_valid_scales(scale):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_ordered_search_on_violations(code, data):
-    scale = _mutate(data.draw, data.draw(valid_scales()), code)
+    scale = _mutate(data.draw, data.draw(valid_scales(proper=code == "SC1")), code)
     assert _assert_same_result(scale).code == code
 
 

@@ -195,9 +195,13 @@ def test_random_scale_draws_are_unchanged(space, data, seed):
 @settings(max_examples=3, deadline=None)
 def test_sampled_p_structures_are_unchanged(space, data, seed, budget):
     space = _space(space, data)
-    assert verifier._sampled_p_structures(
-        space, budget, seed
-    ) == ref_sampled_p_structures(space, budget, seed)
+    got = verifier._sampled_p_structures(space, budget, seed)
+    assert [ps for _, ps in got] == ref_sampled_p_structures(space, budget, seed)
+    for chosen, ps in got:
+        # The handed-back neighborhood generates its point's family.
+        assert list(chosen) == [
+            space.carrier.intersection(*ps.at(x)) for x in space.points
+        ]
 
 
 def test_random_space_draws_are_unchanged():

@@ -146,11 +146,17 @@ def test_seed_changes_sampled_reports():
 
 def test_parallelism_does_not_change_output(monkeypatch):
     cfg = SweepConfig(max_points=2, scale_budget=6, sample_budget=120)
-    monkeypatch.setenv("SCALETOP_THREADS", "1")
-    seq = run_property("P4", cfg).to_bytes()
-    monkeypatch.setenv("SCALETOP_THREADS", "2")
-    par = run_property("P4", cfg).to_bytes()
-    assert seq == par
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)  # a pool on any host
+    runs = (
+        lambda: run_property("P4", cfg),
+        lambda: search_counterexample("PROBLEM4", cfg),  # searches share the pool
+    )
+    for run in runs:
+        monkeypatch.setenv("SCALETOP_THREADS", "1")
+        seq = run().to_bytes()
+        monkeypatch.setenv("SCALETOP_THREADS", "2")
+        par = run().to_bytes()
+        assert seq == par
 
 
 def test_worker_count_is_clamped(monkeypatch):
