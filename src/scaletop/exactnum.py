@@ -272,14 +272,23 @@ def _coerce(x: object) -> ExactNumber | None:
 
 
 def _cmp(x: ExactNumber, y: ExactNumber) -> int:
-    """Sign of ``x - y``: that of ``(p1 d2 - p2 d1) + (q1 d2 - q2 d1)*sqrt(2)``."""
+    """Sign of ``x - y``: that of ``u + v*sqrt(2)`` with
+    ``u = p1 d2 - p2 d1`` and ``v = q1 d2 - q2 d1`` (the plain differences
+    when d1 == d2).  The sign test is ``_sign``'s, written inline: every
+    bound test of the interval layer comes here, and a second call would
+    cost about as much as the test itself."""
     xd, yd = x._d, y._d
     if xd == yd:
-        return _sign(x._p - y._p, x._q - y._q)
-    if x._q == 0 and y._q == 0:
-        u = x._p * yd - y._p * xd
+        u, v = x._p - y._p, x._q - y._q
+    else:
+        u, v = x._p * yd - y._p * xd, x._q * yd - y._q * xd
+    if not v:
         return (u > 0) - (u < 0)
-    return _sign(x._p * yd - y._p * xd, x._q * yd - y._q * xd)
+    # Opposite signs: |u| vs |v|*sqrt(2), decided by u^2 vs 2 v^2, which
+    # cannot be equal for integers with v != 0.  Otherwise v's sign wins.
+    if u and (u > 0) != (v > 0) and u * u > 2 * v * v:
+        return 1 if u > 0 else -1
+    return 1 if v > 0 else -1
 
 
 ZERO = ExactNumber(0)
@@ -292,9 +301,9 @@ def rational_between(lo: ExactNumber, hi: ExactNumber) -> ExactNumber:
     if not lo < hi:
         raise ValueError("rational_between requires lo < hi")
     gap = hi - lo
-    k = 0
-    while ExactNumber(Fraction(1, 2**k)) * 3 >= gap:
-        k += 1
+    # The smallest k with 3/2^k < gap: 2^k > 3/gap exactly when
+    # 2^k > floor(3/gap), and the least such power is one bit longer.
+    k = (3 / gap).floor().bit_length()
     scale = 2**k
     m = (lo * scale).floor() + 1
     q = ExactNumber(Fraction(m, scale))

@@ -21,6 +21,14 @@ that component (see ``IntervalScale.local_witness``).  The whole
 preimage is computed for a failing probe, because its certificate
 carries it.
 
+The checkers pull each probe back as it is, with no cut to the codomain:
+every probe an ``IntervalScale`` yields lies in its carrier (the probe
+contract), the codomain scale's carrier is the map's codomain, and
+``IntervalScaledMap`` rejects a declared probe set outside it.  The
+public ``PiecewiseAffineMap.preimage`` and
+``replay_interval_certificate`` keep their cut and subset check, since
+they confirm a certificate independently of the checkers.
+
 Mirroring the finite world, globally-checked sets with empty preimage
 are vacuously satisfied.
 """
@@ -54,6 +62,8 @@ class IntervalScaledMap:
         if self.codomain_scale.carrier != self.pam.codomain:
             raise ValueError("codomain scale carrier differs from the map codomain")
         for v in self.probe_family:
+            if not v.issubset(self.pam.codomain):
+                raise ValueError(f"probe set {v} is not inside the codomain carrier")
             if not self.codomain_scale.is_q_open(v):
                 raise ValueError(f"probe set {v} is not q-open in the codomain scale")
 
@@ -159,12 +169,12 @@ def _holds_at(
 
 
 def _weak_holds_locally(
-    pam: PiecewiseAffineMap, dom_scale: IntervalScale, p: SheetPoint, cut: SheetSet
+    pam: PiecewiseAffineMap, dom_scale: IntervalScale, p: SheetPoint, target: SheetSet
 ) -> bool:
-    """The weak at-point decision for the preimage of ``cut`` (a subset
+    """The weak at-point decision for the preimage of ``target`` (a subset
     of the codomain), read off its component around p.  Equal to
     ``_holds_at`` on the whole preimage when ``dom_scale.local_witness``."""
-    comp = pam._preimage_component(cut, p)
+    comp = pam._preimage_component(target, p)
     return comp is not None and dom_scale.witness_inside(p, comp) is not None
 
 
@@ -211,13 +221,12 @@ def _check_at_point(
     local = mode.strength == "weak" and dom_scale.local_witness
     probes = m.codomain_scale.iter_point_probes(pam.eval(p), critical=criticals)
     for target in _first_occurrences(probes):
-        cut = target.intersect(pam.codomain)
         if local:
-            if _weak_holds_locally(pam, dom_scale, p, cut):
+            if _weak_holds_locally(pam, dom_scale, p, target):
                 continue
-            pre = pam._preimage(cut)
+            pre = pam._preimage(target)
         else:
-            pre = pam._preimage(cut)
+            pre = pam._preimage(target)
             if _holds_at(dom_scale, mode, p, pre):
                 continue
         return IntervalVerdict(
@@ -230,7 +239,7 @@ def _check_global(
     m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
 ) -> IntervalVerdict:
     for target in _global_probes(m):
-        pre = m.pam._preimage(target.intersect(m.pam.codomain))
+        pre = m.pam._preimage(target)
         if not pre.is_empty and not _holds_open(dom_scale, mode, pre):
             return IntervalVerdict(False, mode, {"r_open": target, "preimage": pre})
     return IntervalVerdict(True, mode)

@@ -223,7 +223,12 @@ class IntervalScale:
     A kind sets ``local_witness`` when ``witness_inside(x, s)`` finds a
     witness exactly when it finds one for the component of s around x
     alone: it reads s only near x, through the carrier.  The weak
-    at-point checks then pull back only that component."""
+    at-point checks then pull back only that component.
+
+    Probe contract: every set ``iter_point_probes`` (and so
+    ``point_probes``) yields lies in ``carrier``.  The continuity
+    checkers rely on it: they pull each probe back through a map whose
+    codomain is this carrier without cutting it to the carrier first."""
 
     carrier: Carrier
 

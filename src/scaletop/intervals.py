@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .exactnum import ExactNumber
+from .exactnum import ExactNumber, _cmp
 
 Bound = ExactNumber | None  # None encodes -inf for lower / +inf for upper
+
+# Every bound test below makes one exact three-way comparison, ``_cmp``,
+# and branches on its sign.
 
 
 def _cmp_lower(v1: Bound, c1: bool, v2: Bound, c2: bool) -> int:
@@ -28,10 +31,9 @@ def _cmp_lower(v1: Bound, c1: bool, v2: Bound, c2: bool) -> int:
         return 0 if v2 is None else -1
     if v2 is None:
         return 1
-    if v1 != v2:
-        return -1 if v1 < v2 else 1
-    if c1 == c2:
-        return 0
+    c = _cmp(v1, v2)
+    if c or c1 == c2:
+        return c
     return -1 if c1 else 1
 
 
@@ -41,10 +43,9 @@ def _cmp_upper(v1: Bound, c1: bool, v2: Bound, c2: bool) -> int:
         return 0 if v2 is None else 1
     if v2 is None:
         return -1
-    if v1 != v2:
-        return -1 if v1 < v2 else 1
-    if c1 == c2:
-        return 0
+    c = _cmp(v1, v2)
+    if c or c1 == c2:
+        return c
     return 1 if c1 else -1
 
 
@@ -81,10 +82,14 @@ class Interval:
         return not self.lo_closed and not self.hi_closed
 
     def contains(self, p: ExactNumber) -> bool:
-        if self.lo is not None and (p < self.lo or (p == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (p > self.hi or (p == self.hi and not self.hi_closed)):
-            return False
+        if self.lo is not None:
+            c = _cmp(p, self.lo)
+            if c < 0 or (c == 0 and not self.lo_closed):
+                return False
+        if self.hi is not None:
+            c = _cmp(p, self.hi)
+            if c > 0 or (c == 0 and not self.hi_closed):
+                return False
         return True
 
     def __str__(self) -> str:
@@ -137,7 +142,8 @@ def _intersect_intervals(x: Interval, y: Interval) -> Interval | None:
     else:
         hi, hc = y.hi, y.hi_closed
     if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and not (lc and hc)):
+        c = _cmp(lo, hi)
+        if c > 0 or (c == 0 and not (lc and hc)):
             return None
     return _ordered(lo, hi, lc, hc)
 
@@ -145,15 +151,10 @@ def _intersect_intervals(x: Interval, y: Interval) -> Interval | None:
 def _touches(first: Interval, second: Interval) -> bool:
     """True if ``first`` and ``second`` (first.lo <= second.lo) overlap or
     are adjacent, i.e. their union is a single interval."""
-    if first.hi is None:
+    if first.hi is None or second.lo is None:
         return True
-    if second.lo is None:
-        return True
-    if second.lo < first.hi:
-        return True
-    if second.lo == first.hi and (first.hi_closed or second.lo_closed):
-        return True
-    return False
+    c = _cmp(second.lo, first.hi)
+    return c < 0 or (c == 0 and (first.hi_closed or second.lo_closed))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactNumber
+from .exactnum import ExactNumber, _cmp
 from .intervals import (
     Carrier,
     Interval,
@@ -95,7 +95,8 @@ class AffinePiece:
         else:
             hi, hc, hi_img = img.hi, img.hi_closed, True
         if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and not (lc and hc)):
+            c = _cmp(lo, hi)
+            if c > 0 or (c == 0 and not (lc and hc)):
                 return None
         part = self.part
         if lo_img and hi_img:
@@ -208,8 +209,9 @@ class PiecewiseAffineMap:
     def preimage(self, s: SheetSet) -> SheetSet:
         """The whole preimage of ``s``, which must lie in the codomain.
 
-        The continuity checkers pull back sets they have already cut to
-        the codomain, so they call ``_preimage`` and skip this check.  The
+        The continuity checkers pull back probes of the codomain scale,
+        which lie in the codomain by the ``IntervalScale`` probe contract,
+        so they call ``_preimage`` and skip this check.  The
         strong at-point, global and ``PStructure`` checks read the whole
         preimage, and so does every failure certificate; weak at-point and
         weak local checks on the other kinds read only

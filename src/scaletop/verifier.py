@@ -981,11 +981,14 @@ def _constant_on(f: _Instance, m: int) -> bool:
 def _check_t3(res: TaskResult, f: _Instance, chosen: list[int], blocks) -> None:
     """On a discrete codomain with a principal domain scale, weak
     continuity at a point is exactly constancy on the chosen
-    neighborhood of that point."""
-    for x, c in enumerate(chosen):
-        weak = f.holds(_AT_POINT["weak"][x])
-        const = _constant_on(f, c)
-        _agree(res, weak, const, lambda: _map_doc(f, point=x, weak=weak, constant=const))
+    neighborhood of that point.  Both sides are evaluated at every point
+    first; the per-point ``_agree`` runs only when some point disagrees."""
+    weak = [f.holds(_AT_POINT["weak"][x]) for x in range(len(chosen))]
+    const = [_constant_on(f, c) for c in chosen]
+    if weak == const:
+        return
+    for x, (w, c) in enumerate(zip(weak, const)):
+        _agree(res, w, c, lambda: _map_doc(f, point=x, weak=w, constant=c))
 
 
 def _chosen_connected(chosen: list[int], blocks: list[int]) -> bool:

@@ -12,7 +12,7 @@ from scaletop.cli import main
 from scaletop.exactnum import ExactNumber
 from scaletop.finite_topology import sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
-from scaletop.intervals import Carrier, Interval, LineSet
+from scaletop.intervals import Carrier, Interval, LineSet, SheetSet
 from scaletop.pwmaps import AffinePiece, PiecewiseAffineMap
 from scaletop.scales import trivial_scale
 
@@ -274,6 +274,24 @@ def test_enumerate_streams(capsys):
         assert doc["n"] == 2
     code = main(["--quiet", "enumerate", "--n", "9"])
     assert code == 2
+
+
+def test_probe_set_outside_the_codomain_exits_2(tmp_path, fixture_file):
+    """ex12's codomain is [0, 1]; a declared probe (1/2, 2) leaves it,
+    whether it comes in the map document or in a --probes document."""
+    doc = jsonio.interval_scaled_map_to_json(load_fixture("ex12"))
+    line = LineSet.of(Interval(ExactNumber(Fraction(1, 2)), ExactNumber(2), False, False))
+    outside = jsonio.sheetset_to_json(SheetSet((line,)))
+    doc["probes"] = [outside]
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--quiet", "check", "--map", str(path), "--mode", "global-strong"]
+    assert main(argv) == 2
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"probes": [outside]}))
+    argv = ["--quiet", "check", "--map", fixture_file("ex12"), "--mode",
+            "global-strong", "--probes", str(probes)]
+    assert main(argv) == 2
 
 
 def test_malformed_input_exits_2(capsys, tmp_path):

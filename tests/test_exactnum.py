@@ -354,3 +354,45 @@ def test_pickle_and_deepcopy_round_trip():
     )
     assert pickle.loads(pickle.dumps(s)) == s
     assert copy.deepcopy(s) == s
+
+
+# -- rational_between against the loop it replaced ---------------------------
+
+
+def loop_rational_between(lo: ExactNumber, hi: ExactNumber) -> ExactNumber:
+    """The search for k by halving 3/2^k until it drops below the gap."""
+    if not lo < hi:
+        raise ValueError("rational_between requires lo < hi")
+    gap = hi - lo
+    k = 0
+    while ExactNumber(Fraction(1, 2**k)) * 3 >= gap:
+        k += 1
+    scale = 2**k
+    m = (lo * scale).floor() + 1
+    q = ExactNumber(Fraction(m, scale))
+    while q <= lo:
+        m += 1
+        q = ExactNumber(Fraction(m, scale))
+    return q
+
+
+ends = st.one_of(
+    pairs.map(ex),
+    numbers,
+    st.sampled_from(
+        [SQRT2, -SQRT2, SQRT2 / 2, ONE + SQRT2, SQRT2 * 10**400, ExactNumber(10**400, -1)]
+    ),
+)
+
+
+@given(ends, ends)
+@settings(max_examples=200)
+def test_rational_between_matches_the_loop(x, y):
+    if x == y:
+        with pytest.raises(ValueError):
+            rational_between(x, y)
+        return
+    lo, hi = (x, y) if x < y else (y, x)
+    assert rational_between(lo, hi) == loop_rational_between(lo, hi)
+    with pytest.raises(ValueError):
+        rational_between(hi, lo)

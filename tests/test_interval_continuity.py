@@ -121,6 +121,27 @@ def test_probe_family_must_be_q_open():
         )
 
 
+@pytest.mark.parametrize(
+    "outside",
+    [
+        SheetSet((LineSet.of(interval(num("1/2"), num(2))),)),
+        SheetSet((LineSet.of(interval(num(-1), num(2))),)),
+        SheetSet((LineSet.of(interval(num(0), num("1/2"))), LineSet.empty())),
+    ],
+)
+def test_probe_family_must_lie_in_the_codomain(outside):
+    """The checkers pull declared probes back without cutting them to the
+    codomain, so a declared set outside it is refused up front."""
+    base = fixture_ex12()
+    with pytest.raises(ValueError, match="not inside the codomain|different sheet counts"):
+        IntervalScaledMap(
+            pam=base.pam,
+            domain_scale=base.domain_scale,
+            codomain_scale=base.codomain_scale,
+            probe_family=(outside,),
+        )
+
+
 def test_trivial_domain_modes():
     # With the trivial domain scale the punctured identity becomes
     # globally strong-continuous: preimages only need openness.

@@ -490,6 +490,22 @@ def test_witnesses_are_members_inside_their_set(data):
         assert w is not None, (scale.tag, x, s)
 
 
+@pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_probes_lie_in_the_carrier(k, data):
+    """The probe contract: every probe a scale yields lies in its carrier,
+    at drawn points and critical coordinates.  The interval checkers pull
+    probes back without cutting them to the codomain, so they rely on it."""
+    scale, values = KINDS[k]
+    x = data.draw(points_in(scale, values))
+    critical = data.draw(
+        st.lists(st.sampled_from([*values, *OFFSETS, *RADII]), max_size=4)
+    )
+    for s in scale.iter_point_probes(x, critical):
+        assert s.issubset(scale.carrier), (scale.tag, x, critical, s)
+
+
 @st.composite
 def ball_kind(draw, family):
     a = draw(st.sampled_from(RADII))

@@ -159,6 +159,35 @@ def test_parallelism_does_not_change_output(monkeypatch):
         assert seq == par
 
 
+def test_t3_reports_disagreements_as_the_per_point_loop_did(monkeypatch):
+    """T3 evaluates both sides at every point before it reports; with a
+    constancy test that is wrong on two-point neighborhoods, every task
+    lists the violations the per-point loop lists, in the same order."""
+
+    def per_point_t3(res, f, chosen, blocks):
+        for x, c in enumerate(chosen):
+            weak = f.holds(verifier._AT_POINT["weak"][x])
+            const = verifier._constant_on(f, c)
+            verifier._agree(
+                res, weak, const,
+                lambda: verifier._map_doc(f, point=x, weak=weak, constant=const),
+            )
+
+    real = verifier._constant_on
+    monkeypatch.setattr(
+        verifier, "_constant_on", lambda f, m: real(f, m) != (bin(m).count("1") == 2)
+    )
+    cfg = SweepConfig(max_points=3, scale_budget=3, map_budget=6)
+    found = 0
+    for task in verifier.PROPERTIES["T3"].tasks(cfg):
+        batched = verifier._run_constancy(task, cfg, verifier._check_t3)
+        looped = verifier._run_constancy(task, cfg, per_point_t3)
+        assert batched.violations == looped.violations
+        assert (batched.tested, batched.skipped) == (looped.tested, looped.skipped)
+        found += len(batched.violations)
+    assert found > 1
+
+
 def test_worker_count_is_clamped(monkeypatch):
     cfg = SweepConfig(max_points=2, scale_budget=6, sample_budget=120)
     serial = run_property("P4", cfg).to_bytes()
