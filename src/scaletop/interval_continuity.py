@@ -10,16 +10,12 @@ critical sets.  Each probe is decided exactly, so a failing verdict is
 an unconditional counterexample certificate, while a passing verdict
 means "holds on all probes".
 
-Probes are taken one at a time, in order and without repeats, and a
-check stops at the first probe that fails, so the probes after it are
-never built.  Strong at-point and global checks, and every check whose
-domain scale is a ``PStructure``, pull each probe back through the
-whole map.  Weak at-point and weak local checks on the other kinds ask
-only whether the preimage holds an assigned neighborhood of the point,
-which its component around the point decides, so they pull back only
-that component (see ``IntervalScale.local_witness``).  The whole
-preimage is computed for a failing probe, because its certificate
-carries it.
+Probes are taken one at a time, in order, and a check stops at the
+first probe that fails, so the probes after it are never built.  Every
+probe runs through the same loop: pull it back through the whole map,
+then decide the preimage.  A probe that repeats an earlier one is
+decided the same way again, so repeats are not filtered out; they
+cannot move the first failing probe or its certificate.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -35,14 +31,13 @@ are vacuously satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 from typing import Iterator
 
 from .continuity import ContinuityMode
 from .exactnum import ExactNumber, irrational_between
 from .interval_scales import IntervalScale, TrivialIntervalScale
-from .intervals import SheetPoint, SheetSet, _first_occurrences
+from .intervals import SheetPoint, SheetSet
 from .pwmaps import PiecewiseAffineMap
 
 
@@ -134,11 +129,8 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
 
 def _global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
     """The declared probe family, then codomain probe sets around the
-    images of the map's critical coordinates, without repeats."""
-    return _first_occurrences(chain(m.probe_family, _generated_global_probes(m)))
-
-
-def _generated_global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
+    images of the map's critical coordinates."""
+    yield from m.probe_family
     criticals = codomain_critical_coords(m)
     for sheet, line in enumerate(m.pam.codomain.sheets):
         anchor_xs: list[ExactNumber] = []
@@ -168,16 +160,6 @@ def _holds_at(
     return dom_scale.witness_inside(p, pre) is not None
 
 
-def _weak_holds_locally(
-    pam: PiecewiseAffineMap, dom_scale: IntervalScale, p: SheetPoint, target: SheetSet
-) -> bool:
-    """The weak at-point decision for the preimage of ``target`` (a subset
-    of the codomain), read off its component around p.  Equal to
-    ``_holds_at`` on the whole preimage when ``dom_scale.local_witness``."""
-    comp = pam._preimage_component(target, p)
-    return comp is not None and dom_scale.witness_inside(p, comp) is not None
-
-
 def _holds_open(
     dom_scale: IntervalScale, mode: ContinuityMode, pre: SheetSet
 ) -> bool:
@@ -195,19 +177,19 @@ def iw_check_continuity(
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
             raise ValueError("interval-world at-point modes take a SheetPoint")
-        return _check_at_point(
+        certificate = _check_at_point(
             m, dom_scale, mode, mode.at_point, codomain_critical_coords(m)
         )
-    if mode.locus == "local":
+    elif mode.locus == "local":
         criticals = codomain_critical_coords(m)
-        for p in default_probe_points(m):
-            sub = _check_at_point(
-                m, dom_scale, replace(mode, locus="at-point", at_point=p), p, criticals
-            )
-            if not sub.holds:
-                return IntervalVerdict(False, mode, sub.certificate)
-        return IntervalVerdict(True, mode)
-    return _check_global(m, dom_scale, mode)
+        checks = (
+            _check_at_point(m, dom_scale, mode, p, criticals)
+            for p in default_probe_points(m)
+        )
+        certificate = next(filter(None, checks), None)
+    else:
+        certificate = _check_global(m, dom_scale, mode)
+    return IntervalVerdict(certificate is None, mode, certificate)
 
 
 def _check_at_point(
@@ -216,33 +198,26 @@ def _check_at_point(
     mode: ContinuityMode,
     p: SheetPoint,
     criticals: list[ExactNumber],
-) -> IntervalVerdict:
-    pam = m.pam
-    local = mode.strength == "weak" and dom_scale.local_witness
-    probes = m.codomain_scale.iter_point_probes(pam.eval(p), critical=criticals)
-    for target in _first_occurrences(probes):
-        if local:
-            if _weak_holds_locally(pam, dom_scale, p, target):
-                continue
-            pre = pam._preimage(target)
-        else:
-            pre = pam._preimage(target)
-            if _holds_at(dom_scale, mode, p, pre):
-                continue
-        return IntervalVerdict(
-            False, mode, {"point": p, "target": target, "preimage": pre}
-        )
-    return IntervalVerdict(True, mode)
+) -> dict | None:
+    """The certificate of the first probe at p that fails, or None.
+    Only ``mode.strength`` is read."""
+    probes = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
+    for target in probes:
+        pre = m.pam._preimage(target)
+        if not _holds_at(dom_scale, mode, p, pre):
+            return {"point": p, "target": target, "preimage": pre}
+    return None
 
 
 def _check_global(
     m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
-) -> IntervalVerdict:
+) -> dict | None:
+    """The certificate of the first global probe that fails, or None."""
     for target in _global_probes(m):
         pre = m.pam._preimage(target)
         if not pre.is_empty and not _holds_open(dom_scale, mode, pre):
-            return IntervalVerdict(False, mode, {"r_open": target, "preimage": pre})
-    return IntervalVerdict(True, mode)
+            return {"r_open": target, "preimage": pre}
+    return None
 
 
 def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:

@@ -8,11 +8,10 @@ three exact decision procedures instead of an enumerated family:
 * ``is_q_open(s)``         -- is s assigned to some point,
 * ``witness_inside(x, s)`` -- some assigned neighborhood of x inside s,
 
-plus ``point_probes(x, critical)``, a deterministic finite family of
-assigned neighborhoods of x used by the continuity checkers (generated
-around the supplied critical coordinates so straddling and
-non-straddling shapes both appear).  The checkers take the same family
-from ``iter_point_probes``, one set at a time.
+plus ``iter_point_probes(x, critical)``, a deterministic finite family
+of assigned neighborhoods of x used by the continuity checkers
+(generated around the supplied critical coordinates so straddling and
+non-straddling shapes both appear), yielded one set at a time.
 
 Membership rules, by tag:
 
@@ -56,8 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
-from typing import ClassVar, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import ExactNumber, irrational_between, rational_between
 from .intervals import (
@@ -66,7 +64,6 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
-    _first_occurrences,
     _intersect_intervals,
     _ordered,
     _piece_holding,
@@ -220,20 +217,15 @@ def _open_interval(s: SheetSet) -> Interval | None:
 class IntervalScale:
     """Base for catalog kinds; concrete kinds override the rule methods.
 
-    A kind sets ``local_witness`` when ``witness_inside(x, s)`` finds a
-    witness exactly when it finds one for the component of s around x
-    alone: it reads s only near x, through the carrier.  The weak
-    at-point checks then pull back only that component.
-
-    Probe contract: every set ``iter_point_probes`` (and so
-    ``point_probes``) yields lies in ``carrier``.  The continuity
-    checkers rely on it: they pull each probe back through a map whose
-    codomain is this carrier without cutting it to the carrier first."""
+    Probe contract: every set ``iter_point_probes`` yields lies in
+    ``carrier``.  The continuity checkers rely on it: they pull each
+    probe back through a map whose codomain is this carrier without
+    cutting it to the carrier first.  A family may repeat a set; the
+    checkers decide a repeat as they decided its first occurrence."""
 
     carrier: Carrier
 
     tag: str = field(init=False, default="")
-    local_witness: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         raise NotImplementedError
@@ -244,16 +236,11 @@ class IntervalScale:
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         raise NotImplementedError
 
-    def point_probes(
-        self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
-    ) -> list[SheetSet]:
-        return list(self.iter_point_probes(x, critical))
-
     def iter_point_probes(
         self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
     ) -> Iterator[SheetSet]:
-        """The probes of ``point_probes``, in order, each built only when
-        it is taken, so a check that fails early builds no more."""
+        """Assigned neighborhoods of x, in order, each built only when it
+        is taken, so a check that fails early builds no more."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -271,25 +258,19 @@ def _open_component_probes(
     carrier: Carrier, x: SheetPoint, critical: Sequence[ExactNumber]
 ) -> Iterator[SheetSet]:
     """The whole carrier, then the open component around x inside each
-    open ball at a derived radius, without repeats.  That component is
-    the ball cut to the carrier piece holding x: the ball is open, so the
-    cut keeps only closed ends of that piece, and the interior keeps
-    those."""
+    open ball at a derived radius.  That component is the ball cut to the
+    carrier piece holding x: the ball is open, so the cut keeps only
+    closed ends of that piece, and the interior keeps those."""
     home = _piece_holding(carrier.sheets[x.sheet], x.x)
-
-    def components() -> Iterator[SheetSet]:
-        yield carrier.whole()
-        for r in _derived_radii(x.x, critical):
-            cut = _intersect_intervals(_ordered(x.x - r, x.x + r, False, False), home)
-            yield carrier.lift(LineSet((cut,)), x.sheet)
-
-    return _first_occurrences(components())
+    yield carrier.whole()
+    for r in _derived_radii(x.x, critical):
+        cut = _intersect_intervals(_ordered(x.x - r, x.x + r, False, False), home)
+        yield carrier.lift(LineSet((cut,)), x.sheet)
 
 
 @dataclass(frozen=True)
 class TrivialIntervalScale(IntervalScale):
     tag: str = field(init=False, default="Trivial")
-    local_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)
@@ -321,8 +302,6 @@ class BallSupersetScale(IntervalScale):
 
     a: ExactNumber = _ONE
     closed_ball: bool = True
-
-    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -377,8 +356,6 @@ class BallScale(IntervalScale):
     a: ExactNumber = _ZERO
     strict: bool = True
 
-    local_witness: ClassVar[bool] = True
-
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
         if self.strict:
@@ -430,7 +407,6 @@ class BoundedBallSupersetScale(IntervalScale):
     a: ExactNumber = _ZERO
 
     tag: str = field(init=False, default="BQ_Oa")
-    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -477,60 +453,6 @@ class BoundedBallSupersetScale(IntervalScale):
 # -- carrier traces of symmetric balls ----------------------------------------------
 
 
-_LOWER_END = attrgetter("lo", "lo_closed")
-_UPPER_END = attrgetter("hi", "hi_closed")
-
-
-def _first_uncovered(
-    carrier: Sequence[Interval],
-    line: Sequence[Interval],
-    x: ExactNumber,
-    rightward: bool,
-) -> tuple[ExactNumber, bool] | None:
-    """Walking from x (included) to the right or to the left, the first
-    carrier point that ``line`` does not cover, as (v, closed): the
-    uncovered points start at v, with v itself only when closed.  None
-    when every carrier point that way is covered.  Both arguments are
-    the pieces of canonical sets; each list is walked once, from x out."""
-    near, far = _LOWER_END, _UPPER_END
-    beyond = ExactNumber.__gt__
-    if not rightward:
-        carrier, line = carrier[::-1], line[::-1]
-        near, far = far, near
-        beyond = ExactNumber.__lt__
-
-    def ends_before(iv: Interval, v: ExactNumber, closed: bool) -> bool:
-        e, ec = far(iv)
-        return e is not None and (beyond(v, e) or (e == v and not (ec and closed)))
-
-    def starts_by(iv: Interval, v: ExactNumber, closed: bool) -> bool:
-        e, ec = near(iv)
-        return e is None or beyond(v, e) or (e == v and (ec or not closed))
-
-    pos, closed = x, True
-    j = 0
-    for piece in carrier:
-        if ends_before(piece, pos, closed):
-            continue
-        if not starts_by(piece, pos, closed):
-            pos, closed = near(piece)
-        while j < len(line):
-            cover = line[j]
-            if ends_before(cover, pos, closed):
-                j += 1
-            elif starts_by(cover, pos, closed):
-                end, end_closed = far(cover)
-                if end is None:
-                    return None
-                pos, closed = end, not end_closed
-                j += 1
-            else:
-                break
-        if not ends_before(piece, pos, closed):
-            return pos, closed
-    return None
-
-
 @dataclass(frozen=True)
 class _TraceScale(IntervalScale):
     """Traces carrier * (x-r, x+r) on a one-sheet carrier, with r in a
@@ -541,15 +463,6 @@ class _TraceScale(IntervalScale):
     x, the piece of the line holding x that avoids them; s must lie
     inside the host, and the ball fits while r stays within its ends."""
 
-    # A witness is a radius in the range ``_radii`` admits, capped by the
-    # distances from x to the ends of its host.  Given only the component
-    # of s around x, a host end can move nearer only to a further piece of
-    # s, across a gap of s that holds no carrier point.  On TruncatedQ_a's
-    # segment every gap holds carrier points, so the host is the same; on
-    # SymmetricIntervals the range asks only r > 0, and x lies strictly
-    # inside the one host exactly when it does inside the other.
-    local_witness: ClassVar[bool] = True
-
     def _radii(self, x: ExactNumber) -> _Range:
         """The radii admitted at x: a fresh range, open at its lower end."""
         raise NotImplementedError
@@ -559,16 +472,8 @@ class _TraceScale(IntervalScale):
 
     def _host(self, line: LineSet, x: ExactNumber) -> Interval | None:
         """The piece of the line holding x that avoids every carrier point
-        outside ``line``; None when x is such a point.  Its ends are the
-        first such points met walking out from x on either side."""
-        carrier = self.carrier.sheets[0].pieces
-        right = _first_uncovered(carrier, line.pieces, x, rightward=True)
-        if right == (x, True):
-            return None
-        left = _first_uncovered(carrier, line.pieces, x, rightward=False)
-        lo, lc = (None, False) if left is None else (left[0], not left[1])
-        hi, hc = (None, False) if right is None else (right[0], not right[1])
-        return Interval(lo, hi, lc, hc)
+        outside ``line``; None when x is such a point."""
+        return _piece_holding(self.carrier.sheets[0].difference(line).complement(), x)
 
     def _shaped_host(self, line: LineSet, x: ExactNumber) -> Interval | None:
         """The host of x when ``line`` has the shape of a trace around x:
@@ -612,7 +517,7 @@ class _TraceScale(IntervalScale):
         self._contains_point(x)
         rng = self._radii(xx)
         radii = _derived_radii(xx, critical, lower_excl=rng.lo, upper_incl=rng.hi)
-        return _first_occurrences(self._trace(xx, r) for r in radii)
+        return (self._trace(xx, r) for r in radii)
 
 
 @dataclass(frozen=True)
@@ -691,8 +596,6 @@ class EndClassScale(IntervalScale):
 
     mode: str = "rational"
     crossed: bool = False
-
-    local_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -781,7 +684,6 @@ class ConnectedOpenScale(IntervalScale):
     """The whole carrier plus connected relatively open neighborhoods."""
 
     tag: str = field(init=False, default="ConnectedOpen")
-    local_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)

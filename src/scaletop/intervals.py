@@ -15,7 +15,7 @@ All operations are pure and exact; no floats are consulted anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exactnum import ExactNumber, _cmp
 
@@ -408,15 +408,6 @@ class SheetSet:
         if len(self.sheets) == 1:
             return str(self.sheets[0])
         return "; ".join(f"sheet {i}: {s}" for i, s in enumerate(self.sheets))
-
-
-def _first_occurrences(sets: Iterable[SheetSet]) -> Iterator[SheetSet]:
-    """``sets`` without repeats, each where it first occurs."""
-    seen: set[SheetSet] = set()
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            yield s
 
 
 class Carrier(SheetSet):

@@ -32,7 +32,6 @@ from .intervals import (
     _cmp_upper,
     _merge_sorted,
     _ordered,
-    _touches,
     normalize,
     point_interval,
 )
@@ -211,11 +210,9 @@ class PiecewiseAffineMap:
 
         The continuity checkers pull back probes of the codomain scale,
         which lie in the codomain by the ``IntervalScale`` probe contract,
-        so they call ``_preimage`` and skip this check.  The
-        strong at-point, global and ``PStructure`` checks read the whole
-        preimage, and so does every failure certificate; weak at-point and
-        weak local checks on the other kinds read only
-        ``_preimage_component``."""
+        so they call ``_preimage`` and skip this check.  Every check
+        decides on the whole preimage, and every failure certificate
+        carries it."""
         if not s.issubset(self.codomain):
             raise MapDomainError("preimage argument not inside the codomain carrier")
         return self._preimage(s)
@@ -229,43 +226,6 @@ class PiecewiseAffineMap:
             for piece in pieces:
                 cuts += piece._cuts(s.sheets[piece.out_sheet])
             out.append(_merge_sorted(cuts))
-        return SheetSet(tuple(out))
-
-    def _preimage_component(self, s: SheetSet, p: SheetPoint) -> SheetSet | None:
-        """The component around p of ``_preimage(s)``, that is
-        ``component_containing(self._preimage(s), p)``, found by walking
-        outward from the piece holding p: within a piece the cuts are
-        separated, so the component crosses into the next piece only from
-        the last cut of a piece, and on into a third only when the next
-        piece has that one cut."""
-        pieces = self._pieces_on(p)
-        i = _index_holding(pieces, p)
-        cuts = pieces[i]._cuts(s.sheets[pieces[i].out_sheet])
-        k = next((k for k, cut in enumerate(cuts) if cut.contains(p.x)), None)
-        if k is None:
-            return None
-        comp = cuts[k]
-        # A cut of a later piece ends after every cut of an earlier one, so
-        # merging two touching cuts keeps the outer ends, as _merge_sorted
-        # does.
-        if k == len(cuts) - 1:
-            for piece in pieces[i + 1 :]:
-                more = piece._cuts(s.sheets[piece.out_sheet])
-                if not more or not _touches(comp, more[0]):
-                    break
-                comp = _ordered(comp.lo, more[0].hi, comp.lo_closed, more[0].hi_closed)
-                if len(more) > 1:
-                    break
-        if k == 0:
-            for piece in reversed(pieces[:i]):
-                more = piece._cuts(s.sheets[piece.out_sheet])
-                if not more or not _touches(more[-1], comp):
-                    break
-                comp = _ordered(more[-1].lo, comp.hi, more[-1].lo_closed, comp.hi_closed)
-                if len(more) > 1:
-                    break
-        out = [LineSet.empty()] * len(self._sheet_pieces)
-        out[p.sheet] = LineSet((comp,))
         return SheetSet(tuple(out))
 
     # -- limits and gaps ----------------------------------------------------

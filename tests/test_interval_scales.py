@@ -174,8 +174,9 @@ def test_symmetric_trace_on_solid_interval():
     assert scale.member(x, line(iv(0, 1)))
     assert scale.member(x, line(iv("1/4", "3/4")))
     assert not scale.member(x, line(iv("1/4", "3/4", hc=True)))
-    assert scale.point_probes(SheetPoint(0, num(0))) == []  # no admissible radius
-    probes = scale.point_probes(x, critical=[num("1/4")])
+    # no admissible radius
+    assert list(scale.iter_point_probes(SheetPoint(0, num(0)))) == []
+    probes = list(scale.iter_point_probes(x, critical=[num("1/4")]))
     assert probes and all(scale.member(x, p) for p in probes)
 
 
@@ -231,7 +232,7 @@ def test_end_class_witness_and_probes():
     w = crossed.witness_inside(ORIGIN, line(iv(-3, 3)))
     assert w is not None and crossed.member(ORIGIN, w)
     assert w.issubset(line(iv(-3, 3)))
-    for probe in crossed.point_probes(ORIGIN, critical=[num(1)]):
+    for probe in crossed.iter_point_probes(ORIGIN, critical=[num(1)]):
         assert crossed.member(ORIGIN, probe)
 
 
@@ -325,7 +326,7 @@ def test_truncated_q_open_and_witness():
     w = t.witness_inside(x, line(iv("1/2", "3/2")))
     assert w is not None and t.member(x, w) and w.issubset(line(iv("1/2", "3/2")))
     assert t.witness_inside(x, line(iv("19/20", "21/20"))) is None
-    for probe in t.point_probes(x, critical=[num("1/2")]):
+    for probe in t.iter_point_probes(x, critical=[num("1/2")]):
         assert t.member(x, probe)
 
 
@@ -365,7 +366,7 @@ def test_subscale_rule_validated_on_sampled_members():
     q_ob = BallSupersetScale(LINE, a=b, closed_ball=False)
     for xv in (num(0), num("7/3"), SQRT2):
         x = SheetPoint(0, xv)
-        for s in q_ob.point_probes(x, critical=[num(1)]):
+        for s in q_ob.iter_point_probes(x, critical=[num(1)]):
             assert q_ob.member(x, s)
             assert q_oa.member(x, s)  # subscale containment
             w = q_oa.witness_inside(x, s)  # finer: a witness sits inside
@@ -427,7 +428,7 @@ def test_probe_families_are_assigned():
             for sheet in range(scale.carrier.n_sheets):
                 x = SheetPoint(sheet, xv)
                 for critical in ((), (num(0), num(1)), (xv + num("1/7"),)):
-                    probes = scale.point_probes(x, critical=critical)
+                    probes = list(scale.iter_point_probes(x, critical=critical))
                     assert probes, (scale.tag, x)
                     for s in probes:
                         assert scale.member(x, s), (scale.tag, x, s)
@@ -462,7 +463,7 @@ def sets_near(draw, scale, x):
     if pick == 0:
         return scale.carrier.whole()
     if pick == 1:
-        probes = scale.point_probes(x, critical=(num(0), num(1)))
+        probes = list(scale.iter_point_probes(x, critical=(num(0), num(1))))
         if probes:
             return draw(st.sampled_from(probes))
     r_lo = draw(st.sampled_from(RADII))
@@ -528,9 +529,9 @@ def test_order_rules_agree_with_probes(data):
     x = SheetPoint(0, xv)
     critical = data.draw(st.lists(st.sampled_from(RADII), max_size=3))
     if iw_is_subscale(p, q):
-        for s in p.point_probes(x, critical):
+        for s in p.iter_point_probes(x, critical):
             assert q.member(x, s), (p, q, x, s)
     if iw_finer(p, q):
-        for s in q.point_probes(x, critical):
+        for s in q.iter_point_probes(x, critical):
             w = p.witness_inside(x, s)
             assert w is not None and w.issubset(s) and p.member(x, w), (p, q, x, s)

@@ -7,13 +7,12 @@ they replace.
 * ``PiecewiseAffineMap.preimage`` against the union of each piece's
   ``normalize``d cuts, each cut solved through ``1/slope`` and cut to
   the piece;
-* ``PiecewiseAffineMap._preimage_component`` against the component of
-  the whole preimage around the point;
-* ``_open_component_probes`` against a list scanned for repeats;
+* the first occurrences of ``_open_component_probes`` against a list
+  scanned for repeats;
 * ``_TraceScale._host`` against the piece holding x of the complement
-  of carrier-minus-s;
-* the weak at-point decision on the component of the preimage around a
-  point against ``_holds_at`` on the whole preimage, for every kind.
+  of carrier-minus-s (today the same expression; the test guards it);
+* a ``PStructure`` weak decision that needs the whole preimage, not its
+  component around the point.
 
 The references are written out here as the library computed them
 before, so a change to the library cannot move both sides.
@@ -29,17 +28,10 @@ from hypothesis import strategies as st
 
 from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
-from scaletop.interval_continuity import _holds_at, _weak_holds_locally
+from scaletop.interval_continuity import _holds_at
 from scaletop.interval_scales import (
-    BallScale,
-    BallSupersetScale,
-    BoundedBallSupersetScale,
-    ConnectedOpenScale,
-    EndClassScale,
     PStructureIntervalScale,
     SymmetricIntervalScale,
-    TrivialIntervalScale,
-    TruncatedBallScale,
     _derived_radii,
     _open_component_probes,
     segment_carrier,
@@ -426,28 +418,6 @@ def test_preimage_skips_targets_that_miss_the_image():
     assert flat.preimage_interval(Interval(num(3), None, False, False)) is None
 
 
-@st.composite
-def component_preimage_cases(draw):
-    m = draw(maps())
-    s = draw(targets(m))
-    pre = m.preimage(s)
-    sheet = draw(st.integers(min_value=0, max_value=m.domain.n_sheets - 1))
-    line = m.domain.sheets[sheet]
-    inside = [x for x in ends_of(m.domain, pre) if line.member(x)]
-    inside += [x for x in ends_of(*(SheetSet((LineSet((p.part,)),)) for p in m.pieces))
-               if line.member(x)]
-    inside += [inner_point(piece) for piece in line.pieces + pre.sheets[sheet].pieces]
-    x = draw(st.sampled_from([x for x in inside if line.member(x)]))
-    return m, s, SheetPoint(sheet, x)
-
-
-@given(component_preimage_cases())
-@settings(max_examples=100)
-def test_preimage_component_matches_the_whole_preimage(case):
-    m, s, p = case
-    assert m._preimage_component(s, p) == component_containing(m.preimage(s), p)
-
-
 def test_preimage_argument_checks_are_kept():
     m = PiecewiseAffineMap(
         Carrier.of(seg(0, 1, True, True)),
@@ -511,9 +481,8 @@ def probe_cases(draw):
 def test_open_component_probes_keep_their_order(case):
     carrier, x, critical = case
     assert carrier.member(x)
-    assert list(_open_component_probes(carrier, x, critical)) == ref_probes(
-        carrier, x, critical
-    )
+    probes = _open_component_probes(carrier, x, critical)
+    assert list(dict.fromkeys(probes)) == ref_probes(carrier, x, critical)
 
 
 # -- the host of x for carrier traces ------------------------------------------------
@@ -542,131 +511,22 @@ def test_host_walk_matches_the_whole_set_form(case):
     assert scale._host(line, x) == want
 
 
-# -- the weak at-point decision on the component around the point --------------------
-
-BALL_RADII = (num("1/4"), num("1/2"), num(1), ExactNumber(0, Fraction(1, 2)))
-
-
-@st.composite
-def catalog_scales(draw):
-    """A scale of any kind whose ``witness_inside`` reads only the
-    component around x, on a carrier that kind accepts: drawn carriers
-    (often punctured) for Trivial, ConnectedOpen and SymmetricIntervals,
-    a segment for TruncatedQ_a, the full line for the ball and endpoint
-    kinds."""
-    kind = draw(st.sampled_from(
-        ["Trivial", "ConnectedOpen", "SymmetricIntervals", "TruncatedQ_a", "Q_a",
-         "CQ_a", "BQ_Oa", "EndClass"]
-    ))
-    a = draw(st.sampled_from(BALL_RADII))
-    line = Carrier.of(LineSet.full_line())
-    if kind == "Trivial":
-        return TrivialIntervalScale(draw(carriers()))
-    if kind == "ConnectedOpen":
-        return ConnectedOpenScale(draw(carriers()))
-    if kind == "SymmetricIntervals":
-        lo = draw(coords)
-        return SymmetricIntervalScale(
-            Carrier((draw(line_sets(nonempty=True)),)),
-            lo_amb=lo,
-            hi_amb=lo + draw(st.sampled_from((num("1/2"), num(2), num(6)))),
-        )
-    if kind == "TruncatedQ_a":
-        lo = draw(coords)
-        hi = lo + draw(st.sampled_from((num(2), num(3))))
-        a = (hi - lo) / draw(st.sampled_from((3, 4, 7)))
-        return TruncatedBallScale(
-            Carrier.of(LineSet.of(Interval(lo, hi, True, True))), a=a, lo=lo, hi=hi
-        )
-    if kind == "Q_a":
-        return BallSupersetScale(line, a=a, closed_ball=draw(st.booleans()))
-    if kind == "CQ_a":
-        strict = draw(st.booleans())
-        if strict and draw(st.booleans()):
-            a = num(0)
-        return BallScale(line, a=a, strict=strict)
-    if kind == "BQ_Oa":
-        return BoundedBallSupersetScale(line, a=draw(st.sampled_from((num(0), a))))
-    mode = draw(st.sampled_from(["rational", "irrational", "mixed"]))
-    return EndClassScale(line, mode=mode, crossed=mode == "mixed" and draw(st.booleans()))
-
-
-@st.composite
-def weak_cases(draw):
-    """A scale, a map from its carrier, a point of the carrier at a piece
-    end, a carrier end, a preimage end or inside a piece, and a subset of
-    the codomain, often made to hold a neighborhood of the point's value."""
-    scale = draw(catalog_scales())
-    m = draw(maps(domain=scale.carrier))
-    sheet = draw(st.integers(min_value=0, max_value=m.domain.n_sheets - 1))
-    line = m.domain.sheets[sheet]
-    parts = [piece.part for piece in m.pieces if piece.sheet == sheet]
-    inside = [x for x in ends_of(m.domain, SheetSet((LineSet.of(*parts),))) if line.member(x)]
-    inside += [inner_point(piece) for piece in line.pieces + tuple(parts)]
-    p = SheetPoint(sheet, draw(st.sampled_from(inside)))
-    s = draw(targets(m))
-    if draw(st.booleans()):
-        y = m.eval(p)
-        r = draw(st.sampled_from(BALL_RADII + (num(3),)))
-        ball = Interval(y.x - r, y.x + r, draw(st.booleans()), draw(st.booleans()))
-        s = s.union(m.codomain.lift(LineSet.of(ball), y.sheet)).intersect(m.codomain)
-    pre = m.preimage(s)
-    if draw(st.booleans()) and not pre.sheets[sheet].is_empty:
-        ends = [x for x in pre.sheets[sheet].finite_endpoints() if line.member(x)]
-        if ends:
-            p = SheetPoint(sheet, draw(st.sampled_from(ends)))
-    return scale, m, p, s
-
-
-# Two one-sheet punctured carriers: the component of the preimage around
-# the point is then a proper part of it.
-PUNCTURED = Carrier.of(
-    LineSet.of(Interval(num(0), num(1), True, False), Interval(num(1), num(2), False, True))
-)
-
-
-@given(weak_cases())
-@settings(max_examples=200, deadline=None)
-@example((
-    SymmetricIntervalScale(PUNCTURED, lo_amb=num(0), hi_amb=num(2)),
-    PiecewiseAffineMap(PUNCTURED, PUNCTURED, (
-        AffinePiece(0, PUNCTURED.sheets[0].pieces[0], 0, Fraction(1), Fraction(0)),
-        AffinePiece(0, PUNCTURED.sheets[0].pieces[1], 0, Fraction(1), Fraction(0)),
-    )),
-    SheetPoint(0, num("1/2")),
-    PUNCTURED.whole(),
-))
-@example((
-    TrivialIntervalScale(PUNCTURED),
-    PiecewiseAffineMap(PUNCTURED, PUNCTURED, (
-        AffinePiece(0, PUNCTURED.sheets[0].pieces[0], 0, Fraction(-1), Fraction(2)),
-        AffinePiece(0, PUNCTURED.sheets[0].pieces[1], 0, Fraction(1), Fraction(0)),
-    )),
-    SheetPoint(0, num(0)),
-    SheetSet((seg(1, 2, False, True),)),
-))
-def test_weak_decision_on_the_component_matches_the_whole_preimage(case):
-    scale, m, p, s = case
-    assert scale.local_witness
-    weak = ContinuityMode("weak", "at-point", at_point=p)
-    want = _holds_at(scale, weak, p, m.preimage(s))
-    event(f"{scale.tag}: {'holds' if want else 'fails'}")
-    assert _weak_holds_locally(m, scale, p, s) == want
+# -- a weak decision that reads the whole preimage ------------------------------------
 
 
 def test_p_structures_read_the_whole_preimage():
     """A chosen neighborhood with two pieces lies in the preimage but not
-    in its component around the point, so PStructure keeps the whole
-    preimage."""
+    in its component around the point, so the weak decision needs the
+    whole preimage."""
     carrier = segment_carrier(num(0), num(3))
     chosen = SheetSet((LineSet.of(seg(0, 1, True, False).pieces[0],
                                   Interval(num(2), num(3), False, True)),))
     x = SheetPoint(0, num("1/2"))
     scale = PStructureIntervalScale(carrier, table=((x, chosen),))
-    assert not scale.local_witness
     m = PiecewiseAffineMap(carrier, carrier, (
         AffinePiece(0, Interval(num(0), num(3), True, True), 0, Fraction(1), Fraction(0)),
     ))
     weak = ContinuityMode("weak", "at-point", at_point=x)
-    assert _holds_at(scale, weak, x, m.preimage(chosen))
-    assert not _weak_holds_locally(m, scale, x, chosen)
+    pre = m.preimage(chosen)
+    assert _holds_at(scale, weak, x, pre)
+    assert not _holds_at(scale, weak, x, component_containing(pre, x))

