@@ -6,9 +6,15 @@ probe semantics: pointwise and local modes quantify over a deterministic
 finite family of assigned neighborhoods generated around the map's
 critical coordinates (breakpoints and carrier endpoints); global modes
 quantify over the fixture's declared probe family plus generated
-critical sets.  Each probe is decided exactly, so a failing verdict is
-an unconditional counterexample certificate, while a passing verdict
-means "holds on all probes".
+critical sets.  A passing verdict means "holds on all probes".  Every
+pointwise and local decision, and every global decision with a trivial
+domain scale, is exact, so its failing verdict is an unconditional
+counterexample certificate.  A weak global failure on any other domain
+scale rests on ``_find_open_witness``'s midpoint search, which can miss
+a q-open subset of the preimage: for the identity map on [0, 10] with a
+``SymmetricIntervals`` domain (ambient [0, 1]) and a trivial codomain,
+the probe (1/5, 9) fails and its certificate replays, yet
+(1/4, 7/20) lies in its preimage and is q-open.
 
 Probes are taken one at a time, in order, and a check stops at the
 first probe that fails, so the probes after it are never built.  Every
@@ -16,6 +22,19 @@ probe runs through the same loop: pull it back through the whole map,
 then decide the preimage.  A probe that repeats an earlier one is
 decided the same way again, so repeats are not filtered out; they
 cannot move the first failing probe or its certificate.
+
+Weak checks skip every probe that contains the last probe they passed
+on a nonempty preimage, with no pull-back and no decision.  Weak
+continuity is upward closed in the probe: V inside V' puts f^-1(V)
+inside f^-1(V'), and each kind's ``witness_inside`` decides exactly and
+finds a witness in every superset of a set that holds one.  So a
+skipped probe would pass, and the first failing probe and its
+certificate cannot move.  Global checks skip only on a trivial domain
+scale, where the midpoint search is exact: it finds a witness exactly
+when the preimage has a nonempty relative interior.  Elsewhere a probe
+that contains a passed one can still fail the search, as (1/5, 9) does
+after (1/4, 1/2) above.  An empty preimage passes a global check
+vacuously and proves nothing, so it is never kept.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -200,29 +219,52 @@ def _check_at_point(
     criticals: list[ExactNumber],
 ) -> dict | None:
     """The certificate of the first probe at p that fails, or None.
-    Only ``mode.strength`` is read."""
+    Only ``mode.strength`` is read.  A weak check skips the probes that
+    contain the last one it passed; that one's preimage holds p."""
+    weak = mode.strength == "weak"
+    passed = None
     probes = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
     for target in probes:
+        if passed is not None and passed.issubset(target):
+            continue
         pre = m.pam._preimage(target)
         if not _holds_at(dom_scale, mode, p, pre):
             return {"point": p, "target": target, "preimage": pre}
+        if weak:
+            passed = target
     return None
 
 
 def _check_global(
     m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
 ) -> dict | None:
-    """The certificate of the first global probe that fails, or None."""
+    """The certificate of the first global probe that fails, or None.
+    A weak check on a trivial domain scale skips the probes that contain
+    the last one it passed on a nonempty preimage."""
+    prune = mode.strength == "weak" and isinstance(dom_scale, TrivialIntervalScale)
+    passed = None
     for target in _global_probes(m):
+        if passed is not None and passed.issubset(target):
+            continue
         pre = m.pam._preimage(target)
-        if not pre.is_empty and not _holds_open(dom_scale, mode, pre):
+        if pre.is_empty:
+            continue
+        if not _holds_open(dom_scale, mode, pre):
             return {"r_open": target, "preimage": pre}
+        if prune:
+            passed = target
     return None
 
 
 def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
-    """Some q-open subset of ``pre``: witnesses are sought at the midpoint
-    of each piece of the preimage."""
+    """Some q-open subset of ``pre``, or None: witnesses are sought at the
+    midpoint of each piece of the preimage only.
+
+    On a trivial scale the search is exact: a piece holds a relatively
+    interior point exactly when its midpoint is one.  On other scales it
+    can miss: a ``SymmetricIntervals`` witness is centred strictly inside
+    the ambient bounds, which a midpoint outside them never is, so None
+    there does not prove that ``pre`` holds no q-open set."""
     for sheet, line in enumerate(pre.sheets):
         for piece in line.pieces:
             if piece.lo is not None and piece.hi is not None:

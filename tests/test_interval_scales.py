@@ -507,6 +507,20 @@ def test_probes_lie_in_the_carrier(k, data):
         assert s.issubset(scale.carrier), (scale.tag, x, critical, s)
 
 
+@pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_witnesses_survive_growing_the_set(k, data):
+    """If s lies in s' and s holds a witness of x, so does s'.  Weak
+    checks skip every probe that contains one they passed on this."""
+    scale, values = KINDS[k]
+    x = data.draw(points_in(scale, values))
+    s = data.draw(sets_near(scale, x))
+    grown = s.union(data.draw(sets_near(scale, x)))
+    if scale.witness_inside(x, s) is not None:
+        assert scale.witness_inside(x, grown) is not None, (scale.tag, x, s, grown)
+
+
 @st.composite
 def ball_kind(draw, family):
     a = draw(st.sampled_from(RADII))
