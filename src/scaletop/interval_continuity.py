@@ -36,6 +36,18 @@ that contains a passed one can still fail the search, as (1/5, 9) does
 after (1/4, 1/2) above.  An empty preimage passes a global check
 vacuously and proves nothing, so it is never kept.
 
+A pruning check also stops a nested family (``IntervalScale.nested_probes``:
+each probe from the second on contains the one before it) at the first
+probe of index 1 or more that it passes or skips.  Every later probe of
+the family contains that probe, and so contains the last one passed:
+the prune would skip each of them with no pull-back.  So the stop
+removes only probe building; the probes pulled back, their order, the
+first failing probe and its certificate are those of the prune alone.
+A global check walks the declared family and then each anchor's family
+on its own, and the stop ends only the current family; the probe it
+passed is kept, so the next family still skips by it.  The declared
+family is never taken as nested.
+
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
 contract), the codomain scale's carrier is the map's codomain, and
@@ -51,7 +63,7 @@ are vacuously satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .continuity import ContinuityMode
 from .exactnum import ExactNumber, irrational_between
@@ -146,11 +158,16 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
     return points
 
 
-def _global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
-    """The declared probe family, then codomain probe sets around the
-    images of the map's critical coordinates."""
-    yield from m.probe_family
+def _global_families(
+    m: IntervalScaledMap,
+) -> Iterator[tuple[bool, Iterable[SheetSet]]]:
+    """The global probe families, each with whether it is nested: the
+    declared probe family (never taken as nested), then one family of
+    codomain probe sets around each image of the map's critical
+    coordinates and each midpoint of a codomain piece."""
+    yield False, m.probe_family
     criticals = codomain_critical_coords(m)
+    nested = m.codomain_scale.nested_probes
     for sheet, line in enumerate(m.pam.codomain.sheets):
         anchor_xs: list[ExactNumber] = []
         for c in criticals:
@@ -160,7 +177,7 @@ def _global_probes(m: IntervalScaledMap) -> Iterator[SheetSet]:
             if piece.lo is not None and piece.hi is not None and piece.lo < piece.hi:
                 anchor_xs.append(piece.lo + (piece.hi - piece.lo) / 2)
         for x in anchor_xs:
-            yield from m.codomain_scale.iter_point_probes(
+            yield nested, m.codomain_scale.iter_point_probes(
                 SheetPoint(sheet, x), critical=criticals
             )
 
@@ -220,17 +237,24 @@ def _check_at_point(
 ) -> dict | None:
     """The certificate of the first probe at p that fails, or None.
     Only ``mode.strength`` is read.  A weak check skips the probes that
-    contain the last one it passed; that one's preimage holds p."""
+    contain the last one it passed; that one's preimage holds p.  On a
+    nested family it stops at the first probe of index 1 or more that it
+    passes or skips."""
     weak = mode.strength == "weak"
+    stop = weak and m.codomain_scale.nested_probes
     passed = None
     probes = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
-    for target in probes:
+    for i, target in enumerate(probes):
         if passed is not None and passed.issubset(target):
+            if stop:
+                break
             continue
         pre = m.pam._preimage(target)
         if not _holds_at(dom_scale, mode, p, pre):
             return {"point": p, "target": target, "preimage": pre}
         if weak:
+            if stop and i:
+                break
             passed = target
     return None
 
@@ -240,19 +264,27 @@ def _check_global(
 ) -> dict | None:
     """The certificate of the first global probe that fails, or None.
     A weak check on a trivial domain scale skips the probes that contain
-    the last one it passed on a nonempty preimage."""
+    the last one it passed on a nonempty preimage, and ends a nested
+    family at the first probe of index 1 or more that it passes or
+    skips; the next family still skips by that passed probe."""
     prune = mode.strength == "weak" and isinstance(dom_scale, TrivialIntervalScale)
     passed = None
-    for target in _global_probes(m):
-        if passed is not None and passed.issubset(target):
-            continue
-        pre = m.pam._preimage(target)
-        if pre.is_empty:
-            continue
-        if not _holds_open(dom_scale, mode, pre):
-            return {"r_open": target, "preimage": pre}
-        if prune:
-            passed = target
+    for nested, family in _global_families(m):
+        stop = prune and nested
+        for i, target in enumerate(family):
+            if passed is not None and passed.issubset(target):
+                if stop and i:
+                    break
+                continue
+            pre = m.pam._preimage(target)
+            if pre.is_empty:
+                continue
+            if not _holds_open(dom_scale, mode, pre):
+                return {"r_open": target, "preimage": pre}
+            if prune:
+                passed = target
+                if stop and i:
+                    break
     return None
 
 

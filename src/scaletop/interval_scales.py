@@ -53,9 +53,12 @@ All decisions are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from heapq import merge
+from itertools import tee
+from typing import ClassVar, Iterator, Sequence
 
 from .exactnum import ExactNumber, irrational_between, rational_between
 from .intervals import (
@@ -74,6 +77,7 @@ from .intervals import (
 
 _ZERO = ExactNumber(0)
 _ONE = ExactNumber(1)
+_TWO = ExactNumber(2)
 _HALF = ExactNumber(Fraction(1, 2))
 _THREE_HALVES = ExactNumber(Fraction(3, 2))
 
@@ -143,35 +147,72 @@ def _single_line(s: SheetSet) -> LineSet:
     return s.sheets[0]
 
 
+_MAX_RADII = 12
+
+
+def _distances(x: ExactNumber, critical: Sequence[ExactNumber]) -> Iterator[ExactNumber]:
+    """The positive distances from x to the critical coordinates, in
+    ascending order, with repeats: a walk outward from x over the sorted
+    coordinates, taking the nearer side at each step."""
+    cs = sorted(critical)
+    i, j = bisect_left(cs, x) - 1, bisect_right(cs, x)
+    left = x - cs[i] if i >= 0 else None
+    right = cs[j] - x if j < len(cs) else None
+    while left is not None or right is not None:
+        if right is None or (left is not None and left <= right):
+            yield left
+            i -= 1
+            left = x - cs[i] if i >= 0 else None
+        else:
+            yield right
+            j += 1
+            right = cs[j] - x if j < len(cs) else None
+
+
 def _derived_radii(
     x: ExactNumber,
     critical: Sequence[ExactNumber],
     lower_excl: ExactNumber | None = None,
     upper_incl: ExactNumber | None = None,
-) -> list[ExactNumber]:
+) -> Iterator[ExactNumber]:
     """Deterministic radius ladder around the distances from x to the
-    critical coordinates, clipped to (lower_excl, upper_incl]."""
-    cands = {_ONE, ExactNumber(2)}
-    for c in critical:
-        d = abs(x - c)
-        if d.sign() > 0:
-            cands.update({d, d * _HALF, d * _THREE_HALVES})
+    critical coordinates, clipped to (lower_excl, upper_incl]: the
+    ``_MAX_RADII`` smallest distinct candidates, in ascending order, each
+    computed only when it is taken.
+
+    The candidates are 1 and 2; each distance d > 0 with d/2 and 3d/2;
+    with an upper bound u, u and u/2; with a lower bound l, l + 1, and
+    the midpoint of (l, u) when u > l.  The distances come in ascending
+    order, so the streams d/2, d and 3d/2 do too, and one merge of them
+    with the sorted constants yields every candidate in order: repeats
+    are adjacent, and the first candidate above u ends the ladder."""
+    fixed = [_ONE, _TWO]
     if upper_incl is not None:
-        cands.update({upper_incl, upper_incl * _HALF})
+        fixed += [upper_incl, upper_incl * _HALF]
     if lower_excl is not None:
-        cands.add(lower_excl + _ONE)
+        fixed.append(lower_excl + _ONE)
         if upper_incl is not None and upper_incl > lower_excl:
-            cands.add(lower_excl + (upper_incl - lower_excl) * _HALF)
-    out = []
-    for r in cands:
-        if r.sign() <= 0:
-            continue
-        if lower_excl is not None and r <= lower_excl:
-            continue
+            fixed.append(lower_excl + (upper_incl - lower_excl) * _HALF)
+    fixed.sort()
+    halves, ds, three_halves = tee(_distances(x, critical), 3)
+    merged = merge(
+        fixed,
+        (d * _HALF for d in halves),
+        ds,
+        (d * _THREE_HALVES for d in three_halves),
+    )
+    last = None
+    taken = 0
+    for r in merged:
         if upper_incl is not None and r > upper_incl:
+            return
+        if r == last or r.sign() <= 0 or (lower_excl is not None and r <= lower_excl):
             continue
-        out.append(r)
-    return sorted(out)[:12]
+        yield r
+        last = r
+        taken += 1
+        if taken == _MAX_RADII:
+            return
 
 
 # -- shared neighborhood primitives -----------------------------------------------
@@ -221,11 +262,20 @@ class IntervalScale:
     ``carrier``.  The continuity checkers rely on it: they pull each
     probe back through a map whose codomain is this carrier without
     cutting it to the carrier first.  A family may repeat a set; the
-    checkers decide a repeat as they decided its first occurrence."""
+    checkers decide a repeat as they decided its first occurrence.
+
+    ``nested_probes`` says that every family is nested: each probe from
+    the second on contains the probe before it, for every point and
+    every list of critical coordinates.  (The first probe is free, so a
+    family may open with the whole carrier.)  A weak check ends a nested
+    family at the first probe of index 1 or more that it passes or skips,
+    since every later probe contains that one.  Each kind states its
+    argument in its docstring; a kind that cannot leaves it False."""
 
     carrier: Carrier
 
     tag: str = field(init=False, default="")
+    nested_probes: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         raise NotImplementedError
@@ -240,7 +290,8 @@ class IntervalScale:
         self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
     ) -> Iterator[SheetSet]:
         """Assigned neighborhoods of x, in order, each built only when it
-        is taken, so a check that fails early builds no more."""
+        is taken, so a check that stops early builds no more; the radii
+        of the ball and trace ladders are computed lazily too."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -270,7 +321,14 @@ def _open_component_probes(
 
 @dataclass(frozen=True)
 class TrivialIntervalScale(IntervalScale):
+    """All relatively open neighborhoods.
+
+    Nested: after the whole carrier come the cuts of open balls of
+    ascending radius to one piece of the carrier, and a bigger ball's cut
+    contains a smaller one's."""
+
     tag: str = field(init=False, default="Trivial")
+    nested_probes: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)
@@ -298,10 +356,15 @@ def _require_full_line(carrier: Carrier) -> None:
 
 @dataclass(frozen=True)
 class BallSupersetScale(IntervalScale):
-    """Open sets containing the a-ball around the point (Q_a / Q_Oa)."""
+    """Open sets containing the a-ball around the point (Q_a / Q_Oa).
+
+    Nested: open balls around the point of ascending radius, then the
+    whole line."""
 
     a: ExactNumber = _ONE
     closed_ball: bool = True
+
+    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -351,10 +414,15 @@ class BallSupersetScale(IntervalScale):
 
 @dataclass(frozen=True)
 class BallScale(IntervalScale):
-    """Symmetric open balls of radius r > a (CQ_a) or r >= a (CQ_Oa)."""
+    """Symmetric open balls of radius r > a (CQ_a) or r >= a (CQ_Oa).
+
+    Nested: open balls around the point of ascending radius, the a-ball
+    first for CQ_Oa and then radii a + d with d > 0."""
 
     a: ExactNumber = _ZERO
     strict: bool = True
+
+    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -402,11 +470,15 @@ class BallScale(IntervalScale):
 class BoundedBallSupersetScale(IntervalScale):
     """The full line plus bounded open neighborhoods containing the open
     a-ball (BQ_Oa).  No nonempty bounded set has an assigned complement:
-    complements of bounded sets are unbounded and differ from the line."""
+    complements of bounded sets are unbounded and differ from the line.
+
+    Nested: open balls around the point of ascending radius, then the
+    whole line."""
 
     a: ExactNumber = _ZERO
 
     tag: str = field(init=False, default="BQ_Oa")
+    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -461,7 +533,12 @@ class _TraceScale(IntervalScale):
     A set s is such a trace iff s lies inside (x-r, x+r) and the ball
     misses every carrier point outside s.  Those points bound the host of
     x, the piece of the line holding x that avoids them; s must lie
-    inside the host, and the ball fits while r stays within its ends."""
+    inside the host, and the ball fits while r stays within its ends.
+
+    Nested: the probes are the traces at ascending radii, and the
+    carrier's trace of a bigger ball contains a smaller one's."""
+
+    nested_probes: ClassVar[bool] = True
 
     def _radii(self, x: ExactNumber) -> _Range:
         """The radii admitted at x: a fresh range, open at its lower end."""
@@ -592,10 +669,18 @@ class EndClassScale(IntervalScale):
     """Bounded open intervals with endpoint rationality fixed by the kind.
 
     ``mode`` is "rational", "irrational", or "mixed"; the mixed mode uses
-    the point's own rationality class, flipped when ``crossed``."""
+    the point's own rationality class, flipped when ``crossed``.
+
+    Not nested: the probe at radius d picks its ends from (x-d, x-d/2)
+    and (x+d/2, x+d), so for close radii d < d' the next probe's left end
+    can lie right of this one's: at 1/3, with critical coordinates at
+    distances 1/4 and 65/256, the rational-end probe (0, 9/16) follows
+    (-1/32, 17/32)."""
 
     mode: str = "rational"
     crossed: bool = False
+
+    nested_probes: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -681,9 +766,13 @@ class EndClassScale(IntervalScale):
 
 @dataclass(frozen=True)
 class ConnectedOpenScale(IntervalScale):
-    """The whole carrier plus connected relatively open neighborhoods."""
+    """The whole carrier plus connected relatively open neighborhoods.
+
+    Nested: the probes are the trivial scale's, the whole carrier and
+    then the cuts of ascending open balls to one piece of it."""
 
     tag: str = field(init=False, default="ConnectedOpen")
+    nested_probes: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         self._contains_point(x)
@@ -722,11 +811,15 @@ class ConnectedOpenScale(IntervalScale):
 @dataclass(frozen=True)
 class PStructureIntervalScale(IntervalScale):
     """Relatively open supersets of a chosen neighborhood per tabulated
-    point; points outside the table carry the empty family."""
+    point; points outside the table carry the empty family.
+
+    Nested: the probes are the chosen neighborhood, which lies in the
+    carrier, then the whole carrier."""
 
     table: tuple[tuple[SheetPoint, SheetSet], ...] = ()
 
     tag: str = field(init=False, default="PStructure")
+    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         for pt, chosen in self.table:

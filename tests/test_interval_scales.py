@@ -6,7 +6,7 @@ set, and the empty set itself is never assigned."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scaletop.exactnum import SQRT2, ExactNumber
@@ -20,6 +20,7 @@ from scaletop.interval_scales import (
     SymmetricIntervalScale,
     TrivialIntervalScale,
     TruncatedBallScale,
+    _derived_radii,
     full_line_carrier,
     iw_finer,
     iw_is_q_closed,
@@ -549,3 +550,120 @@ def test_order_rules_agree_with_probes(data):
         for s in q.iter_point_probes(x, critical):
             w = p.witness_inside(x, s)
             assert w is not None and w.issubset(s) and p.member(x, w), (p, q, x, s)
+
+
+# -- nested probe families ------------------------------------------------------------
+
+
+def is_nested(probes: list[SheetSet]) -> bool:
+    """Every probe from the second on contains the probe before it."""
+    return all(a.issubset(b) for a, b in zip(probes[1:], probes[2:]))
+
+
+@st.composite
+def close_criticals(draw, x: SheetPoint):
+    """Critical coordinates around x: unsorted, with repeats, often x
+    itself, and at distances within a few percent of each other."""
+    base = draw(st.sampled_from(RADII))
+    cs = [
+        x.x + base * Fraction(64 + k, 64) * draw(st.sampled_from([1, -1]))
+        for k in draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    ]
+    cs += draw(st.lists(st.sampled_from(OFFSETS), max_size=2))
+    if draw(st.booleans()):
+        cs.append(x.x)
+    cs += draw(st.lists(st.sampled_from(cs), max_size=3))
+    return draw(st.permutations(cs))
+
+
+NESTED = [k for k, (scale, _) in enumerate(KINDS) if scale.nested_probes]
+
+
+@pytest.mark.parametrize("k", NESTED, ids=lambda k: KINDS[k][0].tag)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_nested_kinds_yield_nested_families(k, data):
+    """A kind that says its families are nested yields a chain from the
+    second probe on; weak checks stop at the first such probe they pass."""
+    scale, values = KINDS[k]
+    x = data.draw(points_in(scale, values))
+    critical = data.draw(close_criticals(x))
+    probes = list(scale.iter_point_probes(x, critical))
+    assert is_nested(probes), (scale.tag, x, critical)
+
+
+def test_every_kind_but_the_end_class_kinds_is_nested():
+    assert {scale.tag for scale, _ in KINDS if not scale.nested_probes} == {
+        "RationalEnds", "IrrationalEnds", "MixedRationalIrrational",
+    }
+
+
+def test_an_end_class_family_is_not_nested():
+    """Close radii 1/4 and 65/256 at 1/3: the rational-end probe (0, 9/16)
+    follows (-1/32, 17/32), so ``EndClassScale`` must not say nested."""
+    x = SheetPoint(0, num("1/3"))
+    probes = list(EndClassScale(LINE).iter_point_probes(x, [num("7/12"), num("61/768")]))
+    assert not is_nested(probes)
+    assert (line(iv("-1/32", "17/32")), line(iv(0, "9/16"))) in zip(probes, probes[1:])
+
+
+# -- the radius ladder ----------------------------------------------------------------
+
+
+def ref_derived_radii(x, critical, lower_excl=None, upper_incl=None) -> list[ExactNumber]:
+    """The eager ladder: every candidate hashed into a set, sorted, and
+    the 12 smallest kept."""
+    half, three_halves = num("1/2"), num("3/2")
+    cands = {num(1), num(2)}
+    for c in critical:
+        d = abs(x - c)
+        if d.sign() > 0:
+            cands.update({d, d * half, d * three_halves})
+    if upper_incl is not None:
+        cands.update({upper_incl, upper_incl * half})
+    if lower_excl is not None:
+        cands.add(lower_excl + num(1))
+        if upper_incl is not None and upper_incl > lower_excl:
+            cands.add(lower_excl + (upper_incl - lower_excl) * half)
+    out = []
+    for r in cands:
+        if r.sign() <= 0:
+            continue
+        if lower_excl is not None and r <= lower_excl:
+            continue
+        if upper_incl is not None and r > upper_incl:
+            continue
+        out.append(r)
+    return sorted(out)[:12]
+
+
+# Coordinates and bounds that tie, cross and fall on either side of zero.
+LADDER_VALUES = st.sampled_from(
+    [*RADII, *OFFSETS, num(-1), num(2), num(3), num("-1/16"), SQRT2 * 2]
+)
+
+
+@st.composite
+def ladder_cases(draw):
+    x = draw(LADDER_VALUES)
+    critical = draw(st.lists(LADDER_VALUES, max_size=20))
+    if draw(st.booleans()):
+        critical.append(x)
+    critical += draw(st.lists(st.sampled_from(critical or [x]), max_size=4))
+    critical = draw(st.permutations(critical))
+    lower = draw(st.none() | LADDER_VALUES)
+    upper = draw(st.none() | LADDER_VALUES)
+    return x, critical, lower, upper
+
+
+@given(ladder_cases())
+@settings(max_examples=400, deadline=None)
+# Bounds that leave nothing: u <= l, and u below every candidate.
+@example((num(0), [num(1)], num(2), num(1)))
+@example((num(0), [num(1)], None, num("-1/16")))
+@example((num(0), [num(0), num(0)], num(0), num(0)))
+def test_lazy_radii_are_the_eager_ladder(case):
+    x, critical, lower, upper = case
+    assert list(_derived_radii(x, critical, lower, upper)) == ref_derived_radii(
+        x, critical, lower, upper
+    )

@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
 from scaletop.interval_continuity import (
     IntervalScaledMap,
-    _global_probes,
+    _global_families,
     codomain_critical_coords,
     default_probe_points,
     iw_check_continuity,
@@ -47,6 +48,11 @@ import intervalgen  # noqa: E402
 
 def num(x) -> ExactNumber:
     return ExactNumber(Fraction(x))
+
+
+def global_probes(m: IntervalScaledMap):
+    """The global probe families, one after another."""
+    return chain.from_iterable(family for _, family in _global_families(m))
 
 
 # -- the eager lists, as the checkers built them -------------------------------------
@@ -92,7 +98,7 @@ def test_streamed_probes_are_the_eager_lists(seed):
     n_global = n_point = 0
     for g in intervalgen.generate_maps(seed, 60):
         m = g.scaled
-        streamed = list(dict.fromkeys(_global_probes(m)))
+        streamed = list(dict.fromkeys(global_probes(m)))
         eager = list(dict.fromkeys([*m.probe_family, *ref_generated_global_probes(m)]))
         assert streamed == eager
         _feed(h_global, streamed)
@@ -109,7 +115,7 @@ def test_streamed_probes_are_the_eager_lists(seed):
 @pytest.mark.parametrize("name", ["ex12", "ex13", "ex15", "ex17-f", "ex17-ff"])
 def test_declared_probes_come_first_in_the_streamed_family(name):
     m = load_fixture(name)
-    streamed = list(dict.fromkeys(_global_probes(m)))
+    streamed = list(dict.fromkeys(global_probes(m)))
     assert streamed == list(dict.fromkeys([*m.probe_family, *ref_generated_global_probes(m)]))
     assert streamed[: len(set(m.probe_family))] == list(dict.fromkeys(m.probe_family))
 

@@ -1,17 +1,24 @@
-"""Weak interval checks skip the probes that contain one they passed.
+"""Weak interval checks skip the probes that contain one they passed,
+and end a nested family at its first probe of index 1 or more that they
+pass or skip.
 
 * Pruned checks give the verdicts and certificates of a reference walk
   that pulls back and decides every probe: weak at-point, local and
   global modes on generated maps, on maps into and out of the non-nested
   ``EndClassScale`` families, and on a guard map where a global prune on
   a non-trivial domain scale would move the certificate.
-* A passing weak at-point check with a trivial codomain pulls back at
-  most two probes; the strong check at the same point pulls back every
-  probe.
+* The stop pulls back exactly what the prune without it pulled back, in
+  the same order, on generated and end-class maps; on a non-nested
+  family with a repeated probe, a stop would not.
+* A passing weak at-point check takes at most two probes from its
+  family and pulls back at most two; the strong check at the same point
+  pulls back every probe.  A passing weak global check on a trivial
+  domain takes at most two probes from each anchor's family.
 """
 
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -22,7 +29,7 @@ from scaletop.interval_continuity import (
     IntervalScaledMap,
     IntervalVerdict,
     _domain_scale,
-    _global_probes,
+    _global_families,
     _holds_at,
     _holds_open,
     codomain_critical_coords,
@@ -31,6 +38,7 @@ from scaletop.interval_continuity import (
     replay_interval_certificate,
 )
 from scaletop.interval_scales import (
+    BallSupersetScale,
     EndClassScale,
     SymmetricIntervalScale,
     TrivialIntervalScale,
@@ -52,15 +60,25 @@ def open_set(lo, hi, hi_closed=False) -> SheetSet:
     return SheetSet((LineSet.of(Interval(num(lo), num(hi), False, hi_closed)),))
 
 
-# -- the reference walk: every probe pulled back and decided ---------------------------
+# -- the reference walks ----------------------------------------------------------------
 
 
-def ref_at_point(m, dom_scale, mode, p) -> dict | None:
+def global_probes(m: IntervalScaledMap):
+    """The global probe families, one after another."""
+    return chain.from_iterable(family for _, family in _global_families(m))
+
+
+def ref_at_point(m, dom_scale, mode, p, prune: bool = False) -> dict | None:
+    """With ``prune``, skip the probes containing the last one passed."""
     criticals = codomain_critical_coords(m)
+    passed = None
     for target in m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals):
+        if prune and passed is not None and passed.issubset(target):
+            continue
         pre = m.pam._preimage(target)
         if not _holds_at(dom_scale, mode, p, pre):
             return {"point": p, "target": target, "preimage": pre}
+        passed = target
     return None
 
 
@@ -68,7 +86,7 @@ def ref_global(m, dom_scale, mode, prune: bool = False) -> dict | None:
     """With ``prune``, skip the probes containing the last one passed on a
     nonempty preimage whatever the domain scale."""
     passed = None
-    for target in _global_probes(m):
+    for target in global_probes(m):
         if prune and passed is not None and passed.issubset(target):
             continue
         pre = m.pam._preimage(target)
@@ -80,15 +98,19 @@ def ref_global(m, dom_scale, mode, prune: bool = False) -> dict | None:
     return None
 
 
-def ref_check(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalVerdict:
+def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -> IntervalVerdict:
+    """Every probe decided; with ``prune``, the weak prune without the
+    stop: skips at every point, and globally on a trivial domain only."""
     dom_scale = _domain_scale(m, mode)
+    prune = prune and mode.strength == "weak"
     if mode.locus == "at-point":
-        cert = ref_at_point(m, dom_scale, mode, mode.at_point)
+        cert = ref_at_point(m, dom_scale, mode, mode.at_point, prune)
     elif mode.locus == "local":
-        checks = (ref_at_point(m, dom_scale, mode, p) for p in default_probe_points(m))
+        checks = (ref_at_point(m, dom_scale, mode, p, prune) for p in default_probe_points(m))
         cert = next(filter(None, checks), None)
     else:
-        cert = ref_global(m, dom_scale, mode)
+        trivial = isinstance(dom_scale, TrivialIntervalScale)
+        cert = ref_global(m, dom_scale, mode, prune and trivial)
     return IntervalVerdict(cert is None, mode, cert)
 
 
@@ -139,11 +161,11 @@ def bent_map() -> PiecewiseAffineMap:
 SPLITS = ("-33/7", "37/7", 7, "35/3")
 
 
-def split_identity() -> PiecewiseAffineMap:
-    """The identity on the line, in pieces split at ``SPLITS``, so these
+def split_identity(splits=SPLITS) -> PiecewiseAffineMap:
+    """The identity on the line, in pieces split at ``splits``, so these
     are the codomain's critical coordinates."""
     line = full_line_carrier()
-    ends = [None, *map(num, SPLITS), None]
+    ends = [None, *map(num, splits), None]
     return PiecewiseAffineMap(line, line, tuple(
         AffinePiece(0, Interval(lo, hi, False, hi is not None), 0, Fraction(1), Fraction(0))
         for lo, hi in zip(ends, ends[1:])
@@ -158,14 +180,21 @@ END_CLASS_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("dom_mode, dom_crossed, cod_mode, cod_crossed", END_CLASS_PAIRS)
-def test_end_class_scales_match_the_reference_walk(dom_mode, dom_crossed, cod_mode, cod_crossed):
+def end_class_maps(dom_mode, dom_crossed, cod_mode, cod_crossed) -> list[IntervalScaledMap]:
     line = full_line_carrier()
     dom = EndClassScale(line, mode=dom_mode, crossed=dom_crossed)
     cod = EndClassScale(line, mode=cod_mode, crossed=cod_crossed)
-    for pam in (bent_map(), split_identity()):
-        for scales in ((dom, cod), (TrivialIntervalScale(line), cod), (dom, TrivialIntervalScale(line))):
-            assert_matches_reference(IntervalScaledMap(pam, *scales))
+    return [
+        IntervalScaledMap(pam, *scales)
+        for pam in (bent_map(), split_identity())
+        for scales in ((dom, cod), (TrivialIntervalScale(line), cod), (dom, TrivialIntervalScale(line)))
+    ]
+
+
+@pytest.mark.parametrize("dom_mode, dom_crossed, cod_mode, cod_crossed", END_CLASS_PAIRS)
+def test_end_class_scales_match_the_reference_walk(dom_mode, dom_crossed, cod_mode, cod_crossed):
+    for m in end_class_maps(dom_mode, dom_crossed, cod_mode, cod_crossed):
+        assert_matches_reference(m)
 
 
 @pytest.mark.parametrize("trivial", [False, True])
@@ -240,3 +269,95 @@ def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
     assert iw_check_continuity(m, ContinuityMode("strong", "at-point", at_point=at)).holds
     probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
     assert pulled == probes and len(probes) > 2
+
+
+def count_families(monkeypatch, cls) -> list[list[SheetSet]]:
+    """Record, per call of ``cls.iter_point_probes``, the probes taken."""
+    families = []
+    original = cls.iter_point_probes
+
+    def counted(self, x, critical=()):
+        taken = []
+        families.append(taken)
+        for probe in original(self, x, critical):
+            taken.append(probe)
+            yield probe
+
+    monkeypatch.setattr(cls, "iter_point_probes", counted)
+    return families
+
+
+CODOMAINS = {
+    "Trivial": lambda line: TrivialIntervalScale(line),
+    "Q_a": lambda line: BallSupersetScale(line, a=num("1/4")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CODOMAINS))
+def test_a_passing_weak_check_takes_at_most_two_probes(monkeypatch, kind):
+    line = full_line_carrier()
+    cod = CODOMAINS[kind](line)
+    m = IntervalScaledMap(split_identity(), TrivialIntervalScale(line), cod)
+    at = SheetPoint(0, num(0))
+    whole = list(cod.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
+    families = count_families(monkeypatch, type(cod))
+    assert iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=at)).holds
+    assert [len(taken) for taken in families] == [2] and len(whole) > 2
+    assert families[0] == whole[:2]
+
+
+@pytest.mark.parametrize("kind", sorted(CODOMAINS))
+def test_a_passing_weak_global_check_takes_at_most_two_probes_per_family(monkeypatch, kind):
+    line = full_line_carrier()
+    m = IntervalScaledMap(split_identity(), TrivialIntervalScale(line), CODOMAINS[kind](line))
+    families = count_families(monkeypatch, type(m.codomain_scale))
+    assert iw_check_continuity(m, ContinuityMode("weak", "global", trivial_domain=True)).holds
+    assert len(families) > 1
+    assert all(1 <= len(taken) <= 2 for taken in families), [len(t) for t in families]
+
+
+def close_split_map() -> IntervalScaledMap:
+    """The identity split at 2/7 and at distances 5957/16384, 1495/4096 and
+    3105/8192 from it (within 5% of each other), from a trivial domain into
+    the mixed end-class scale.  At 2/7 that family opens (7/64, 25/64),
+    (7/64, 25/64), (1/8, 13/32): the third probe does not contain the
+    first, so a stop at the repeat would leave it undecided."""
+    line = full_line_carrier()
+    splits = ("-2273/28672", "-8931/114688", "2/7", "38119/57344")
+    return IntervalScaledMap(split_identity(splits), TrivialIntervalScale(line),
+                             EndClassScale(line, mode="mixed"))
+
+
+def test_the_stop_pulls_back_what_the_prune_pulled_back(monkeypatch):
+    """Every probe the stop leaves untaken would have been skipped: each
+    check pulls back the probes, in order, that the prune without the
+    stop pulls back, and reaches its verdict.  On the non-nested
+    end-class families a stop would leave probes undecided."""
+    pulled = []
+    original = PiecewiseAffineMap._preimage
+
+    def recorded(self, s):
+        pulled.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(PiecewiseAffineMap, "_preimage", recorded)
+    generated = [g.scaled for g in intervalgen.generate_maps(0, 60)]
+    end_class = [m for pair in END_CLASS_PAIRS for m in end_class_maps(*pair)]
+    for m in generated + end_class + [close_split_map()]:
+        for mode in weak_modes(m):
+            verdict = iw_check_continuity(m, mode)
+            stopped = pulled[:]
+            pulled.clear()
+            assert verdict == ref_check(m, mode, prune=True), mode
+            assert stopped == pulled, mode
+            pulled.clear()
+
+
+def test_a_non_nested_family_is_walked_past_a_skipped_probe(monkeypatch):
+    m = close_split_map()
+    at = SheetPoint(0, num("2/7"))
+    probes = list(m.codomain_scale.iter_point_probes(at, codomain_critical_coords(m)))
+    assert probes[0] == probes[1] and not probes[0].issubset(probes[2])
+    families = count_families(monkeypatch, EndClassScale)
+    assert iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=at)).holds
+    assert families == [probes]
