@@ -137,6 +137,8 @@ def _cmd_check(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed map document: {exc}") from exc
     interval_world = isinstance(target, IntervalScaledMap)
+    if args.probes is not None and not interval_world:
+        raise CliError("--probes applies to interval-world maps")
     at_point = None
     if args.at is not None:
         try:
@@ -148,7 +150,7 @@ def _cmd_check(args) -> int:
                           trivial_domain=args.trivial_domain)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if interval_world and args.probes:
+    if args.probes is not None:
         probe_doc = _load_json(args.probes)
         try:
             probes = tuple(jsonio.sheetset_from_json(p) for p in probe_doc["probes"])
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replace the domain scale by the trivial scale",
     )
-    p.add_argument("--probes", help="JSON file with extra global probe sets")
+    p.add_argument("--probes", help="JSON file of extra global probes (interval maps)")
     p.set_defaults(func=_cmd_check)
 
     p = add_parser("gaps", help="list jump gaps of a piecewise-affine map")

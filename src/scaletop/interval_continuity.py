@@ -16,37 +16,17 @@ a q-open subset of the preimage: for the identity map on [0, 10] with a
 the probe (1/5, 9) fails and its certificate replays, yet
 (1/4, 7/20) lies in its preimage and is q-open.
 
-Probes are taken one at a time, in order, and a check stops at the
-first probe that fails, so the probes after it are never built.  Every
-probe runs through the same loop: pull it back through the whole map,
-then decide the preimage.  A probe that repeats an earlier one is
-decided the same way again, so repeats are not filtered out; they
-cannot move the first failing probe or its certificate.
-
-Weak checks skip every probe that contains the last probe they passed
-on a nonempty preimage, with no pull-back and no decision.  Weak
-continuity is upward closed in the probe: V inside V' puts f^-1(V)
-inside f^-1(V'), and each kind's ``witness_inside`` decides exactly and
-finds a witness in every superset of a set that holds one.  So a
-skipped probe would pass, and the first failing probe and its
-certificate cannot move.  Global checks skip only on a trivial domain
-scale, where the midpoint search is exact: it finds a witness exactly
-when the preimage has a nonempty relative interior.  Elsewhere a probe
-that contains a passed one can still fail the search, as (1/5, 9) does
-after (1/4, 1/2) above.  An empty preimage passes a global check
-vacuously and proves nothing, so it is never kept.
-
-A pruning check also stops a nested family (``IntervalScale.nested_probes``:
-each probe from the second on contains the one before it) at the first
-probe of index 1 or more that it passes or skips.  Every later probe of
-the family contains that probe, and so contains the last one passed:
-the prune would skip each of them with no pull-back.  So the stop
-removes only probe building; the probes pulled back, their order, the
-first failing probe and its certificate are those of the prune alone.
-A global check walks the declared family and then each anchor's family
-on its own, and the stop ends only the current family; the probe it
-passed is kept, so the next family still skips by it.  The declared
-family is never taken as nested.
+Every check is one probe walk (``_first_failure``).  An at-point check
+walks the probe family of its point, a local check does the same at each
+default probe point in turn, and a global check walks the declared
+family and then one family per anchor.  The walk pulls each probe back
+and decides it, in order, and stops at the first probe that fails.  A
+pruning walk (weak checks, and only on a trivial domain scale when
+global) skips each probe that contains the last one it passed, and ends
+a nested family at its first pass or skip past index 0.  An empty
+preimage passes vacuously, as in the finite world.  The walk's docstring
+gives the argument for each rule: none can move the first failing probe
+or its certificate.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -55,9 +35,6 @@ contract), the codomain scale's carrier is the map's codomain, and
 public ``PiecewiseAffineMap.preimage`` and
 ``replay_interval_certificate`` keep their cut and subset check, since
 they confirm a certificate independently of the checkers.
-
-Mirroring the finite world, globally-checked sets with empty preimage
-are vacuously satisfied.
 """
 
 from __future__ import annotations
@@ -65,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .continuity import ContinuityMode
+from .continuity import ContinuityMode, ContinuityVerdict
 from .exactnum import ExactNumber, irrational_between
 from .interval_scales import IntervalScale, TrivialIntervalScale
 from .intervals import SheetPoint, SheetSet
@@ -94,37 +71,29 @@ class IntervalScaledMap:
                 raise ValueError(f"probe set {v} is not q-open in the codomain scale")
 
 
-@dataclass(frozen=True)
-class IntervalVerdict:
-    holds: bool
-    mode: ContinuityMode
-    certificate: dict | None = None
+IntervalVerdict = ContinuityVerdict
 
-    def __bool__(self) -> bool:
-        return self.holds
+
+def _critical_coords(intervals: Iterable, carrier: SheetSet) -> list[ExactNumber]:
+    """The sorted finite ends of ``intervals`` and of the carrier's pieces."""
+    out: set[ExactNumber] = set()
+    for iv in intervals:
+        for end in (iv.lo, iv.hi):
+            if end is not None:
+                out.add(end)
+    for ls in carrier.sheets:
+        out.update(ls.finite_endpoints())
+    return sorted(out)
 
 
 def domain_critical_coords(m: IntervalScaledMap) -> list[ExactNumber]:
-    out: set[ExactNumber] = set()
-    for piece in m.pam.pieces:
-        for end in (piece.part.lo, piece.part.hi):
-            if end is not None:
-                out.add(end)
-    for ls in m.pam.domain.sheets:
-        out.update(ls.finite_endpoints())
-    return sorted(out)
+    return _critical_coords((piece.part for piece in m.pam.pieces), m.pam.domain)
 
 
 def codomain_critical_coords(m: IntervalScaledMap) -> list[ExactNumber]:
-    out: set[ExactNumber] = set()
-    for piece in m.pam.pieces:
-        img = piece.image_interval()
-        for end in (img.lo, img.hi):
-            if end is not None:
-                out.add(end)
-    for ls in m.pam.codomain.sheets:
-        out.update(ls.finite_endpoints())
-    return sorted(out)
+    return _critical_coords(
+        (piece.image_interval() for piece in m.pam.pieces), m.pam.codomain
+    )
 
 
 def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
@@ -209,67 +178,78 @@ def _holds_open(
 def iw_check_continuity(
     m: IntervalScaledMap, mode: ContinuityMode
 ) -> IntervalVerdict:
+    """One walk of the global families, or one walk of each point's family
+    (the given point, or every default probe point for a local check)."""
     dom_scale = _domain_scale(m, mode)
+    weak = mode.strength == "weak"
+    certificate = None
+    if mode.locus == "global":
+        prune = weak and isinstance(dom_scale, TrivialIntervalScale)
+        failure = _first_failure(
+            m, _global_families(m), lambda pre: _holds_open(dom_scale, mode, pre), prune
+        )
+        if failure is not None:
+            certificate = {"r_open": failure[0], "preimage": failure[1]}
+        return IntervalVerdict(certificate is None, mode, certificate)
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
             raise ValueError("interval-world at-point modes take a SheetPoint")
-        certificate = _check_at_point(
-            m, dom_scale, mode, mode.at_point, codomain_critical_coords(m)
-        )
-    elif mode.locus == "local":
-        criticals = codomain_critical_coords(m)
-        checks = (
-            _check_at_point(m, dom_scale, mode, p, criticals)
-            for p in default_probe_points(m)
-        )
-        certificate = next(filter(None, checks), None)
+        points: Iterable[SheetPoint] = (mode.at_point,)
     else:
-        certificate = _check_global(m, dom_scale, mode)
+        points = default_probe_points(m)
+    criticals = codomain_critical_coords(m)
+    nested = m.codomain_scale.nested_probes
+    for p in points:
+        family = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
+        failure = _first_failure(
+            m, ((nested, family),), lambda pre: _holds_at(dom_scale, mode, p, pre), weak
+        )
+        if failure is not None:
+            certificate = {"point": p, "target": failure[0], "preimage": failure[1]}
+            break
     return IntervalVerdict(certificate is None, mode, certificate)
 
 
-def _check_at_point(
+def _first_failure(
     m: IntervalScaledMap,
-    dom_scale: IntervalScale,
-    mode: ContinuityMode,
-    p: SheetPoint,
-    criticals: list[ExactNumber],
-) -> dict | None:
-    """The certificate of the first probe at p that fails, or None.
-    Only ``mode.strength`` is read.  A weak check skips the probes that
-    contain the last one it passed; that one's preimage holds p.  On a
-    nested family it stops at the first probe of index 1 or more that it
-    passes or skips."""
-    weak = mode.strength == "weak"
-    stop = weak and m.codomain_scale.nested_probes
-    passed = None
-    probes = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
-    for i, target in enumerate(probes):
-        if passed is not None and passed.issubset(target):
-            if stop:
-                break
-            continue
-        pre = m.pam._preimage(target)
-        if not _holds_at(dom_scale, mode, p, pre):
-            return {"point": p, "target": target, "preimage": pre}
-        if weak:
-            if stop and i:
-                break
-            passed = target
-    return None
+    families: Iterable[tuple[bool, Iterable[SheetSet]]],
+    holds,
+    prune: bool,
+) -> tuple[SheetSet, SheetSet] | None:
+    """The first ``(probe, preimage)`` whose preimage fails the decision
+    ``holds``, or None.  ``families`` yields ``(nested, family)``
+    pairs.  Probes are taken one at a time, in order, so those after the
+    failing one are never built; each is pulled back through the whole
+    map.  A repeated probe is decided as its first occurrence was, so
+    repeats cannot move the result.
 
-
-def _check_global(
-    m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
-) -> dict | None:
-    """The certificate of the first global probe that fails, or None.
-    A weak check on a trivial domain scale skips the probes that contain
-    the last one it passed on a nonempty preimage, and ends a nested
-    family at the first probe of index 1 or more that it passes or
-    skips; the next family still skips by that passed probe."""
-    prune = mode.strength == "weak" and isinstance(dom_scale, TrivialIntervalScale)
+    * Empty preimage: the probe passes vacuously, as a set with empty
+      preimage does for the finite checker.  It is tested only once the
+      decision fails, and is never kept as passed: a weak decision that
+      holds has found a witness inside the preimage, and strong checks
+      do not prune.  At a point the rule never applies: every point
+      probe is assigned to f(p), so its preimage holds p.
+    * Prune: with ``prune``, skip every probe that contains the last one
+      passed, with no pull-back and no decision.  Callers prune weak
+      checks only.  Weak continuity is upward closed in the probe: V
+      inside V' puts f^-1(V) inside f^-1(V'), and each kind's
+      ``witness_inside`` decides exactly and finds a witness in every
+      superset of a set that holds one.  So a skipped probe would pass.
+      Global checks prune only on a trivial domain scale, the one scale
+      where ``_find_open_witness`` is exact; elsewhere a probe that
+      contains a passed one can still fail its search, as (1/5, 9) does
+      after (1/4, 1/2) in the module docstring's example.
+    * Stop: a pruning walk ends a nested family
+      (``IntervalScale.nested_probes``: a chain from its second probe
+      on) at its first probe of index 1 or more that it passes or
+      skips.  Every later probe of the family contains that probe, and
+      so contains the last one passed, so the prune would skip each of
+      them.  The stop removes only probe building, and the passed probe
+      is kept, so the next family still skips by it.  The first probe
+      need not lie in the chain, so a pass or skip there does not stop.
+    """
     passed = None
-    for nested, family in _global_families(m):
+    for nested, family in families:
         stop = prune and nested
         for i, target in enumerate(family):
             if passed is not None and passed.issubset(target):
@@ -277,10 +257,10 @@ def _check_global(
                     break
                 continue
             pre = m.pam._preimage(target)
-            if pre.is_empty:
-                continue
-            if not _holds_open(dom_scale, mode, pre):
-                return {"r_open": target, "preimage": pre}
+            if not holds(pre):
+                if pre.is_empty:
+                    continue
+                return target, pre
             if prune:
                 passed = target
                 if stop and i:

@@ -669,7 +669,8 @@ class EndClassScale(IntervalScale):
     """Bounded open intervals with endpoint rationality fixed by the kind.
 
     ``mode`` is "rational", "irrational", or "mixed"; the mixed mode uses
-    the point's own rationality class, flipped when ``crossed``.
+    the point's own rationality class, flipped when ``crossed`` (which
+    only the mixed mode takes).
 
     Not nested: the probe at radius d picks its ends from (x-d, x-d/2)
     and (x+d/2, x+d), so for close radii d < d' the next probe's left end
@@ -686,6 +687,8 @@ class EndClassScale(IntervalScale):
         _require_full_line(self.carrier)
         if self.mode not in ("rational", "irrational", "mixed"):
             raise ValueError("mode must be rational, irrational, or mixed")
+        if self.crossed and self.mode != "mixed":
+            raise ValueError("only the mixed mode can be crossed")
         tags = {
             "rational": "RationalEnds",
             "irrational": "IrrationalEnds",

@@ -339,8 +339,6 @@ def certificate_to_json(cert: dict | None) -> dict | None:
             out[key] = sheetset_to_json(value)
         elif isinstance(value, SheetPoint):
             out[key] = sheet_point_to_json(value)
-        elif isinstance(value, ExactNumber):
-            out[key] = exact_to_json(value)
         elif isinstance(value, tuple):
             out[key] = list(value)
         else:

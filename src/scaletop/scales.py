@@ -249,28 +249,15 @@ class StructureFlags:
 
 
 def classify(scale: Scale) -> StructureFlags:
-    """Compute every structure flag from its defining closure condition."""
+    """Compute every structure flag from its defining closure condition:
+    ``is_F``, ``is_U``, ``is_I`` and ``is_L`` hold exactly when the grow
+    step of the matching closure adds nothing."""
     require_valid(scale)
     space = scale.space
     carrier = space.carrier
     tq = scale.tq
 
     condition_f = all(carrier in scale.at(x) for x in space.points)
-
-    def family_is_filter(x: int) -> bool:
-        fam = scale.at(x)
-        if not fam:
-            return False
-        for a, b in itertools.combinations(fam, 2):
-            if a & b not in fam:
-                return False
-        for a in fam:
-            for b in space.opens:
-                if a <= b and b not in fam:
-                    return False
-        return True
-
-    is_f = all(family_is_filter(x) for x in space.points)
 
     def family_is_principal(x: int) -> bool:
         fam = scale.at(x)
@@ -285,27 +272,8 @@ def classify(scale: Scale) -> StructureFlags:
 
     is_p = all(family_is_principal(x) for x in space.points)
 
-    is_u = all(
-        a | b in scale.at(x)
-        for x in space.points
-        for a in scale.at(x)
-        for b in tq
-    )
     weak_u = all(a | b in tq for a in tq for b in tq)
-    is_i = all(
-        a & b in scale.at(x)
-        for x in space.points
-        for a in scale.at(x)
-        for b in tq
-        if x in b
-    )
     weak_i = all((a & b in tq) for a in tq for b in tq if a & b)
-    is_l = all(
-        (a | b in scale.at(x)) and (a & b in scale.at(x))
-        for x in space.points
-        for a in scale.at(x)
-        for b in scale.at(x)
-    )
     weak_l = weak_u and weak_i
 
     nbhd_closed = all(
@@ -316,13 +284,13 @@ def classify(scale: Scale) -> StructureFlags:
 
     return StructureFlags(
         condition_F=condition_f,
-        is_F=is_f,
+        is_F=_closed_under(scale, _grow_f),
         is_P=is_p,
-        is_U=is_u,
+        is_U=_closed_under(scale, _grow_u),
         weak_U=weak_u,
-        is_I=is_i,
+        is_I=_closed_under(scale, _grow_i),
         weak_I=weak_i,
-        is_L=is_l,
+        is_L=_closed_under(scale, _grow_l),
         weak_L=weak_l,
         neighborhood_closed=nbhd_closed,
     )
@@ -407,15 +375,79 @@ def scale_intersection(p: Scale, q: Scale) -> Scale:
     return out
 
 
+def _grow_f(space: FiniteSpace, families: list[set[PointSet]]) -> bool:
+    """One filter step: seed each empty family with the carrier, else add
+    its pairwise intersections and its open supersets.  Whether it grew."""
+    changed = False
+    for fam in families:
+        if not fam:
+            fam.add(space.carrier)
+            changed = True
+            continue
+        new: set[PointSet] = set()
+        for a, b in itertools.combinations(fam, 2):
+            if a & b not in fam:
+                new.add(a & b)
+        for a in fam:
+            for b in space.opens:
+                if a <= b and b not in fam:
+                    new.add(b)
+        if new:
+            fam |= new
+            changed = True
+    return changed
+
+
+def _grow_u(space: FiniteSpace, families: list[set[PointSet]]) -> bool:
+    """One union step: add to each family its unions with declared sets."""
+    tq = set(itertools.chain.from_iterable(families))
+    changed = False
+    for fam in families:
+        new = {a | b for a in fam for b in tq} - fam
+        if new:
+            fam |= new
+            changed = True
+    return changed
+
+
+def _grow_i(space: FiniteSpace, families: list[set[PointSet]]) -> bool:
+    """One intersection step: add to each family at x its intersections
+    with the declared sets that hold x."""
+    tq = set(itertools.chain.from_iterable(families))
+    changed = False
+    for x, fam in enumerate(families):
+        new = {a & b for a in fam for b in tq if x in b} - fam
+        if new:
+            fam |= new
+            changed = True
+    return changed
+
+
+def _grow_l(space: FiniteSpace, families: list[set[PointSet]]) -> bool:
+    """One lattice step: add to each family its own unions and
+    intersections."""
+    changed = False
+    for fam in families:
+        new = {a | b for a in fam for b in fam} | {a & b for a in fam for b in fam}
+        new -= fam
+        if new:
+            fam |= new
+            changed = True
+    return changed
+
+
+def _closed_under(scale: Scale, grow) -> bool:
+    """The scale's families are a fixpoint of ``grow``."""
+    return not grow(scale.space, [set(fam) for fam in scale.assignment])
+
+
 def _fixpoint_closure(scale: Scale, grow) -> Scale:
-    """Iterate ``grow(families) -> families`` to its least fixpoint and
-    rebuild the scale with tq = union of the families."""
+    """Iterate ``grow(space, families)`` to its least fixpoint and rebuild
+    the scale with tq = union of the families."""
     require_valid(scale)
     families = [set(fam) for fam in scale.assignment]
-    while True:
-        changed = grow(families)
-        if not changed:
-            break
+    while grow(scale.space, families):
+        pass
     tq = frozenset(itertools.chain.from_iterable(families))
     return Scale(scale.space, tq, tuple(frozenset(f) for f in families))
 
@@ -423,82 +455,19 @@ def _fixpoint_closure(scale: Scale, grow) -> Scale:
 def f_closure(scale: Scale) -> Scale:
     """Least superscale whose per-point families are filters; empty
     families are seeded with the carrier (the least filter)."""
-    space = scale.space
-
-    def grow(families: list[set[PointSet]]) -> bool:
-        changed = False
-        for x in space.points:
-            fam = families[x]
-            if not fam:
-                fam.add(space.carrier)
-                changed = True
-                continue
-            new: set[PointSet] = set()
-            for a, b in itertools.combinations(fam, 2):
-                if a & b not in fam:
-                    new.add(a & b)
-            for a in fam:
-                for b in space.opens:
-                    if a <= b and b not in fam:
-                        new.add(b)
-            if new:
-                fam |= new
-                changed = True
-        return changed
-
-    return _fixpoint_closure(scale, grow)
+    return _fixpoint_closure(scale, _grow_f)
 
 
 def u_closure(scale: Scale) -> Scale:
-    space = scale.space
-
-    def grow(families: list[set[PointSet]]) -> bool:
-        tq = set(itertools.chain.from_iterable(families))
-        changed = False
-        for x in space.points:
-            fam = families[x]
-            new = {a | b for a in fam for b in tq} - fam
-            if new:
-                fam |= new
-                changed = True
-        return changed
-
-    return _fixpoint_closure(scale, grow)
+    return _fixpoint_closure(scale, _grow_u)
 
 
 def i_closure(scale: Scale) -> Scale:
-    space = scale.space
-
-    def grow(families: list[set[PointSet]]) -> bool:
-        tq = set(itertools.chain.from_iterable(families))
-        changed = False
-        for x in space.points:
-            fam = families[x]
-            new = {a & b for a in fam for b in tq if x in b} - fam
-            if new:
-                fam |= new
-                changed = True
-        return changed
-
-    return _fixpoint_closure(scale, grow)
+    return _fixpoint_closure(scale, _grow_i)
 
 
 def l_closure(scale: Scale) -> Scale:
-    space = scale.space
-
-    def grow(families: list[set[PointSet]]) -> bool:
-        changed = False
-        for x in space.points:
-            fam = families[x]
-            new = ({a | b for a in fam for b in fam} | {
-                a & b for a in fam for b in fam
-            }) - fam
-            if new:
-                fam |= new
-                changed = True
-        return changed
-
-    return _fixpoint_closure(scale, grow)
+    return _fixpoint_closure(scale, _grow_l)
 
 
 # -- enumeration ----------------------------------------------------------------

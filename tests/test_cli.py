@@ -9,6 +9,7 @@ from jsonschema import validate as js_validate
 
 from scaletop import jsonio
 from scaletop.cli import main
+from scaletop.continuity import ScaledMap
 from scaletop.exactnum import ExactNumber
 from scaletop.finite_topology import sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
@@ -172,6 +173,22 @@ def test_check_finite_map(capsys, tmp_path):
     )
     assert code == 0
     assert one_doc(out)["holds"] is True
+
+
+def test_check_finite_map_failing_at_a_point(capsys, tmp_path):
+    """The swap of the Sierpinski space's two points pulls the open {0}
+    back to {1}, which is not open: the certificate names the point as
+    an integer and the sets as lists."""
+    t = trivial_scale(sierpinski())
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(jsonio.scaled_map_to_json(ScaledMap((1, 0), t, t))))
+    code, out = run_cli(
+        capsys, "check", "--map", str(path), "--mode", "at-strong", "--at", "1"
+    )
+    assert code == 1
+    doc = one_doc(out)
+    assert doc["holds"] is False
+    assert doc["certificate"] == {"point": 1, "target": [0], "preimage": [1]}
 
 
 def test_validate_space_and_scale(capsys, tmp_path):

@@ -161,6 +161,21 @@ def test_probes_document_without_probes_key_is_bad_input(tmp_path, capsys):
         assert err.startswith("error: malformed probes document"), err
 
 
+def test_probes_on_a_finite_map_is_bad_input(tmp_path, capsys):
+    """Declared probes belong to interval-world global checks; a finite
+    map rejects the flag, whether or not its file exists."""
+    doc_file = tmp_path / "map.json"
+    doc_file.write_text(json.dumps(_finite_map_doc()))
+    present = tmp_path / "probes.json"
+    present.write_text(json.dumps({"probes": []}))
+    for probe_file in (tmp_path / "missing.json", present):
+        for mode in ("global-strong", "global-weak"):
+            argv = ("check", "--map", str(doc_file), "--mode", mode, "--probes", str(probe_file))
+            code, err = _run(capsys, *argv)
+            assert code == 2, (probe_file, mode)
+            assert err == "error: --probes applies to interval-world maps\n"
+
+
 def test_zero_denominator_point_is_bad_input(tmp_path, capsys):
     doc_file = _ex12_file(tmp_path)
     argv = ("check", "--map", str(doc_file), "--mode", "at-strong", "--at", "0:1/0")

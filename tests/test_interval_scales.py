@@ -228,6 +228,15 @@ def test_mixed_ends_scale():
     assert matching.is_q_open(s_rat) and crossed.is_q_open(s_rat)
 
 
+@pytest.mark.parametrize("mode", ["rational", "irrational"])
+def test_only_the_mixed_end_class_mode_can_be_crossed(mode):
+    """``params`` records ``crossed`` only for the mixed mode, so a crossed
+    rational or irrational scale would behave and serialize as uncrossed."""
+    with pytest.raises(ValueError, match="only the mixed mode"):
+        EndClassScale(LINE, mode=mode, crossed=True)
+    assert EndClassScale(LINE, mode=mode).params() == {"mode": mode}
+
+
 def test_end_class_witness_and_probes():
     crossed = EndClassScale(LINE, mode="mixed", crossed=True)
     w = crossed.witness_inside(ORIGIN, line(iv(-3, 3)))

@@ -10,8 +10,11 @@ from scaletop.continuity import ScaledMap
 from scaletop.exactnum import SQRT2, ExactNumber
 from scaletop.finite_topology import discrete_space, sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
+from scaletop.interval_scales import BallScale, full_line_carrier
 from scaletop.intervals import Interval, LineSet, SheetPoint, SheetSet
 from scaletop.scales import trivial_scale
+
+from test_interval_scales import KINDS
 
 
 def test_exact_number_roundtrip():
@@ -76,6 +79,28 @@ def test_fixture_roundtrip(name):
     assert text == json.dumps(
         jsonio.interval_scaled_map_to_json(load_fixture(name)), sort_keys=True
     )
+
+
+# Every kind of the scale contract tests, and CQ_Oa, which they leave out.
+EVERY_KIND = [scale for scale, _ in KINDS] + [
+    BallScale(full_line_carrier(), a=ExactNumber(Fraction(1, 10)), strict=False)
+]
+
+
+def test_the_kind_list_holds_every_decoded_tag():
+    assert {scale.tag for scale in EVERY_KIND} == {
+        "Trivial", "Q_a", "Q_Oa", "CQ_a", "CQ_Oa", "BQ_Oa", "SymmetricIntervals",
+        "RationalEnds", "IrrationalEnds", "MixedRationalIrrational",
+        "ConnectedOpen", "TruncatedQ_a", "PStructure",
+    }
+
+
+@pytest.mark.parametrize("k", range(len(EVERY_KIND)), ids=lambda k: f"{k}-{EVERY_KIND[k].tag}")
+def test_interval_scale_roundtrip(k):
+    scale = EVERY_KIND[k]
+    doc = json.loads(json.dumps(jsonio.interval_scale_to_json(scale)))
+    back = jsonio.interval_scale_from_json(doc)
+    assert back == scale and back.tag == scale.tag
 
 
 def test_unknown_kind_rejected():

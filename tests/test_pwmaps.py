@@ -169,6 +169,32 @@ def test_compose_identity_and_slopes():
     assert all(p.slope == Fraction(6) for p in six.pieces)
 
 
+def test_compose_with_constant_pieces_on_breakpoints_of_g():
+    """f is constant on two pieces, at g's breakpoints 1 and 2, each of
+    which closes on a different side; g o f agrees with g(f(p)) at the
+    breakpoints, at rational interior points and at +-sqrt 2."""
+    line = Carrier.of(LineSet.of(iv(None, None)))
+    f = PiecewiseAffineMap(line, line, (
+        AffinePiece(0, iv(None, 0, hc=True), 0, Fraction(0), Fraction(1)),
+        AffinePiece(0, iv(0, 1, hc=True), 0, Fraction(1), Fraction(0)),
+        AffinePiece(0, iv(1, 2), 0, Fraction(0), Fraction(2)),
+        AffinePiece(0, iv(2, None, lc=True), 0, Fraction(1), Fraction(-1)),
+    ))
+    g = PiecewiseAffineMap(line, line, (
+        AffinePiece(0, iv(None, 1, hc=True), 0, Fraction(1), Fraction(0)),
+        AffinePiece(0, iv(1, 2), 0, Fraction(1), Fraction(5)),
+        AffinePiece(0, iv(2, None, lc=True), 0, Fraction(-1), Fraction(0)),
+    ))
+    gf = compose(g, f)
+    xs = [num(x) for x in (0, 1, 2, 3, -1, "1/2", "3/2", "5/2", "7/2", 7)]
+    xs += [ExactNumber(0, 1), ExactNumber(0, -1)]
+    for x in xs:
+        p = SheetPoint(0, x)
+        assert gf.eval(p) == g.eval(f.eval(p)), x
+    assert gf.eval(SheetPoint(0, num(-1))) == SheetPoint(0, num(1))
+    assert gf.eval(SheetPoint(0, ExactNumber(0, 1))) == SheetPoint(0, num(-2))
+
+
 def test_preimage_respects_union():
     f = near_identity_drift_map()
     a = f.codomain.lift(LineSet.of(iv(0, "1/4")))

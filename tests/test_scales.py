@@ -349,6 +349,60 @@ def test_flag_implications_on_enumerated_scales():
 # -- q-open / q-closed ------------------------------------------------------------
 
 
+def ref_closure_flags(scale: Scale) -> tuple[bool, bool, bool, bool]:
+    """``is_F``, ``is_U``, ``is_I`` and ``is_L`` by their own loops, as
+    ``classify`` computed them before it read them off the closures."""
+    space, tq = scale.space, scale.tq
+
+    def family_is_filter(x: int) -> bool:
+        fam = scale.at(x)
+        if not fam:
+            return False
+        for a, b in itertools.combinations(fam, 2):
+            if a & b not in fam:
+                return False
+        for a in fam:
+            for b in space.opens:
+                if a <= b and b not in fam:
+                    return False
+        return True
+
+    is_f = all(family_is_filter(x) for x in space.points)
+    is_u = all(
+        a | b in scale.at(x)
+        for x in space.points
+        for a in scale.at(x)
+        for b in tq
+    )
+    is_i = all(
+        a & b in scale.at(x)
+        for x in space.points
+        for a in scale.at(x)
+        for b in tq
+        if x in b
+    )
+    is_l = all(
+        (a | b in scale.at(x)) and (a & b in scale.at(x))
+        for x in space.points
+        for a in scale.at(x)
+        for b in scale.at(x)
+    )
+    return is_f, is_u, is_i, is_l
+
+
+def test_closure_flags_match_their_own_loops_on_every_small_scale():
+    """Every valid scale with at most three points."""
+    count = 0
+    for n in (1, 2, 3):
+        for space in enumerate_topologies(n):
+            for scale in enumerate_scales(space):
+                flags = classify(scale)
+                got = (flags.is_F, flags.is_U, flags.is_I, flags.is_L)
+                assert got == ref_closure_flags(scale), scale
+                count += 1
+    assert count == 9086
+
+
 def test_q_open_edges():
     t = trivial_scale(sierpinski())
     assert not q_open(t, frozenset())
