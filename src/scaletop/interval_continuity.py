@@ -7,26 +7,35 @@ finite family of assigned neighborhoods generated around the map's
 critical coordinates (breakpoints and carrier endpoints); global modes
 quantify over the fixture's declared probe family plus generated
 critical sets.  A passing verdict means "holds on all probes".  Every
-pointwise and local decision, and every global decision with a trivial
-domain scale, is exact, so its failing verdict is an unconditional
-counterexample certificate.  A weak global failure on any other domain
-scale rests on ``_find_open_witness``'s midpoint search, which can miss
-a q-open subset of the preimage: for the identity map on [0, 10] with a
-``SymmetricIntervals`` domain (ambient [0, 1]) and a trivial codomain,
-the probe (1/5, 9) fails and its certificate replays, yet
-(1/4, 7/20) lies in its preimage and is q-open.
+pointwise and local decision is exact, and so is every global decision
+on a domain scale that declares ``exact_open_witness`` (Trivial,
+ConnectedOpen and the three end-class kinds), so its failing verdict is
+an unconditional counterexample certificate.  A weak global failure on
+any other domain scale rests on ``_find_open_witness``'s anchor search,
+which can miss a q-open subset of the preimage: for the identity map on
+[0, 10] with a ``SymmetricIntervals`` domain (ambient [0, 1]) and a
+trivial codomain, the probe (1/5, 9) fails and its certificate replays,
+yet (1/4, 7/20) lies in its preimage and is q-open.
 
 Every check is one probe walk (``_first_failure``).  An at-point check
 walks the probe family of its point, a local check does the same at each
 default probe point in turn, and a global check walks the declared
 family and then one family per anchor.  The walk pulls each probe back
 and decides it, in order, and stops at the first probe that fails.  A
-pruning walk (weak checks, and only on a trivial domain scale when
-global) skips each probe that contains the last one it passed, and ends
-a nested family at its first pass or skip past index 0.  An empty
-preimage passes vacuously, as in the finite world.  The walk's docstring
-gives the argument for each rule: none can move the first failing probe
-or its certificate.
+pruning walk (weak checks, and when global only on a domain scale that
+declares ``exact_open_witness``) skips each probe that contains the last
+one it passed, and ends a nested family at its first pass or skip past
+index 0.  An empty preimage passes vacuously, as in the finite world.
+The walk's docstring gives the argument for each rule: none can move the
+first failing probe or its certificate.
+
+An at-point check validates its point once, where it enters: the map's
+``eval`` raises ``ValueError`` for a point outside the domain.  The
+scale predicates the walk then calls (``member``, ``witness_inside``)
+take that as their precondition and do not check the point again; every
+anchor of ``_find_open_witness`` lies in a preimage, so in the domain.
+The map's critical coordinates and default probe points are derived
+once per map (``PiecewiseAffineMap``), not once per check.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .continuity import ContinuityMode, ContinuityVerdict
-from .exactnum import ExactNumber, irrational_between
+from .exactnum import ExactNumber
 from .interval_scales import IntervalScale, TrivialIntervalScale
 from .intervals import SheetPoint, SheetSet
 from .pwmaps import PiecewiseAffineMap
@@ -74,57 +83,22 @@ class IntervalScaledMap:
 IntervalVerdict = ContinuityVerdict
 
 
-def _critical_coords(intervals: Iterable, carrier: SheetSet) -> list[ExactNumber]:
-    """The sorted finite ends of ``intervals`` and of the carrier's pieces."""
-    out: set[ExactNumber] = set()
-    for iv in intervals:
-        for end in (iv.lo, iv.hi):
-            if end is not None:
-                out.add(end)
-    for ls in carrier.sheets:
-        out.update(ls.finite_endpoints())
-    return sorted(out)
-
-
 def domain_critical_coords(m: IntervalScaledMap) -> list[ExactNumber]:
-    return _critical_coords((piece.part for piece in m.pam.pieces), m.pam.domain)
+    """The sorted finite ends of the pieces and of the domain's pieces."""
+    return list(m.pam._domain_criticals)
 
 
 def codomain_critical_coords(m: IntervalScaledMap) -> list[ExactNumber]:
-    return _critical_coords(
-        (piece.image_interval() for piece in m.pam.pieces), m.pam.codomain
-    )
+    """The sorted finite ends of the piece images and of the codomain's
+    pieces."""
+    return list(m.pam._codomain_criticals)
 
 
 def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
     """Deterministic domain probe points: carrier and piece endpoints that
     lie in the carrier, plus one rational and one irrational interior
     point per carrier piece."""
-    criticals = domain_critical_coords(m)
-    points: list[SheetPoint] = []
-    seen: set[SheetPoint] = set()
-
-    def add(sheet: int, x: ExactNumber) -> None:
-        p = SheetPoint(sheet, x)
-        if p not in seen and m.pam.domain.member(p):
-            seen.add(p)
-            points.append(p)
-
-    for sheet, line in enumerate(m.pam.domain.sheets):
-        for c in criticals:
-            add(sheet, c)
-        for piece in line.pieces:
-            lo = piece.lo if piece.lo is not None else (
-                piece.hi - 2 if piece.hi is not None else ExactNumber(-1)
-            )
-            hi = piece.hi if piece.hi is not None else lo + 2
-            if lo < hi:
-                mid = lo + (hi - lo) / 2
-                add(sheet, mid)
-                add(sheet, irrational_between(lo, hi))
-            else:
-                add(sheet, lo)
-    return points
+    return list(m.pam._default_points)
 
 
 def _global_families(
@@ -135,7 +109,7 @@ def _global_families(
     codomain probe sets around each image of the map's critical
     coordinates and each midpoint of a codomain piece."""
     yield False, m.probe_family
-    criticals = codomain_critical_coords(m)
+    criticals = m.pam._codomain_criticals
     nested = m.codomain_scale.nested_probes
     for sheet, line in enumerate(m.pam.codomain.sheets):
         anchor_xs: list[ExactNumber] = []
@@ -184,7 +158,7 @@ def iw_check_continuity(
     weak = mode.strength == "weak"
     certificate = None
     if mode.locus == "global":
-        prune = weak and isinstance(dom_scale, TrivialIntervalScale)
+        prune = weak and dom_scale.exact_open_witness
         failure = _first_failure(
             m, _global_families(m), lambda pre: _holds_open(dom_scale, mode, pre), prune
         )
@@ -196,8 +170,8 @@ def iw_check_continuity(
             raise ValueError("interval-world at-point modes take a SheetPoint")
         points: Iterable[SheetPoint] = (mode.at_point,)
     else:
-        points = default_probe_points(m)
-    criticals = codomain_critical_coords(m)
+        points = m.pam._default_points
+    criticals = m.pam._codomain_criticals
     nested = m.codomain_scale.nested_probes
     for p in points:
         family = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
@@ -235,10 +209,12 @@ def _first_failure(
       inside V' puts f^-1(V) inside f^-1(V'), and each kind's
       ``witness_inside`` decides exactly and finds a witness in every
       superset of a set that holds one.  So a skipped probe would pass.
-      Global checks prune only on a trivial domain scale, the one scale
-      where ``_find_open_witness`` is exact; elsewhere a probe that
-      contains a passed one can still fail its search, as (1/5, 9) does
-      after (1/4, 1/2) in the module docstring's example.
+      Global checks prune only on a domain scale that declares
+      ``IntervalScale.exact_open_witness`` (Trivial, ConnectedOpen and
+      the three end-class kinds), where ``_find_open_witness`` finds a
+      q-open subset of every preimage that holds one; elsewhere a probe
+      that contains a passed one can still fail its search, as
+      (1/5, 9) does after (1/4, 1/2) in the module docstring's example.
     * Stop: a pruning walk ends a nested family
       (``IntervalScale.nested_probes``: a chain from its second probe
       on) at its first probe of index 1 or more that it passes or
@@ -269,14 +245,21 @@ def _first_failure(
 
 
 def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
-    """Some q-open subset of ``pre``, or None: witnesses are sought at the
-    midpoint of each piece of the preimage only.
+    """Some q-open subset of ``pre``, or None: witnesses are sought at one
+    anchor of each piece of the preimage only (its midpoint, lo + 1,
+    hi - 1 or 0).  Each anchor lies in ``pre``, which lies in the domain
+    scale's carrier, so it meets the precondition of ``witness_inside``.
 
-    On a trivial scale the search is exact: a piece holds a relatively
-    interior point exactly when its midpoint is one.  On other scales it
-    can miss: a ``SymmetricIntervals`` witness is centred strictly inside
-    the ambient bounds, which a midpoint outside them never is, so None
-    there does not prove that ``pre`` holds no q-open set."""
+    On a kind that declares ``IntervalScale.exact_open_witness``
+    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
+    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
+    set exactly when some piece of it has a relatively interior point,
+    the piece's anchor is such a point whenever one exists, and the
+    kind's ``witness_inside`` finds a witness at every such point.  On
+    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
+    strictly inside the ambient bounds, which an anchor outside them
+    never is, so None there does not prove that ``pre`` holds no q-open
+    set."""
     for sheet, line in enumerate(pre.sheets):
         for piece in line.pieces:
             if piece.lo is not None and piece.hi is not None:
@@ -299,7 +282,9 @@ def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | No
 def replay_interval_certificate(
     m: IntervalScaledMap, mode: ContinuityMode, certificate: dict
 ) -> bool:
-    """Reconfirm a failure certificate through the scale predicates."""
+    """Reconfirm a failure certificate through the scale predicates.  A
+    certificate's point is validated by the map's ``eval``, which raises
+    ``ValueError`` for a point outside the domain."""
     dom_scale = _domain_scale(m, mode)
     if "r_open" in certificate:
         target = certificate["r_open"]

@@ -270,20 +270,37 @@ class IntervalScale:
     family may open with the whole carrier.)  A weak check ends a nested
     family at the first probe of index 1 or more that it passes or skips,
     since every later probe contains that one.  Each kind states its
-    argument in its docstring; a kind that cannot leaves it False."""
+    argument in its docstring; a kind that cannot leaves it False.
+
+    ``exact_open_witness`` says that the continuity checkers' anchor
+    search (``interval_continuity._find_open_witness``) is exact on this
+    kind: it finds a q-open subset of every set inside the carrier that
+    holds one.  A weak global check prunes only on a domain scale that
+    declares it.  Each kind that declares it states its argument in its
+    docstring; it is True for Trivial, ConnectedOpen, RationalEnds,
+    IrrationalEnds and MixedRationalIrrational.
+
+    Precondition on points: ``member`` and ``witness_inside`` take x in
+    the carrier, and the continuity checkers validate x once before they
+    call them (the map's ``eval``), so most kinds do not check it again.
+    ``iter_point_probes`` checks it."""
 
     carrier: Carrier
 
     tag: str = field(init=False, default="")
     nested_probes: ClassVar[bool] = False
+    exact_open_witness: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
+        """Is s assigned to x; x must lie in the carrier."""
         raise NotImplementedError
 
     def is_q_open(self, s: SheetSet) -> bool:
         raise NotImplementedError
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
+        """Some set assigned to x inside s, or None; x must lie in the
+        carrier."""
         raise NotImplementedError
 
     def iter_point_probes(
@@ -291,7 +308,9 @@ class IntervalScale:
     ) -> Iterator[SheetSet]:
         """Assigned neighborhoods of x, in order, each built only when it
         is taken, so a check that stops early builds no more; the radii
-        of the ball and trace ladders are computed lazily too."""
+        of the ball and trace ladders are computed lazily too.  Raises
+        ``ValueError`` for x outside the carrier (checked when the first
+        probe is taken, on kinds whose probes are a generator)."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -325,20 +344,26 @@ class TrivialIntervalScale(IntervalScale):
 
     Nested: after the whole carrier come the cuts of open balls of
     ascending radius to one piece of the carrier, and a bigger ball's cut
-    contains a smaller one's."""
+    contains a smaller one's.
+
+    Exact open witness: a set holds a q-open set exactly when some point
+    of it is relatively interior, and then its piece holding that point
+    has one at its anchor: the anchor of a piece with two distinct ends
+    or an unbounded one lies strictly inside it, and a one-point piece
+    is its own anchor.  ``witness_inside`` at a relatively interior point
+    returns its interior component."""
 
     tag: str = field(init=False, default="Trivial")
     nested_probes: ClassVar[bool] = True
+    exact_open_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
-        self._contains_point(x)
         return s.member(x) and is_open_in_carrier(self.carrier, s)
 
     def is_q_open(self, s: SheetSet) -> bool:
         return not s.is_empty and is_open_in_carrier(self.carrier, s)
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        self._contains_point(x)
         return interior_component_containing(self.carrier, s, x)
 
     def iter_point_probes(self, x, critical=()):
@@ -572,7 +597,6 @@ class _TraceScale(IntervalScale):
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         xx = _single_sheet_point(x)
-        self._contains_point(x)
         line = _single_line(s)
         host = self._shaped_host(line, xx)
         if host is None:
@@ -585,7 +609,6 @@ class _TraceScale(IntervalScale):
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
-        self._contains_point(x)
         r = _capped_radius(self._radii(xx), xx, self._host(_single_line(s), xx))
         return None if r is None else self._trace(xx, r)
 
@@ -676,12 +699,20 @@ class EndClassScale(IntervalScale):
     and (x+d/2, x+d), so for close radii d < d' the next probe's left end
     can lie right of this one's: at 1/3, with critical coordinates at
     distances 1/4 and 65/256, the rational-end probe (0, 9/16) follows
-    (-1/32, 17/32)."""
+    (-1/32, 17/32).
+
+    Exact open witness, in every mode: the carrier is the line, a set
+    holds a q-open set exactly when it holds an open interval, so
+    exactly when some piece has two distinct ends or an unbounded one;
+    that piece's anchor lies strictly inside it, and ``witness_inside``
+    at a point strictly inside its piece always picks ends of the class
+    the point requires."""
 
     mode: str = "rational"
     crossed: bool = False
 
     nested_probes: ClassVar[bool] = False
+    exact_open_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -772,13 +803,18 @@ class ConnectedOpenScale(IntervalScale):
     """The whole carrier plus connected relatively open neighborhoods.
 
     Nested: the probes are the trivial scale's, the whole carrier and
-    then the cuts of ascending open balls to one piece of it."""
+    then the cuts of ascending open balls to one piece of it.
+
+    Exact open witness, as for the trivial scale: the interior component
+    around a relatively interior point is connected and relatively open,
+    so it is assigned, and ``witness_inside`` returns it (or the whole
+    carrier, when the set is the carrier)."""
 
     tag: str = field(init=False, default="ConnectedOpen")
     nested_probes: ClassVar[bool] = True
+    exact_open_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
-        self._contains_point(x)
         if s == self.carrier.whole():
             return True
         return (
@@ -798,7 +834,6 @@ class ConnectedOpenScale(IntervalScale):
         )
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        self._contains_point(x)
         if s == self.carrier.whole():
             return s
         return interior_component_containing(self.carrier, s, x)
@@ -840,7 +875,6 @@ class PStructureIntervalScale(IntervalScale):
         return None
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
-        self._contains_point(x)
         chosen = self._chosen(x)
         if chosen is None or not s.issubset(self.carrier):
             return False
@@ -854,7 +888,6 @@ class PStructureIntervalScale(IntervalScale):
         return any(chosen.issubset(s) for _, chosen in self.table)
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        self._contains_point(x)
         chosen = self._chosen(x)
         if chosen is not None and chosen.issubset(s):
             return chosen

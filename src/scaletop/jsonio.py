@@ -235,6 +235,24 @@ def interval_scale_to_json(kind: IntervalScale) -> dict:
 
 
 def interval_scale_from_json(doc: dict) -> IntervalScale:
+    """The scale a document names.  A document holds exactly ``kind``,
+    ``carrier``, the keys of the kind's ``params()`` and, for PStructure,
+    ``table``, and an end-class ``mode`` must match its tag; anything
+    else raises ``ValueError``, so a misplaced flag is not dropped."""
+    scale = _decode_interval_scale(doc)
+    params = scale.params()
+    allowed = {"kind", "carrier", *params}
+    if isinstance(scale, PStructureIntervalScale):
+        allowed.add("table")
+    extra = sorted(set(doc) - allowed)
+    if extra:
+        raise ValueError(f"a {scale.tag} scale takes no key {extra[0]!r}")
+    if "mode" in doc and doc["mode"] != params["mode"]:
+        raise ValueError(f"a {scale.tag} scale has mode {params['mode']!r}")
+    return scale
+
+
+def _decode_interval_scale(doc: dict) -> IntervalScale:
     carrier = carrier_from_json(doc["carrier"])
     kind = doc["kind"]
     if kind == "Trivial":

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactNumber, _cmp
+from .exactnum import ExactNumber, _cmp, irrational_between
 from .intervals import (
     Carrier,
     Interval,
@@ -144,8 +144,26 @@ def _index_holding(pieces: tuple[AffinePiece, ...], p: SheetPoint) -> int:
     raise MapDomainError(f"point {p} outside the domain carrier")
 
 
+def _critical_coords(intervals, carrier: Carrier) -> tuple[ExactNumber, ...]:
+    """The sorted finite ends of ``intervals`` and of the carrier's pieces."""
+    out: set[ExactNumber] = set()
+    for iv in intervals:
+        for end in (iv.lo, iv.hi):
+            if end is not None:
+                out.add(end)
+    for ls in carrier.sheets:
+        out.update(ls.finite_endpoints())
+    return tuple(sorted(out))
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
+    """A piecewise-affine map from ``domain`` to ``codomain``.
+
+    The sorted critical coordinates of each side and the default probe
+    points are computed on first use and kept on the map, outside the
+    fields, as tuples: they depend on the map alone."""
+
     domain: Carrier
     codomain: Carrier
     pieces: tuple[AffinePiece, ...]
@@ -174,6 +192,47 @@ class PiecewiseAffineMap:
         # equality, hashing and repr see only the pieces as given.
         object.__setattr__(self, "_sheet_pieces", tuple(by_sheet))
 
+    # -- data derived once -------------------------------------------------
+
+    @functools.cached_property
+    def _domain_criticals(self) -> tuple[ExactNumber, ...]:
+        return _critical_coords((piece.part for piece in self.pieces), self.domain)
+
+    @functools.cached_property
+    def _codomain_criticals(self) -> tuple[ExactNumber, ...]:
+        return _critical_coords(
+            (piece.image_interval() for piece in self.pieces), self.codomain
+        )
+
+    @functools.cached_property
+    def _default_points(self) -> tuple[SheetPoint, ...]:
+        """Carrier and piece endpoints that lie in the domain, plus one
+        rational and one irrational interior point per domain piece."""
+        points: list[SheetPoint] = []
+        seen: set[SheetPoint] = set()
+
+        def add(sheet: int, x: ExactNumber) -> None:
+            p = SheetPoint(sheet, x)
+            if p not in seen and self.domain.member(p):
+                seen.add(p)
+                points.append(p)
+
+        for sheet, line in enumerate(self.domain.sheets):
+            for c in self._domain_criticals:
+                add(sheet, c)
+            for piece in line.pieces:
+                lo = piece.lo if piece.lo is not None else (
+                    piece.hi - 2 if piece.hi is not None else ExactNumber(-1)
+                )
+                hi = piece.hi if piece.hi is not None else lo + 2
+                if lo < hi:
+                    mid = lo + (hi - lo) / 2
+                    add(sheet, mid)
+                    add(sheet, irrational_between(lo, hi))
+                else:
+                    add(sheet, lo)
+        return tuple(points)
+
     # -- evaluation --------------------------------------------------------
 
     def piece_at(self, p: SheetPoint) -> AffinePiece:
@@ -187,6 +246,9 @@ class PiecewiseAffineMap:
         return self._sheet_pieces[p.sheet]
 
     def eval(self, p: SheetPoint) -> SheetPoint:
+        """f(p); raises ``MapDomainError`` for a point outside the domain.
+        The continuity checkers validate a domain point here, once, and
+        decide on it with the scale predicates unchecked."""
         piece = self.piece_at(p)
         return SheetPoint(piece.out_sheet, piece.value_at(p.x))
 
@@ -218,6 +280,10 @@ class PiecewiseAffineMap:
         return self._preimage(s)
 
     def _preimage(self, s: SheetSet) -> SheetSet:
+        # The whole codomain pulls back to the whole domain: the pieces
+        # cover the domain exactly once and map into the codomain.
+        if s.sheets is self.codomain.sheets:
+            return SheetSet(self.domain.sheets)
         # The pieces of a sheet are disjoint and in order, and each piece's
         # cuts come out in order, so one merge makes them canonical.
         out = []

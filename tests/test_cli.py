@@ -161,6 +161,19 @@ def test_check_at_point(capsys, fixture_file):
     assert doc["certificate"] is not None
 
 
+@pytest.mark.parametrize("at", ["1/2", "5"])
+@pytest.mark.parametrize("mode", ["at-strong", "at-weak"])
+def test_check_at_a_point_outside_the_domain_exits_2(capsys, fixture_file, at, mode):
+    """ex12's domain is [0, 1/2) u (1/2, 1]: the puncture and a far point
+    are usage errors, reported on one line with no traceback."""
+    path = fixture_file("ex12")
+    code = main(["--quiet", "check", "--map", path, "--mode", mode, "--at", at])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_check_finite_map(capsys, tmp_path):
     t = trivial_scale(sierpinski())
     from scaletop.continuity import ScaledMap

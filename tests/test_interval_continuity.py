@@ -1,10 +1,12 @@
 """Probe-based continuity verdicts for the interval-world fixtures and
 certificate soundness for the failures they produce."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from scaletop import jsonio
 from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import SQRT2, ExactNumber
 from scaletop.fixtures import (
@@ -18,7 +20,9 @@ from scaletop.fixtures import (
 )
 from scaletop.interval_continuity import (
     IntervalScaledMap,
+    codomain_critical_coords,
     default_probe_points,
+    domain_critical_coords,
     iw_check_continuity,
     replay_interval_certificate,
 )
@@ -165,3 +169,48 @@ def test_domain_scale_carrier_mismatch_rejected():
             domain_scale=wrong,
             codomain_scale=base.codomain_scale,
         )
+
+
+# -- the boundary: a point is validated where it enters ----------------------------------
+
+# ex12's domain is [0, 1/2) u (1/2, 1] on one sheet.
+OUTSIDE_EX12 = [SheetPoint(0, num("1/2")), SheetPoint(0, num(5)), SheetPoint(1, num("1/4"))]
+
+
+@pytest.mark.parametrize("strength", ["strong", "weak"])
+@pytest.mark.parametrize("trivial", [False, True])
+@pytest.mark.parametrize("p", OUTSIDE_EX12, ids=str)
+def test_an_at_point_check_outside_the_domain_raises(strength, trivial, p):
+    mode = ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p)
+    with pytest.raises(ValueError):
+        iw_check_continuity(fixture_ex12(), mode)
+
+
+@pytest.mark.parametrize("p", OUTSIDE_EX12, ids=str)
+def test_replaying_a_certificate_at_a_point_outside_the_domain_raises(p):
+    m = fixture_ex12()
+    whole = m.pam.codomain.whole()
+    certificate = {"point": p, "target": whole, "preimage": m.pam.preimage(whole)}
+    for strength in ("strong", "weak"):
+        mode = ContinuityMode(strength, "at-point", at_point=p)
+        with pytest.raises(ValueError):
+            replay_interval_certificate(m, mode, certificate)
+
+
+def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
+    """The critical coordinates and default probe points are kept on the
+    map once derived, outside its fields; callers get their own lists."""
+    fresh, warm = fixture_ex12(), fixture_ex12()
+    doc = json.dumps(jsonio.interval_scaled_map_to_json(warm), sort_keys=True)
+    points = default_probe_points(warm)
+    assert domain_critical_coords(warm) and codomain_critical_coords(warm)
+    assert {"_domain_criticals", "_codomain_criticals", "_default_points"} <= set(
+        vars(warm.pam)
+    )
+    assert warm == fresh and warm.pam == fresh.pam
+    assert hash(warm) == hash(fresh) and hash(warm.pam) == hash(fresh.pam)
+    assert repr(warm) == repr(fresh)
+    assert json.dumps(jsonio.interval_scaled_map_to_json(warm), sort_keys=True) == doc
+    points.clear()
+    assert default_probe_points(warm) == default_probe_points(fresh) != []
+    assert default_probe_points(warm) is not default_probe_points(warm)

@@ -6,12 +6,20 @@ from fractions import Fraction
 import pytest
 
 from scaletop import jsonio
+from scaletop.cli import main
 from scaletop.continuity import ScaledMap
 from scaletop.exactnum import SQRT2, ExactNumber
 from scaletop.finite_topology import discrete_space, sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
-from scaletop.interval_scales import BallScale, full_line_carrier
+from scaletop.interval_continuity import IntervalScaledMap
+from scaletop.interval_scales import (
+    BallScale,
+    BallSupersetScale,
+    EndClassScale,
+    full_line_carrier,
+)
 from scaletop.intervals import Interval, LineSet, SheetPoint, SheetSet
+from scaletop.pwmaps import identity_map
 from scaletop.scales import trivial_scale
 
 from test_interval_scales import KINDS
@@ -101,6 +109,42 @@ def test_interval_scale_roundtrip(k):
     doc = json.loads(json.dumps(jsonio.interval_scale_to_json(scale)))
     back = jsonio.interval_scale_from_json(doc)
     assert back == scale and back.tag == scale.tag
+
+
+LINE_DOC = jsonio.sheetset_to_json(full_line_carrier())
+ONE_DOC = jsonio.exact_to_json(ExactNumber(1))
+
+
+@pytest.mark.parametrize("doc", [
+    # A flag the kind does not take is not dropped.
+    {"kind": "RationalEnds", "mode": "rational", "crossed": True},
+    {"kind": "Q_a", "a": ONE_DOC, "closed_ball": False},
+    {"kind": "Trivial", "table": []},
+    {"kind": "CQ_a", "a": ONE_DOC, "strict": False},
+    # An end-class mode must match its tag.
+    {"kind": "RationalEnds", "mode": "irrational"},
+    {"kind": "MixedRationalIrrational", "mode": "rational", "crossed": False},
+], ids=lambda doc: "-".join(sorted(doc)))
+def test_interval_scale_documents_hold_exactly_their_keys(doc):
+    with pytest.raises(ValueError, match="takes no key|has mode"):
+        jsonio.interval_scale_from_json({**doc, "carrier": LINE_DOC})
+
+
+def test_misplaced_scale_flags_exit_2(capsys, tmp_path):
+    """A map document whose scale carries a flag its kind does not take is
+    malformed input, not a check under a scale it did not ask for."""
+    line = full_line_carrier()
+    pam = identity_map(line)
+    for extra in ({"crossed": True}, {"closed_ball": False}):
+        doc = jsonio.interval_scaled_map_to_json(IntervalScaledMap(
+            pam, EndClassScale(line), BallSupersetScale(line, a=ExactNumber(1))
+        ))
+        doc["domain_scale" if "crossed" in extra else "codomain_scale"].update(extra)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--quiet", "check", "--map", str(path), "--mode", "global-weak"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: malformed map document"), err
 
 
 def test_unknown_kind_rejected():

@@ -1,0 +1,132 @@
+"""The anchor search ``_find_open_witness`` is exact on every kind that
+declares ``exact_open_witness``: it finds a q-open subset of a set inside
+the carrier exactly when the set holds one.  A weak global check prunes
+on such a domain scale, so a miss there would move a certificate.
+
+The reference decides "holds a q-open set" without the kind's methods,
+from ``Interval`` and ``LineSet`` membership only, on one-sheet sets
+whose ends lie in the grid G below (rationals and one sqrt 2 value).
+
+Completeness of the reference: on each declared kind, a set holds a
+q-open set exactly when some point of it is relatively interior (its
+interior component is q-open on Trivial and ConnectedOpen; on the line,
+an open interval holds intervals with ends of either class).  Every end
+of the set and of the carrier lies in G.  If the point lies in a piece
+with two distinct ends or an unbounded one, that piece holds the midpoint
+of two adjacent grid values, or a grid end moved out by 1, and the ball
+of radius EPS around it stays inside the piece, since EPS is under half
+the least grid spacing.  If the piece is one point g of G, no carrier
+end lies within EPS of g, so the carrier meets the EPS-ball around g in
+g alone or in points arbitrarily close to g, and g is relatively interior
+exactly when that ball's trace lies in the set.  So a relatively
+interior point exists exactly when one of the candidates below is one.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scaletop.exactnum import SQRT2, ExactNumber
+from scaletop.interval_continuity import _find_open_witness
+from scaletop.interval_scales import (
+    ConnectedOpenScale,
+    EndClassScale,
+    TrivialIntervalScale,
+    full_line_carrier,
+    segment_carrier,
+)
+from scaletop.intervals import Carrier, Interval, LineSet, SheetPoint, SheetSet, normalize
+
+from test_interval_scales import KINDS
+
+
+def num(x) -> ExactNumber:
+    return ExactNumber(Fraction(x))
+
+
+GRID = sorted([num(-2), num(-1), num(0), num("1/2"), num(1), SQRT2, num(3)])
+EPS = num("1/8")
+
+CANDIDATES = (
+    GRID
+    + [a + (b - a) / 2 for a, b in zip(GRID, GRID[1:])]
+    + [GRID[0] - 1, GRID[-1] + 1]
+)
+
+CARRIERS = {
+    "line": full_line_carrier(),
+    "segment": segment_carrier(num(-1), num(3)),
+    "segment and point": Carrier.of(LineSet((
+        Interval(num(-1), num("1/2"), True, True),
+        Interval(num(3), num(3), True, True),
+    ))),
+}
+
+SCALES = [
+    TrivialIntervalScale(c) for c in CARRIERS.values()
+] + [
+    ConnectedOpenScale(c) for c in CARRIERS.values()
+] + [
+    EndClassScale(CARRIERS["line"], mode=mode, crossed=crossed)
+    for mode, crossed in (("rational", False), ("irrational", False),
+                          ("mixed", False), ("mixed", True))
+]
+
+
+@st.composite
+def grid_intervals(draw) -> Interval:
+    """A point of G, a segment with open or closed ends on G, a half-line,
+    or the line."""
+    shape = draw(st.sampled_from(["point", "segment", "below", "above", "line"]))
+    if shape == "point":
+        g = draw(st.sampled_from(GRID))
+        return Interval(g, g, True, True)
+    if shape == "line":
+        return Interval(None, None, False, False)
+    closed = draw(st.booleans())
+    if shape == "below":
+        return Interval(None, draw(st.sampled_from(GRID)), False, closed)
+    if shape == "above":
+        return Interval(draw(st.sampled_from(GRID)), None, closed, False)
+    lo, hi = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    return Interval(lo, hi, closed, draw(st.booleans()))
+
+
+def relatively_interior(carrier: LineSet, line: LineSet, x: ExactNumber) -> bool:
+    ball = LineSet((Interval(x - EPS, x + EPS, False, False),))
+    return line.member(x) and ball.intersect(carrier).issubset(line)
+
+
+def holds_q_open_set(carrier: LineSet, line: LineSet) -> bool:
+    return any(relatively_interior(carrier, line, x) for x in CANDIDATES)
+
+
+def test_the_declared_kinds_are_the_five_exactly_searched_ones():
+    assert {scale.tag for scale, _ in KINDS if scale.exact_open_witness} == {
+        "Trivial", "ConnectedOpen", "RationalEnds", "IrrationalEnds",
+        "MixedRationalIrrational",
+    }
+    assert all(scale.exact_open_witness for scale in SCALES)
+
+
+@pytest.mark.parametrize("k", range(len(SCALES)), ids=lambda k: f"{k}-{SCALES[k].tag}")
+@given(st.lists(grid_intervals(), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_the_anchor_search_finds_a_q_open_set_exactly_when_one_exists(k, parts):
+    scale = SCALES[k]
+    carrier = scale.carrier.sheets[0]
+    pre = SheetSet((normalize(parts).intersect(carrier),))
+    found = _find_open_witness(scale, pre)
+    assert (found is not None) == holds_q_open_set(carrier, pre.sheets[0]), (scale.tag, pre)
+    if found is not None:
+        assert found.issubset(pre) and scale.is_q_open(found)
+
+
+def test_a_point_isolated_in_the_carrier_is_found():
+    scale = TrivialIntervalScale(CARRIERS["segment and point"])
+    pre = SheetSet((LineSet((Interval(num(3), num(3), True, True),)),))
+    assert _find_open_witness(scale, pre) == pre
+    assert _find_open_witness(EndClassScale(CARRIERS["line"]), pre) is None
+    assert scale.witness_inside(SheetPoint(0, num(3)), pre) == pre

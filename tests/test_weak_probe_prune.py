@@ -6,10 +6,12 @@ pass or skip.
   that pulls back and decides every probe: weak at-point, local and
   global modes on generated maps, on maps into and out of the non-nested
   ``EndClassScale`` families, and on a guard map where a global prune on
-  a non-trivial domain scale would move the certificate.
+  a domain scale whose witness search is not exact would move the
+  certificate.
 * The stop pulls back exactly what the prune without it pulled back, in
-  the same order, on generated and end-class maps; on a non-nested
-  family with a repeated probe, a stop would not.
+  the same order, on generated and end-class maps and on maps out of
+  every domain kind that declares ``exact_open_witness``; on a
+  non-nested family with a repeated probe, a stop would not.
 * A passing weak at-point check takes at most two probes from its
   family and pulls back at most two; the strong check at the same point
   pulls back every probe.  A passing weak global check on a trivial
@@ -39,6 +41,7 @@ from scaletop.interval_continuity import (
 )
 from scaletop.interval_scales import (
     BallSupersetScale,
+    ConnectedOpenScale,
     EndClassScale,
     SymmetricIntervalScale,
     TrivialIntervalScale,
@@ -100,7 +103,8 @@ def ref_global(m, dom_scale, mode, prune: bool = False) -> dict | None:
 
 def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -> IntervalVerdict:
     """Every probe decided; with ``prune``, the weak prune without the
-    stop: skips at every point, and globally on a trivial domain only."""
+    stop: skips at every point, and globally only on a domain scale that
+    declares ``exact_open_witness``."""
     dom_scale = _domain_scale(m, mode)
     prune = prune and mode.strength == "weak"
     if mode.locus == "at-point":
@@ -109,8 +113,7 @@ def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -
         checks = (ref_at_point(m, dom_scale, mode, p, prune) for p in default_probe_points(m))
         cert = next(filter(None, checks), None)
     else:
-        trivial = isinstance(dom_scale, TrivialIntervalScale)
-        cert = ref_global(m, dom_scale, mode, prune and trivial)
+        cert = ref_global(m, dom_scale, mode, prune and dom_scale.exact_open_witness)
     return IntervalVerdict(cert is None, mode, cert)
 
 
@@ -212,7 +215,7 @@ def test_a_non_nested_end_class_family_matches_the_reference_walk(trivial):
     assert iw_check_continuity(m, mode) == ref_check(m, mode)
 
 
-# -- the guard: no global prune on a non-trivial domain ----------------------------------
+# -- the guard: no global prune where the witness search is not exact ---------------------
 
 
 def symmetric_guard_map() -> IntervalScaledMap:
@@ -230,7 +233,7 @@ def symmetric_guard_map() -> IntervalScaledMap:
     )
 
 
-def test_weak_global_checks_prune_only_on_trivial_domains():
+def test_weak_global_checks_prune_only_on_exactly_searched_domains():
     m = symmetric_guard_map()
     mode = ContinuityMode("weak", "global")
     verdict = iw_check_continuity(m, mode)
@@ -246,6 +249,32 @@ def test_weak_global_checks_prune_only_on_trivial_domains():
     moved = ref_global(m, m.domain_scale, mode, prune=True)
     assert moved["r_open"] == open_set(9, 10, hi_closed=True)
     assert assert_matches_reference(m)
+    assert not m.domain_scale.exact_open_witness
+
+
+def exact_domain_maps() -> list[IntervalScaledMap]:
+    """Maps out of a ConnectedOpen domain (on the line and on a segment)
+    and out of each end-class domain, into a trivial codomain, so that
+    their weak global checks prune on their own domain scale."""
+    line = full_line_carrier()
+    seg = segment_carrier(num(-6), num(12))
+    on_segment = PiecewiseAffineMap(seg, seg, (
+        AffinePiece(0, Interval(num(-6), num(1), True, True), 0, Fraction(1), Fraction(0)),
+        AffinePiece(0, Interval(num(1), num(12), False, True), 0, Fraction(1, 2), Fraction(6)),
+    ))
+    domains = [ConnectedOpenScale(line)] + [
+        EndClassScale(line, mode=mode, crossed=crossed)
+        for mode, crossed in (("rational", False), ("irrational", False),
+                              ("mixed", False), ("mixed", True))
+    ]
+    maps = [
+        IntervalScaledMap(pam, dom, TrivialIntervalScale(line))
+        for pam in (bent_map(), split_identity())
+        for dom in domains
+    ]
+    maps.append(IntervalScaledMap(on_segment, ConnectedOpenScale(seg), TrivialIntervalScale(seg)))
+    assert all(m.domain_scale.exact_open_witness for m in maps)
+    return maps
 
 
 # -- pull-back counts ----------------------------------------------------------------------
@@ -343,7 +372,7 @@ def test_the_stop_pulls_back_what_the_prune_pulled_back(monkeypatch):
     monkeypatch.setattr(PiecewiseAffineMap, "_preimage", recorded)
     generated = [g.scaled for g in intervalgen.generate_maps(0, 60)]
     end_class = [m for pair in END_CLASS_PAIRS for m in end_class_maps(*pair)]
-    for m in generated + end_class + [close_split_map()]:
+    for m in generated + end_class + exact_domain_maps() + [close_split_map()]:
         for mode in weak_modes(m):
             verdict = iw_check_continuity(m, mode)
             stopped = pulled[:]
