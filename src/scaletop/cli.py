@@ -7,11 +7,19 @@ stderr unless --quiet.  Exit codes: 0 when the run succeeds and the
 checked claim holds, 1 when a claim fails or a counterexample is found
 (a certificate is always on stdout in that case), 2 for malformed input
 or usage errors.
+
+Input errors are caught in one place, ``main``: a ``CliError`` or a
+``ValueError`` prints ``error: <message>`` and exits 2.  The library
+raises ``ValueError`` for bad input, and ``_load_json`` and ``_decode``
+turn an unreadable file and a decoder's ``KeyError``, ``TypeError`` or
+``ZeroDivisionError`` into a ``CliError`` naming what was read.  The
+subcommands hold no ``try`` of their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -45,13 +53,22 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path} must hold a JSON object, not {type(doc).__name__}")
     return doc
+
+
+def _decode(what: str, fn, *args):
+    """``fn(*args)``, with a decoder's failure on malformed input reported
+    as ``<what>: <reason>``."""
+    try:
+        return fn(*args)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"{what}: {exc}") from exc
 
 
 def _emit(doc: dict, quiet: bool, summary: str) -> None:
@@ -75,6 +92,23 @@ def _parse_point(text: str, interval_world: bool):
     if coord == "sqrt2":
         return SheetPoint(sheet, ExactNumber(0, 1))
     return SheetPoint(sheet, ExactNumber(Fraction(coord)))
+
+
+def _space_check(doc: dict):
+    opens = frozenset(frozenset(jsonio.ints_from_json(o)) for o in doc["opens"])
+    return validate_topology(opens, jsonio.int_from_json(doc["n"]))
+
+
+def _pam_of(doc: dict):
+    """A ``gaps --fn`` document holds a bare map or an interval scaled map."""
+    if doc.get("type") == "interval_scaled_map":
+        doc = doc["map"]
+    return jsonio.pam_from_json(doc)
+
+
+def _with_probes(target: IntervalScaledMap, doc: dict) -> IntervalScaledMap:
+    probes = tuple(jsonio.sheetset_from_json(p) for p in doc["probes"])
+    return dataclasses.replace(target, probe_family=probes)
 
 
 def _gap_list(gaps) -> list[dict]:
@@ -101,74 +135,37 @@ def _emit_validation(kind: str, result, quiet: bool) -> int:
 def _cmd_validate(args) -> int:
     if args.space:
         doc = _load_json(args.space)
-        try:
-            opens = frozenset(frozenset(jsonio.ints_from_json(o)) for o in doc["opens"])
-            result = validate_topology(opens, jsonio.int_from_json(doc["n"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"malformed space document: {exc}") from exc
+        result = _decode("malformed space document", _space_check, doc)
         return _emit_validation("space", result, args.quiet)
     doc = _load_json(args.scale)
-    try:
-        scale = jsonio.scale_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed scale document: {exc}") from exc
+    scale = _decode("malformed scale document", jsonio.scale_from_json, doc)
     return _emit_validation("scale", validate_scale(scale), args.quiet)
 
 
 def _cmd_classify(args) -> int:
     doc = _load_json(args.scale)
-    try:
-        scale = jsonio.scale_from_json(doc)
-        flags = classify(scale)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"cannot classify: {exc}") from exc
-    payload = {name: getattr(flags, name) for name in (
-        "condition_F", "is_F", "is_P", "is_U", "weak_U",
-        "is_I", "weak_I", "is_L", "weak_L", "neighborhood_closed",
-    )}
-    _emit(payload, args.quiet, "flags computed")
+    flags = _decode("cannot classify", lambda: classify(jsonio.scale_from_json(doc)))
+    _emit(dataclasses.asdict(flags), args.quiet, "flags computed")
     return OK
 
 
 def _cmd_check(args) -> int:
     doc = _load_json(args.map)
-    try:
-        target = jsonio.any_map_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed map document: {exc}") from exc
+    target = _decode("malformed map document", jsonio.any_map_from_json, doc)
     interval_world = isinstance(target, IntervalScaledMap)
     if args.probes is not None and not interval_world:
         raise CliError("--probes applies to interval-world maps")
     at_point = None
     if args.at is not None:
-        try:
-            at_point = _parse_point(args.at, interval_world)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"cannot parse --at {args.at!r}: {exc}") from exc
-    try:
-        mode = parse_mode(args.mode, at_point=at_point,
-                          trivial_domain=args.trivial_domain)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        at_point = _decode(
+            f"cannot parse --at {args.at!r}", _parse_point, args.at, interval_world
+        )
+    mode = parse_mode(args.mode, at_point=at_point, trivial_domain=args.trivial_domain)
     if args.probes is not None:
         probe_doc = _load_json(args.probes)
-        try:
-            probes = tuple(jsonio.sheetset_from_json(p) for p in probe_doc["probes"])
-            target = IntervalScaledMap(
-                pam=target.pam,
-                domain_scale=target.domain_scale,
-                codomain_scale=target.codomain_scale,
-                probe_family=probes,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"malformed probes document: {exc}") from exc
-    try:
-        if interval_world:
-            verdict = iw_check_continuity(target, mode)
-        else:
-            verdict = check_continuity(target, mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        target = _decode("malformed probes document", _with_probes, target, probe_doc)
+    check = iw_check_continuity if interval_world else check_continuity
+    verdict = check(target, mode)
     payload = {
         "holds": verdict.holds,
         "mode": jsonio.mode_to_json(mode),
@@ -179,30 +176,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
-    doc = _load_json(args.fn)
-    try:
-        if doc.get("type") == "interval_scaled_map":
-            pam = jsonio.pam_from_json(doc["map"])
-        else:
-            pam = jsonio.pam_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed map document: {exc}") from exc
-    try:
-        gaps = pam.gaps()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    pam = _decode("malformed map document", _pam_of, _load_json(args.fn))
+    gaps = pam.gaps()
     payload: dict = {"gaps": _gap_list(gaps)}
     code = OK
     summary = f"{len(gaps)} gap(s)"
     if args.threshold is not None:
-        try:
-            level = ExactNumber(Fraction(args.threshold))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"cannot parse threshold: {exc}") from exc
-        try:
-            verdict = is_a_fuzzy_continuous(pam, level)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        level = _decode(
+            "cannot parse threshold", lambda: ExactNumber(Fraction(args.threshold))
+        )
+        verdict = is_a_fuzzy_continuous(pam, level)
         payload["threshold"] = jsonio.exact_to_json(level)
         payload["within_threshold"] = verdict.holds
         payload["witnesses"] = _gap_list(verdict.witnesses)
@@ -213,12 +196,8 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    try:
-        fixture = load_fixture(args.name)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
     _emit(
-        jsonio.interval_scaled_map_to_json(fixture),
+        jsonio.interval_scaled_map_to_json(load_fixture(args.name)),
         args.quiet,
         f"fixture {args.name}",
     )
@@ -226,30 +205,24 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = SweepConfig(
-            max_points=args.max_n,
-            scale_budget=args.scale_budget,
-            map_budget=args.map_budget,
-            seed=args.seed,
-            mode=args.mode,
-            sample_budget=args.budget,
-            max_violations=args.max_violations,
+    cfg = SweepConfig(
+        max_points=args.max_n,
+        scale_budget=args.scale_budget,
+        map_budget=args.map_budget,
+        seed=args.seed,
+        mode=args.mode,
+        sample_budget=args.budget,
+        max_violations=args.max_violations,
+    )
+    if args.property in SEARCH_IDS:
+        report = search_counterexample(args.property, cfg)
+    elif args.property in PROPERTY_IDS:
+        report = run_property(args.property, cfg)
+    else:
+        raise CliError(
+            f"unknown property {args.property!r}; known: "
+            + ", ".join(PROPERTY_IDS + SEARCH_IDS)
         )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        if args.property in SEARCH_IDS:
-            report = search_counterexample(args.property, cfg)
-        elif args.property in PROPERTY_IDS:
-            report = run_property(args.property, cfg)
-        else:
-            raise CliError(
-                f"unknown property {args.property!r}; known: "
-                + ", ".join(PROPERTY_IDS + SEARCH_IDS)
-            )
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
     payload = report.to_json()
     _emit(
         payload,
@@ -262,13 +235,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     count = 0
-    try:
-        for space in enumerate_topologies(args.n):
-            json.dump(jsonio.space_to_json(space), sys.stdout, sort_keys=True)
-            sys.stdout.write("\n")
-            count += 1
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    for space in enumerate_topologies(args.n):
+        json.dump(jsonio.space_to_json(space), sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
+        count += 1
     if not args.quiet:
         print(f"{count} topologies on {args.n} points", file=sys.stderr)
     return OK
@@ -365,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else OK
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -5,7 +5,8 @@ strings: a rational is ``"p/q"`` and a field element is
 ``{"a": "p/q", "b": "r/s"}`` (meaning a + b*sqrt(2)).  Infinite
 interval ends use the sentinels ``"-inf"`` / ``"+inf"``.  Set families
 are listed in canonical order (size, then sorted elements) so equal
-objects serialize to identical documents.
+objects serialize to identical documents.  A decoder rejects any key
+its encoder does not write.
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def flag_from_json(doc: dict, key: str, default: bool | None = None) -> bool:
     return value
 
 
+def _only_keys(doc, what: str, keys) -> None:
+    """Reject a key of ``doc`` that the encoder of ``what`` does not write,
+    so a misspelt or misplaced key is not dropped and the document decoded
+    as something it did not ask for.  A value that is not an object is
+    left to fail on its first read."""
+    extra = sorted(set(doc) - set(keys)) if isinstance(doc, dict) else ()
+    if extra:
+        raise ValueError(f"{what} takes no key {extra[0]!r}")
+
+
 def int_from_json(value) -> int:
     """A point, count, index, sheet or table entry must be a JSON integer.  A
     boolean would read as 0 or 1 and a float would index nothing, so both
@@ -80,6 +91,7 @@ def exact_to_json(x: ExactNumber) -> dict:
 
 
 def exact_from_json(doc: dict) -> ExactNumber:
+    _only_keys(doc, "a number", ("a", "b"))
     a = fraction_from_json(doc["a"])
     return ExactNumber(a, fraction_from_json(doc.get("b", "0")))
 
@@ -94,6 +106,7 @@ def interval_to_json(iv: Interval) -> dict:
 
 
 def interval_from_json(doc: dict) -> Interval:
+    _only_keys(doc, "an interval", ("lo", "hi", "lo_closed", "hi_closed"))
     lo = None if doc["lo"] == "-inf" else exact_from_json(doc["lo"])
     hi = None if doc["hi"] == "+inf" else exact_from_json(doc["hi"])
     lo_closed = flag_from_json(doc, "lo_closed")
@@ -113,10 +126,12 @@ def sheetset_to_json(s: SheetSet) -> dict:
 
 
 def sheetset_from_json(doc: dict) -> SheetSet:
+    _only_keys(doc, "a sheet set", ("sheets",))
     return SheetSet(tuple(lineset_from_json(ls) for ls in doc["sheets"]))
 
 
 def carrier_from_json(doc: dict) -> Carrier:
+    _only_keys(doc, "a carrier", ("sheets",))
     return Carrier(tuple(lineset_from_json(ls) for ls in doc["sheets"]))
 
 
@@ -125,6 +140,7 @@ def sheet_point_to_json(p: SheetPoint) -> dict:
 
 
 def sheet_point_from_json(doc: dict) -> SheetPoint:
+    _only_keys(doc, "a point", ("sheet", "x"))
     return SheetPoint(int_from_json(doc["sheet"]), exact_from_json(doc["x"]))
 
 
@@ -139,6 +155,7 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> FiniteSpace:
+    _only_keys(doc, "a space", ("n", "opens"))
     return FiniteSpace.of(
         int_from_json(doc["n"]), [ints_from_json(o) for o in doc["opens"]]
     )
@@ -157,6 +174,7 @@ def scale_to_json(scale: Scale) -> dict:
 
 
 def scale_from_json(doc: dict) -> Scale:
+    _only_keys(doc, "a scale", ("space", "tq", "assignment"))
     space = space_from_json(doc["space"])
     tq_sorted = [frozenset(ints_from_json(s)) for s in doc["tq"]]
     families = [ints_from_json(fam) for fam in doc["assignment"]]
@@ -176,6 +194,7 @@ def scaled_map_to_json(f: ScaledMap) -> dict:
 
 
 def scaled_map_from_json(doc: dict) -> ScaledMap:
+    _only_keys(doc, "a scaled_map", ("type", "table", "domain", "codomain"))
     return ScaledMap(
         tuple(ints_from_json(doc["table"])),
         scale_from_json(doc["domain"]),
@@ -203,17 +222,20 @@ def pam_to_json(pam: PiecewiseAffineMap) -> dict:
     }
 
 
-def pam_from_json(doc: dict) -> PiecewiseAffineMap:
-    pieces = tuple(
-        AffinePiece(
-            int_from_json(p["sheet"]),
-            interval_from_json(p["part"]),
-            int_from_json(p["out_sheet"]),
-            fraction_from_json(p["slope"]),
-            fraction_from_json(p["intercept"]),
-        )
-        for p in doc["pieces"]
+def _piece_from_json(doc: dict) -> AffinePiece:
+    _only_keys(doc, "a piece", ("sheet", "part", "out_sheet", "slope", "intercept"))
+    return AffinePiece(
+        int_from_json(doc["sheet"]),
+        interval_from_json(doc["part"]),
+        int_from_json(doc["out_sheet"]),
+        fraction_from_json(doc["slope"]),
+        fraction_from_json(doc["intercept"]),
     )
+
+
+def pam_from_json(doc: dict) -> PiecewiseAffineMap:
+    _only_keys(doc, "a map", ("domain", "codomain", "pieces"))
+    pieces = tuple(_piece_from_json(p) for p in doc["pieces"])
     return PiecewiseAffineMap(
         carrier_from_json(doc["domain"]), carrier_from_json(doc["codomain"]), pieces
     )
@@ -244,9 +266,7 @@ def interval_scale_from_json(doc: dict) -> IntervalScale:
     allowed = {"kind", "carrier", *params}
     if isinstance(scale, PStructureIntervalScale):
         allowed.add("table")
-    extra = sorted(set(doc) - allowed)
-    if extra:
-        raise ValueError(f"a {scale.tag} scale takes no key {extra[0]!r}")
+    _only_keys(doc, f"a {scale.tag} scale", allowed)
     if "mode" in doc and doc["mode"] != params["mode"]:
         raise ValueError(f"a {scale.tag} scale has mode {params['mode']!r}")
     return scale
@@ -292,15 +312,14 @@ def _decode_interval_scale(doc: dict) -> IntervalScale:
             hi=exact_from_json(doc["hi"]),
         )
     if kind == "PStructure":
-        table = tuple(
-            (
-                sheet_point_from_json(row["point"]),
-                sheetset_from_json(row["chosen"]),
-            )
-            for row in doc.get("table", [])
-        )
+        table = tuple(_table_row_from_json(row) for row in doc.get("table", []))
         return PStructureIntervalScale(carrier, table=table)
     raise ValueError(f"unknown interval scale kind {kind!r}")
+
+
+def _table_row_from_json(doc: dict) -> tuple[SheetPoint, SheetSet]:
+    _only_keys(doc, "a table row", ("point", "chosen"))
+    return sheet_point_from_json(doc["point"]), sheetset_from_json(doc["chosen"])
 
 
 def interval_scaled_map_to_json(m: IntervalScaledMap) -> dict:
@@ -314,6 +333,11 @@ def interval_scaled_map_to_json(m: IntervalScaledMap) -> dict:
 
 
 def interval_scaled_map_from_json(doc: dict) -> IntervalScaledMap:
+    _only_keys(
+        doc,
+        "an interval_scaled_map",
+        ("type", "map", "domain_scale", "codomain_scale", "probes"),
+    )
     return IntervalScaledMap(
         pam=pam_from_json(doc["map"]),
         domain_scale=interval_scale_from_json(doc["domain_scale"]),

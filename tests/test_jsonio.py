@@ -22,6 +22,7 @@ from scaletop.intervals import Interval, LineSet, SheetPoint, SheetSet
 from scaletop.pwmaps import identity_map
 from scaletop.scales import trivial_scale
 
+from test_cli_input_errors import object_paths, with_stray_key
 from test_interval_scales import KINDS
 
 
@@ -109,6 +110,14 @@ def test_interval_scale_roundtrip(k):
     doc = json.loads(json.dumps(jsonio.interval_scale_to_json(scale)))
     back = jsonio.interval_scale_from_json(doc)
     assert back == scale and back.tag == scale.tag
+
+
+@pytest.mark.parametrize("k", range(len(EVERY_KIND)), ids=lambda k: f"{k}-{EVERY_KIND[k].tag}")
+def test_a_stray_key_in_any_object_of_a_scale_document_is_rejected(k):
+    doc = jsonio.interval_scale_to_json(EVERY_KIND[k])
+    for path in object_paths(doc):
+        with pytest.raises(ValueError, match="takes no key 'stray'"):
+            jsonio.interval_scale_from_json(with_stray_key(doc, path))
 
 
 LINE_DOC = jsonio.sheetset_to_json(full_line_carrier())
