@@ -94,18 +94,6 @@ def _parse_point(text: str, interval_world: bool):
     return SheetPoint(sheet, ExactNumber(Fraction(coord)))
 
 
-def _space_check(doc: dict):
-    opens = frozenset(frozenset(jsonio.ints_from_json(o)) for o in doc["opens"])
-    return validate_topology(opens, jsonio.int_from_json(doc["n"]))
-
-
-def _pam_of(doc: dict):
-    """A ``gaps --fn`` document holds a bare map or an interval scaled map."""
-    if doc.get("type") == "interval_scaled_map":
-        doc = doc["map"]
-    return jsonio.pam_from_json(doc)
-
-
 def _with_probes(target: IntervalScaledMap, doc: dict) -> IntervalScaledMap:
     probes = tuple(jsonio.sheetset_from_json(p) for p in doc["probes"])
     return dataclasses.replace(target, probe_family=probes)
@@ -135,7 +123,10 @@ def _emit_validation(kind: str, result, quiet: bool) -> int:
 def _cmd_validate(args) -> int:
     if args.space:
         doc = _load_json(args.space)
-        result = _decode("malformed space document", _space_check, doc)
+        result = _decode(
+            "malformed space document",
+            lambda: validate_topology(*jsonio.topology_from_json(doc)),
+        )
         return _emit_validation("space", result, args.quiet)
     doc = _load_json(args.scale)
     scale = _decode("malformed scale document", jsonio.scale_from_json, doc)
@@ -176,7 +167,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
-    pam = _decode("malformed map document", _pam_of, _load_json(args.fn))
+    pam = _decode("malformed map document", jsonio.any_pam_from_json, _load_json(args.fn))
     gaps = pam.gaps()
     payload: dict = {"gaps": _gap_list(gaps)}
     code = OK

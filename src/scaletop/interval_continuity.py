@@ -17,15 +17,16 @@ which can miss a q-open subset of the preimage: for the identity map on
 trivial codomain, the probe (1/5, 9) fails and its certificate replays,
 yet (1/4, 7/20) lies in its preimage and is q-open.
 
-Every check is one probe walk (``_first_failure``).  An at-point check
-walks the probe family of its point, a local check does the same at each
-default probe point in turn, and a global check walks the declared
-family and then one family per anchor.  The walk pulls each probe back
-and decides it, in order, and stops at the first probe that fails.  A
-pruning walk (weak checks, and when global only on a domain scale that
-declares ``exact_open_witness``) skips each probe that contains the last
-one it passed, and ends a nested family at its first pass or skip past
-index 0.  An empty preimage passes vacuously, as in the finite world.
+Every check is one probe walk (``_first_failure``), unless the map's
+one-sided limits prove that the walk passes (see "Sound passes" below).
+An at-point check walks the probe family of its point, a local check
+does the same at each default probe point in turn, and a global check
+walks the declared family and then one family per anchor.  The walk
+pulls each probe back and decides it, in order, and stops at the first
+probe that fails.  A pruning walk (weak checks, and when global only on
+a domain scale that declares ``exact_open_witness``) skips each probe
+that contains the last one it passed, and ends a nested family at its
+first pass or skip past index 0.  An empty preimage passes vacuously, as in the finite world.
 The walk's docstring gives the argument for each rule: none can move the
 first failing probe or its certificate.
 
@@ -34,8 +35,50 @@ An at-point check validates its point once, where it enters: the map's
 scale predicates the walk then calls (``member``, ``witness_inside``)
 take that as their precondition and do not check the point again; every
 anchor of ``_find_open_witness`` lies in a preimage, so in the domain.
-The map's critical coordinates and default probe points are derived
-once per map (``PiecewiseAffineMap``), not once per check.
+The map's critical coordinates, default probe points and limit table
+are derived once per map (``PiecewiseAffineMap``), not once per check.
+
+Sound passes.  On a trivial domain (``mode.trivial_domain``, or a
+``TrivialIntervalScale`` as the map's domain scale) the check first asks
+the map's limit table (``PiecewiseAffineMap._jumps``: each one-sided
+limit at a domain critical point that differs from the value there, as
+a codomain point, so a side on another sheet is a jump).  The premise,
+stated and tested on ``IntervalScale``, is that every set a kind
+assigns, so every probe and every declared probe, is relatively open in
+its carrier, and a point's probe holds the point.  A trivial domain
+asks of a preimage only that it be relatively open (strong) or hold a
+relatively open neighborhood (weak), and a piecewise-affine map is
+continuous at every domain point that is no jump point of the table.
+
+* R1, continuous map: the table is empty.  Then every preimage of a
+  relatively open set is relatively open, and the preimage of a point's
+  probe holds the point.  So every probe passes in all six modes, for
+  every codomain kind: at a point the preimage is a member and is its
+  own witness, and globally it is empty (passing vacuously) or a
+  nonempty relatively open set, which is q-open and which the exact
+  anchor search of the trivial scale finds.
+* R2, weak check at a point p that is no jump point: f is continuous at
+  p, so the preimage of each probe of f(p) holds a relatively open
+  neighborhood of p.  A weak local check skips each such default point.
+* R3, strong check with a ``Trivial`` codomain: every jump limit L
+  equals y = f(p).  Take a probe V of y and a point z of its preimage.
+  At z each one-sided limit is f(z) or y, both in V, and the side's
+  values tend to it inside the codomain carrier, where V is relatively
+  open; so a neighborhood of z maps into V, the preimage is relatively
+  open, and it holds p.  A strong local check skips each default point
+  where this holds.  The walk also passes where R3 does not fire, and
+  such passes still come from the walk: for f(x) = x on (-inf, 5) and
+  x + 10 on [5, inf), strong continuity at 0 passes every probe (each
+  is an interval around 0 that misses 15), although the member
+  (-1, 1) u (14, 16) of f(0) pulls back to a set that is not open.
+
+A sound pass returns where the walk would have found no failing probe,
+and a walk that finds none returns ``holds`` with no certificate; a
+local check skips only points whose walk would pass, and walks share no
+state across points.  So a sound pass cannot move a verdict, a
+certificate or a byte of any report: it only leaves probes unbuilt.
+Every failure and every pass the limits cannot prove still comes from
+the walk.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -149,21 +192,72 @@ def _holds_open(
     return _find_open_witness(dom_scale, pre) is not None
 
 
+def _sound_pass(
+    m: IntervalScaledMap,
+    dom_scale: IntervalScale,
+    mode: ContinuityMode,
+    p: SheetPoint | None = None,
+    y: SheetPoint | None = None,
+) -> bool:
+    """Whether the map's limit table proves that every probe of the walk
+    passes: the global walk, or with ``p`` the walk of point p, where
+    y = f(p).  Only on a trivial domain scale, by rules R1-R3 of the
+    module docstring."""
+    if not isinstance(dom_scale, TrivialIntervalScale):
+        return False
+    jumps = m.pam._jumps
+    if not jumps:
+        return True
+    if p is None:
+        return False
+    if mode.strength == "weak":
+        return all(z != p for z, _ in jumps)
+    return isinstance(m.codomain_scale, TrivialIntervalScale) and all(
+        limit == y for _, limit in jumps
+    )
+
+
+def _global_walk(
+    m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
+) -> tuple[SheetSet, SheetSet] | None:
+    """The walk of the global families; weak checks prune only on a domain
+    scale that declares ``exact_open_witness``."""
+    prune = mode.strength == "weak" and dom_scale.exact_open_witness
+    return _first_failure(
+        m, _global_families(m), lambda pre: _holds_open(dom_scale, mode, pre), prune
+    )
+
+
+def _point_walk(
+    m: IntervalScaledMap,
+    dom_scale: IntervalScale,
+    mode: ContinuityMode,
+    p: SheetPoint,
+    y: SheetPoint,
+) -> tuple[SheetSet, SheetSet] | None:
+    """The walk of the probe family of y = f(p); weak checks prune."""
+    family = m.codomain_scale.iter_point_probes(y, critical=m.pam._codomain_criticals)
+    return _first_failure(
+        m,
+        ((m.codomain_scale.nested_probes, family),),
+        lambda pre: _holds_at(dom_scale, mode, p, pre),
+        mode.strength == "weak",
+    )
+
+
 def iw_check_continuity(
     m: IntervalScaledMap, mode: ContinuityMode
 ) -> IntervalVerdict:
     """One walk of the global families, or one walk of each point's family
-    (the given point, or every default probe point for a local check)."""
+    (the given point, or every default probe point for a local check),
+    except where ``_sound_pass`` proves that the walk passes."""
     dom_scale = _domain_scale(m, mode)
-    weak = mode.strength == "weak"
     certificate = None
     if mode.locus == "global":
-        prune = weak and dom_scale.exact_open_witness
-        failure = _first_failure(
-            m, _global_families(m), lambda pre: _holds_open(dom_scale, mode, pre), prune
-        )
-        if failure is not None:
-            certificate = {"r_open": failure[0], "preimage": failure[1]}
+        if not _sound_pass(m, dom_scale, mode):
+            failure = _global_walk(m, dom_scale, mode)
+            if failure is not None:
+                certificate = {"r_open": failure[0], "preimage": failure[1]}
         return IntervalVerdict(certificate is None, mode, certificate)
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
@@ -171,13 +265,11 @@ def iw_check_continuity(
         points: Iterable[SheetPoint] = (mode.at_point,)
     else:
         points = m.pam._default_points
-    criticals = m.pam._codomain_criticals
-    nested = m.codomain_scale.nested_probes
     for p in points:
-        family = m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=criticals)
-        failure = _first_failure(
-            m, ((nested, family),), lambda pre: _holds_at(dom_scale, mode, p, pre), weak
-        )
+        y = m.pam.eval(p)
+        if _sound_pass(m, dom_scale, mode, p, y):
+            continue
+        failure = _point_walk(m, dom_scale, mode, p, y)
         if failure is not None:
             certificate = {"point": p, "target": failure[0], "preimage": failure[1]}
             break

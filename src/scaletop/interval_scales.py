@@ -264,6 +264,15 @@ class IntervalScale:
     cutting it to the carrier first.  A family may repeat a set; the
     checkers decide a repeat as they decided its first occurrence.
 
+    Openness contract: every set a kind assigns is relatively open in
+    ``carrier``, so every probe and every q-open set is, and every probe
+    of x holds x.  The continuity checkers' sound passes rest on it: a
+    map with no jump pulls every such set back to a relatively open set
+    (see ``interval_continuity``).  Each membership rule of the module
+    docstring assigns only open sets of the line, carrier traces of open
+    balls, or relatively open sets, and a property test checks the
+    contract on every kind.
+
     ``nested_probes`` says that every family is nested: each probe from
     the second on contains the probe before it, for every point and
     every list of critical coordinates.  (The first probe is free, so a

@@ -154,11 +154,17 @@ def space_to_json(space: FiniteSpace) -> dict:
     }
 
 
-def space_from_json(doc: dict) -> FiniteSpace:
+def topology_from_json(doc: dict) -> tuple[frozenset[frozenset[int]], int]:
+    """The open sets and point count of a space document, not yet checked
+    against the axioms (``validate_topology`` reports that)."""
     _only_keys(doc, "a space", ("n", "opens"))
-    return FiniteSpace.of(
-        int_from_json(doc["n"]), [ints_from_json(o) for o in doc["opens"]]
-    )
+    n = int_from_json(doc["n"])
+    return frozenset(frozenset(ints_from_json(o)) for o in doc["opens"]), n
+
+
+def space_from_json(doc: dict) -> FiniteSpace:
+    opens, n = topology_from_json(doc)
+    return FiniteSpace(n, opens)
 
 
 def scale_to_json(scale: Scale) -> dict:
@@ -344,6 +350,14 @@ def interval_scaled_map_from_json(doc: dict) -> IntervalScaledMap:
         codomain_scale=interval_scale_from_json(doc["codomain_scale"]),
         probe_family=tuple(sheetset_from_json(v) for v in doc.get("probes", [])),
     )
+
+
+def any_pam_from_json(doc: dict) -> PiecewiseAffineMap:
+    """The map of a bare map document or of a whole interval_scaled_map
+    document, whose scales and probes are decoded and checked too."""
+    if doc.get("type") == "interval_scaled_map":
+        return interval_scaled_map_from_json(doc).pam
+    return pam_from_json(doc)
 
 
 def any_map_from_json(doc: dict) -> ScaledMap | IntervalScaledMap:

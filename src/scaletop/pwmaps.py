@@ -160,9 +160,10 @@ def _critical_coords(intervals, carrier: Carrier) -> tuple[ExactNumber, ...]:
 class PiecewiseAffineMap:
     """A piecewise-affine map from ``domain`` to ``codomain``.
 
-    The sorted critical coordinates of each side and the default probe
-    points are computed on first use and kept on the map, outside the
-    fields, as tuples: they depend on the map alone."""
+    The sorted critical coordinates of each side, the default probe
+    points and the limit table (``_jumps``) are computed on first use and
+    kept on the map, outside the fields, as tuples: they depend on the
+    map alone."""
 
     domain: Carrier
     codomain: Carrier
@@ -232,6 +233,29 @@ class PiecewiseAffineMap:
                 else:
                     add(sheet, lo)
         return tuple(points)
+
+    @functools.cached_property
+    def _jumps(self) -> tuple[tuple[SheetPoint, SheetPoint], ...]:
+        """The limit table: each one-sided limit L at a domain critical
+        point z in the domain that differs from f(z), as ``(z, L)``.  L is
+        a codomain point, so a side that lands on another sheet is a jump
+        even where the coordinates agree.  Off the critical points f is
+        affine near each point, so f is continuous at every domain point
+        that is no z here, and continuous when the table is empty."""
+        out = []
+        for sheet, line in enumerate(self.domain.sheets):
+            for x in self._domain_criticals:
+                z = SheetPoint(sheet, x)
+                if not line.member(x):
+                    continue
+                value = self.eval(z)
+                for left in (True, False):
+                    piece = self._side_piece(z, left)
+                    if piece is not None:
+                        limit = SheetPoint(piece.out_sheet, piece.value_at(x))
+                        if limit != value:
+                            out.append((z, limit))
+        return tuple(out)
 
     # -- evaluation --------------------------------------------------------
 

@@ -124,6 +124,32 @@ def test_a_misspelt_probes_key_exits_2(capsys, tmp_path):
     )
 
 
+def test_a_space_document_with_a_stray_key_exits_2(capsys, tmp_path):
+    """Sierpinski space with a stray ``open`` key beside ``opens``."""
+    doc = {"n": 2, "opens": [[], [0], [0, 1]], "open": [[1]]}
+    path = _write(tmp_path / "space.json", doc)
+    code, out, err = _run(capsys, "validate", "--space", path)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed space document: a space takes no key 'open'\n"
+    del doc["open"]
+    assert _run(capsys, "validate", "--space", _write(tmp_path / "space.json", doc))[0] == 0
+
+
+def test_gaps_decodes_the_whole_scaled_map_document(capsys, tmp_path):
+    """``gaps --fn`` on an interval_scaled_map document checks its other keys
+    and its scales, as ``check --map`` does, not only its map."""
+    base = _fixture_doc("ex17-f")
+    stray = {**base, "stray": 1}
+    bad_scale = {**base, "domain_scale": {"kind": "Nope"}}
+    for doc in (stray, bad_scale, {**stray, "domain_scale": {"kind": "Nope"}}):
+        path = _write(tmp_path / "map.json", doc)
+        gaps = _run(capsys, "gaps", "--fn", path)
+        check = _run(capsys, "check", "--mode", "local-strong", "--map", path)
+        assert gaps[:2] == check[:2] == (2, "")
+        assert gaps[2] == check[2] and gaps[2].startswith("error: malformed map document: ")
+    assert _run(capsys, "gaps", "--fn", _write(tmp_path / "map.json", base))[0] == 0
+
+
 @pytest.mark.parametrize("which", ["directory", "latin1"])
 def test_module_entry_point_exits_2_without_a_traceback(tmp_path, which):
     """``python -m scaletop.cli`` goes through ``sys.exit(main())``."""

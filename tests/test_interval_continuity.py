@@ -198,15 +198,19 @@ def test_replaying_a_certificate_at_a_point_outside_the_domain_raises(p):
 
 
 def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
-    """The critical coordinates and default probe points are kept on the
-    map once derived, outside its fields; callers get their own lists."""
+    """The critical coordinates, default probe points and limit table are
+    kept on the map once derived, outside its fields; callers get their
+    own lists.  The limit table is built by the first check, not before."""
     fresh, warm = fixture_ex12(), fixture_ex12()
     doc = json.dumps(jsonio.interval_scaled_map_to_json(warm), sort_keys=True)
     points = default_probe_points(warm)
     assert domain_critical_coords(warm) and codomain_critical_coords(warm)
-    assert {"_domain_criticals", "_codomain_criticals", "_default_points"} <= set(
+    assert "_jumps" not in vars(warm.pam)
+    iw_check_continuity(warm, ContinuityMode("strong", "local", trivial_domain=True))
+    assert {"_domain_criticals", "_codomain_criticals", "_default_points", "_jumps"} <= set(
         vars(warm.pam)
     )
+    assert "_jumps" not in vars(fresh.pam)
     assert warm == fresh and warm.pam == fresh.pam
     assert hash(warm) == hash(fresh) and hash(warm.pam) == hash(fresh.pam)
     assert repr(warm) == repr(fresh)

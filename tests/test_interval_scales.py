@@ -34,6 +34,7 @@ from scaletop.intervals import (
     SheetPoint,
     SheetSet,
     interval,
+    is_open_in_carrier,
 )
 
 
@@ -515,6 +516,25 @@ def test_probes_lie_in_the_carrier(k, data):
     )
     for s in scale.iter_point_probes(x, critical):
         assert s.issubset(scale.carrier), (scale.tag, x, critical, s)
+
+
+@pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_assigned_sets_are_relatively_open_and_probes_hold_their_point(k, data):
+    """The premise of the interval checkers' sound passes: every probe of
+    x is relatively open in the carrier and holds x, and every q-open set
+    (every set assigned to some point) is relatively open."""
+    scale, values = KINDS[k]
+    x = data.draw(points_in(scale, values))
+    critical = data.draw(
+        st.lists(st.sampled_from([*values, *OFFSETS, *RADII]), max_size=4)
+    )
+    for s in scale.iter_point_probes(x, critical):
+        assert s.member(x) and is_open_in_carrier(scale.carrier, s), (scale.tag, x, s)
+    s = data.draw(sets_near(scale, x))
+    if scale.is_q_open(s):
+        assert is_open_in_carrier(scale.carrier, s), (scale.tag, s)
 
 
 @pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)

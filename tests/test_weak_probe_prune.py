@@ -16,6 +16,11 @@ pass or skip.
   family and pulls back at most two; the strong check at the same point
   pulls back every probe.  A passing weak global check on a trivial
   domain takes at most two probes from each anchor's family.
+
+Every check gives its walk's verdict and certificate.  The counts and
+the stop are measured on the walk itself (``walk``):
+``iw_check_continuity`` decides most of these maps from their one-sided
+limits and builds no probe there (see ``tests/test_sound_passes.py``).
 """
 
 import sys
@@ -32,8 +37,10 @@ from scaletop.interval_continuity import (
     IntervalVerdict,
     _domain_scale,
     _global_families,
+    _global_walk,
     _holds_at,
     _holds_open,
+    _point_walk,
     codomain_critical_coords,
     default_probe_points,
     iw_check_continuity,
@@ -117,6 +124,23 @@ def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -
     return IntervalVerdict(cert is None, mode, cert)
 
 
+def walk(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalVerdict:
+    """The probe walk of ``iw_check_continuity`` with no sound pass before
+    it: ``_global_walk``, or ``_point_walk`` at each point in turn."""
+    dom_scale = _domain_scale(m, mode)
+    if mode.locus == "global":
+        failure = _global_walk(m, dom_scale, mode)
+        cert = None if failure is None else {"r_open": failure[0], "preimage": failure[1]}
+        return IntervalVerdict(cert is None, mode, cert)
+    points = [mode.at_point] if mode.locus == "at-point" else default_probe_points(m)
+    for p in points:
+        failure = _point_walk(m, dom_scale, mode, p, m.pam.eval(p))
+        if failure is not None:
+            cert = {"point": p, "target": failure[0], "preimage": failure[1]}
+            return IntervalVerdict(False, mode, cert)
+    return IntervalVerdict(True, mode, None)
+
+
 def weak_modes(m: IntervalScaledMap) -> list[ContinuityMode]:
     modes = [
         ContinuityMode("weak", locus, trivial_domain=trivial)
@@ -146,6 +170,18 @@ def assert_matches_reference(m: IntervalScaledMap) -> int:
 def test_pruned_weak_checks_match_the_reference_walk(seed):
     failing = sum(assert_matches_reference(g.scaled) for g in intervalgen.generate_maps(seed, 24))
     assert failing
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_check_gives_the_verdict_and_certificate_of_its_walk(seed):
+    """Where the limits prove a pass the check builds no probe; every
+    verdict and certificate is still the walk's, in all six modes."""
+    for g in intervalgen.generate_maps(seed, 24):
+        m = g.scaled
+        modes = [ContinuityMode("strong", mode.locus, mode.trivial_domain, mode.at_point)
+                 for mode in weak_modes(m)]
+        for mode in modes + weak_modes(m):
+            assert iw_check_continuity(m, mode) == walk(m, mode), mode
 
 
 # -- the non-nested end-class families ---------------------------------------------------
@@ -292,10 +328,10 @@ def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
         return original(self, s)
 
     monkeypatch.setattr(PiecewiseAffineMap, "_preimage", counted)
-    assert iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=at)).holds
+    assert walk(m, ContinuityMode("weak", "at-point", at_point=at)).holds
     assert 1 <= len(pulled) <= 2
     pulled.clear()
-    assert iw_check_continuity(m, ContinuityMode("strong", "at-point", at_point=at)).holds
+    assert walk(m, ContinuityMode("strong", "at-point", at_point=at)).holds
     probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
     assert pulled == probes and len(probes) > 2
 
@@ -330,7 +366,7 @@ def test_a_passing_weak_check_takes_at_most_two_probes(monkeypatch, kind):
     at = SheetPoint(0, num(0))
     whole = list(cod.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
     families = count_families(monkeypatch, type(cod))
-    assert iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=at)).holds
+    assert walk(m, ContinuityMode("weak", "at-point", at_point=at)).holds
     assert [len(taken) for taken in families] == [2] and len(whole) > 2
     assert families[0] == whole[:2]
 
@@ -340,7 +376,7 @@ def test_a_passing_weak_global_check_takes_at_most_two_probes_per_family(monkeyp
     line = full_line_carrier()
     m = IntervalScaledMap(split_identity(), TrivialIntervalScale(line), CODOMAINS[kind](line))
     families = count_families(monkeypatch, type(m.codomain_scale))
-    assert iw_check_continuity(m, ContinuityMode("weak", "global", trivial_domain=True)).holds
+    assert walk(m, ContinuityMode("weak", "global", trivial_domain=True)).holds
     assert len(families) > 1
     assert all(1 <= len(taken) <= 2 for taken in families), [len(t) for t in families]
 
@@ -374,7 +410,7 @@ def test_the_stop_pulls_back_what_the_prune_pulled_back(monkeypatch):
     end_class = [m for pair in END_CLASS_PAIRS for m in end_class_maps(*pair)]
     for m in generated + end_class + exact_domain_maps() + [close_split_map()]:
         for mode in weak_modes(m):
-            verdict = iw_check_continuity(m, mode)
+            verdict = walk(m, mode)
             stopped = pulled[:]
             pulled.clear()
             assert verdict == ref_check(m, mode, prune=True), mode
@@ -388,5 +424,5 @@ def test_a_non_nested_family_is_walked_past_a_skipped_probe(monkeypatch):
     probes = list(m.codomain_scale.iter_point_probes(at, codomain_critical_coords(m)))
     assert probes[0] == probes[1] and not probes[0].issubset(probes[2])
     families = count_families(monkeypatch, EndClassScale)
-    assert iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=at)).holds
+    assert walk(m, ContinuityMode("weak", "at-point", at_point=at)).holds
     assert families == [probes]
