@@ -35,22 +35,22 @@ An at-point check validates its point once, where it enters: the map's
 scale predicates the walk then calls (``member``, ``witness_inside``)
 take that as their precondition and do not check the point again; every
 anchor of ``_find_open_witness`` lies in a preimage, so in the domain.
-The map's critical coordinates, default probe points and limit table
+The map's critical coordinates, default probe points and jump points
 are derived once per map (``PiecewiseAffineMap``), not once per check.
 
 Sound passes.  On a trivial domain (``mode.trivial_domain``, or a
 ``TrivialIntervalScale`` as the map's domain scale) the check first asks
-the map's limit table (``PiecewiseAffineMap._jumps``: each one-sided
-limit at a domain critical point that differs from the value there, as
+the map's jump points (``PiecewiseAffineMap._jumps``: each domain
+critical point where a one-sided limit differs from the value there, as
 a codomain point, so a side on another sheet is a jump).  The premise,
 stated and tested on ``IntervalScale``, is that every set a kind
 assigns, so every probe and every declared probe, is relatively open in
 its carrier, and a point's probe holds the point.  A trivial domain
 asks of a preimage only that it be relatively open (strong) or hold a
 relatively open neighborhood (weak), and a piecewise-affine map is
-continuous at every domain point that is no jump point of the table.
+continuous at every domain point that is no jump point.
 
-* R1, continuous map: the table is empty.  Then every preimage of a
+* R1, continuous map: there is no jump point.  Then every preimage of a
   relatively open set is relatively open, and the preimage of a point's
   probe holds the point.  So every probe passes in all six modes, for
   every codomain kind: at a point the preimage is a member and is its
@@ -60,25 +60,22 @@ continuous at every domain point that is no jump point of the table.
 * R2, weak check at a point p that is no jump point: f is continuous at
   p, so the preimage of each probe of f(p) holds a relatively open
   neighborhood of p.  A weak local check skips each such default point.
-* R3, strong check with a ``Trivial`` codomain: every jump limit L
-  equals y = f(p).  Take a probe V of y and a point z of its preimage.
-  At z each one-sided limit is f(z) or y, both in V, and the side's
-  values tend to it inside the codomain carrier, where V is relatively
-  open; so a neighborhood of z maps into V, the preimage is relatively
-  open, and it holds p.  A strong local check skips each default point
-  where this holds.  The walk also passes where R3 does not fire, and
-  such passes still come from the walk: for f(x) = x on (-inf, 5) and
-  x + 10 on [5, inf), strong continuity at 0 passes every probe (each
-  is an interval around 0 that misses 15), although the member
-  (-1, 1) u (14, 16) of f(0) pulls back to a set that is not open.
+
+A strong check on a map with a jump point always walks: strong
+continuity at p asks about every point of a probe's preimage, not only
+p.  Some of those walks pass where f is discontinuous, and such passes
+still come from the walk: for f(x) = x on (-inf, 5) and x + 10 on
+[5, inf), strong continuity at 0 passes every probe (each is an
+interval around 0 that misses 15), although the member (-1, 1) u
+(14, 16) of f(0) pulls back to a set that is not open.
 
 A sound pass returns where the walk would have found no failing probe,
 and a walk that finds none returns ``holds`` with no certificate; a
 local check skips only points whose walk would pass, and walks share no
 state across points.  So a sound pass cannot move a verdict, a
 certificate or a byte of any report: it only leaves probes unbuilt.
-Every failure and every pass the limits cannot prove still comes from
-the walk.
+Every failure and every pass the jump points cannot prove still comes
+from the walk.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -197,24 +194,16 @@ def _sound_pass(
     dom_scale: IntervalScale,
     mode: ContinuityMode,
     p: SheetPoint | None = None,
-    y: SheetPoint | None = None,
 ) -> bool:
-    """Whether the map's limit table proves that every probe of the walk
-    passes: the global walk, or with ``p`` the walk of point p, where
-    y = f(p).  Only on a trivial domain scale, by rules R1-R3 of the
-    module docstring."""
+    """Whether the map's jump points prove that every probe of the walk
+    passes: the global walk, or with ``p`` the walk of point p.  Only on
+    a trivial domain scale, by rules R1 and R2 of the module docstring."""
     if not isinstance(dom_scale, TrivialIntervalScale):
         return False
     jumps = m.pam._jumps
     if not jumps:
         return True
-    if p is None:
-        return False
-    if mode.strength == "weak":
-        return all(z != p for z, _ in jumps)
-    return isinstance(m.codomain_scale, TrivialIntervalScale) and all(
-        limit == y for _, limit in jumps
-    )
+    return p is not None and mode.strength == "weak" and p not in jumps
 
 
 def _global_walk(
@@ -267,7 +256,7 @@ def iw_check_continuity(
         points = m.pam._default_points
     for p in points:
         y = m.pam.eval(p)
-        if _sound_pass(m, dom_scale, mode, p, y):
+        if _sound_pass(m, dom_scale, mode, p):
             continue
         failure = _point_walk(m, dom_scale, mode, p, y)
         if failure is not None:

@@ -160,10 +160,10 @@ def _critical_coords(intervals, carrier: Carrier) -> tuple[ExactNumber, ...]:
 class PiecewiseAffineMap:
     """A piecewise-affine map from ``domain`` to ``codomain``.
 
-    The sorted critical coordinates of each side, the default probe
-    points and the limit table (``_jumps``) are computed on first use and
-    kept on the map, outside the fields, as tuples: they depend on the
-    map alone."""
+    The sorted critical coordinates of each side and the default probe
+    points, as tuples, and the jump points (``_jumps``), as a frozenset,
+    are computed on first use and kept on the map, outside the fields:
+    they depend on the map alone."""
 
     domain: Carrier
     codomain: Carrier
@@ -235,14 +235,14 @@ class PiecewiseAffineMap:
         return tuple(points)
 
     @functools.cached_property
-    def _jumps(self) -> tuple[tuple[SheetPoint, SheetPoint], ...]:
-        """The limit table: each one-sided limit L at a domain critical
-        point z in the domain that differs from f(z), as ``(z, L)``.  L is
-        a codomain point, so a side that lands on another sheet is a jump
-        even where the coordinates agree.  Off the critical points f is
-        affine near each point, so f is continuous at every domain point
-        that is no z here, and continuous when the table is empty."""
-        out = []
+    def _jumps(self) -> frozenset[SheetPoint]:
+        """The jump points: each domain critical point z in the domain where
+        a one-sided limit differs from f(z).  A limit is a codomain point,
+        so a side that lands on another sheet is a jump even where the
+        coordinates agree.  Off the critical points f is affine near each
+        point, so f is continuous at every domain point that is no jump
+        point, and continuous when there is none."""
+        out = set()
         for sheet, line in enumerate(self.domain.sheets):
             for x in self._domain_criticals:
                 z = SheetPoint(sheet, x)
@@ -251,11 +251,12 @@ class PiecewiseAffineMap:
                 value = self.eval(z)
                 for left in (True, False):
                     piece = self._side_piece(z, left)
-                    if piece is not None:
-                        limit = SheetPoint(piece.out_sheet, piece.value_at(x))
-                        if limit != value:
-                            out.append((z, limit))
-        return tuple(out)
+                    if (
+                        piece is not None
+                        and SheetPoint(piece.out_sheet, piece.value_at(x)) != value
+                    ):
+                        out.add(z)
+        return frozenset(out)
 
     # -- evaluation --------------------------------------------------------
 

@@ -198,9 +198,9 @@ def test_replaying_a_certificate_at_a_point_outside_the_domain_raises(p):
 
 
 def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
-    """The critical coordinates, default probe points and limit table are
+    """The critical coordinates, default probe points and jump points are
     kept on the map once derived, outside its fields; callers get their
-    own lists.  The limit table is built by the first check, not before."""
+    own lists.  The jump points are found by the first check, not before."""
     fresh, warm = fixture_ex12(), fixture_ex12()
     doc = json.dumps(jsonio.interval_scaled_map_to_json(warm), sort_keys=True)
     points = default_probe_points(warm)

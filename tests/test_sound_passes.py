@@ -1,5 +1,5 @@
-"""The soundness net of the sound passes: wherever the limit table proves
-a pass (``_sound_pass``, rules R1-R3 of ``interval_continuity``), a
+"""The soundness net of the sound passes: wherever the jump points prove
+a pass (``_sound_pass``, rules R1 and R2 of ``interval_continuity``), a
 reference walk that pulls back and decides every probe, with no prune,
 stop or decision, holds.
 
@@ -79,11 +79,9 @@ def ref_global_holds(m: IntervalScaledMap, dom_scale, mode) -> bool:
     return True
 
 
-def rule(m: IntervalScaledMap, mode: ContinuityMode) -> str:
-    """Which rule the limit table fires by, for the tally."""
-    if not m.pam._jumps:
-        return "R1"
-    return "R2" if mode.strength == "weak" else "R3"
+def rule(m: IntervalScaledMap) -> str:
+    """Which rule the jump points fire by, for the tally."""
+    return "R2" if m.pam._jumps else "R1"
 
 
 def net(m: IntervalScaledMap, points, tally: Counter) -> None:
@@ -95,12 +93,12 @@ def net(m: IntervalScaledMap, points, tally: Counter) -> None:
         for strength in ("strong", "weak"):
             mode = ContinuityMode(strength, "global", trivial_domain=trivial)
             if _sound_pass(m, dom_scale, mode):
-                tally[rule(m, mode)] += 1
+                tally[rule(m)] += 1
                 assert ref_global_holds(m, dom_scale, mode), (m, mode)
             for p in points:
                 mode = ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p)
-                if _sound_pass(m, dom_scale, mode, p, m.pam.eval(p)):
-                    tally[rule(m, mode)] += 1
+                if _sound_pass(m, dom_scale, mode, p):
+                    tally[rule(m)] += 1
                     assert ref_point_holds(m, dom_scale, mode, p), (m, mode)
 
 
@@ -113,8 +111,6 @@ def assert_fired(tally: Counter, rules) -> None:
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_sound_passes_hold_on_every_probe_over_a_seeded_pool(seed):
-    """R3 does not fire on these pools: no generated map into a trivial
-    codomain has every jump limit at one value."""
     tally: Counter = Counter()
     for g in intervalgen.generate_maps(seed, 150):
         m = g.scaled
@@ -229,40 +225,41 @@ def test_sound_passes_hold_on_every_probe_over_drawn_maps():
     @settings(max_examples=200, deadline=None, derandomize=True)
     def drawn(m, x):
         points = list(default_probe_points(m))
-        points += [z for z, _ in m.pam._jumps]
+        points += sorted(m.pam._jumps)
         if m.pam.domain.member(SheetPoint(0, x)):
             points.append(SheetPoint(0, x))
         net(m, points, tally)
 
     drawn()
-    assert_fired(tally, ("R1", "R2", "R3"))
+    assert_fired(tally, ("R1", "R2"))
 
 
-# -- the limit table ---------------------------------------------------------------------------
+# -- the jump points ----------------------------------------------------------------------------
 
 
 def test_a_side_on_another_sheet_is_a_jump_at_an_equal_coordinate():
     """x on [0, 1] into sheet 0 and x on (1, 2] into sheet 1: the right
     limit at 1 has f(1)'s coordinate on the other sheet.  Nothing is
-    decided there, and the strong check at 1 fails on the walk."""
+    decided there, and both strengths fail at 1 on the walk."""
     dom = Carrier.of(LineSet.of(Interval(num(0), num(2), True, True)))
     cod = Carrier(tuple(LineSet.full_line() for _ in range(2)))
     pam = PiecewiseAffineMap(dom, cod, (
         AffinePiece(0, Interval(num(0), num(1), True, True), 0, Fraction(1), Fraction(0)),
         AffinePiece(0, Interval(num(1), num(2), False, True), 1, Fraction(1), Fraction(0)),
     ))
-    assert pam._jumps == ((SheetPoint(0, num(1)), SheetPoint(1, num(1))),)
+    assert pam._jumps == {SheetPoint(0, num(1))}
     m = IntervalScaledMap(pam, TrivialIntervalScale(dom), TrivialIntervalScale(cod))
     at = SheetPoint(0, num(1))
-    mode = ContinuityMode("strong", "at-point", at_point=at)
-    assert not _sound_pass(m, m.domain_scale, mode, at, pam.eval(at))
-    assert not iw_check_continuity(m, mode).holds
-    assert not ref_point_holds(m, m.domain_scale, mode, at)
+    for strength in ("strong", "weak"):
+        mode = ContinuityMode(strength, "at-point", at_point=at)
+        assert not _sound_pass(m, m.domain_scale, mode, at)
+        assert not iw_check_continuity(m, mode).holds
+        assert not ref_point_holds(m, m.domain_scale, mode, at)
 
 
-def test_isolated_points_and_removable_jumps_in_the_limit_table():
-    """An isolated carrier point has no side, so no limit; a degenerate
-    piece off the line of its neighbours is a jump from both sides."""
+def test_isolated_points_and_removable_jumps_among_the_jump_points():
+    """An isolated carrier point has no side, so no limit and no jump; a
+    degenerate piece off the line of its neighbours is a jump point."""
     dom = Carrier.of(LineSet.of(point_interval(num(-1)), Interval(num(0), num(2), True, True)))
     line = Carrier.of(LineSet.full_line())
     pam = PiecewiseAffineMap(dom, line, (
@@ -272,12 +269,12 @@ def test_isolated_points_and_removable_jumps_in_the_limit_table():
         AffinePiece(0, Interval(num(1), num(2), False, True), 0, Fraction(1), Fraction(0)),
     ))
     one = SheetPoint(0, num(1))
-    assert pam._jumps == ((one, SheetPoint(0, num(1))), (one, SheetPoint(0, num(1))))
+    assert pam._jumps == {one}
     m = IntervalScaledMap(pam, TrivialIntervalScale(dom), TrivialIntervalScale(line))
     for p in (SheetPoint(0, num(-1)), SheetPoint(0, num("1/2"))):
         mode = ContinuityMode("weak", "at-point", at_point=p)
-        assert _sound_pass(m, m.domain_scale, mode, p, pam.eval(p))
+        assert _sound_pass(m, m.domain_scale, mode, p)
         assert ref_point_holds(m, m.domain_scale, mode, p)
     mode = ContinuityMode("weak", "at-point", at_point=one)
-    assert not _sound_pass(m, m.domain_scale, mode, one, pam.eval(one))
+    assert not _sound_pass(m, m.domain_scale, mode, one)
     assert not iw_check_continuity(m, mode).holds
