@@ -18,37 +18,46 @@ trivial codomain, the probe (1/5, 9) fails and its certificate replays,
 yet (1/4, 7/20) lies in its preimage and is q-open.
 
 Every check is one probe walk (``_first_failure``), unless the map's
-one-sided limits prove that the walk passes (see "Sound passes" below).
-An at-point check walks the probe family of its point, a local check
-does the same at each default probe point in turn, and a global check
-walks the declared family and then one family per anchor.  The walk
-pulls each probe back and decides it, in order, and stops at the first
-probe that fails.  A pruning walk (weak checks, and when global only on
-a domain scale that declares ``exact_open_witness``) skips each probe
-that contains the last one it passed, and ends a nested family at its
-first pass or skip past index 0.  An empty preimage passes vacuously, as in the finite world.
-The walk's docstring gives the argument for each rule: none can move the
-first failing probe or its certificate.
+jump germs prove that the walk passes (see "Sound passes" below).  An
+at-point check walks the probe family of its point, a local check does
+the same at each default probe point in turn, and a global check walks
+the declared family and then one family per anchor.  The walk decides
+each probe in order (``_decision``) and stops at the first probe that
+fails.  Most decisions pull the probe back and decide the whole
+preimage; on a trivial domain strong checks, and weak checks at a point,
+decide from the jump germs and pull back only the failing probe, for its
+certificate (see "Decisions from the jump germs" below).  A pruning walk
+(weak checks, and when global only on a domain scale that declares
+``exact_open_witness``) skips each probe that contains the last one it
+passed, and ends a nested family at its first pass or skip past index 0.
+An empty preimage passes vacuously, as in the finite world.  The walk's
+docstring gives the argument for each rule: none can move the first
+failing probe or its certificate.
 
 An at-point check validates its point once, where it enters: the map's
 ``eval`` raises ``ValueError`` for a point outside the domain.  The
 scale predicates the walk then calls (``member``, ``witness_inside``)
 take that as their precondition and do not check the point again; every
 anchor of ``_find_open_witness`` lies in a preimage, so in the domain.
-The map's critical coordinates, default probe points and jump points
-are derived once per map (``PiecewiseAffineMap``), not once per check.
+The map's critical coordinates, default probe points and jump germs are
+derived once per map (``PiecewiseAffineMap``), not once per check.
 
-Sound passes.  On a trivial domain (``mode.trivial_domain``, or a
-``TrivialIntervalScale`` as the map's domain scale) the check first asks
-the map's jump points (``PiecewiseAffineMap._jumps``: each domain
-critical point where a one-sided limit differs from the value there, as
-a codomain point, so a side on another sheet is a jump).  The premise,
-stated and tested on ``IntervalScale``, is that every set a kind
-assigns, so every probe and every declared probe, is relatively open in
-its carrier, and a point's probe holds the point.  A trivial domain
-asks of a preimage only that it be relatively open (strong) or hold a
-relatively open neighborhood (weak), and a piecewise-affine map is
-continuous at every domain point that is no jump point.
+Trivial domains.  A domain is trivial when ``mode.trivial_domain`` is
+set or the map's domain scale is a ``TrivialIntervalScale``.  There a
+preimage need only be relatively open (strong) or hold a relatively open
+neighborhood (weak), and the checks read the map's jump germs
+(``PiecewiseAffineMap._germs``): at each jump point z, a domain critical
+point where a one-sided limit differs from f(z) as a codomain point (so
+a side on another sheet is a jump), f(z) and each side that jumps, with
+its codomain sheet, its limit and how its values tend to the limit.  A
+piecewise-affine map is continuous at every domain point that is no jump
+point.  Both uses below rest on the openness contract of
+``IntervalScale``: every set a kind assigns, so every probe and every
+declared probe, is relatively open in its carrier, and a point's probe
+holds the point.
+
+Sound passes.  Before any walk on a trivial domain, the check returns
+``holds`` where the germs prove that every probe of the walk passes:
 
 * R1, continuous map: there is no jump point.  Then every preimage of a
   relatively open set is relatively open, and the preimage of a point's
@@ -60,22 +69,46 @@ continuous at every domain point that is no jump point.
 * R2, weak check at a point p that is no jump point: f is continuous at
   p, so the preimage of each probe of f(p) holds a relatively open
   neighborhood of p.  A weak local check skips each such default point.
-
-A strong check on a map with a jump point always walks: strong
-continuity at p asks about every point of a probe's preimage, not only
-p.  Some of those walks pass where f is discontinuous, and such passes
-still come from the walk: for f(x) = x on (-inf, 5) and x + 10 on
-[5, inf), strong continuity at 0 passes every probe (each is an
-interval around 0 that misses 15), although the member (-1, 1) u
-(14, 16) of f(0) pulls back to a set that is not open.
+* R3, weak global check where every jump value f(z) lies in the closure
+  of the image of some piece whose part is not a single point
+  (``PiecewiseAffineMap._jump_values_reached``), for every codomain
+  kind.  Take a probe V with a nonempty preimage and a point x in it.
+  If x is no jump point, f is continuous at x and x is relatively
+  interior to the preimage.  If x is a jump point z, V is relatively
+  open and holds f(z), so it meets the image of that piece's interior,
+  which is open or, for a constant piece, f(z) itself; the piece is
+  affine on an open interval around such a point, which is then
+  interior to the preimage.  Either way the preimage holds a relatively
+  interior point, and the trivial scale's anchor search is exact, so
+  every probe passes.  R1 is the case with no jump value.
 
 A sound pass returns where the walk would have found no failing probe,
 and a walk that finds none returns ``holds`` with no certificate; a
 local check skips only points whose walk would pass, and walks share no
 state across points.  So a sound pass cannot move a verdict, a
 certificate or a byte of any report: it only leaves probes unbuilt.
-Every failure and every pass the jump points cannot prove still comes
-from the walk.
+
+Decisions from the jump germs.  A strong check on a map with a jump
+point, and a weak check at a jump point, still walk, since the germs
+alone do not prove them; but each probe is decided without its
+preimage.  For a relatively open V, f^-1(V) is relatively open exactly
+when, at each jump point z with f(z) in V, every side of z with carrier
+points maps into V near z; at every other point f is continuous.  A side
+with limit L on codomain sheet s does so exactly when L is in V, or the
+side is not constant and a piece of V on sheet s starts at L (values
+that approach from above) or ends at L (from below): near z the side's
+values fill an open interval that ends at L, and V holds all of one
+exactly then.  A side whose limit is f(z) always does.  So a strong
+decision (``member`` or ``is_q_open``) tests every jump point, and a
+weak decision at a jump point p (``witness_inside``, that is, p
+relatively interior) tests p alone; each equals the decision on the
+whole preimage, except that a probe with an empty preimage passes, as
+the walk's empty-preimage rule passes it anyway.  Only a failing probe
+is pulled back, for its certificate.  For f(x) = x on (-inf, 5) and
+x + 10 on [5, inf), strong continuity at 0 passes every probe (each is
+an interval around 0 that misses 15), although the member (-1, 1) u
+(14, 16) of f(0) pulls back to a set that is not open: such passes
+still come from the walk, probe by probe.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -89,13 +122,13 @@ they confirm a certificate independently of the checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .continuity import ContinuityMode, ContinuityVerdict
 from .exactnum import ExactNumber
 from .interval_scales import IntervalScale, TrivialIntervalScale
-from .intervals import SheetPoint, SheetSet
-from .pwmaps import PiecewiseAffineMap
+from .intervals import LineSet, SheetPoint, SheetSet
+from .pwmaps import Germ, PiecewiseAffineMap
 
 
 @dataclass(frozen=True)
@@ -195,15 +228,85 @@ def _sound_pass(
     mode: ContinuityMode,
     p: SheetPoint | None = None,
 ) -> bool:
-    """Whether the map's jump points prove that every probe of the walk
+    """Whether the map's jump germs prove that every probe of the walk
     passes: the global walk, or with ``p`` the walk of point p.  Only on
-    a trivial domain scale, by rules R1 and R2 of the module docstring."""
+    a trivial domain scale, by rules R1, R2 and R3 of the module
+    docstring."""
     if not isinstance(dom_scale, TrivialIntervalScale):
         return False
-    jumps = m.pam._jumps
-    if not jumps:
+    germs = m.pam._germs
+    if not germs:
         return True
-    return p is not None and mode.strength == "weak" and p not in jumps
+    if mode.strength == "strong":
+        return False
+    if p is None:
+        return m.pam._jump_values_reached
+    return p not in germs
+
+
+def _side_enters(line: LineSet, limit: ExactNumber, approach: int) -> bool:
+    """Whether a side whose values tend to ``limit`` (from above when
+    ``approach`` is 1, from below when -1, constant when 0) lies in the
+    relatively open set ``line`` near its point: the limit is in the
+    set, or the values fill an open interval that ends at the limit, so
+    a piece of the set starts (above) or ends (below) there."""
+    for piece in line.pieces:
+        if piece.contains(limit):
+            return True
+        if (approach > 0 and piece.lo == limit) or (approach < 0 and piece.hi == limit):
+            return True
+    return False
+
+
+def _germs_admit(germs: Iterable[Germ], target: SheetSet) -> bool:
+    """Whether each germ whose value lies in ``target`` has every side
+    that jumps enter ``target``: that is, whether the preimage of the
+    relatively open ``target`` holds a relative neighborhood of each of
+    those jump points (see "Decisions from the jump germs")."""
+    sheets = target.sheets
+    for value, sides in germs:
+        if sheets[value.sheet].member(value.x):
+            for sheet, limit, approach in sides:
+                if not _side_enters(sheets[sheet], limit, approach):
+                    return False
+    return True
+
+
+def _decision(
+    m: IntervalScaledMap,
+    dom_scale: IntervalScale,
+    mode: ContinuityMode,
+    p: SheetPoint | None = None,
+) -> Callable[[SheetSet], SheetSet | None]:
+    """The walk's decision on one probe: the probe's preimage if the probe
+    fails, else None; globally, or with ``p`` at point p.  On a trivial
+    domain scale strong checks, and weak checks at a point, decide from
+    the jump germs and pull back only a failing probe; every other
+    decision pulls the probe back and decides its whole preimage."""
+    pam = m.pam
+    if isinstance(dom_scale, TrivialIntervalScale) and (
+        mode.strength == "strong" or p is not None
+    ):
+        germs = pam._germs
+        if mode.strength == "strong":
+            chosen: tuple[Germ, ...] = tuple(germs.values())
+        else:
+            chosen = (germs[p],) if p in germs else ()
+
+        def from_germs(target: SheetSet) -> SheetSet | None:
+            return None if _germs_admit(chosen, target) else pam._preimage(target)
+
+        return from_germs
+
+    def pulled_back(target: SheetSet) -> SheetSet | None:
+        pre = pam._preimage(target)
+        if p is None:
+            holds = _holds_open(dom_scale, mode, pre)
+        else:
+            holds = _holds_at(dom_scale, mode, p, pre)
+        return None if holds else pre
+
+    return pulled_back
 
 
 def _global_walk(
@@ -212,9 +315,7 @@ def _global_walk(
     """The walk of the global families; weak checks prune only on a domain
     scale that declares ``exact_open_witness``."""
     prune = mode.strength == "weak" and dom_scale.exact_open_witness
-    return _first_failure(
-        m, _global_families(m), lambda pre: _holds_open(dom_scale, mode, pre), prune
-    )
+    return _first_failure(_global_families(m), _decision(m, dom_scale, mode), prune)
 
 
 def _point_walk(
@@ -227,9 +328,8 @@ def _point_walk(
     """The walk of the probe family of y = f(p); weak checks prune."""
     family = m.codomain_scale.iter_point_probes(y, critical=m.pam._codomain_criticals)
     return _first_failure(
-        m,
         ((m.codomain_scale.nested_probes, family),),
-        lambda pre: _holds_at(dom_scale, mode, p, pre),
+        _decision(m, dom_scale, mode, p),
         mode.strength == "weak",
     )
 
@@ -266,17 +366,16 @@ def iw_check_continuity(
 
 
 def _first_failure(
-    m: IntervalScaledMap,
     families: Iterable[tuple[bool, Iterable[SheetSet]]],
-    holds,
+    fails: Callable[[SheetSet], SheetSet | None],
     prune: bool,
 ) -> tuple[SheetSet, SheetSet] | None:
-    """The first ``(probe, preimage)`` whose preimage fails the decision
-    ``holds``, or None.  ``families`` yields ``(nested, family)``
-    pairs.  Probes are taken one at a time, in order, so those after the
-    failing one are never built; each is pulled back through the whole
-    map.  A repeated probe is decided as its first occurrence was, so
-    repeats cannot move the result.
+    """The first ``(probe, preimage)`` that the decision ``fails`` (see
+    ``_decision``) refutes, or None.  ``families`` yields ``(nested,
+    family)`` pairs.  Probes are taken one at a time, in order, so those
+    after the failing one are never built; each is decided once, and a
+    failing one carries its whole preimage.  A repeated probe is decided
+    as its first occurrence was, so repeats cannot move the result.
 
     * Empty preimage: the probe passes vacuously, as a set with empty
       preimage does for the finite checker.  It is tested only once the
@@ -285,17 +384,17 @@ def _first_failure(
       do not prune.  At a point the rule never applies: every point
       probe is assigned to f(p), so its preimage holds p.
     * Prune: with ``prune``, skip every probe that contains the last one
-      passed, with no pull-back and no decision.  Callers prune weak
-      checks only.  Weak continuity is upward closed in the probe: V
-      inside V' puts f^-1(V) inside f^-1(V'), and each kind's
-      ``witness_inside`` decides exactly and finds a witness in every
-      superset of a set that holds one.  So a skipped probe would pass.
-      Global checks prune only on a domain scale that declares
+      passed, with no decision.  Callers prune weak checks only.  Weak
+      continuity is upward closed in the probe: V inside V' puts
+      f^-1(V) inside f^-1(V'), and each kind's ``witness_inside``
+      decides exactly and finds a witness in every superset of a set
+      that holds one.  So a skipped probe would pass.  Global checks
+      prune only on a domain scale that declares
       ``IntervalScale.exact_open_witness`` (Trivial, ConnectedOpen and
       the three end-class kinds), where ``_find_open_witness`` finds a
       q-open subset of every preimage that holds one; elsewhere a probe
-      that contains a passed one can still fail its search, as
-      (1/5, 9) does after (1/4, 1/2) in the module docstring's example.
+      that contains a passed one can still fail its search, as (1/5, 9)
+      does after (1/4, 1/2) in the module docstring's example.
     * Stop: a pruning walk ends a nested family
       (``IntervalScale.nested_probes``: a chain from its second probe
       on) at its first probe of index 1 or more that it passes or
@@ -304,6 +403,13 @@ def _first_failure(
       them.  The stop removes only probe building, and the passed probe
       is kept, so the next family still skips by it.  The first probe
       need not lie in the chain, so a pass or skip there does not stop.
+
+    A decision from the jump germs passes exactly the probes that the
+    whole preimage passes, except that it also passes a probe whose
+    preimage is empty, which the empty-preimage rule passes anyway; and
+    it is made only on strong checks, which do not prune, and at a
+    point, where no preimage is empty.  So each rule acts as on the
+    whole preimages, and the first failing probe is the same.
     """
     passed = None
     for nested, family in families:
@@ -313,8 +419,8 @@ def _first_failure(
                 if stop and i:
                     break
                 continue
-            pre = m.pam._preimage(target)
-            if not holds(pre):
+            pre = fails(target)
+            if pre is not None:
                 if pre.is_empty:
                     continue
                 return target, pre

@@ -266,12 +266,14 @@ class IntervalScale:
 
     Openness contract: every set a kind assigns is relatively open in
     ``carrier``, so every probe and every q-open set is, and every probe
-    of x holds x.  The continuity checkers' sound passes rest on it: a
-    map with no jump pulls every such set back to a relatively open set
-    (see ``interval_continuity``).  Each membership rule of the module
-    docstring assigns only open sets of the line, carrier traces of open
-    balls, or relatively open sets, and a property test checks the
-    contract on every kind.
+    of x holds x.  The continuity checkers' sound passes and their
+    decisions from jump germs rest on it: a map with no jump pulls every
+    such set back to a relatively open set, and at a jump point a side
+    enters such a set exactly when its limit, or an open interval that
+    ends there, lies in it (see ``interval_continuity``).  Each
+    membership rule of the module docstring assigns only open sets of
+    the line, carrier traces of open balls, or relatively open sets, and
+    a property test checks the contract on every kind.
 
     ``nested_probes`` says that every family is nested: each probe from
     the second on contains the probe before it, for every point and

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import ExactNumber, _cmp, irrational_between
 from .intervals import (
@@ -133,6 +134,24 @@ _by_lower_end = functools.cmp_to_key(
 )
 
 
+class Germ(NamedTuple):
+    """f near a jump point: the value there and each side that jumps, as
+    ``(codomain sheet, limit, approach)`` (see
+    ``PiecewiseAffineMap._germs``)."""
+
+    value: SheetPoint
+    sides: tuple[tuple[int, ExactNumber, int], ...]
+
+
+def _in_image_closure(piece: AffinePiece, y: SheetPoint) -> bool:
+    img = piece._image
+    return (
+        y.sheet == piece.out_sheet
+        and (img.lo is None or img.lo <= y.x)
+        and (img.hi is None or y.x <= img.hi)
+    )
+
+
 class MapDomainError(ValueError):
     """Raised when a point or set falls outside the relevant carrier."""
 
@@ -161,9 +180,10 @@ class PiecewiseAffineMap:
     """A piecewise-affine map from ``domain`` to ``codomain``.
 
     The sorted critical coordinates of each side and the default probe
-    points, as tuples, and the jump points (``_jumps``), as a frozenset,
-    are computed on first use and kept on the map, outside the fields:
-    they depend on the map alone."""
+    points, as tuples, the germs at the jump points (``_germs``), as a
+    dict keyed by jump point, and whether the pieces reach every jump
+    value (``_jump_values_reached``) are computed on first use and kept
+    on the map, outside the fields: they depend on the map alone."""
 
     domain: Carrier
     codomain: Carrier
@@ -208,7 +228,8 @@ class PiecewiseAffineMap:
     @functools.cached_property
     def _default_points(self) -> tuple[SheetPoint, ...]:
         """Carrier and piece endpoints that lie in the domain, plus one
-        rational and one irrational interior point per domain piece."""
+        rational and one irrational interior point per carrier piece (a
+        piece of ``domain``, not a piece of the map)."""
         points: list[SheetPoint] = []
         seen: set[SheetPoint] = set()
 
@@ -235,28 +256,47 @@ class PiecewiseAffineMap:
         return tuple(points)
 
     @functools.cached_property
-    def _jumps(self) -> frozenset[SheetPoint]:
-        """The jump points: each domain critical point z in the domain where
-        a one-sided limit differs from f(z).  A limit is a codomain point,
-        so a side that lands on another sheet is a jump even where the
-        coordinates agree.  Off the critical points f is affine near each
-        point, so f is continuous at every domain point that is no jump
-        point, and continuous when there is none."""
-        out = set()
+    def _germs(self) -> dict[SheetPoint, Germ]:
+        """The germ of f at each jump point z: each domain critical point in
+        the domain where a one-sided limit differs from f(z).  A limit is a
+        codomain point, so a side that lands on another sheet is a jump
+        even where the coordinates agree.  Off the critical points f is
+        affine near each point, so f is continuous at every domain point
+        that is no jump point, and continuous when there is none.
+
+        A germ keeps f(z) and each side that jumps, as ``(sheet, limit,
+        approach)``: the codomain sheet and the limit of the side piece at
+        z, and how its values near z tend to the limit (1 from above, -1
+        from below, 0 constant).  A side whose limit is f(z) is left out."""
+        out = {}
         for sheet, line in enumerate(self.domain.sheets):
             for x in self._domain_criticals:
-                z = SheetPoint(sheet, x)
                 if not line.member(x):
                     continue
+                z = SheetPoint(sheet, x)
                 value = self.eval(z)
+                sides = []
                 for left in (True, False):
                     piece = self._side_piece(z, left)
-                    if (
-                        piece is not None
-                        and SheetPoint(piece.out_sheet, piece.value_at(x)) != value
-                    ):
-                        out.add(z)
-        return frozenset(out)
+                    if piece is None:
+                        continue
+                    limit = SheetPoint(piece.out_sheet, piece.value_at(x))
+                    if limit != value:
+                        sign = (piece.slope > 0) - (piece.slope < 0)
+                        sides.append((limit.sheet, limit.x, -sign if left else sign))
+                if sides:
+                    out[z] = Germ(value, tuple(sides))
+        return out
+
+    @functools.cached_property
+    def _jump_values_reached(self) -> bool:
+        """Whether every jump value f(z) lies in the closure of the image of
+        some piece whose part is not a single point."""
+        spread = [piece for piece in self.pieces if not piece.part.is_point]
+        return all(
+            any(_in_image_closure(piece, germ.value) for piece in spread)
+            for germ in self._germs.values()
+        )
 
     # -- evaluation --------------------------------------------------------
 

@@ -198,19 +198,23 @@ def test_replaying_a_certificate_at_a_point_outside_the_domain_raises(p):
 
 
 def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
-    """The critical coordinates, default probe points and jump points are
+    """The critical coordinates, default probe points and jump germs are
     kept on the map once derived, outside its fields; callers get their
-    own lists.  The jump points are found by the first check, not before."""
+    own lists.  The jump germs are found by the first check, not before.
+    ex12 has no jump point, so R1 passes its weak global check without
+    asking whether the pieces reach the jump values."""
     fresh, warm = fixture_ex12(), fixture_ex12()
     doc = json.dumps(jsonio.interval_scaled_map_to_json(warm), sort_keys=True)
     points = default_probe_points(warm)
     assert domain_critical_coords(warm) and codomain_critical_coords(warm)
-    assert "_jumps" not in vars(warm.pam)
+    assert "_germs" not in vars(warm.pam)
     iw_check_continuity(warm, ContinuityMode("strong", "local", trivial_domain=True))
-    assert {"_domain_criticals", "_codomain_criticals", "_default_points", "_jumps"} <= set(
+    iw_check_continuity(warm, ContinuityMode("weak", "global", trivial_domain=True))
+    assert {"_domain_criticals", "_codomain_criticals", "_default_points", "_germs"} <= set(
         vars(warm.pam)
     )
-    assert "_jumps" not in vars(fresh.pam)
+    assert "_jump_values_reached" not in vars(warm.pam)
+    assert "_germs" not in vars(fresh.pam)
     assert warm == fresh and warm.pam == fresh.pam
     assert hash(warm) == hash(fresh) and hash(warm.pam) == hash(fresh.pam)
     assert repr(warm) == repr(fresh)

@@ -1,15 +1,24 @@
-"""The soundness net of the sound passes: wherever the jump points prove
-a pass (``_sound_pass``, rules R1 and R2 of ``interval_continuity``), a
-reference walk that pulls back and decides every probe, with no prune,
-stop or decision, holds.
+"""The soundness net of the trivial-domain decisions.
+
+* Sound passes: wherever the jump germs prove a pass (``_sound_pass``,
+  rules R1, R2 and R3 of ``interval_continuity``), a reference walk that
+  pulls back and decides every probe, with no prune, stop or decision,
+  holds.
+* Germ decisions: on every probe of every walk that decides from the
+  jump germs (``_decision`` on a trivial domain: strong checks at a
+  point and globally, weak checks at a point), the decision equals
+  ``_holds_at`` / ``_holds_open`` on the whole preimage, except that a
+  probe with an empty preimage passes, as the walk's empty-preimage rule
+  passes it anyway; a failing decision carries the whole preimage.
 
 The net runs the rules on every domain scale a check can use, the map's
 own and the trivial one, so a rule that fired off a trivial domain would
 meet a reference walk that fails.  Its cases are the seeded benchmark
 pools and drawn small maps with jumps, degenerate breakpoint pieces,
-sides that cross to another codomain sheet at an equal coordinate,
-isolated carrier points and punctured carriers.  Each rule must fire
-somewhere in them, so that the net is not vacuous.
+constant sides, sides that cross to another codomain sheet at an equal
+coordinate, isolated carrier points and punctured carriers, and the
+hand-made maps at the end.  Each rule must fire, and germ decisions must
+both pass and fail on maps with a jump, so that the net is not vacuous.
 """
 
 import sys
@@ -26,12 +35,14 @@ from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
 from scaletop.interval_continuity import (
     IntervalScaledMap,
+    _decision,
     _global_families,
     _holds_at,
     _holds_open,
     _sound_pass,
     default_probe_points,
     iw_check_continuity,
+    replay_interval_certificate,
 )
 from scaletop.interval_scales import (
     BallScale,
@@ -44,7 +55,7 @@ from scaletop.interval_scales import (
     TrivialIntervalScale,
 )
 from scaletop.intervals import Carrier, Interval, LineSet, SheetPoint, SheetSet, point_interval
-from scaletop.pwmaps import AffinePiece, PiecewiseAffineMap
+from scaletop.pwmaps import AffinePiece, Germ, PiecewiseAffineMap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import intervalgen  # noqa: E402
@@ -79,9 +90,42 @@ def ref_global_holds(m: IntervalScaledMap, dom_scale, mode) -> bool:
     return True
 
 
-def rule(m: IntervalScaledMap) -> str:
-    """Which rule the jump points fire by, for the tally."""
-    return "R2" if m.pam._jumps else "R1"
+def rule(m: IntervalScaledMap, mode: ContinuityMode) -> str:
+    """Which rule the jump germs fire by, for the tally."""
+    if not m.pam._germs:
+        return "R1"
+    return "R3" if mode.locus == "global" else "R2"
+
+
+def germ_walk_probes(m: IntervalScaledMap, mode: ContinuityMode, p: SheetPoint | None):
+    """Every probe of the walk: the family of f(p), or every global probe."""
+    if p is None:
+        return chain.from_iterable(family for _, family in _global_families(m))
+    return m.codomain_scale.iter_point_probes(m.pam.eval(p), critical=m.pam._codomain_criticals)
+
+
+def germ_net(m: IntervalScaledMap, points, tally: Counter) -> None:
+    """On a trivial domain, every probe of each strong walk (at every point
+    of ``points`` and globally) and of each weak walk at a point: the
+    germ decision against the decision on the whole preimage."""
+    dom_scale = TrivialIntervalScale(m.pam.domain)
+    jumps = "with jumps" if m.pam._germs else "continuous"
+    walks = [(ContinuityMode("strong", "global", trivial_domain=True), None)]
+    for p in points:
+        for strength in ("strong", "weak"):
+            walks.append((ContinuityMode(strength, "at-point", trivial_domain=True, at_point=p), p))
+    for mode, p in walks:
+        fails = _decision(m, dom_scale, mode, p)
+        for target in germ_walk_probes(m, mode, p):
+            pre = m.pam._preimage(target)
+            if p is None:
+                whole = pre.is_empty or _holds_open(dom_scale, mode, pre)
+            else:
+                whole = _holds_at(dom_scale, mode, p, pre)
+            got = fails(target)
+            assert (got is None) == whole, (m, mode, target)
+            assert got is None or got == pre
+            tally[f"{mode.strength} {jumps}: {'pass' if whole else 'fail'}"] += 1
 
 
 def net(m: IntervalScaledMap, points, tally: Counter) -> None:
@@ -93,17 +137,22 @@ def net(m: IntervalScaledMap, points, tally: Counter) -> None:
         for strength in ("strong", "weak"):
             mode = ContinuityMode(strength, "global", trivial_domain=trivial)
             if _sound_pass(m, dom_scale, mode):
-                tally[rule(m)] += 1
+                tally[rule(m, mode)] += 1
                 assert ref_global_holds(m, dom_scale, mode), (m, mode)
             for p in points:
                 mode = ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p)
                 if _sound_pass(m, dom_scale, mode, p):
-                    tally[rule(m)] += 1
+                    tally[rule(m, mode)] += 1
                     assert ref_point_holds(m, dom_scale, mode, p), (m, mode)
 
 
 def assert_fired(tally: Counter, rules) -> None:
     assert all(tally[key] for key in rules), tally
+
+
+GERM_OUTCOMES = tuple(
+    f"{strength} with jumps: {outcome}" for strength in ("strong", "weak") for outcome in ("pass", "fail")
+)
 
 
 # -- the seeded pools ------------------------------------------------------------------------
@@ -115,7 +164,16 @@ def test_sound_passes_hold_on_every_probe_over_a_seeded_pool(seed):
     for g in intervalgen.generate_maps(seed, 150):
         m = g.scaled
         net(m, default_probe_points(m), tally)
-    assert_fired(tally, ("R1", "R2"))
+    assert_fired(tally, ("R1", "R2", "R3"))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_germ_decisions_match_the_whole_preimage_over_a_seeded_pool(seed):
+    tally: Counter = Counter()
+    for g in intervalgen.generate_maps(seed, 150):
+        m = g.scaled
+        germ_net(m, default_probe_points(m), tally)
+    assert_fired(tally, GERM_OUTCOMES)
 
 
 # -- drawn small maps ------------------------------------------------------------------------
@@ -212,8 +270,17 @@ def scaled_maps(draw) -> IntervalScaledMap:
     cod = draw(st.one_of(st.just(trivial), st.sampled_from(codomain_scales(pam.codomain))))
     dom = draw(st.sampled_from([TrivialIntervalScale(pam.domain), ConnectedOpenScale(pam.domain)]))
     event(f"codomain: {cod.tag}")
-    event("continuous" if not pam._jumps else "with jumps")
+    event("continuous" if not pam._germs else "with jumps")
     return IntervalScaledMap(pam, dom, cod)
+
+
+def drawn_points(m: IntervalScaledMap, x: ExactNumber) -> list[SheetPoint]:
+    """Every default point, each jump point and a drawn point."""
+    points = list(default_probe_points(m))
+    points += sorted(m.pam._germs)
+    if m.pam.domain.member(SheetPoint(0, x)):
+        points.append(SheetPoint(0, x))
+    return points
 
 
 def test_sound_passes_hold_on_every_probe_over_drawn_maps():
@@ -224,14 +291,22 @@ def test_sound_passes_hold_on_every_probe_over_drawn_maps():
     @given(scaled_maps(), st.sampled_from(GRID))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def drawn(m, x):
-        points = list(default_probe_points(m))
-        points += sorted(m.pam._jumps)
-        if m.pam.domain.member(SheetPoint(0, x)):
-            points.append(SheetPoint(0, x))
-        net(m, points, tally)
+        net(m, drawn_points(m, x), tally)
 
     drawn()
-    assert_fired(tally, ("R1", "R2"))
+    assert_fired(tally, ("R1", "R2", "R3"))
+
+
+def test_germ_decisions_match_the_whole_preimage_over_drawn_maps():
+    tally: Counter = Counter()
+
+    @given(scaled_maps(), st.sampled_from(GRID))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def drawn(m, x):
+        germ_net(m, drawn_points(m, x), tally)
+
+    drawn()
+    assert_fired(tally, GERM_OUTCOMES)
 
 
 # -- the jump points ----------------------------------------------------------------------------
@@ -247,7 +322,7 @@ def test_a_side_on_another_sheet_is_a_jump_at_an_equal_coordinate():
         AffinePiece(0, Interval(num(0), num(1), True, True), 0, Fraction(1), Fraction(0)),
         AffinePiece(0, Interval(num(1), num(2), False, True), 1, Fraction(1), Fraction(0)),
     ))
-    assert pam._jumps == {SheetPoint(0, num(1))}
+    assert set(pam._germs) == {SheetPoint(0, num(1))}
     m = IntervalScaledMap(pam, TrivialIntervalScale(dom), TrivialIntervalScale(cod))
     at = SheetPoint(0, num(1))
     for strength in ("strong", "weak"):
@@ -269,7 +344,7 @@ def test_isolated_points_and_removable_jumps_among_the_jump_points():
         AffinePiece(0, Interval(num(1), num(2), False, True), 0, Fraction(1), Fraction(0)),
     ))
     one = SheetPoint(0, num(1))
-    assert pam._jumps == {one}
+    assert set(pam._germs) == {one}
     m = IntervalScaledMap(pam, TrivialIntervalScale(dom), TrivialIntervalScale(line))
     for p in (SheetPoint(0, num(-1)), SheetPoint(0, num("1/2"))):
         mode = ContinuityMode("weak", "at-point", at_point=p)
@@ -278,3 +353,137 @@ def test_isolated_points_and_removable_jumps_among_the_jump_points():
     mode = ContinuityMode("weak", "at-point", at_point=one)
     assert not _sound_pass(m, m.domain_scale, mode, one)
     assert not iw_check_continuity(m, mode).holds
+
+
+# -- hand-made germs ------------------------------------------------------------------------
+
+SEGMENT = Carrier.of(LineSet.of(Interval(num(0), num(2), True, True)))
+LINE = Carrier.of(LineSet.full_line())
+TWO_LINES = Carrier(tuple(LineSet.full_line() for _ in range(2)))
+ONE = SheetPoint(0, num(1))
+
+
+def segment_map(*pieces, domain=SEGMENT, codomain=LINE) -> IntervalScaledMap:
+    """Pieces ``(lo, hi, lo_closed, hi_closed, slope, intercept[, out_sheet])``
+    on sheet 0, between trivial scales."""
+    pam = PiecewiseAffineMap(domain, codomain, tuple(
+        AffinePiece(0, Interval(num(lo), num(hi), lc, hc), out[0] if out else 0,
+                    Fraction(slope), Fraction(intercept))
+        for lo, hi, lc, hc, slope, intercept, *out in pieces
+    ))
+    return IntervalScaledMap(pam, TrivialIntervalScale(domain), TrivialIntervalScale(codomain))
+
+
+def union(*ends, sheets=1, on=0) -> SheetSet:
+    """The open intervals ``(lo, hi)`` of ``ends`` on sheet ``on``."""
+    line = LineSet.of(*(Interval(num(lo), num(hi), False, False) for lo, hi in ends))
+    return SheetSet(tuple(line if i == on else LineSet.empty() for i in range(sheets)))
+
+
+def decided(m: IntervalScaledMap, target: SheetSet, at: SheetPoint | None = None) -> dict:
+    """Whether ``target`` passes, per strength, at ``at`` or globally: the
+    germ decision, checked against the decision on the whole preimage."""
+    dom_scale = TrivialIntervalScale(m.pam.domain)
+    pre = m.pam._preimage(target)
+    out = {}
+    for strength in ("strong", "weak") if at is not None else ("strong",):
+        if at is None:
+            mode = ContinuityMode(strength, "global", trivial_domain=True)
+            whole = pre.is_empty or _holds_open(dom_scale, mode, pre)
+        else:
+            mode = ContinuityMode(strength, "at-point", trivial_domain=True, at_point=at)
+            whole = _holds_at(dom_scale, mode, at, pre)
+        got = _decision(m, dom_scale, mode, at)(target) is None
+        assert got == whole, (strength, target)
+        out[strength] = got
+    return out
+
+
+def test_a_constant_side_enters_a_probe_only_through_its_limit():
+    """0 on [0, 1) and x on [1, 2]: the left side at 1 is constant at 0, so
+    a probe that ends at 0 gets none of its values."""
+    m = segment_map((0, 1, True, False, 0, 0), (1, 2, True, True, 1, 0))
+    assert m.pam._germs == {ONE: Germ(ONE, ((0, num(0), 0),))}
+    assert decided(m, union((-1, "3/2")), ONE) == {"strong": True, "weak": True}
+    assert decided(m, union((0, "3/2")), ONE) == {"strong": False, "weak": False}
+    assert not decided(m, union((0, "3/2")))["strong"]
+
+
+def test_a_side_on_another_sheet_is_decided_on_its_own_sheet():
+    """x on [0, 1] into sheet 0 and x on (1, 2] into sheet 1: the right side
+    at 1 tends to 1 on sheet 1 from above, whatever sheet 0 holds there."""
+    m = segment_map((0, 1, True, True, 1, 0), (1, 2, False, True, 1, 0, 1), codomain=TWO_LINES)
+    assert m.pam._germs == {ONE: Germ(ONE, ((1, num(1), 1),))}
+    around = union(("1/2", "3/2"), sheets=2)
+    for other, passes in ((None, False), ((1, "3/2"), True), (("1/2", 1), False), (("1/2", "3/2"), True)):
+        target = around if other is None else around.union(union(other, sheets=2, on=1))
+        assert decided(m, target, ONE) == {"strong": passes, "weak": passes}, other
+        assert decided(m, target)["strong"] == passes
+
+
+@pytest.mark.parametrize("pieces, inside, outside", [
+    # x on [0, 1], x + 1 on (1, 2]: the right side tends to 2 from above.
+    (((0, 1, True, True, 1, 0), (1, 2, False, True, 1, 1)), [(2, 3)], [("3/2", 2)]),
+    # x on [0, 1], 3 - x on (1, 2]: the right side tends to 2 from below.
+    (((0, 1, True, True, 1, 0), (1, 2, False, True, -1, 3)), [("3/2", 2)], [(2, 3)]),
+    # 2x on [0, 1), x on [1, 2]: the left side tends to 2 from below.
+    (((0, 1, True, False, 2, 0), (1, 2, True, True, 1, 0)), [("7/4", 2)], [(2, 3)]),
+])
+def test_a_limit_at_an_open_probe_end_passes_only_from_inside(pieces, inside, outside):
+    m = segment_map(*pieces)
+    assert list(m.pam._germs) == [ONE]
+    for ends, passes in ((inside, True), (outside, False)):
+        target = union(("1/2", "5/4"), *ends)
+        assert decided(m, target, ONE) == {"strong": passes, "weak": passes}, ends
+        assert decided(m, target)["strong"] == passes
+
+
+def test_an_isolated_carrier_point_has_no_germ():
+    """{-1} u [0, 2] with f(-1) = 5: the isolated point is relatively open,
+    so every probe around 5 passes there, and only the jump at 1 is
+    decided."""
+    domain = Carrier.of(LineSet.of(point_interval(num(-1)), Interval(num(0), num(2), True, True)))
+    m = segment_map((-1, -1, True, True, 0, 5), (0, 1, True, False, 1, 0),
+                    (1, 1, True, True, 0, 3), (1, 2, False, True, 1, 0), domain=domain)
+    assert list(m.pam._germs) == [ONE]
+    isolated = SheetPoint(0, num(-1))
+    assert decided(m, union((4, 6)), isolated) == {"strong": True, "weak": True}
+    assert decided(m, union((4, 6)))["strong"]
+    assert not decided(m, union(("5/2", "7/2")))["strong"]
+
+
+def weak_global(m: IntervalScaledMap):
+    mode = ContinuityMode("weak", "global", trivial_domain=True)
+    return mode, _sound_pass(m, TrivialIntervalScale(m.pam.domain), mode), iw_check_continuity(m, mode)
+
+
+def test_r3_fires_only_where_a_piece_reaches_every_jump_value():
+    """A jump value that no piece reaches: R3 stays off and the walk fails,
+    with a certificate that replays.  One that a piece reaches only in
+    the closure of its image: R3 fires and the reference walk holds."""
+    unreached = segment_map((0, 1, True, False, 1, 0), (1, 1, True, True, 0, 5), (1, 2, False, True, 1, 0))
+    mode, fired, verdict = weak_global(unreached)
+    assert not fired and not unreached.pam._jump_values_reached and not verdict.holds
+    assert replay_interval_certificate(unreached, mode, verdict.certificate)
+    closure = segment_map((0, 1, True, False, 1, 3), (1, 1, True, True, 0, 4), (1, 2, False, True, 1, -10))
+    mode, fired, verdict = weak_global(closure)
+    assert fired and verdict.holds
+    assert ref_global_holds(closure, TrivialIntervalScale(SEGMENT), mode)
+
+
+def test_r3_asks_for_a_piece_that_is_not_a_point_on_the_same_sheet():
+    """f(1) = 1/2 on sheet 0, reached at that coordinate only by pieces into
+    sheet 1: R3 stays off and the walk fails.  With f(-1) = f(1) = 3, the
+    only piece that reaches 3 is the isolated point: R3 stays off, yet
+    the walk passes, since -1 is relatively interior to every preimage
+    that holds 1."""
+    sheets = segment_map((0, 1, True, False, 1, 0, 1), (1, 1, True, True, 0, "1/2"),
+                         (1, 2, False, True, 1, 0, 1), codomain=TWO_LINES)
+    mode, fired, verdict = weak_global(sheets)
+    assert not fired and not verdict.holds
+    assert replay_interval_certificate(sheets, mode, verdict.certificate)
+    domain = Carrier.of(LineSet.of(point_interval(num(-1)), Interval(num(0), num(2), True, True)))
+    isolated = segment_map((-1, -1, True, True, 0, 3), (0, 1, True, False, 1, 0),
+                           (1, 1, True, True, 0, 3), (1, 2, False, True, 1, 0), domain=domain)
+    mode, fired, verdict = weak_global(isolated)
+    assert not fired and verdict.holds

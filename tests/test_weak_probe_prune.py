@@ -8,19 +8,24 @@ pass or skip.
   ``EndClassScale`` families, and on a guard map where a global prune on
   a domain scale whose witness search is not exact would move the
   certificate.
-* The stop pulls back exactly what the prune without it pulled back, in
-  the same order, on generated and end-class maps and on maps out of
+* The stop decides exactly the probes that the prune without it decided,
+  in the same order, on generated and end-class maps and on maps out of
   every domain kind that declares ``exact_open_witness``; on a
   non-nested family with a repeated probe, a stop would not.
 * A passing weak at-point check takes at most two probes from its
-  family and pulls back at most two; the strong check at the same point
-  pulls back every probe.  A passing weak global check on a trivial
-  domain takes at most two probes from each anchor's family.
+  family, and on a domain that pulls probes back it pulls back at most
+  two; the strong check at the same point pulls back every probe there,
+  and on a trivial domain it decides every probe and pulls back none.
+  A passing weak global check on a trivial domain takes at most two
+  probes from each anchor's family.
 
 Every check gives its walk's verdict and certificate.  The counts and
 the stop are measured on the walk itself (``walk``):
-``iw_check_continuity`` decides most of these maps from their one-sided
-limits and builds no probe there (see ``tests/test_sound_passes.py``).
+``iw_check_continuity`` decides most of these maps from their jump germs
+and builds no probe there (see ``tests/test_sound_passes.py``).  A walk
+on a trivial domain decides strong probes, and weak probes at a point,
+from the jump germs and pulls back only a failing probe, so the stop is
+measured on the probes decided (``_decision``), not on those pulled back.
 """
 
 import sys
@@ -30,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from scaletop import interval_continuity
 from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
 from scaletop.interval_continuity import (
@@ -316,24 +322,60 @@ def exact_domain_maps() -> list[IntervalScaledMap]:
 # -- pull-back counts ----------------------------------------------------------------------
 
 
-def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
-    line = full_line_carrier()
-    m = IntervalScaledMap(split_identity(), TrivialIntervalScale(line), TrivialIntervalScale(line))
-    at = SheetPoint(0, num(0))
+def record_decisions(monkeypatch) -> list[SheetSet]:
+    """Record every probe that a walk's decision (``_decision``) is asked
+    about, in order."""
+    decided = []
+    original = interval_continuity._decision
+
+    def recording(*args):
+        fails = original(*args)
+
+        def recorded(target):
+            decided.append(target)
+            return fails(target)
+
+        return recorded
+
+    monkeypatch.setattr(interval_continuity, "_decision", recording)
+    return decided
+
+
+def record_pullbacks(monkeypatch) -> list[SheetSet]:
     pulled = []
     original = PiecewiseAffineMap._preimage
 
-    def counted(self, s):
+    def recorded(self, s):
         pulled.append(s)
         return original(self, s)
 
-    monkeypatch.setattr(PiecewiseAffineMap, "_preimage", counted)
-    assert walk(m, ContinuityMode("weak", "at-point", at_point=at)).holds
-    assert 1 <= len(pulled) <= 2
-    pulled.clear()
-    assert walk(m, ContinuityMode("strong", "at-point", at_point=at)).holds
+    monkeypatch.setattr(PiecewiseAffineMap, "_preimage", recorded)
+    return pulled
+
+
+def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
+    """Out of a ConnectedOpen domain, whose decisions pull every probe back,
+    the weak check pulls back at most two probes and the strong check all
+    of them.  Out of a trivial domain both decide the same probes from
+    the jump germs and pull back none."""
+    line = full_line_carrier()
+    at = SheetPoint(0, num(0))
+    pulled = record_pullbacks(monkeypatch)
+    decided = record_decisions(monkeypatch)
+    walked = {}
+    for dom in (ConnectedOpenScale(line), TrivialIntervalScale(line)):
+        m = IntervalScaledMap(split_identity(), dom, TrivialIntervalScale(line))
+        for strength in ("weak", "strong"):
+            pulled.clear()
+            decided.clear()
+            assert walk(m, ContinuityMode(strength, "at-point", at_point=at)).holds
+            walked[dom.tag, strength] = (decided[:], pulled[:])
     probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
-    assert pulled == probes and len(probes) > 2
+    weak, strong = walked["ConnectedOpen", "weak"], walked["ConnectedOpen", "strong"]
+    assert weak[1] == weak[0] and 1 <= len(weak[1]) <= 2
+    assert strong[1] == strong[0] == probes and len(probes) > 2
+    assert walked["Trivial", "weak"] == (weak[0], [])
+    assert walked["Trivial", "strong"] == (probes, [])
 
 
 def count_families(monkeypatch, cls) -> list[list[SheetSet]]:
@@ -395,27 +437,21 @@ def close_split_map() -> IntervalScaledMap:
 
 def test_the_stop_pulls_back_what_the_prune_pulled_back(monkeypatch):
     """Every probe the stop leaves untaken would have been skipped: each
-    check pulls back the probes, in order, that the prune without the
-    stop pulls back, and reaches its verdict.  On the non-nested
+    walk decides the probes, in order, that the prune without the stop
+    pulls back and decides, and reaches its verdict.  On the non-nested
     end-class families a stop would leave probes undecided."""
-    pulled = []
-    original = PiecewiseAffineMap._preimage
-
-    def recorded(self, s):
-        pulled.append(s)
-        return original(self, s)
-
-    monkeypatch.setattr(PiecewiseAffineMap, "_preimage", recorded)
+    pulled = record_pullbacks(monkeypatch)
+    decided = record_decisions(monkeypatch)
     generated = [g.scaled for g in intervalgen.generate_maps(0, 60)]
     end_class = [m for pair in END_CLASS_PAIRS for m in end_class_maps(*pair)]
     for m in generated + end_class + exact_domain_maps() + [close_split_map()]:
         for mode in weak_modes(m):
+            decided.clear()
             verdict = walk(m, mode)
-            stopped = pulled[:]
+            stopped = decided[:]
             pulled.clear()
             assert verdict == ref_check(m, mode, prune=True), mode
             assert stopped == pulled, mode
-            pulled.clear()
 
 
 def test_a_non_nested_family_is_walked_past_a_skipped_probe(monkeypatch):
