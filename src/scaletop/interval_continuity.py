@@ -26,7 +26,9 @@ each probe in order (``_decision``) and stops at the first probe that
 fails.  Most decisions pull the probe back and decide the whole
 preimage; on a trivial domain strong checks, and weak checks at a point,
 decide from the jump germs and pull back only the failing probe, for its
-certificate (see "Decisions from the jump germs" below).  A pruning walk
+certificate (see "Decisions from the jump germs" below), and strong
+checks there build only the probes of a ladder that fail (see
+"Decisions on a ladder").  A pruning walk
 (weak checks, and when global only on a domain scale that declares
 ``exact_open_witness``) skips each probe that contains the last one it
 passed, and ends a nested family at its first pass or skip past index 0.
@@ -36,11 +38,14 @@ failing probe or its certificate.
 
 An at-point check validates its point once, where it enters: the map's
 ``eval`` raises ``ValueError`` for a point outside the domain.  The
-scale predicates the walk then calls (``member``, ``witness_inside``)
+scale predicates the walk then calls (``member``, ``has_witness``)
 take that as their precondition and do not check the point again; every
-anchor of ``_find_open_witness`` lies in a preimage, so in the domain.
-The map's critical coordinates, default probe points and jump germs are
-derived once per map (``PiecewiseAffineMap``), not once per check.
+anchor of the open-witness search (``_anchors``) lies in a preimage, so
+in the domain.  A weak decision asks ``has_witness``, which answers
+whether ``witness_inside`` would find a witness, so the search builds
+none.  The map's critical coordinates, default probe points, global
+anchors and jump germs are derived once per map
+(``PiecewiseAffineMap``), not once per check.
 
 Trivial domains.  A domain is trivial when ``mode.trivial_domain`` is
 set or the map's domain scale is a ``TrivialIntervalScale``.  There a
@@ -110,6 +115,28 @@ an interval around 0 that misses 15), although the member (-1, 1) u
 (14, 16) of f(0) pulls back to a set that is not open: such passes
 still come from the walk, probe by probe.
 
+Decisions on a ladder.  The probe family of a Trivial or ConnectedOpen
+codomain scale is a ladder (``IntervalScale.ladder``): the whole carrier,
+then for each radius r of the family the cut V_r of the open ball
+(y - r, y + r) to H, the carrier piece that holds y.  A strong walk on a
+trivial domain (at a point and at each global anchor) decides each V_r
+from the jump germs, and reads the ladder as radii instead of sets.  A
+side with limit L on y's sheet enters V_r (``_side_enters``) when L lies
+in V_r, that is, for L in H, when r > |L - y|; and at r = |L - y|, where
+V_r ends at L, exactly when its values approach L from y's side.  For L
+outside H, V_r ends at L only when L is an open end of H and r >=
+|L - y|, so the side enters exactly then, coming from y's side, and
+never otherwise; a side on another sheet never enters.  So each side
+has a threshold, and a germ whose value f(z) lies in H on y's sheet
+fails V_r exactly for r in (|f(z) - y|, T], open or closed at T, where T
+is its latest side threshold (``_side_threshold``, ``_ladder_windows``);
+a germ whose value lies outside H or on another sheet is in no V_r.  The
+walk builds, decides and pulls back only the probes at radii where some
+germ fails (``_failing_probes``), and stops at the first.  A strong walk
+does not prune or stop at a pass, and a probe that the germs fail has a
+nonempty preimage, so the probes left unbuilt are passes that move
+nothing: the first failing probe and its certificate are the same.
+
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
 contract), the codomain scale's carrier is the map's codomain, and
@@ -122,14 +149,16 @@ they confirm a certificate independently of the checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .continuity import ContinuityMode, ContinuityVerdict
 from .exactnum import ExactNumber
-from .interval_scales import IntervalScale, TrivialIntervalScale
+from .interval_scales import IntervalScale, Ladder, TrivialIntervalScale
 from .intervals import LineSet, SheetPoint, SheetSet
 from .pwmaps import Germ, PiecewiseAffineMap
 
+_ZERO = ExactNumber(0)
 
 @dataclass(frozen=True)
 class IntervalScaledMap:
@@ -175,27 +204,33 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
 
 
 def _global_families(
-    m: IntervalScaledMap,
+    m: IntervalScaledMap, radial: tuple[Germ, ...] | None = None
 ) -> Iterator[tuple[bool, Iterable[SheetSet]]]:
     """The global probe families, each with whether it is nested: the
-    declared probe family (never taken as nested), then one family of
-    codomain probe sets around each image of the map's critical
-    coordinates and each midpoint of a codomain piece."""
+    declared probe family (never taken as nested), then the family around
+    each of the map's global anchors (``PiecewiseAffineMap._global_anchors``:
+    each codomain critical coordinate on each sheet and each midpoint of
+    a codomain piece), as ``_family`` takes it with ``radial``."""
     yield False, m.probe_family
-    criticals = m.pam._codomain_criticals
     nested = m.codomain_scale.nested_probes
-    for sheet, line in enumerate(m.pam.codomain.sheets):
-        anchor_xs: list[ExactNumber] = []
-        for c in criticals:
-            if line.member(c):
-                anchor_xs.append(c)
-        for piece in line.pieces:
-            if piece.lo is not None and piece.hi is not None and piece.lo < piece.hi:
-                anchor_xs.append(piece.lo + (piece.hi - piece.lo) / 2)
-        for x in anchor_xs:
-            yield nested, m.codomain_scale.iter_point_probes(
-                SheetPoint(sheet, x), critical=criticals
-            )
+    for y in m.pam._global_anchors:
+        yield nested, _family(m, y, radial)
+
+
+def _family(
+    m: IntervalScaledMap, y: SheetPoint, radial: tuple[Germ, ...] | None
+) -> Iterable[SheetSet]:
+    """The codomain scale's probe family of y.  With ``radial`` germs (a
+    strong check on a trivial domain, see ``_radial_germs``) a family that
+    is a ``Ladder`` yields its head and then only the probes at the radii
+    where the germs fail (see "Decisions on a ladder")."""
+    scale = m.codomain_scale
+    critical = m.pam._codomain_criticals
+    if radial is not None:
+        ladder = scale.ladder(y, critical)
+        if ladder is not None:
+            return chain(ladder.head, _failing_probes(ladder, radial))
+    return scale.iter_point_probes(y, critical=critical)
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
@@ -209,17 +244,18 @@ def _holds_at(
     that it hold a neighborhood assigned to p."""
     if mode.strength == "strong":
         return dom_scale.member(p, pre)
-    return dom_scale.witness_inside(p, pre) is not None
+    return dom_scale.has_witness(p, pre)
 
 
 def _holds_open(
     dom_scale: IntervalScale, mode: ContinuityMode, pre: SheetSet
 ) -> bool:
     """Strong modes ask that the preimage be q-open, weak modes that it
-    hold a q-open set."""
+    hold a q-open set, sought as ``_find_open_witness`` seeks one but
+    with ``has_witness`` at each anchor."""
     if mode.strength == "strong":
         return dom_scale.is_q_open(pre)
-    return _find_open_witness(dom_scale, pre) is not None
+    return any(dom_scale.has_witness(anchor, pre) for anchor in _anchors(pre))
 
 
 def _sound_pass(
@@ -272,6 +308,91 @@ def _germs_admit(germs: Iterable[Germ], target: SheetSet) -> bool:
     return True
 
 
+def _side_threshold(
+    ladder: Ladder, sheet: int, limit: ExactNumber, approach: int
+) -> tuple[ExactNumber, bool] | None:
+    """When a side with ``limit`` on codomain ``sheet`` enters the
+    ladder's probe V_r (``_side_enters``): ``(d, strict)`` when it does
+    exactly for r > d, and for r = d too unless ``strict``; None when it
+    enters no V_r.  d is the limit's distance from the centre y, and the
+    side ties at r = d exactly when its values approach the limit from
+    y's side, where V_r ends at the limit.  A limit outside the home
+    piece H enters only at an open end of H, from y's side, for r >= d;
+    a side on another sheet never enters."""
+    y = ladder.center
+    if sheet != y.sheet:
+        return None
+    below = limit < y.x
+    d = y.x - limit if below else limit - y.x
+    inward = approach > 0 if below else approach < 0
+    home = ladder.home
+    if home.contains(limit):
+        return d, not inward
+    if inward and limit == (home.lo if below else home.hi):
+        return d, False
+    return None
+
+
+def _ladder_windows(
+    ladder: Ladder, germs: Iterable[Germ]
+) -> list[tuple[ExactNumber, ExactNumber | None, bool]]:
+    """The radii at which each germ fails the ladder's probe V_r, as
+    ``(g, T, strict)``: the germ fails exactly for g < r and (r < T, or r
+    = T with ``strict``), T None for every r > g.  g is the distance of
+    its value from the centre, kept only for a value in the home piece on
+    the centre's sheet (else no V_r holds it), and T is its latest side
+    threshold (``_side_threshold``).  An empty window is left out."""
+    y = ladder.center
+    windows = []
+    for value, sides in germs:
+        if value.sheet != y.sheet or not ladder.home.contains(value.x):
+            continue
+        latest: tuple[ExactNumber, bool] | None = (_ZERO, False)
+        for sheet, limit, approach in sides:
+            t = _side_threshold(ladder, sheet, limit, approach)
+            if t is None:
+                latest = None
+                break
+            if latest[0] < t[0] or (latest[0] == t[0] and t[1]):
+                latest = t
+        g = abs(value.x - y.x)
+        if latest is None:
+            windows.append((g, None, False))
+        elif g < latest[0]:
+            windows.append((g, latest[0], latest[1]))
+    return windows
+
+
+def _fails_at(
+    windows: list[tuple[ExactNumber, ExactNumber | None, bool]], r: ExactNumber
+) -> bool:
+    """Whether some germ fails the probe at radius r (``_ladder_windows``)."""
+    for g, t, strict in windows:
+        if g < r and (t is None or r < t or (strict and r == t)):
+            return True
+    return False
+
+
+def _failing_probes(ladder: Ladder, germs: Iterable[Germ]) -> Iterator[SheetSet]:
+    """The ladder's radius probes that the germs fail, in order; a ladder
+    with no window reads none of its radii."""
+    windows = _ladder_windows(ladder, germs)
+    if windows:
+        for r in ladder.radii:
+            if _fails_at(windows, r):
+                yield ladder.probe(r)
+
+
+def _radial_germs(
+    m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
+) -> tuple[Germ, ...] | None:
+    """The germs that decide a strong check on a trivial domain scale,
+    every one of them; None for every other check."""
+    if mode.strength == "strong" and isinstance(dom_scale, TrivialIntervalScale):
+        return tuple(m.pam._germs.values())
+    return None
+
+
 def _decision(
     m: IntervalScaledMap,
     dom_scale: IntervalScale,
@@ -284,14 +405,10 @@ def _decision(
     the jump germs and pull back only a failing probe; every other
     decision pulls the probe back and decides its whole preimage."""
     pam = m.pam
-    if isinstance(dom_scale, TrivialIntervalScale) and (
-        mode.strength == "strong" or p is not None
-    ):
-        germs = pam._germs
-        if mode.strength == "strong":
-            chosen: tuple[Germ, ...] = tuple(germs.values())
-        else:
-            chosen = (germs[p],) if p in germs else ()
+    chosen = _radial_germs(m, dom_scale, mode)
+    if chosen is None and p is not None and isinstance(dom_scale, TrivialIntervalScale):
+        chosen = (pam._germs[p],) if p in pam._germs else ()
+    if chosen is not None:
 
         def from_germs(target: SheetSet) -> SheetSet | None:
             return None if _germs_admit(chosen, target) else pam._preimage(target)
@@ -315,7 +432,8 @@ def _global_walk(
     """The walk of the global families; weak checks prune only on a domain
     scale that declares ``exact_open_witness``."""
     prune = mode.strength == "weak" and dom_scale.exact_open_witness
-    return _first_failure(_global_families(m), _decision(m, dom_scale, mode), prune)
+    families = _global_families(m, _radial_germs(m, dom_scale, mode))
+    return _first_failure(families, _decision(m, dom_scale, mode), prune)
 
 
 def _point_walk(
@@ -326,7 +444,7 @@ def _point_walk(
     y: SheetPoint,
 ) -> tuple[SheetSet, SheetSet] | None:
     """The walk of the probe family of y = f(p); weak checks prune."""
-    family = m.codomain_scale.iter_point_probes(y, critical=m.pam._codomain_criticals)
+    family = _family(m, y, _radial_germs(m, dom_scale, mode))
     return _first_failure(
         ((m.codomain_scale.nested_probes, family),),
         _decision(m, dom_scale, mode, p),
@@ -409,7 +527,10 @@ def _first_failure(
     preimage is empty, which the empty-preimage rule passes anyway; and
     it is made only on strong checks, which do not prune, and at a
     point, where no preimage is empty.  So each rule acts as on the
-    whole preimages, and the first failing probe is the same.
+    whole preimages, and the first failing probe is the same.  A ladder
+    family of a strong check on a trivial domain yields only its head and
+    the probes that the germs fail (see "Decisions on a ladder"), since
+    a strong walk moves on past a pass with nothing kept.
     """
     passed = None
     for nested, family in families:
@@ -431,22 +552,9 @@ def _first_failure(
     return None
 
 
-def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
-    """Some q-open subset of ``pre``, or None: witnesses are sought at one
-    anchor of each piece of the preimage only (its midpoint, lo + 1,
-    hi - 1 or 0).  Each anchor lies in ``pre``, which lies in the domain
-    scale's carrier, so it meets the precondition of ``witness_inside``.
-
-    On a kind that declares ``IntervalScale.exact_open_witness``
-    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
-    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
-    set exactly when some piece of it has a relatively interior point,
-    the piece's anchor is such a point whenever one exists, and the
-    kind's ``witness_inside`` finds a witness at every such point.  On
-    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
-    strictly inside the ambient bounds, which an anchor outside them
-    never is, so None there does not prove that ``pre`` holds no q-open
-    set."""
+def _anchors(pre: SheetSet) -> Iterator[SheetPoint]:
+    """One anchor per piece of ``pre``, in order: its midpoint, lo + 1,
+    hi - 1 or 0."""
     for sheet, line in enumerate(pre.sheets):
         for piece in line.pieces:
             if piece.lo is not None and piece.hi is not None:
@@ -459,10 +567,30 @@ def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | No
             elif piece.hi is not None:
                 anchor = piece.hi - 1
             else:
-                anchor = ExactNumber(0)
-            w = dom_scale.witness_inside(SheetPoint(sheet, anchor), pre)
-            if w is not None:
-                return w
+                anchor = _ZERO
+            yield SheetPoint(sheet, anchor)
+
+
+def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
+    """Some q-open subset of ``pre``, or None: witnesses are sought at the
+    anchors of the preimage only (``_anchors``, one per piece).  Each
+    anchor lies in ``pre``, which lies in the domain scale's carrier, so
+    it meets the precondition of ``witness_inside``.
+
+    On a kind that declares ``IntervalScale.exact_open_witness``
+    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
+    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
+    set exactly when some piece of it has a relatively interior point,
+    the piece's anchor is such a point whenever one exists, and the
+    kind's ``witness_inside`` finds a witness at every such point.  On
+    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
+    strictly inside the ambient bounds, which an anchor outside them
+    never is, so None there does not prove that ``pre`` holds no q-open
+    set."""
+    for anchor in _anchors(pre):
+        w = dom_scale.witness_inside(anchor, pre)
+        if w is not None:
+            return w
     return None
 
 

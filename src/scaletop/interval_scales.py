@@ -2,16 +2,20 @@
 
 Interval-world scales are intensional: each kind is a rule assigning
 every carrier point an (infinite) family of neighborhoods, and ships
-three exact decision procedures instead of an enumerated family:
+four exact decision procedures instead of an enumerated family:
 
 * ``member(x, s)``         -- is s assigned to x,
 * ``is_q_open(s)``         -- is s assigned to some point,
 * ``witness_inside(x, s)`` -- some assigned neighborhood of x inside s,
+* ``has_witness(x, s)``    -- whether there is one, where a kind can
+  tell without building it,
 
 plus ``iter_point_probes(x, critical)``, a deterministic finite family
 of assigned neighborhoods of x used by the continuity checkers
 (generated around the supplied critical coordinates so straddling and
-non-straddling shapes both appear), yielded one set at a time.
+non-straddling shapes both appear), yielded one set at a time, which
+``ladder(x, critical)`` describes as radii on the kinds whose family is
+a ladder of ball cuts.
 
 Membership rules, by tag:
 
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from itertools import tee
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 from .exactnum import ExactNumber, irrational_between, rational_between
 from .intervals import (
@@ -291,10 +295,26 @@ class IntervalScale:
     docstring; it is True for Trivial, ConnectedOpen, RationalEnds,
     IrrationalEnds and MixedRationalIrrational.
 
-    Precondition on points: ``member`` and ``witness_inside`` take x in
-    the carrier, and the continuity checkers validate x once before they
-    call them (the map's ``eval``), so most kinds do not check it again.
-    ``iter_point_probes`` checks it."""
+    ``has_witness(x, s)`` answers whether ``witness_inside(x, s)`` finds
+    a witness, without building one where a kind can: the continuity
+    checkers' weak decisions ask only that.  ``SymmetricIntervals``
+    answers from the ambient bounds where x lies strictly inside its
+    piece of s; every other kind, and every other case, asks
+    ``witness_inside``.  ``TruncatedQ_a`` keeps that, since its radii
+    have a positive lower end and so the caps of the host matter.
+
+    ``ladder(x, critical)`` describes ``iter_point_probes(x, critical)``
+    as a ``Ladder`` (head probes, centre, home piece and radii) on the
+    kinds whose family is one, Trivial and ConnectedOpen, whose families
+    are built from it; it is None on every other kind.  Strong checks on
+    a trivial domain read a ladder as radii and build only the probes
+    that fail (see ``interval_continuity``, "Decisions on a ladder").
+
+    Precondition on points: ``member``, ``witness_inside`` and
+    ``has_witness`` take x in the carrier, and the continuity checkers
+    validate x once before they call them (the map's ``eval``), so most
+    kinds do not check it again.  ``iter_point_probes`` and ``ladder``
+    check it."""
 
     carrier: Carrier
 
@@ -314,6 +334,11 @@ class IntervalScale:
         carrier."""
         raise NotImplementedError
 
+    def has_witness(self, x: SheetPoint, s: SheetSet) -> bool:
+        """Whether some set assigned to x lies inside s, that is, whether
+        ``witness_inside(x, s)`` is not None; x must lie in the carrier."""
+        return self.witness_inside(x, s) is not None
+
     def iter_point_probes(
         self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
     ) -> Iterator[SheetSet]:
@@ -323,6 +348,12 @@ class IntervalScale:
         ``ValueError`` for x outside the carrier (checked when the first
         probe is taken, on kinds whose probes are a generator)."""
         raise NotImplementedError
+
+    def ladder(self, x: SheetPoint, critical: Sequence[ExactNumber] = ()) -> Ladder | None:
+        """The family ``iter_point_probes(x, critical)`` as a ``Ladder``, on
+        kinds whose family is one (Trivial and ConnectedOpen), else None.
+        Raises ``ValueError`` for x outside the carrier."""
+        return None
 
     def params(self) -> dict:
         return {}
@@ -335,18 +366,40 @@ class IntervalScale:
 # -- trivial ------------------------------------------------------------------
 
 
-def _open_component_probes(
+class Ladder(NamedTuple):
+    """A probe family read as radii: the ``head`` probes, then, for each
+    radius r of ``radii`` in ascending order, ``probe(r)``, the cut of the
+    open ball (x - r, x + r) to ``home``, the carrier piece that holds the
+    centre x, on x's sheet.  The radii are computed as they are read, and
+    can be read once."""
+
+    head: tuple[SheetSet, ...]
+    carrier: Carrier
+    center: SheetPoint
+    home: Interval
+    radii: Iterator[ExactNumber]
+
+    def probe(self, r: ExactNumber) -> SheetSet:
+        x = self.center.x
+        cut = _intersect_intervals(_ordered(x - r, x + r, False, False), self.home)
+        return self.carrier.lift(LineSet((cut,)), self.center.sheet)
+
+    def probes(self) -> Iterator[SheetSet]:
+        """The family, each probe built only when it is taken."""
+        yield from self.head
+        for r in self.radii:
+            yield self.probe(r)
+
+
+def _open_component_ladder(
     carrier: Carrier, x: SheetPoint, critical: Sequence[ExactNumber]
-) -> Iterator[SheetSet]:
+) -> Ladder:
     """The whole carrier, then the open component around x inside each
     open ball at a derived radius.  That component is the ball cut to the
     carrier piece holding x: the ball is open, so the cut keeps only
     closed ends of that piece, and the interior keeps those."""
     home = _piece_holding(carrier.sheets[x.sheet], x.x)
-    yield carrier.whole()
-    for r in _derived_radii(x.x, critical):
-        cut = _intersect_intervals(_ordered(x.x - r, x.x + r, False, False), home)
-        yield carrier.lift(LineSet((cut,)), x.sheet)
+    return Ladder((carrier.whole(),), carrier, x, home, _derived_radii(x.x, critical))
 
 
 @dataclass(frozen=True)
@@ -377,9 +430,12 @@ class TrivialIntervalScale(IntervalScale):
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         return interior_component_containing(self.carrier, s, x)
 
-    def iter_point_probes(self, x, critical=()):
+    def ladder(self, x, critical=()):
         self._contains_point(x)
-        return _open_component_probes(self.carrier, x, critical)
+        return _open_component_ladder(self.carrier, x, critical)
+
+    def iter_point_probes(self, x, critical=()):
+        return self.ladder(x, critical).probes()
 
 
 # -- ball kinds on the full line -------------------------------------------------
@@ -659,6 +715,20 @@ class SymmetricIntervalScale(_TraceScale):
         rng.at_most(self.hi_amb - x)
         return rng
 
+    def has_witness(self, x: SheetPoint, s: SheetSet) -> bool:
+        # Strictly inside its piece of s, x lies strictly inside its host,
+        # which holds that piece, so both caps are positive and the radii
+        # (0, min(x - lo_amb, hi_amb - x)] fit once the range is not empty.
+        xx = _single_sheet_point(x)
+        piece = _piece_holding(_single_line(s), xx)
+        if (
+            piece is not None
+            and (piece.lo is None or piece.lo < xx)
+            and (piece.hi is None or xx < piece.hi)
+        ):
+            return self.lo_amb < xx and xx < self.hi_amb
+        return super().has_witness(x, s)
+
     def is_q_open(self, s: SheetSet) -> bool:
         line = _single_line(s)
         if line.is_empty or not line.is_bounded:
@@ -849,9 +919,12 @@ class ConnectedOpenScale(IntervalScale):
             return s
         return interior_component_containing(self.carrier, s, x)
 
-    def iter_point_probes(self, x, critical=()):
+    def ladder(self, x, critical=()):
         self._contains_point(x)
-        return _open_component_probes(self.carrier, x, critical)
+        return _open_component_ladder(self.carrier, x, critical)
+
+    def iter_point_probes(self, x, critical=()):
+        return self.ladder(x, critical).probes()
 
 
 # -- tabulated principal structures ----------------------------------------------------

@@ -179,8 +179,8 @@ def _critical_coords(intervals, carrier: Carrier) -> tuple[ExactNumber, ...]:
 class PiecewiseAffineMap:
     """A piecewise-affine map from ``domain`` to ``codomain``.
 
-    The sorted critical coordinates of each side and the default probe
-    points, as tuples, the germs at the jump points (``_germs``), as a
+    The sorted critical coordinates of each side, the default probe
+    points and the global anchors, as tuples, the germs at the jump points (``_germs``), as a
     dict keyed by jump point, and whether the pieces reach every jump
     value (``_jump_values_reached``) are computed on first use and kept
     on the map, outside the fields: they depend on the map alone."""
@@ -224,6 +224,23 @@ class PiecewiseAffineMap:
         return _critical_coords(
             (piece.image_interval() for piece in self.pieces), self.codomain
         )
+
+    @functools.cached_property
+    def _global_anchors(self) -> tuple[SheetPoint, ...]:
+        """The centres of the generated global probe families: on each
+        codomain sheet, the codomain critical coordinates that lie on it,
+        then the midpoint of each of its bounded pieces with two ends."""
+        anchors: list[SheetPoint] = []
+        for sheet, line in enumerate(self.codomain.sheets):
+            anchors += [
+                SheetPoint(sheet, c) for c in self._codomain_criticals if line.member(c)
+            ]
+            anchors += [
+                SheetPoint(sheet, piece.lo + (piece.hi - piece.lo) / 2)
+                for piece in line.pieces
+                if piece.lo is not None and piece.hi is not None and piece.lo < piece.hi
+            ]
+        return tuple(anchors)
 
     @functools.cached_property
     def _default_points(self) -> tuple[SheetPoint, ...]:

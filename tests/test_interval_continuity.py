@@ -198,9 +198,10 @@ def test_replaying_a_certificate_at_a_point_outside_the_domain_raises(p):
 
 
 def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
-    """The critical coordinates, default probe points and jump germs are
-    kept on the map once derived, outside its fields; callers get their
-    own lists.  The jump germs are found by the first check, not before.
+    """The critical coordinates, default probe points, global anchors and
+    jump germs are kept on the map once derived, outside its fields;
+    callers get their own lists.  The jump germs are found by the first
+    check, not before, and the global anchors by the first global walk.
     ex12 has no jump point, so R1 passes its weak global check without
     asking whether the pieces reach the jump values."""
     fresh, warm = fixture_ex12(), fixture_ex12()
@@ -210,9 +211,11 @@ def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
     assert "_germs" not in vars(warm.pam)
     iw_check_continuity(warm, ContinuityMode("strong", "local", trivial_domain=True))
     iw_check_continuity(warm, ContinuityMode("weak", "global", trivial_domain=True))
-    assert {"_domain_criticals", "_codomain_criticals", "_default_points", "_germs"} <= set(
-        vars(warm.pam)
-    )
+    assert "_global_anchors" not in vars(warm.pam)
+    iw_check_continuity(warm, ContinuityMode("weak", "global"))
+    assert {
+        "_domain_criticals", "_codomain_criticals", "_default_points", "_global_anchors", "_germs"
+    } <= set(vars(warm.pam))
     assert "_jump_values_reached" not in vars(warm.pam)
     assert "_germs" not in vars(fresh.pam)
     assert warm == fresh and warm.pam == fresh.pam

@@ -3,7 +3,9 @@ scale kind, including the documented edge claims: the only bounded set
 with an assigned complement under the bounded-ball kind is the empty
 set, and the empty set itself is never assigned."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -191,6 +193,66 @@ def test_symmetric_witness():
     assert w is not None and w.issubset(s) and scale.member(x, w)
     tiny = SheetSet((LineSet.of(iv("1/4", "1/4", lc=True, hc=True)),))
     assert scale.witness_inside(x, tiny) is None
+
+
+SYMMETRIC_CARRIERS = {
+    "segment": Carrier.of(LineSet.of(iv(0, 2, True, True))),
+    "punctured": Carrier.of(LineSet.of(iv(0, 1, lc=True), iv(1, 2, hc=True))),
+    "isolated point": Carrier.of(LineSet.of(iv(-1, -1, True, True), iv(0, 2, True, True))),
+    "gap": Carrier.of(LineSet.of(iv(0, "1/2", hc=True), iv("3/2", 2, lc=True))),
+}
+AMBIENT = ((0, 1), ("1/2", "3/2"), (-1, 3), (1, 2))
+ENDS = (-1, 0, "1/4", "1/2", 1, "3/2", 2, 3)
+
+
+def symmetric_sets(carrier: Carrier, x: ExactNumber) -> list[SheetSet]:
+    """Intervals between grid ends, each open, closed or half-open, as
+    they are and cut to the carrier; each with the point x added."""
+    out = []
+    for lo, hi in combinations(ENDS, 2):
+        for lc in (False, True):
+            for hc in (False, True):
+                s = line(iv(lo, hi, lc, hc))
+                out += [s, s.intersect(carrier.whole())]
+    out += [o.union(line(Interval(x, x, True, True))) for o in out]
+    return out
+
+
+def test_symmetric_has_witness_is_whether_a_witness_exists():
+    """``has_witness`` against ``witness_inside`` at points at, inside and
+    beyond the ambient bounds, in sets with point pieces and across
+    carrier gaps.  The shortcut must meet a point at an ambient bound
+    strictly inside its piece, where the radius range is empty."""
+    tally: Counter = Counter()
+    points = [num(n) / 4 for n in range(-4, 9)] + [SQRT2 / 2]
+    for name, carrier in SYMMETRIC_CARRIERS.items():
+        for lo, hi in AMBIENT:
+            scale = SymmetricIntervalScale(carrier, lo_amb=num(lo), hi_amb=num(hi))
+            for xv in points:
+                x = SheetPoint(0, xv)
+                if not carrier.member(x):
+                    continue
+                for s in symmetric_sets(carrier, xv):
+                    found = scale.witness_inside(x, s) is not None
+                    assert scale.has_witness(x, s) == found, (name, lo, hi, x, s)
+                    piece = next((q for q in s.sheets[0].pieces if q.contains(xv)), None)
+                    if piece is None or xv in (piece.lo, piece.hi):
+                        where = "x at an end of its piece of s" if piece else "x outside s"
+                    elif xv in (scale.lo_amb, scale.hi_amb):
+                        where = "x at an ambient bound"
+                    elif scale.lo_amb < xv < scale.hi_amb:
+                        where = "x inside the ambient bounds"
+                    else:
+                        where = "x beyond the ambient bounds"
+                    tally[where, found] += 1
+    assert set(tally) == {
+        ("x outside s", False),
+        ("x at an end of its piece of s", False),
+        ("x at an end of its piece of s", True),
+        ("x at an ambient bound", False),
+        ("x inside the ambient bounds", True),
+        ("x beyond the ambient bounds", False),
+    }, tally
 
 
 # -- endpoint rationality kinds ------------------------------------------------------
@@ -535,6 +597,17 @@ def test_assigned_sets_are_relatively_open_and_probes_hold_their_point(k, data):
     s = data.draw(sets_near(scale, x))
     if scale.is_q_open(s):
         assert is_open_in_carrier(scale.carrier, s), (scale.tag, s)
+
+
+@pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_has_witness_is_whether_a_witness_exists(k, data):
+    """The witness-free decision of each kind, against ``witness_inside``."""
+    scale, values = KINDS[k]
+    x = data.draw(points_in(scale, values))
+    s = data.draw(sets_near(scale, x))
+    assert scale.has_witness(x, s) == (scale.witness_inside(x, s) is not None), (scale.tag, x, s)
 
 
 @pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)

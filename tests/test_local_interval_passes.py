@@ -7,7 +7,7 @@ they replace.
 * ``PiecewiseAffineMap.preimage`` against the union of each piece's
   ``normalize``d cuts, each cut solved through ``1/slope`` and cut to
   the piece;
-* the first occurrences of ``_open_component_probes`` against a list
+* the first occurrences of ``_open_component_ladder``'s probes against a list
   scanned for repeats;
 * ``_TraceScale._host`` against the piece holding x of the complement
   of carrier-minus-s (today the same expression; the test guards it);
@@ -33,7 +33,7 @@ from scaletop.interval_scales import (
     PStructureIntervalScale,
     SymmetricIntervalScale,
     _derived_radii,
-    _open_component_probes,
+    _open_component_ladder,
     segment_carrier,
 )
 from scaletop.intervals import (
@@ -481,7 +481,7 @@ def probe_cases(draw):
 def test_open_component_probes_keep_their_order(case):
     carrier, x, critical = case
     assert carrier.member(x)
-    probes = _open_component_probes(carrier, x, critical)
+    probes = _open_component_ladder(carrier, x, critical).probes()
     assert list(dict.fromkeys(probes)) == ref_probes(carrier, x, critical)
 
 

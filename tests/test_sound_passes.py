@@ -10,15 +10,23 @@
   ``_holds_at`` / ``_holds_open`` on the whole preimage, except that a
   probe with an empty preimage passes, as the walk's empty-preimage rule
   passes it anyway; a failing decision carries the whole preimage.
+* Decisions on a ladder: at every radius of every ladder that a strong
+  walk on a trivial domain reads (at the image of each point and at
+  each global anchor), the radius decision (``_fails_at`` on
+  ``_ladder_windows``) equals ``_germs_admit`` on the built probe, and
+  the walk builds exactly the probes that fail.
 
 The net runs the rules on every domain scale a check can use, the map's
 own and the trivial one, so a rule that fired off a trivial domain would
 meet a reference walk that fails.  Its cases are the seeded benchmark
 pools and drawn small maps with jumps, degenerate breakpoint pieces,
 constant sides, sides that cross to another codomain sheet at an equal
-coordinate, isolated carrier points and punctured carriers, and the
-hand-made maps at the end.  Each rule must fire, and germ decisions must
-both pass and fail on maps with a jump, so that the net is not vacuous.
+coordinate, isolated carrier points and punctured carriers, codomain
+sheets that are the line, the line without one or two points, or a hull
+of the image with open or closed ends, and the hand-made maps at the
+end.  Each rule must fire, germ decisions must both pass and fail on
+maps with a jump, and the ladder net must meet every case of a side's
+threshold, so that the net is not vacuous.
 """
 
 import sys
@@ -36,9 +44,13 @@ from scaletop.exactnum import ExactNumber
 from scaletop.interval_continuity import (
     IntervalScaledMap,
     _decision,
+    _failing_probes,
+    _fails_at,
+    _germs_admit,
     _global_families,
     _holds_at,
     _holds_open,
+    _ladder_windows,
     _sound_pass,
     default_probe_points,
     iw_check_continuity,
@@ -54,7 +66,15 @@ from scaletop.interval_scales import (
     SymmetricIntervalScale,
     TrivialIntervalScale,
 )
-from scaletop.intervals import Carrier, Interval, LineSet, SheetPoint, SheetSet, point_interval
+from scaletop.intervals import (
+    Carrier,
+    Interval,
+    LineSet,
+    SheetPoint,
+    SheetSet,
+    normalize,
+    point_interval,
+)
 from scaletop.pwmaps import AffinePiece, Germ, PiecewiseAffineMap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -155,6 +175,73 @@ GERM_OUTCOMES = tuple(
 )
 
 
+def side_case(ladder, sheet: int, limit: ExactNumber, approach: int) -> str:
+    """Which case of a side's threshold a side of a germ meets on a ladder,
+    named from the ladder's geometry, for the tally."""
+    y, home = ladder.center, ladder.home
+    if sheet != y.sheet:
+        return "side on another sheet"
+    if limit == y.x:
+        return "limit at the centre"
+    below = limit < y.x
+    inward = approach > 0 if below else approach < 0
+    how = "from the centre's side" if inward else "from the far side"
+    if home.contains(limit):
+        return f"limit in H, {how}"
+    if limit == (home.lo if below else home.hi):
+        return f"limit at an open end of H, {how}"
+    return "limit beyond H"
+
+
+def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
+    """At every radius of the ladder around f(p) for each point p and
+    around each global anchor, which strong walks on a trivial domain
+    read by radius: the radius decision against ``_germs_admit`` on the
+    built probe, and the probes the walk builds against those that
+    fail."""
+    germs = tuple(m.pam._germs.values())
+    if not germs:
+        return  # R1 passes every check; no walk reads a ladder
+    critical = m.pam._codomain_criticals
+    for y in [m.pam.eval(p) for p in points] + list(m.pam._global_anchors):
+        ladder = m.codomain_scale.ladder(y, critical)
+        if ladder is None:
+            return
+        for value, sides in germs:
+            if value.sheet != y.sheet:
+                tally["value on another sheet"] += 1
+            elif not ladder.home.contains(value.x):
+                tally["value outside H"] += 1
+            else:
+                tally.update(side_case(ladder, *side) for side in sides)
+        windows = _ladder_windows(ladder, germs)
+        failing = []
+        for r in ladder.radii:
+            probe = ladder.probe(r)
+            admitted = _germs_admit(germs, probe)
+            assert _fails_at(windows, r) != admitted, (m, y, r)
+            tally[f"radius {'passes' if admitted else 'fails'}"] += 1
+            if not admitted:
+                failing.append(probe)
+            for value, sides in germs:
+                if probe.member(value):
+                    for sheet, limit, approach in sides:
+                        if sheet == y.sheet and abs(limit - y.x) == r:
+                            tally[f"tie: {side_case(ladder, sheet, limit, approach)}"] += 1
+        assert list(_failing_probes(m.codomain_scale.ladder(y, critical), germs)) == failing
+
+
+LADDER_CASES = (
+    "value on another sheet", "value outside H", "side on another sheet",
+    "limit at the centre", "limit beyond H",
+    *(f"limit {where}, from the {side}" for where in ("in H", "at an open end of H")
+      for side in ("centre's side", "far side")),
+    "radius passes", "radius fails",
+    *(f"tie: limit {where}, from the {side}" for where, side in (
+        ("in H", "centre's side"), ("in H", "far side"), ("at an open end of H", "centre's side"))),
+)
+
+
 # -- the seeded pools ------------------------------------------------------------------------
 
 
@@ -174,6 +261,23 @@ def test_germ_decisions_match_the_whole_preimage_over_a_seeded_pool(seed):
         m = g.scaled
         germ_net(m, default_probe_points(m), tally)
     assert_fired(tally, GERM_OUTCOMES)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_ladder_decisions_match_the_germs_over_a_seeded_pool(seed):
+    """The seeded codomain sheets are segments and the line, so every value
+    and limit on the centre's sheet lies in H: the pools reach the cases
+    inside H and on another sheet, and the drawn maps below the rest."""
+    tally: Counter = Counter()
+    for g in intervalgen.generate_maps(seed, 150):
+        m = g.scaled
+        ladder_net(m, default_probe_points(m), tally)
+    assert_fired(tally, (
+        "value on another sheet", "side on another sheet", "limit at the centre",
+        "limit in H, from the centre's side", "limit in H, from the far side",
+        "radius passes", "radius fails",
+        "tie: limit in H, from the centre's side", "tie: limit in H, from the far side",
+    ))
 
 
 # -- drawn small maps ------------------------------------------------------------------------
@@ -237,17 +341,57 @@ def small_maps(draw) -> PiecewiseAffineMap:
             out = draw(st.integers(0, n_out - 1))
             last = AffinePiece(0, piece_part, out, slope, intercept)
             pieces.append(last)
-    codomain = Carrier(tuple(LineSet.full_line() for _ in range(n_out)))
+    codomain = Carrier(tuple(
+        draw(codomain_sheets(normalize(p.image_interval() for p in pieces if p.out_sheet == out)))
+        for out in range(n_out)
+    ))
     return PiecewiseAffineMap(domain, codomain, tuple(pieces))
 
 
+@st.composite
+def codomain_sheets(draw, image: LineSet) -> LineSet:
+    """A codomain sheet that holds ``image``: the line, the line without
+    one or two points, or the hull of the image, each finite end kept
+    (open only where the image misses it) or moved out by 1/2, open or
+    closed, without up to two points.  The points removed are open ends
+    of the image's pieces, where limits sit, or grid points the image
+    misses, so pieces with open ends, gaps and a punctured line arise."""
+    shape = draw(st.sampled_from(("line", "punctured", "hull")))
+    event(f"codomain sheet: {shape}")
+    sheet = LineSet.full_line()
+    if image.is_empty or shape == "line":
+        return sheet
+    if shape == "hull":
+        first, last = image.pieces[0], image.pieces[-1]
+        lo, lc = first.lo, False
+        if lo is not None:
+            if draw(st.booleans()):
+                lo, lc = lo - num("1/2"), draw(st.booleans())
+            else:
+                lc = first.lo_closed or draw(st.booleans())
+        hi, hc = last.hi, False
+        if hi is not None:
+            if draw(st.booleans()):
+                hi, hc = hi + num("1/2"), draw(st.booleans())
+            else:
+                hc = last.hi_closed or draw(st.booleans())
+        sheet = LineSet.of(Interval(lo, hi, lc, hc))
+    ends = [e for e in image.finite_endpoints() if not image.member(e)]
+    missed = [g for g in GRID if not image.member(g)]
+    holes = [st.sampled_from(points) for points in (ends, missed) if points]
+    if holes:
+        for c in draw(st.lists(st.one_of(holes), min_size=shape == "punctured", max_size=2)):
+            sheet = sheet.difference(LineSet.of(point_interval(c)))
+    return sheet
+
+
 def codomain_scales(codomain: Carrier) -> list:
-    """Each catalog kind that takes the line, on one sheet, and the two
-    sheet-agnostic kinds on two; ``TruncatedQ_a`` needs a segment and is
-    met in the seeded pools.  The ``PStructure`` table holds two grid
-    values that pieces often take."""
+    """Each catalog kind that takes the line, on the line, and the two
+    kinds that take any carrier elsewhere; ``TruncatedQ_a`` needs a
+    segment and is met in the seeded pools.  The ``PStructure`` table
+    holds two grid values that pieces often take."""
     scales = [TrivialIntervalScale(codomain), ConnectedOpenScale(codomain)]
-    if codomain.n_sheets == 1:
+    if codomain.sheets == (LineSet.full_line(),):
         table = ((SheetPoint(0, num(0)), open_set(-1, 1)), (SheetPoint(0, num("1/2")), open_set(0, 3)))
         scales += [
             PStructureIntervalScale(codomain, table=table),
@@ -307,6 +451,20 @@ def test_germ_decisions_match_the_whole_preimage_over_drawn_maps():
 
     drawn()
     assert_fired(tally, GERM_OUTCOMES)
+
+
+def test_ladder_decisions_match_the_germs_over_drawn_maps():
+    """Between trivial scales, so that every map reads ladders."""
+    tally: Counter = Counter()
+
+    @given(small_maps(), st.sampled_from(GRID))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def drawn(pam, x):
+        m = IntervalScaledMap(pam, TrivialIntervalScale(pam.domain), TrivialIntervalScale(pam.codomain))
+        ladder_net(m, drawn_points(m, x), tally)
+
+    drawn()
+    assert_fired(tally, LADDER_CASES)
 
 
 # -- the jump points ----------------------------------------------------------------------------
