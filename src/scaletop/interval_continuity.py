@@ -11,36 +11,33 @@ pointwise and local decision is exact, and so is every global decision
 on a domain scale that declares ``exact_open_witness`` (Trivial,
 ConnectedOpen and the three end-class kinds), so its failing verdict is
 an unconditional counterexample certificate.  A weak global failure on
-any other domain scale rests on ``_find_open_witness``'s anchor search,
-which can miss a q-open subset of the preimage: for the identity map on
+any other domain scale rests on ``_holds_open``'s anchor search, which
+can miss a q-open subset of the preimage: for the identity map on
 [0, 10] with a ``SymmetricIntervals`` domain (ambient [0, 1]) and a
 trivial codomain, the probe (1/5, 9) fails and its certificate replays,
 yet (1/4, 7/20) lies in its preimage and is q-open.
 
-Every check is one probe walk (``_first_failure``), unless the map's
-jump germs prove that the walk passes (see "Sound passes" below).  An
-at-point check walks the probe family of its point, a local check does
-the same at each default probe point in turn, and a global check walks
-the declared family and then one family per anchor.  The walk decides
-each probe in order (``_decision``) and stops at the first probe that
-fails.  Most decisions pull the probe back and decide the whole
-preimage; on a trivial domain strong checks, and weak checks at a point,
-decide from the jump germs and pull back only the failing probe, for its
-certificate (see "Decisions from the jump germs" below), and strong
-checks there build only the probes of a ladder that fail (see
-"Decisions on a ladder").  A pruning walk
-(weak checks, and when global only on a domain scale that declares
-``exact_open_witness``) skips each probe that contains the last one it
-passed, and ends a nested family at its first pass or skip past index 0.
-An empty preimage passes vacuously, as in the finite world.  The walk's
-docstring gives the argument for each rule: none can move the first
-failing probe or its certificate.
+Every check is one probe walk (``_walk``), unless its germ choice
+proves that the walk passes (see "The germ choice" below).  An at-point
+check walks the probe family of its point, a local check does the same
+at each default probe point in turn, and a global check walks the
+declared family and then one family per anchor.  The walk decides each
+probe in order (``_decision``) and stops at the first probe that fails.
+Most decisions pull the probe back and decide the whole preimage; a
+walk with chosen germs decides from them, pulls back only the failing
+probe, for its certificate, and builds only the probes of a ladder that
+fail.  A pruning walk (weak checks, and when global only on a domain
+scale that declares ``exact_open_witness``) skips each probe that
+contains the last one it passed, and ends a nested family at its first
+pass or skip past index 0.  An empty preimage passes vacuously, as in
+the finite world.  The walk's docstring gives the argument for each
+rule: none can move the first failing probe or its certificate.
 
 An at-point check validates its point once, where it enters: the map's
 ``eval`` raises ``ValueError`` for a point outside the domain.  The
 scale predicates the walk then calls (``member``, ``has_witness``)
 take that as their precondition and do not check the point again; every
-anchor of the open-witness search (``_anchors``) lies in a preimage, so
+anchor of the weak global decision (``_anchors``) lies in a preimage, so
 in the domain.  A weak decision asks ``has_witness``, which answers
 whether ``witness_inside`` would find a witness, so the search builds
 none.  The map's critical coordinates, default probe points, global
@@ -56,14 +53,35 @@ point where a one-sided limit differs from f(z) as a codomain point (so
 a side on another sheet is a jump), f(z) and each side that jumps, with
 its codomain sheet, its limit and how its values tend to the limit.  A
 piecewise-affine map is continuous at every domain point that is no jump
-point.  Both uses below rest on the openness contract of
+point.  Everything below rests on the openness contract of
 ``IntervalScale``: every set a kind assigns, so every probe and every
 declared probe, is relatively open in its carrier, and a point's probe
 holds the point.
 
-Sound passes.  Before any walk on a trivial domain, the check returns
-``holds`` where the germs prove that every probe of the walk passes:
+The germ choice.  ``_chosen_germs`` picks, once per walk, the germs
+that decide its probes.  None pulls each probe back and decides its
+whole preimage: every check on a domain that is not trivial, and a weak
+global check that R3 leaves open.  A strong check takes every germ, and
+a weak check at a jump point p the germ of p.  ``()`` decides from no
+germ, so no probe fails and the check holds with no walk (R1-R3), which
+only leaves probes unbuilt: no verdict, certificate or report byte moves.
 
+* Deciding from germs.  For a relatively open V, f^-1(V) is relatively
+  open exactly when, at each jump point z with f(z) in V, every side of
+  z with carrier points maps into V near z.  A side with limit L on
+  sheet s does so exactly when L is in V, or the side is not constant
+  and a piece of V on sheet s starts at L (values from above) or ends
+  at L (from below), since near z its values fill an open interval that
+  ends at L.  So a strong decision tests every jump point, and a weak
+  one at a jump point p (p relatively interior) tests p alone
+  (``_germs_admit``).  Each equals the decision on the whole preimage,
+  except that a probe with an empty preimage passes, as the walk's
+  empty-preimage rule passes it anyway.  Only a failing probe is pulled
+  back, for its certificate.  For f(x) = x on (-inf, 5) and x + 10 on
+  [5, inf), strong continuity at 0 passes every probe (each is an
+  interval around 0 that misses 15), although the member (-1, 1) u
+  (14, 16) of f(0) pulls back to a set that is not open: such passes
+  still come from the walk, probe by probe.
 * R1, continuous map: there is no jump point.  Then every preimage of a
   relatively open set is relatively open, and the preimage of a point's
   probe holds the point.  So every probe passes in all six modes, for
@@ -84,58 +102,26 @@ Sound passes.  Before any walk on a trivial domain, the check returns
   which is open or, for a constant piece, f(z) itself; the piece is
   affine on an open interval around such a point, which is then
   interior to the preimage.  Either way the preimage holds a relatively
-  interior point, and the trivial scale's anchor search is exact, so
-  every probe passes.  R1 is the case with no jump value.
-
-A sound pass returns where the walk would have found no failing probe,
-and a walk that finds none returns ``holds`` with no certificate; a
-local check skips only points whose walk would pass, and walks share no
-state across points.  So a sound pass cannot move a verdict, a
-certificate or a byte of any report: it only leaves probes unbuilt.
-
-Decisions from the jump germs.  A strong check on a map with a jump
-point, and a weak check at a jump point, still walk, since the germs
-alone do not prove them; but each probe is decided without its
-preimage.  For a relatively open V, f^-1(V) is relatively open exactly
-when, at each jump point z with f(z) in V, every side of z with carrier
-points maps into V near z; at every other point f is continuous.  A side
-with limit L on codomain sheet s does so exactly when L is in V, or the
-side is not constant and a piece of V on sheet s starts at L (values
-that approach from above) or ends at L (from below): near z the side's
-values fill an open interval that ends at L, and V holds all of one
-exactly then.  A side whose limit is f(z) always does.  So a strong
-decision (``member`` or ``is_q_open``) tests every jump point, and a
-weak decision at a jump point p (``witness_inside``, that is, p
-relatively interior) tests p alone; each equals the decision on the
-whole preimage, except that a probe with an empty preimage passes, as
-the walk's empty-preimage rule passes it anyway.  Only a failing probe
-is pulled back, for its certificate.  For f(x) = x on (-inf, 5) and
-x + 10 on [5, inf), strong continuity at 0 passes every probe (each is
-an interval around 0 that misses 15), although the member (-1, 1) u
-(14, 16) of f(0) pulls back to a set that is not open: such passes
-still come from the walk, probe by probe.
-
-Decisions on a ladder.  The probe family of a Trivial or ConnectedOpen
-codomain scale is a ladder (``IntervalScale.ladder``): the whole carrier,
-then for each radius r of the family the cut V_r of the open ball
-(y - r, y + r) to H, the carrier piece that holds y.  A strong walk on a
-trivial domain (at a point and at each global anchor) decides each V_r
-from the jump germs, and reads the ladder as radii instead of sets.  A
-side with limit L on y's sheet enters V_r (``_side_enters``) when L lies
-in V_r, that is, for L in H, when r > |L - y|; and at r = |L - y|, where
-V_r ends at L, exactly when its values approach L from y's side.  For L
-outside H, V_r ends at L only when L is an open end of H and r >=
-|L - y|, so the side enters exactly then, coming from y's side, and
-never otherwise; a side on another sheet never enters.  So each side
-has a threshold, and a germ whose value f(z) lies in H on y's sheet
-fails V_r exactly for r in (|f(z) - y|, T], open or closed at T, where T
-is its latest side threshold (``_side_threshold``, ``_ladder_windows``);
-a germ whose value lies outside H or on another sheet is in no V_r.  The
-walk builds, decides and pulls back only the probes at radii where some
-germ fails (``_failing_probes``), and stops at the first.  A strong walk
-does not prune or stop at a pass, and a probe that the germs fail has a
-nonempty preimage, so the probes left unbuilt are passes that move
-nothing: the first failing probe and its certificate are the same.
+  interior point, and the trivial scale's anchor search is exact.
+* Ladders read as radii.  A walk with germs reads a family that is a
+  ``Ladder`` (Trivial, ConnectedOpen and the ball kinds) as its head,
+  the cut V_r of the open ball (y - r, y + r) to H, the carrier piece
+  holding y, at each radius r, and its tail.  A side with limit L on
+  y's sheet enters V_r (``_side_enters``) for L in H when r > |L - y|,
+  or r = |L - y| with values approaching L from y's side; for L outside
+  H only when L is an open end of H, r >= |L - y| and values approach
+  from y's side; never from another sheet.  So a germ whose value lies
+  in H on y's sheet fails V_r exactly for r in (|f(z) - y|, T], open or
+  closed at T, its latest side threshold (``_side_threshold``,
+  ``_ladder_windows``), and any other germ is in no V_r.  The walk
+  builds only the probes at radii where some germ fails
+  (``_ladder_probes``).  A strong walk moves past a pass with nothing
+  kept, and a probe the germs fail has a nonempty preimage.  A weak
+  walk with germs is at a point, where it ends the nested family at its
+  first passing radius, or, on a ladder with no head, at the next one,
+  which contains it and is skipped.  A weak decision is upward closed
+  in the probe, so a failing radius contains no passed probe and is not
+  skipped.  Either way the first failing probe is the same.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -149,7 +135,6 @@ they confirm a certificate independently of the checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .continuity import ContinuityMode, ContinuityVerdict
@@ -204,33 +189,30 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
 
 
 def _global_families(
-    m: IntervalScaledMap, radial: tuple[Germ, ...] | None = None
+    m: IntervalScaledMap, chosen: tuple[Germ, ...] | None = None, prune: bool = False
 ) -> Iterator[tuple[bool, Iterable[SheetSet]]]:
     """The global probe families, each with whether it is nested: the
     declared probe family (never taken as nested), then the family around
     each of the map's global anchors (``PiecewiseAffineMap._global_anchors``:
     each codomain critical coordinate on each sheet and each midpoint of
-    a codomain piece), as ``_family`` takes it with ``radial``."""
+    a codomain piece), as ``_family`` takes it."""
     yield False, m.probe_family
     nested = m.codomain_scale.nested_probes
     for y in m.pam._global_anchors:
-        yield nested, _family(m, y, radial)
+        yield nested, _family(m, y, chosen, prune)
 
 
 def _family(
-    m: IntervalScaledMap, y: SheetPoint, radial: tuple[Germ, ...] | None
+    m: IntervalScaledMap, y: SheetPoint, chosen: tuple[Germ, ...] | None, prune: bool
 ) -> Iterable[SheetSet]:
-    """The codomain scale's probe family of y.  With ``radial`` germs (a
-    strong check on a trivial domain, see ``_radial_germs``) a family that
-    is a ``Ladder`` yields its head and then only the probes at the radii
-    where the germs fail (see "Decisions on a ladder")."""
+    """The codomain scale's probe family of y, read as radii where germs
+    are chosen and the family is a ``Ladder`` (``_ladder_probes``)."""
     scale = m.codomain_scale
     critical = m.pam._codomain_criticals
-    if radial is not None:
-        ladder = scale.ladder(y, critical)
-        if ladder is not None:
-            return chain(ladder.head, _failing_probes(ladder, radial))
-    return scale.iter_point_probes(y, critical=critical)
+    ladder = None if chosen is None else scale.ladder(y, critical)
+    if ladder is None:
+        return scale.iter_point_probes(y, critical=critical)
+    return _ladder_probes(ladder, chosen, prune)
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
@@ -251,33 +233,45 @@ def _holds_open(
     dom_scale: IntervalScale, mode: ContinuityMode, pre: SheetSet
 ) -> bool:
     """Strong modes ask that the preimage be q-open, weak modes that it
-    hold a q-open set, sought as ``_find_open_witness`` seeks one but
-    with ``has_witness`` at each anchor."""
+    hold a q-open set, sought by ``has_witness`` at the anchors of the
+    preimage only (``_anchors``, one per piece).  Each anchor lies in
+    ``pre``, which lies in the domain scale's carrier, so it meets the
+    precondition of ``has_witness``.
+
+    On a kind that declares ``IntervalScale.exact_open_witness``
+    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
+    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
+    set exactly when some piece of it has a relatively interior point,
+    the piece's anchor is such a point whenever one exists, and the
+    kind's ``witness_inside`` finds a witness at every such point.  On
+    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
+    strictly inside the ambient bounds, which an anchor outside them
+    never is, so False there does not prove that ``pre`` holds no q-open
+    set."""
     if mode.strength == "strong":
         return dom_scale.is_q_open(pre)
     return any(dom_scale.has_witness(anchor, pre) for anchor in _anchors(pre))
 
 
-def _sound_pass(
+def _chosen_germs(
     m: IntervalScaledMap,
     dom_scale: IntervalScale,
     mode: ContinuityMode,
     p: SheetPoint | None = None,
-) -> bool:
-    """Whether the map's jump germs prove that every probe of the walk
-    passes: the global walk, or with ``p`` the walk of point p.  Only on
-    a trivial domain scale, by rules R1, R2 and R3 of the module
-    docstring."""
+) -> tuple[Germ, ...] | None:
+    """The germs that decide each probe of the walk, the global walk or
+    with ``p`` the walk of point p (see "The germ choice"): None to pull
+    each probe back, ``()`` where no probe can fail (R1, R2, R3), else
+    every germ for a strong check and the germ of p for a weak check at
+    a jump point p."""
     if not isinstance(dom_scale, TrivialIntervalScale):
-        return False
+        return None
     germs = m.pam._germs
-    if not germs:
-        return True
     if mode.strength == "strong":
-        return False
-    if p is None:
-        return m.pam._jump_values_reached
-    return p not in germs
+        return tuple(germs.values())
+    if p is not None:
+        return (germs[p],) if p in germs else ()
+    return () if not germs or m.pam._jump_values_reached else None
 
 
 def _side_enters(line: LineSet, limit: ExactNumber, approach: int) -> bool:
@@ -298,7 +292,7 @@ def _germs_admit(germs: Iterable[Germ], target: SheetSet) -> bool:
     """Whether each germ whose value lies in ``target`` has every side
     that jumps enter ``target``: that is, whether the preimage of the
     relatively open ``target`` holds a relative neighborhood of each of
-    those jump points (see "Decisions from the jump germs")."""
+    those jump points (see "The germ choice")."""
     sheets = target.sheets
     for value, sides in germs:
         if sheets[value.sheet].member(value.x):
@@ -373,41 +367,38 @@ def _fails_at(
     return False
 
 
-def _failing_probes(ladder: Ladder, germs: Iterable[Germ]) -> Iterator[SheetSet]:
-    """The ladder's radius probes that the germs fail, in order; a ladder
-    with no window reads none of its radii."""
+def _ladder_probes(
+    ladder: Ladder, germs: tuple[Germ, ...], prune: bool
+) -> Iterator[SheetSet]:
+    """The ladder's family as a walk that decides from ``germs`` takes it:
+    the head, the probes at the radii where some germ fails, in order,
+    and the tail.  A ladder with no window reads none of its radii.  A
+    pruning walk ends the family at its first passing radius, and never
+    reaches the tail: it returns at a failing radius first."""
+    yield from ladder.head
     windows = _ladder_windows(ladder, germs)
-    if windows:
-        for r in ladder.radii:
-            if _fails_at(windows, r):
-                yield ladder.probe(r)
-
-
-def _radial_germs(
-    m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
-) -> tuple[Germ, ...] | None:
-    """The germs that decide a strong check on a trivial domain scale,
-    every one of them; None for every other check."""
-    if mode.strength == "strong" and isinstance(dom_scale, TrivialIntervalScale):
-        return tuple(m.pam._germs.values())
-    return None
+    for r in ladder.radii if windows else ():
+        if _fails_at(windows, r):
+            yield ladder.probe(r)
+        elif prune:
+            return
+    if not prune:
+        yield from ladder.tail
 
 
 def _decision(
     m: IntervalScaledMap,
     dom_scale: IntervalScale,
     mode: ContinuityMode,
+    chosen: tuple[Germ, ...] | None,
     p: SheetPoint | None = None,
 ) -> Callable[[SheetSet], SheetSet | None]:
     """The walk's decision on one probe: the probe's preimage if the probe
-    fails, else None; globally, or with ``p`` at point p.  On a trivial
-    domain scale strong checks, and weak checks at a point, decide from
-    the jump germs and pull back only a failing probe; every other
-    decision pulls the probe back and decides its whole preimage."""
+    fails, else None; globally, or with ``p`` at point p.  With
+    ``chosen`` germs it decides from them and pulls back only a failing
+    probe; with None it pulls the probe back and decides its whole
+    preimage."""
     pam = m.pam
-    chosen = _radial_germs(m, dom_scale, mode)
-    if chosen is None and p is not None and isinstance(dom_scale, TrivialIntervalScale):
-        chosen = (pam._germs[p],) if p in pam._germs else ()
     if chosen is not None:
 
         def from_germs(target: SheetSet) -> SheetSet | None:
@@ -426,30 +417,27 @@ def _decision(
     return pulled_back
 
 
-def _global_walk(
-    m: IntervalScaledMap, dom_scale: IntervalScale, mode: ContinuityMode
-) -> tuple[SheetSet, SheetSet] | None:
-    """The walk of the global families; weak checks prune only on a domain
-    scale that declares ``exact_open_witness``."""
-    prune = mode.strength == "weak" and dom_scale.exact_open_witness
-    families = _global_families(m, _radial_germs(m, dom_scale, mode))
-    return _first_failure(families, _decision(m, dom_scale, mode), prune)
-
-
-def _point_walk(
+def _walk(
     m: IntervalScaledMap,
     dom_scale: IntervalScale,
     mode: ContinuityMode,
-    p: SheetPoint,
-    y: SheetPoint,
+    chosen: tuple[Germ, ...] | None,
+    p: SheetPoint | None = None,
+    y: SheetPoint | None = None,
 ) -> tuple[SheetSet, SheetSet] | None:
-    """The walk of the probe family of y = f(p); weak checks prune."""
-    family = _family(m, y, _radial_germs(m, dom_scale, mode))
-    return _first_failure(
-        ((m.codomain_scale.nested_probes, family),),
-        _decision(m, dom_scale, mode, p),
-        mode.strength == "weak",
-    )
+    """The walk of the global families, or with ``p`` of the probe family
+    of y = f(p), deciding with the ``chosen`` germs (``_chosen_germs``).
+    Weak checks prune, and globally only on a domain scale that declares
+    ``exact_open_witness``.  With no germs every probe passes, so the
+    walk returns at once."""
+    if chosen == ():
+        return None
+    prune = mode.strength == "weak" and (p is not None or dom_scale.exact_open_witness)
+    if p is None:
+        families = _global_families(m, chosen, prune)
+    else:
+        families = ((m.codomain_scale.nested_probes, _family(m, y, chosen, prune)),)
+    return _first_failure(families, _decision(m, dom_scale, mode, chosen, p), prune)
 
 
 def iw_check_continuity(
@@ -457,14 +445,13 @@ def iw_check_continuity(
 ) -> IntervalVerdict:
     """One walk of the global families, or one walk of each point's family
     (the given point, or every default probe point for a local check),
-    except where ``_sound_pass`` proves that the walk passes."""
+    with the germs ``_chosen_germs`` picks for it."""
     dom_scale = _domain_scale(m, mode)
     certificate = None
     if mode.locus == "global":
-        if not _sound_pass(m, dom_scale, mode):
-            failure = _global_walk(m, dom_scale, mode)
-            if failure is not None:
-                certificate = {"r_open": failure[0], "preimage": failure[1]}
+        failure = _walk(m, dom_scale, mode, _chosen_germs(m, dom_scale, mode))
+        if failure is not None:
+            certificate = {"r_open": failure[0], "preimage": failure[1]}
         return IntervalVerdict(certificate is None, mode, certificate)
     if mode.locus == "at-point":
         if not isinstance(mode.at_point, SheetPoint):
@@ -474,9 +461,7 @@ def iw_check_continuity(
         points = m.pam._default_points
     for p in points:
         y = m.pam.eval(p)
-        if _sound_pass(m, dom_scale, mode, p):
-            continue
-        failure = _point_walk(m, dom_scale, mode, p, y)
+        failure = _walk(m, dom_scale, mode, _chosen_germs(m, dom_scale, mode, p), p, y)
         if failure is not None:
             certificate = {"point": p, "target": failure[0], "preimage": failure[1]}
             break
@@ -509,8 +494,8 @@ def _first_failure(
       that holds one.  So a skipped probe would pass.  Global checks
       prune only on a domain scale that declares
       ``IntervalScale.exact_open_witness`` (Trivial, ConnectedOpen and
-      the three end-class kinds), where ``_find_open_witness`` finds a
-      q-open subset of every preimage that holds one; elsewhere a probe
+      the three end-class kinds), where ``_holds_open`` finds a q-open
+      subset of every preimage that holds one; elsewhere a probe
       that contains a passed one can still fail its search, as (1/5, 9)
       does after (1/4, 1/2) in the module docstring's example.
     * Stop: a pruning walk ends a nested family
@@ -528,9 +513,8 @@ def _first_failure(
     it is made only on strong checks, which do not prune, and at a
     point, where no preimage is empty.  So each rule acts as on the
     whole preimages, and the first failing probe is the same.  A ladder
-    family of a strong check on a trivial domain yields only its head and
-    the probes that the germs fail (see "Decisions on a ladder"), since
-    a strong walk moves on past a pass with nothing kept.
+    read as radii leaves out only probes that pass and that the walk
+    would move past or end at (see "Ladders read as radii").
     """
     passed = None
     for nested, family in families:
@@ -569,29 +553,6 @@ def _anchors(pre: SheetSet) -> Iterator[SheetPoint]:
             else:
                 anchor = _ZERO
             yield SheetPoint(sheet, anchor)
-
-
-def _find_open_witness(dom_scale: IntervalScale, pre: SheetSet) -> SheetSet | None:
-    """Some q-open subset of ``pre``, or None: witnesses are sought at the
-    anchors of the preimage only (``_anchors``, one per piece).  Each
-    anchor lies in ``pre``, which lies in the domain scale's carrier, so
-    it meets the precondition of ``witness_inside``.
-
-    On a kind that declares ``IntervalScale.exact_open_witness``
-    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
-    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
-    set exactly when some piece of it has a relatively interior point,
-    the piece's anchor is such a point whenever one exists, and the
-    kind's ``witness_inside`` finds a witness at every such point.  On
-    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
-    strictly inside the ambient bounds, which an anchor outside them
-    never is, so None there does not prove that ``pre`` holds no q-open
-    set."""
-    for anchor in _anchors(pre):
-        w = dom_scale.witness_inside(anchor, pre)
-        if w is not None:
-            return w
-    return None
 
 
 def replay_interval_certificate(

@@ -44,8 +44,8 @@ Most rules are about balls around the point, and the kinds share one
 implementation of each piece of that:
 
 * ``_ball``: the open (or closed) ball of radius r around x;
-* ``_ball_ladder``: the open balls of radius a plus each radius of
-  ``_derived_radii``, the probes of the ball kinds;
+* ``_line_ladder``: the open balls of radius a plus each radius of
+  ``_derived_radii``, the probe ``Ladder`` of the ball kinds;
 * ``_capped_radius``: a radius pick from a ``_Range``, capped so the
   open ball stays inside the host piece holding x;
 * ``_open_interval``: the "one bounded open interval" shape test;
@@ -227,14 +227,6 @@ def _ball(x: ExactNumber, r: ExactNumber, closed: bool = False) -> LineSet:
     return LineSet((_ordered(x - r, x + r, closed, closed),))
 
 
-def _ball_ladder(
-    x: ExactNumber, a: ExactNumber, critical: Sequence[ExactNumber]
-) -> Iterator[SheetSet]:
-    """The open balls around x of radius a plus each derived radius."""
-    for d in _derived_radii(x, critical):
-        yield SheetSet((_ball(x, a + d),))
-
-
 def _capped_radius(
     rng: _Range, x: ExactNumber, host: Interval | None
 ) -> ExactNumber | None:
@@ -270,14 +262,14 @@ class IntervalScale:
 
     Openness contract: every set a kind assigns is relatively open in
     ``carrier``, so every probe and every q-open set is, and every probe
-    of x holds x.  The continuity checkers' sound passes and their
-    decisions from jump germs rest on it: a map with no jump pulls every
-    such set back to a relatively open set, and at a jump point a side
-    enters such a set exactly when its limit, or an open interval that
-    ends there, lies in it (see ``interval_continuity``).  Each
-    membership rule of the module docstring assigns only open sets of
-    the line, carrier traces of open balls, or relatively open sets, and
-    a property test checks the contract on every kind.
+    of x holds x.  The continuity checkers' decisions from jump germs
+    rest on it: a map with no jump pulls every such set back to a
+    relatively open set, and at a jump point a side enters such a set
+    exactly when its limit, or an open interval that ends there, lies in
+    it (see ``interval_continuity``).  Each membership rule of the
+    module docstring assigns only open sets of the line, carrier traces
+    of open balls, or relatively open sets, and a property test checks
+    the contract on every kind.
 
     ``nested_probes`` says that every family is nested: each probe from
     the second on contains the probe before it, for every point and
@@ -287,28 +279,32 @@ class IntervalScale:
     since every later probe contains that one.  Each kind states its
     argument in its docstring; a kind that cannot leaves it False.
 
-    ``exact_open_witness`` says that the continuity checkers' anchor
-    search (``interval_continuity._find_open_witness``) is exact on this
-    kind: it finds a q-open subset of every set inside the carrier that
-    holds one.  A weak global check prunes only on a domain scale that
+    ``exact_open_witness`` says that the continuity checkers' weak
+    global decision (``interval_continuity._holds_open``, which asks
+    ``has_witness`` at one anchor per piece of the preimage) is exact on
+    this kind: it holds for every set inside the carrier that holds a
+    q-open set.  A weak global check prunes only on a domain scale that
     declares it.  Each kind that declares it states its argument in its
     docstring; it is True for Trivial, ConnectedOpen, RationalEnds,
     IrrationalEnds and MixedRationalIrrational.
 
     ``has_witness(x, s)`` answers whether ``witness_inside(x, s)`` finds
     a witness, without building one where a kind can: the continuity
-    checkers' weak decisions ask only that.  ``SymmetricIntervals``
-    answers from the ambient bounds where x lies strictly inside its
-    piece of s; every other kind, and every other case, asks
-    ``witness_inside``.  ``TruncatedQ_a`` keeps that, since its radii
-    have a positive lower end and so the caps of the host matter.
+    checkers' weak decisions ask only that.  The end-class kinds answer
+    whether x lies strictly inside its piece of s, and
+    ``SymmetricIntervals`` answers from the ambient bounds in that case;
+    every other kind, and every other case, asks ``witness_inside``.
+    ``TruncatedQ_a`` keeps that, since its radii have a positive lower
+    end and so the caps of the host matter.
 
-    ``ladder(x, critical)`` describes ``iter_point_probes(x, critical)``
-    as a ``Ladder`` (head probes, centre, home piece and radii) on the
-    kinds whose family is one, Trivial and ConnectedOpen, whose families
-    are built from it; it is None on every other kind.  Strong checks on
-    a trivial domain read a ladder as radii and build only the probes
-    that fail (see ``interval_continuity``, "Decisions on a ladder").
+    ``ladder(x, critical)`` describes the probe family of x as a
+    ``Ladder`` on Trivial and ConnectedOpen (the whole carrier, then ball
+    cuts to x's carrier piece) and on the ball kinds (balls of radius
+    a + d, after CQ_Oa's a-ball and before the whole line of Q_a, Q_Oa
+    and BQ_Oa), whose ``iter_point_probes`` is this class's, built from
+    it; the other kinds have none and yield their own families.  The
+    continuity checkers read a ladder as radii wherever they decide from
+    jump germs (see ``interval_continuity``, "The germ choice").
 
     Precondition on points: ``member``, ``witness_inside`` and
     ``has_witness`` take x in the carrier, and the continuity checkers
@@ -344,14 +340,15 @@ class IntervalScale:
     ) -> Iterator[SheetSet]:
         """Assigned neighborhoods of x, in order, each built only when it
         is taken, so a check that stops early builds no more; the radii
-        of the ball and trace ladders are computed lazily too.  Raises
-        ``ValueError`` for x outside the carrier (checked when the first
-        probe is taken, on kinds whose probes are a generator)."""
-        raise NotImplementedError
+        of the ball and trace ladders are computed lazily too.  Here the
+        probes of ``ladder(x, critical)``.  Raises ``ValueError`` for x
+        outside the carrier (when the first probe is taken, on the
+        end-class kinds, whose probes are a generator)."""
+        return self.ladder(x, critical).probes()
 
     def ladder(self, x: SheetPoint, critical: Sequence[ExactNumber] = ()) -> Ladder | None:
-        """The family ``iter_point_probes(x, critical)`` as a ``Ladder``, on
-        kinds whose family is one (Trivial and ConnectedOpen), else None.
+        """The probe family of x as a ``Ladder``, on kinds whose family is
+        one (Trivial, ConnectedOpen and the ball kinds), else None.
         Raises ``ValueError`` for x outside the carrier."""
         return None
 
@@ -370,14 +367,16 @@ class Ladder(NamedTuple):
     """A probe family read as radii: the ``head`` probes, then, for each
     radius r of ``radii`` in ascending order, ``probe(r)``, the cut of the
     open ball (x - r, x + r) to ``home``, the carrier piece that holds the
-    centre x, on x's sheet.  The radii are computed as they are read, and
-    can be read once."""
+    centre x, on x's sheet, then the ``tail`` probes.  The radii are
+    computed as they are read, and can be read once; there are always
+    some, since ``_derived_radii`` yields 1 and 2 at least."""
 
     head: tuple[SheetSet, ...]
     carrier: Carrier
     center: SheetPoint
     home: Interval
     radii: Iterator[ExactNumber]
+    tail: tuple[SheetSet, ...] = ()
 
     def probe(self, r: ExactNumber) -> SheetSet:
         x = self.center.x
@@ -389,6 +388,7 @@ class Ladder(NamedTuple):
         yield from self.head
         for r in self.radii:
             yield self.probe(r)
+        yield from self.tail
 
 
 def _open_component_ladder(
@@ -434,9 +434,6 @@ class TrivialIntervalScale(IntervalScale):
         self._contains_point(x)
         return _open_component_ladder(self.carrier, x, critical)
 
-    def iter_point_probes(self, x, critical=()):
-        return self.ladder(x, critical).probes()
-
 
 # -- ball kinds on the full line -------------------------------------------------
 
@@ -444,6 +441,17 @@ class TrivialIntervalScale(IntervalScale):
 def _require_full_line(carrier: Carrier) -> None:
     if carrier.sheets != (LineSet.full_line(),):
         raise ValueError("ball scale kinds require the full-line carrier")
+
+
+def _line_ladder(
+    carrier: Carrier, x: SheetPoint, a: ExactNumber, critical: Sequence[ExactNumber],
+    head: tuple[SheetSet, ...] = (), tail: tuple[SheetSet, ...] = (),
+) -> Ladder:
+    """The open balls around x of radius a plus each derived radius, on
+    the full-line ``carrier``, whose one piece is their home."""
+    xx = _single_sheet_point(x)
+    radii = (a + d for d in _derived_radii(xx, critical))
+    return Ladder(head, carrier, x, carrier.sheets[0].pieces[0], radii, tail)
 
 
 @dataclass(frozen=True)
@@ -498,10 +506,8 @@ class BallSupersetScale(IntervalScale):
             return None
         return comp
 
-    def iter_point_probes(self, x, critical=()):
-        xx = _single_sheet_point(x)
-        yield from _ball_ladder(xx, self.a, critical)
-        yield SheetSet((LineSet.full_line(),))
+    def ladder(self, x, critical=()):
+        return _line_ladder(self.carrier, x, self.a, critical, tail=(self.carrier.whole(),))
 
 
 @dataclass(frozen=True)
@@ -551,11 +557,9 @@ class BallScale(IntervalScale):
         r = _capped_radius(rng, xx, _piece_holding(_single_line(s), xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
-    def iter_point_probes(self, x, critical=()):
-        xx = _single_sheet_point(x)
-        if not self.strict:
-            yield SheetSet((_ball(xx, self.a),))
-        yield from _ball_ladder(xx, self.a, critical)
+    def ladder(self, x, critical=()):
+        head = () if self.strict else (SheetSet((_ball(_single_sheet_point(x), self.a),)),)
+        return _line_ladder(self.carrier, x, self.a, critical, head=head)
 
 
 @dataclass(frozen=True)
@@ -608,10 +612,8 @@ class BoundedBallSupersetScale(IntervalScale):
         r = _capped_radius(rng, xx, _piece_holding(line, xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
-    def iter_point_probes(self, x, critical=()):
-        xx = _single_sheet_point(x)
-        yield from _ball_ladder(xx, self.a, critical)
-        yield SheetSet((LineSet.full_line(),))
+    def ladder(self, x, critical=()):
+        return _line_ladder(self.carrier, x, self.a, critical, tail=(self.carrier.whole(),))
 
 
 # -- carrier traces of symmetric balls ----------------------------------------------
@@ -857,18 +859,27 @@ class EndClassScale(IntervalScale):
         # rationality classes, so both endpoint classes are assigned.
         return True
 
-    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        xx = _single_sheet_point(x)
-        host = _piece_holding(_single_line(s), xx)
+    def _room(self, x: ExactNumber, s: SheetSet) -> tuple[ExactNumber, ExactNumber] | None:
+        """The ends of x's piece of s, an infinite end replaced by x -/+ 2,
+        when x lies strictly inside them; else None, and no open interval
+        inside s contains x."""
+        host = _piece_holding(_single_line(s), x)
         if host is None:
             return None
-        lo_floor = host.lo if host.lo is not None else xx - 2
-        hi_ceil = host.hi if host.hi is not None else xx + 2
-        if not (lo_floor < xx and xx < hi_ceil):
-            # x sits at a closed end of its piece; no open interval inside
-            # s contains it.
+        lo_floor = host.lo if host.lo is not None else x - 2
+        hi_ceil = host.hi if host.hi is not None else x + 2
+        if not (lo_floor < x and x < hi_ceil):
             return None
-        return self._of_class(xx, lo_floor, xx, xx, hi_ceil)
+        return lo_floor, hi_ceil
+
+    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
+        xx = _single_sheet_point(x)
+        room = self._room(xx, s)
+        return None if room is None else self._of_class(xx, room[0], xx, xx, room[1])
+
+    def has_witness(self, x: SheetPoint, s: SheetSet) -> bool:
+        # Both ends of each class exist in every nonempty open interval.
+        return self._room(_single_sheet_point(x), s) is not None
 
     def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
@@ -922,9 +933,6 @@ class ConnectedOpenScale(IntervalScale):
     def ladder(self, x, critical=()):
         self._contains_point(x)
         return _open_component_ladder(self.carrier, x, critical)
-
-    def iter_point_probes(self, x, critical=()):
-        return self.ladder(x, critical).probes()
 
 
 # -- tabulated principal structures ----------------------------------------------------

@@ -37,6 +37,8 @@ from .intervals import (
     point_interval,
 )
 
+_ZERO = ExactNumber(0)
+
 
 @dataclass(frozen=True)
 class AffinePiece:
@@ -179,11 +181,16 @@ def _critical_coords(intervals, carrier: Carrier) -> tuple[ExactNumber, ...]:
 class PiecewiseAffineMap:
     """A piecewise-affine map from ``domain`` to ``codomain``.
 
-    The sorted critical coordinates of each side, the default probe
-    points and the global anchors, as tuples, the germs at the jump points (``_germs``), as a
-    dict keyed by jump point, and whether the pieces reach every jump
-    value (``_jump_values_reached``) are computed on first use and kept
-    on the map, outside the fields: they depend on the map alone."""
+    Data that depend on the map alone are computed on first use and kept
+    on the map, outside the fields:
+
+    * the sorted critical coordinates of each side, the default probe
+      points and the global anchors, as tuples;
+    * the germs at the jump points (``_germs``), a dict keyed by jump
+      point, from which the checkers and ``gap`` / ``gaps`` read the
+      jumps;
+    * whether the pieces reach every jump value
+      (``_jump_values_reached``)."""
 
     domain: Carrier
     codomain: Carrier
@@ -416,38 +423,29 @@ class PiecewiseAffineMap:
         return out[0], out[1]
 
     def gap(self, p: SheetPoint) -> ExactNumber:
-        value = self.eval(p).x
-        left, right = self.one_sided_limits(p)
-        candidates = []
-        if left is not None:
-            candidates.append(abs(value - left))
-        if right is not None:
-            candidates.append(abs(value - right))
-        if left is not None and right is not None:
-            candidates.append(abs(left - right))
-        if not candidates:
-            return ExactNumber(0)
-        return max(candidates)
+        """The largest distance among f(p) and its one-sided limits: 0 off
+        the jump points, where every limit is f(p).  Raises
+        ``MapDomainError`` for p outside the domain, and ``ValueError``
+        where a side lands on another codomain sheet."""
+        self.eval(p)
+        germ = self._germs.get(p)
+        return _ZERO if germ is None else _germ_gap(germ)
 
     def gaps(self) -> list[tuple[SheetPoint, ExactNumber]]:
-        """All points with positive gap.  Away from piece endpoints the map
-        is affine on a carrier interval, so only finitely many candidate
-        points need checking."""
-        out = []
-        for sheet in range(self.domain.n_sheets):
-            candidates: set[ExactNumber] = set()
-            for piece in self.pieces:
-                if piece.sheet != sheet:
-                    continue
-                for end in (piece.part.lo, piece.part.hi):
-                    if end is not None and self.domain.sheets[sheet].member(end):
-                        candidates.add(end)
-            for x in sorted(candidates):
-                p = SheetPoint(sheet, x)
-                g = self.gap(p)
-                if g.sign() > 0:
-                    out.append((p, g))
-        return out
+        """All points with positive gap, in domain order: the jump points
+        (``_germs``), since a side whose limit is f(p) adds no distance."""
+        return [(p, _germ_gap(germ)) for p, germ in self._germs.items()]
+
+
+def _germ_gap(germ: Germ) -> ExactNumber:
+    """The spread of f(z) and the limits of the sides that jump; raises
+    ``ValueError`` for a side on another codomain sheet."""
+    values = [germ.value.x]
+    for sheet, limit, _ in germ.sides:
+        if sheet != germ.value.sheet:
+            raise ValueError("one-sided limit crosses codomain sheets; gap undefined")
+        values.append(limit)
+    return max(values) - min(values)
 
 
 def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:

@@ -3,8 +3,12 @@ for every check the ``interval`` benchmark makes on a map (every
 strength x locus x trivial-domain mode, the at-point modes at each
 default probe point) over ``intervalgen.generate_maps(seed, 30)``.
 
-A change that is meant to leave interval verdicts and certificates alone
-must leave these hashes alone.  Never regenerate them to make a change
+``GAPS_GOLDEN`` holds the sha256 of what the benchmark records for each
+of those maps that has a fuzzy level: the digest of f o f, the
+``gaps()`` of f and of f o f, and the fuzzy verdict and its witnesses.
+
+A change that is meant to leave interval verdicts, certificates and
+gaps alone must leave these hashes alone.  Never regenerate them to make a change
 pass; a differing hash means a verdict or a certificate changed.
 
 Every failing verdict of the same checks must also replay through
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from scaletop import jsonio
+from scaletop import jsonio, pwmaps
 from scaletop.interval_continuity import (
     iw_check_continuity,
     replay_interval_certificate,
@@ -28,13 +32,18 @@ from scaletop.interval_continuity import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import intervalgen  # noqa: E402
-from workloads import interval_modes  # noqa: E402
+from workloads import _gap_doc, digest, interval_modes  # noqa: E402
 
 MAPS = 30
 
 GOLDEN = {
     0: "cc70bd53cafe462e162eebcf87c4e5ff436bf803c9943f6f80afab1bc5ee9f3d",
     7: "ce6eadacf4472bfae41a15df0c0931391f10691b1d96247ec0ce68ce05bdf8b9",
+}
+
+GAPS_GOLDEN = {
+    0: "337edc4ec9d840013d7a98bc36d2e81bb470ee7a1b9b9fb6041898f06e241194",
+    7: "41ce120fb03bccb61be2b023000fee2ae9be82e821c024cd843b41e1a5724dc1",
 }
 
 
@@ -76,3 +85,29 @@ def test_failing_golden_verdicts_replay(seed):
             jsonio.mode_to_json(mode),
             jsonio.certificate_to_json(verdict.certificate),
         )
+
+
+def gap_lines(seed: int) -> list:
+    """The benchmark's line per map with a fuzzy level (``IntervalWorkload``)."""
+    lines = []
+    for i, g in enumerate(intervalgen.generate_maps(seed, MAPS)):
+        if g.fuzzy_level is None:
+            continue
+        f = g.scaled.pam
+        ff = pwmaps.compose(f, f)
+        fuzzy = pwmaps.is_a_fuzzy_continuous(f, g.fuzzy_level)
+        lines.append([
+            i,
+            digest(jsonio.pam_to_json(ff)),
+            _gap_doc(f.gaps()),
+            _gap_doc(ff.gaps()),
+            fuzzy.holds,
+            _gap_doc(fuzzy.witnesses),
+        ])
+    return lines
+
+
+@pytest.mark.parametrize("seed", sorted(GAPS_GOLDEN))
+def test_gaps_match_golden(seed):
+    doc = json.dumps(gap_lines(seed), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GAPS_GOLDEN[seed]

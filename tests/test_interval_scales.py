@@ -564,6 +564,39 @@ def test_witnesses_are_members_inside_their_set(data):
         assert w is not None, (scale.tag, x, s)
 
 
+BALL_KINDS = [
+    BallSupersetScale(LINE, a=num("1/2")),
+    BallSupersetScale(LINE, a=num("1/2"), closed_ball=False),
+    BallScale(LINE, a=num("1/2")),
+    BallScale(LINE, a=num("1/2"), strict=False),
+    BoundedBallSupersetScale(LINE, a=num(0)),
+    BoundedBallSupersetScale(LINE, a=num("1/2")),
+]
+
+
+def ball_family(scale, x: SheetPoint, critical) -> list[SheetSet]:
+    """The ball kinds' families as the generator of open balls built them
+    before they became ladders: CQ_Oa's a-ball, the open balls of radius
+    a + d for each derived radius d, and the whole line after them on
+    Q_a, Q_Oa and BQ_Oa."""
+    def ball(r):
+        return SheetSet((LineSet.of(Interval(x.x - r, x.x + r, False, False)),))
+
+    head = [ball(scale.a)] if isinstance(scale, BallScale) and not scale.strict else []
+    tail = [] if isinstance(scale, BallScale) else [LINE.whole()]
+    return head + [ball(scale.a + d) for d in _derived_radii(x.x, critical)] + tail
+
+
+@pytest.mark.parametrize("k", range(len(BALL_KINDS)), ids=lambda k: f"{k}-{BALL_KINDS[k].tag}")
+@given(st.sampled_from(OFFSETS), st.lists(st.sampled_from([*OFFSETS, *RADII]), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_ball_ladders_yield_the_ball_families(k, x, critical):
+    scale = BALL_KINDS[k]
+    at = SheetPoint(0, x)
+    assert list(scale.iter_point_probes(at, critical)) == ball_family(scale, at, critical)
+    assert scale.ladder(at, critical).home == LINE.sheets[0].pieces[0]
+
+
 @pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
 @given(st.data())
 @settings(max_examples=40, deadline=None)
@@ -584,7 +617,7 @@ def test_probes_lie_in_the_carrier(k, data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_assigned_sets_are_relatively_open_and_probes_hold_their_point(k, data):
-    """The premise of the interval checkers' sound passes: every probe of
+    """The premise of the interval checkers' germ decisions: every probe of
     x is relatively open in the carrier and holds x, and every q-open set
     (every set assigned to some point) is relatively open."""
     scale, values = KINDS[k]

@@ -1,7 +1,10 @@
-"""The anchor search ``_find_open_witness`` is exact on every kind that
-declares ``exact_open_witness``: it finds a q-open subset of a set inside
-the carrier exactly when the set holds one.  A weak global check prunes
-on such a domain scale, so a miss there would move a certificate.
+"""The weak global decision ``_holds_open``, which asks ``has_witness``
+at one anchor per piece of the preimage, is exact on every kind that
+declares ``exact_open_witness``: it holds for a set inside the carrier
+exactly when the set holds a q-open set, and ``witness_inside`` at the
+first anchor that yields a witness returns a q-open subset of the set.
+A weak global check prunes on such a domain scale, so a miss there would
+move a certificate.
 
 The reference decides "holds a q-open set" without the kind's methods,
 from ``Interval`` and ``LineSet`` membership only, on one-sheet sets
@@ -28,8 +31,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import SQRT2, ExactNumber
-from scaletop.interval_continuity import _find_open_witness
+from scaletop.interval_continuity import _anchors, _holds_open
 from scaletop.interval_scales import (
     ConnectedOpenScale,
     EndClassScale,
@@ -103,6 +107,15 @@ def holds_q_open_set(carrier: LineSet, line: LineSet) -> bool:
     return any(relatively_interior(carrier, line, x) for x in CANDIDATES)
 
 
+WEAK_GLOBAL = ContinuityMode("weak", "global")
+
+
+def first_witness(scale, pre: SheetSet) -> SheetSet | None:
+    """``witness_inside`` at the first anchor of ``pre`` that yields one."""
+    witnesses = (scale.witness_inside(anchor, pre) for anchor in _anchors(pre))
+    return next((w for w in witnesses if w is not None), None)
+
+
 def test_the_declared_kinds_are_the_five_exactly_searched_ones():
     assert {scale.tag for scale, _ in KINDS if scale.exact_open_witness} == {
         "Trivial", "ConnectedOpen", "RationalEnds", "IrrationalEnds",
@@ -118,8 +131,10 @@ def test_the_anchor_search_finds_a_q_open_set_exactly_when_one_exists(k, parts):
     scale = SCALES[k]
     carrier = scale.carrier.sheets[0]
     pre = SheetSet((normalize(parts).intersect(carrier),))
-    found = _find_open_witness(scale, pre)
-    assert (found is not None) == holds_q_open_set(carrier, pre.sheets[0]), (scale.tag, pre)
+    holds = _holds_open(scale, WEAK_GLOBAL, pre)
+    assert holds == holds_q_open_set(carrier, pre.sheets[0]), (scale.tag, pre)
+    found = first_witness(scale, pre)
+    assert (found is not None) == holds, (scale.tag, pre)
     if found is not None:
         assert found.issubset(pre) and scale.is_q_open(found)
 
@@ -127,6 +142,6 @@ def test_the_anchor_search_finds_a_q_open_set_exactly_when_one_exists(k, parts):
 def test_a_point_isolated_in_the_carrier_is_found():
     scale = TrivialIntervalScale(CARRIERS["segment and point"])
     pre = SheetSet((LineSet((Interval(num(3), num(3), True, True),)),))
-    assert _find_open_witness(scale, pre) == pre
-    assert _find_open_witness(EndClassScale(CARRIERS["line"]), pre) is None
+    assert _holds_open(scale, WEAK_GLOBAL, pre) and first_witness(scale, pre) == pre
+    assert not _holds_open(EndClassScale(CARRIERS["line"]), WEAK_GLOBAL, pre)
     assert scale.witness_inside(SheetPoint(0, num(3)), pre) == pre

@@ -1,11 +1,17 @@
 """Piecewise-affine map algebra: evaluation, preimages, gaps, composition.
 
+``gap`` and ``gaps`` read the jump germs; a reference copy of the loop
+they replaced, which asks ``one_sided_limits`` at every piece end in the
+domain, checks them on drawn maps, a side on another codomain sheet
+(which raises) included.
+
 Frozen expected values for the bounded-jump fixtures were computed by
 hand from the defining formulas: the map that is 10x/11 on [0,1) and
 the identity on [1,2] has left limit 10/11 at 1, so its gap there is
 1/11; its self-composition is 100x/121 on [0,1), giving gap 21/121.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +29,8 @@ from scaletop.pwmaps import (
     is_a_fuzzy_continuous,
     maps_extensionally_equal,
 )
+
+from test_sound_passes import GRID, small_maps
 
 
 def num(x) -> ExactNumber:
@@ -272,3 +280,57 @@ def test_two_sheet_projection_eval():
     assert proj.eval(SheetPoint(1, num("1/3"))) == SheetPoint(0, num("1/3"))
     pre = proj.preimage(y.lift(LineSet.of(iv("1/4", "1/2"))))
     assert pre.piece_count == 2
+
+
+def ref_gap(f: PiecewiseAffineMap, p: SheetPoint) -> ExactNumber:
+    """The largest discrepancy among f(p) and its one-sided limits;
+    ``one_sided_limits`` raises for a side on another codomain sheet."""
+    value = f.eval(p).x
+    left, right = f.one_sided_limits(p)
+    candidates = [abs(value - limit) for limit in (left, right) if limit is not None]
+    if left is not None and right is not None:
+        candidates.append(abs(left - right))
+    return max(candidates, default=num(0))
+
+
+def ref_gaps(f: PiecewiseAffineMap) -> list:
+    """Every piece end in the domain, per sheet in order, with a positive gap."""
+    out = []
+    for sheet in range(f.domain.n_sheets):
+        candidates = {
+            end
+            for piece in f.pieces
+            if piece.sheet == sheet
+            for end in (piece.part.lo, piece.part.hi)
+            if end is not None and f.domain.sheets[sheet].member(end)
+        }
+        for x in sorted(candidates):
+            p = SheetPoint(sheet, x)
+            g = ref_gap(f, p)
+            if g.sign() > 0:
+                out.append((p, g))
+    return out
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except ValueError as e:
+        return ("raises", str(e))
+
+
+def test_gaps_match_the_candidate_loop_over_drawn_maps():
+    tally: Counter = Counter()
+
+    @given(small_maps(), st.sampled_from(GRID))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def drawn(f, x):
+        got = outcome(f.gaps)
+        assert got == outcome(lambda: ref_gaps(f)), f
+        tally["raises" if isinstance(got, tuple) else "gaps" if got else "no gap"] += 1
+        p = SheetPoint(0, x)
+        if f.domain.member(p):
+            assert outcome(lambda: f.gap(p)) == outcome(lambda: ref_gap(f, p)), (f, p)
+
+    drawn()
+    assert all(tally[key] for key in ("raises", "gaps", "no gap")), tally

@@ -1,20 +1,27 @@
-"""The soundness net of the trivial-domain decisions.
+"""The soundness net of the trivial-domain decisions, each made from
+the germs that ``_chosen_germs`` picks (see "The germ choice" in
+``interval_continuity``).
 
-* Sound passes: wherever the jump germs prove a pass (``_sound_pass``,
-  rules R1, R2 and R3 of ``interval_continuity``), a reference walk that
-  pulls back and decides every probe, with no prune, stop or decision,
-  holds.
+* Passes with no walk: wherever the choice is ``()`` (rules R1, R2 and
+  R3), a reference walk that pulls back and decides every probe, with no
+  prune, stop or decision, holds.
 * Germ decisions: on every probe of every walk that decides from the
-  jump germs (``_decision`` on a trivial domain: strong checks at a
-  point and globally, weak checks at a point), the decision equals
-  ``_holds_at`` / ``_holds_open`` on the whole preimage, except that a
-  probe with an empty preimage passes, as the walk's empty-preimage rule
-  passes it anyway; a failing decision carries the whole preimage.
-* Decisions on a ladder: at every radius of every ladder that a strong
-  walk on a trivial domain reads (at the image of each point and at
-  each global anchor), the radius decision (``_fails_at`` on
-  ``_ladder_windows``) equals ``_germs_admit`` on the built probe, and
-  the walk builds exactly the probes that fail.
+  jump germs (``_decision`` with the chosen germs on a trivial domain:
+  strong checks at a point and globally, weak checks at a point), the
+  decision equals ``_holds_at`` / ``_holds_open`` on the whole preimage,
+  except that a probe with an empty preimage passes, as the walk's
+  empty-preimage rule passes it anyway; a failing decision carries the
+  whole preimage.
+* Ladders read as radii: at every radius of every ladder that a walk
+  with chosen germs reads (strong walks with every germ, at the image of
+  each point and at each global anchor; weak walks at each jump point p
+  with the germ of p), the radius decision (``_fails_at`` on
+  ``_ladder_windows``) equals ``_germs_admit`` on the built probe; the
+  walk reads the head, the failing radii (up to the first passing one
+  on a weak walk) and, on a strong walk, the tail; and it finds the
+  first failure that a walk of the whole family finds.  The ladders are
+  those of Trivial and ConnectedOpen codomains and, on drawn maps into
+  the line, of the five ball kinds, with their heads and tails.
 
 The net runs the rules on every domain scale a check can use, the map's
 own and the trivial one, so a rule that fired off a trivial domain would
@@ -29,6 +36,7 @@ maps with a jump, and the ladder net must meet every case of a side's
 threshold, so that the net is not vacuous.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -43,15 +51,16 @@ from scaletop.continuity import ContinuityMode
 from scaletop.exactnum import ExactNumber
 from scaletop.interval_continuity import (
     IntervalScaledMap,
+    _chosen_germs,
     _decision,
-    _failing_probes,
     _fails_at,
+    _first_failure,
     _germs_admit,
     _global_families,
     _holds_at,
     _holds_open,
+    _ladder_probes,
     _ladder_windows,
-    _sound_pass,
     default_probe_points,
     iw_check_continuity,
     replay_interval_certificate,
@@ -110,6 +119,11 @@ def ref_global_holds(m: IntervalScaledMap, dom_scale, mode) -> bool:
     return True
 
 
+def passes_unwalked(m: IntervalScaledMap, dom_scale, mode, p: SheetPoint | None = None) -> bool:
+    """Whether the germ choice is ``()``: a pass with no walk."""
+    return _chosen_germs(m, dom_scale, mode, p) == ()
+
+
 def rule(m: IntervalScaledMap, mode: ContinuityMode) -> str:
     """Which rule the jump germs fire by, for the tally."""
     if not m.pam._germs:
@@ -135,7 +149,7 @@ def germ_net(m: IntervalScaledMap, points, tally: Counter) -> None:
         for strength in ("strong", "weak"):
             walks.append((ContinuityMode(strength, "at-point", trivial_domain=True, at_point=p), p))
     for mode, p in walks:
-        fails = _decision(m, dom_scale, mode, p)
+        fails = _decision(m, dom_scale, mode, _chosen_germs(m, dom_scale, mode, p), p)
         for target in germ_walk_probes(m, mode, p):
             pre = m.pam._preimage(target)
             if p is None:
@@ -156,18 +170,19 @@ def net(m: IntervalScaledMap, points, tally: Counter) -> None:
         dom_scale = TrivialIntervalScale(m.pam.domain) if trivial else m.domain_scale
         for strength in ("strong", "weak"):
             mode = ContinuityMode(strength, "global", trivial_domain=trivial)
-            if _sound_pass(m, dom_scale, mode):
+            if passes_unwalked(m, dom_scale, mode):
                 tally[rule(m, mode)] += 1
                 assert ref_global_holds(m, dom_scale, mode), (m, mode)
             for p in points:
                 mode = ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p)
-                if _sound_pass(m, dom_scale, mode, p):
+                if passes_unwalked(m, dom_scale, mode, p):
                     tally[rule(m, mode)] += 1
                     assert ref_point_holds(m, dom_scale, mode, p), (m, mode)
 
 
 def assert_fired(tally: Counter, rules) -> None:
-    assert all(tally[key] for key in rules), tally
+    missing = [key for key in rules if not tally[key]]
+    assert not missing, (missing, tally)
 
 
 GERM_OUTCOMES = tuple(
@@ -193,20 +208,39 @@ def side_case(ladder, sheet: int, limit: ExactNumber, approach: int) -> str:
     return "limit beyond H"
 
 
+def ladder_walks(m: IntervalScaledMap, points):
+    """``(germs, y, mode)`` for each walk with chosen germs that reads the
+    ladder around y: strong walks at each point and at each global
+    anchor, and weak walks at each jump point among ``points``."""
+    dom_scale = TrivialIntervalScale(m.pam.domain)
+    walks = []
+    for p in points:
+        for strength in ("strong", "weak"):
+            mode = ContinuityMode(strength, "at-point", trivial_domain=True, at_point=p)
+            walks.append((_chosen_germs(m, dom_scale, mode, p), m.pam.eval(p), mode))
+    mode = ContinuityMode("strong", "global", trivial_domain=True)
+    walks += [(_chosen_germs(m, dom_scale, mode), y, mode) for y in m.pam._global_anchors]
+    return [walk for walk in walks if walk[0]]
+
+
 def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
-    """At every radius of the ladder around f(p) for each point p and
-    around each global anchor, which strong walks on a trivial domain
-    read by radius: the radius decision against ``_germs_admit`` on the
-    built probe, and the probes the walk builds against those that
-    fail."""
-    germs = tuple(m.pam._germs.values())
-    if not germs:
-        return  # R1 passes every check; no walk reads a ladder
+    """At every radius of each ladder that a walk with chosen germs reads
+    (``ladder_walks``): the radius decision against ``_germs_admit`` on the
+    built probe, the probes the walk reads against the head, the probes
+    that fail (up to the first radius that passes, on a weak walk) and
+    the tail of a strong walk, and the walk's first failure against that
+    of a walk of the whole family."""
+    scale = m.codomain_scale
     critical = m.pam._codomain_criticals
-    for y in [m.pam.eval(p) for p in points] + list(m.pam._global_anchors):
-        ladder = m.codomain_scale.ladder(y, critical)
+    dom_scale = TrivialIntervalScale(m.pam.domain)
+    for germs, y, mode in ladder_walks(m, points):
+        ladder = scale.ladder(y, critical)
         if ladder is None:
             return
+        prune = mode.strength == "weak"
+        choice = "one germ" if prune else "every germ"
+        tally[f"ladder: {scale.tag}"] += 1
+        tally.update(what for what, probes in (("head", ladder.head), ("tail", ladder.tail)) if probes)
         for value, sides in germs:
             if value.sheet != y.sheet:
                 tally["value on another sheet"] += 1
@@ -215,20 +249,33 @@ def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
             else:
                 tally.update(side_case(ladder, *side) for side in sides)
         windows = _ladder_windows(ladder, germs)
-        failing = []
+        read = list(ladder.head)
+        ended = False
         for r in ladder.radii:
             probe = ladder.probe(r)
             admitted = _germs_admit(germs, probe)
             assert _fails_at(windows, r) != admitted, (m, y, r)
-            tally[f"radius {'passes' if admitted else 'fails'}"] += 1
-            if not admitted:
-                failing.append(probe)
+            tally[f"{choice}: radius {'passes' if admitted else 'fails'}"] += 1
+            if not admitted and not ended:
+                read.append(probe)
+            elif admitted and prune and not ended:
+                ended = True
+                tally["one germ: the family ends at a passing radius"] += 1
             for value, sides in germs:
                 if probe.member(value):
                     for sheet, limit, approach in sides:
                         if sheet == y.sheet and abs(limit - y.x) == r:
                             tally[f"tie: {side_case(ladder, sheet, limit, approach)}"] += 1
-        assert list(_failing_probes(m.codomain_scale.ladder(y, critical), germs)) == failing
+        if not prune:
+            read += ladder.tail
+        assert list(_ladder_probes(scale.ladder(y, critical), germs, prune)) == read, (m, y, mode)
+        fails = _decision(m, dom_scale, mode, germs, mode.at_point)
+        walked = [
+            _first_failure(((scale.nested_probes, family),), fails, prune)
+            for family in (scale.ladder(y, critical).probes(), _ladder_probes(scale.ladder(y, critical), germs, prune))
+        ]
+        assert walked[0] == walked[1], (m, y, mode)
+        tally[f"{choice}: the walk {'holds' if walked[0] is None else 'fails'}"] += 1
 
 
 LADDER_CASES = (
@@ -236,7 +283,11 @@ LADDER_CASES = (
     "limit at the centre", "limit beyond H",
     *(f"limit {where}, from the {side}" for where in ("in H", "at an open end of H")
       for side in ("centre's side", "far side")),
-    "radius passes", "radius fails",
+    *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
+    # A weak walk at a jump point into a Trivial codomain always fails: its
+    # first radius is below the distance to the limit that jumps.
+    "every germ: the walk holds", "every germ: the walk fails", "one germ: the walk fails",
+    "one germ: the family ends at a passing radius",
     *(f"tie: limit {where}, from the {side}" for where, side in (
         ("in H", "centre's side"), ("in H", "far side"), ("at an open end of H", "centre's side"))),
 )
@@ -267,7 +318,8 @@ def test_germ_decisions_match_the_whole_preimage_over_a_seeded_pool(seed):
 def test_ladder_decisions_match_the_germs_over_a_seeded_pool(seed):
     """The seeded codomain sheets are segments and the line, so every value
     and limit on the centre's sheet lies in H: the pools reach the cases
-    inside H and on another sheet, and the drawn maps below the rest."""
+    inside H and on another sheet, and the drawn maps below the rest.
+    The pools' ball codomains are Q_Oa and CQ_Oa."""
     tally: Counter = Counter()
     for g in intervalgen.generate_maps(seed, 150):
         m = g.scaled
@@ -275,8 +327,10 @@ def test_ladder_decisions_match_the_germs_over_a_seeded_pool(seed):
     assert_fired(tally, (
         "value on another sheet", "side on another sheet", "limit at the centre",
         "limit in H, from the centre's side", "limit in H, from the far side",
-        "radius passes", "radius fails",
+        *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
+        "one germ: the family ends at a passing radius",
         "tie: limit in H, from the centre's side", "tie: limit in H, from the far side",
+        "ladder: Trivial", "ladder: ConnectedOpen", "ladder: Q_Oa", "ladder: CQ_Oa", "head", "tail",
     ))
 
 
@@ -467,6 +521,46 @@ def test_ladder_decisions_match_the_germs_over_drawn_maps():
     assert_fired(tally, LADDER_CASES)
 
 
+BALL_TAGS = ("Q_a", "Q_Oa", "CQ_a", "CQ_Oa", "BQ_Oa")
+
+
+def ball_scales(a: ExactNumber) -> list:
+    """The five ball kinds on the line, with radius ``a``."""
+    return [
+        BallSupersetScale(LINE, a=a),
+        BallSupersetScale(LINE, a=a, closed_ball=False),
+        BallScale(LINE, a=a),
+        BallScale(LINE, a=a, strict=False),
+        BoundedBallSupersetScale(LINE, a=a),
+    ]
+
+
+def test_ball_ladder_decisions_match_the_germs_over_drawn_full_line_maps():
+    """Drawn maps sent into the line, into each ball kind: their ladders
+    have CQ_Oa's a-ball as head and the whole line as tail, and every
+    value and limit lies in H, the line."""
+    tally: Counter = Counter()
+
+    @given(small_maps(), st.sampled_from(GRID), st.sampled_from(("1/4", "1/2", 1)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def drawn(pam, x, a):
+        pieces = tuple(dataclasses.replace(piece, out_sheet=0) for piece in pam.pieces)
+        pam = PiecewiseAffineMap(pam.domain, LINE, pieces)
+        for cod in ball_scales(num(a)):
+            m = IntervalScaledMap(pam, TrivialIntervalScale(pam.domain), cod)
+            ladder_net(m, drawn_points(m, x), tally)
+
+    drawn()
+    assert_fired(tally, (
+        *(f"ladder: {tag}" for tag in BALL_TAGS), "head", "tail",
+        "limit at the centre", "limit in H, from the centre's side", "limit in H, from the far side",
+        *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
+        *(f"{choice}: the walk {outcome}" for choice in ("every germ", "one germ") for outcome in ("holds", "fails")),
+        "one germ: the family ends at a passing radius",
+        "tie: limit in H, from the centre's side", "tie: limit in H, from the far side",
+    ))
+
+
 # -- the jump points ----------------------------------------------------------------------------
 
 
@@ -485,7 +579,7 @@ def test_a_side_on_another_sheet_is_a_jump_at_an_equal_coordinate():
     at = SheetPoint(0, num(1))
     for strength in ("strong", "weak"):
         mode = ContinuityMode(strength, "at-point", at_point=at)
-        assert not _sound_pass(m, m.domain_scale, mode, at)
+        assert not passes_unwalked(m, m.domain_scale, mode, at)
         assert not iw_check_continuity(m, mode).holds
         assert not ref_point_holds(m, m.domain_scale, mode, at)
 
@@ -506,10 +600,10 @@ def test_isolated_points_and_removable_jumps_among_the_jump_points():
     m = IntervalScaledMap(pam, TrivialIntervalScale(dom), TrivialIntervalScale(line))
     for p in (SheetPoint(0, num(-1)), SheetPoint(0, num("1/2"))):
         mode = ContinuityMode("weak", "at-point", at_point=p)
-        assert _sound_pass(m, m.domain_scale, mode, p)
+        assert passes_unwalked(m, m.domain_scale, mode, p)
         assert ref_point_holds(m, m.domain_scale, mode, p)
     mode = ContinuityMode("weak", "at-point", at_point=one)
-    assert not _sound_pass(m, m.domain_scale, mode, one)
+    assert not passes_unwalked(m, m.domain_scale, mode, one)
     assert not iw_check_continuity(m, mode).holds
 
 
@@ -551,7 +645,7 @@ def decided(m: IntervalScaledMap, target: SheetSet, at: SheetPoint | None = None
         else:
             mode = ContinuityMode(strength, "at-point", trivial_domain=True, at_point=at)
             whole = _holds_at(dom_scale, mode, at, pre)
-        got = _decision(m, dom_scale, mode, at)(target) is None
+        got = _decision(m, dom_scale, mode, _chosen_germs(m, dom_scale, mode, at), at)(target) is None
         assert got == whole, (strength, target)
         out[strength] = got
     return out
@@ -612,7 +706,7 @@ def test_an_isolated_carrier_point_has_no_germ():
 
 def weak_global(m: IntervalScaledMap):
     mode = ContinuityMode("weak", "global", trivial_domain=True)
-    return mode, _sound_pass(m, TrivialIntervalScale(m.pam.domain), mode), iw_check_continuity(m, mode)
+    return mode, passes_unwalked(m, TrivialIntervalScale(m.pam.domain), mode), iw_check_continuity(m, mode)
 
 
 def test_r3_fires_only_where_a_piece_reaches_every_jump_value():

@@ -10,7 +10,7 @@
   matter to a verdict.
 * A failing weak at-point check carries the whole preimage in a
   certificate that replays.
-* A failing check stops taking probes at the first one that fails.
+* A failing check stops building probes at the first one that fails.
 """
 
 import hashlib
@@ -36,6 +36,7 @@ from scaletop.interval_continuity import (
 )
 from scaletop.interval_scales import (
     BallSupersetScale,
+    Ladder,
     TrivialIntervalScale,
     full_line_carrier,
 )
@@ -150,18 +151,21 @@ def test_a_failing_weak_check_pulls_back_the_whole_preimage_once():
 
 @pytest.mark.parametrize("locus", ["global", "at-point"])
 def test_a_failing_check_stops_at_its_first_failing_probe(monkeypatch, locus):
+    """A strong check on a trivial domain reads the Q_a ladder as radii and
+    builds a ball (``Ladder.probe``) only at a radius where the jump
+    fails: the first one built fails, and the check builds no more."""
     line = full_line_carrier()
     scale = BallSupersetScale(line, a=num("1/4"))
     m = IntervalScaledMap(step_map(Fraction(1)), TrivialIntervalScale(line), scale)
     taken = []
-    original = BallSupersetScale.iter_point_probes
+    original = Ladder.probe
 
-    def counted(self, x, critical=()):
-        for probe in original(self, x, critical):
-            taken.append(probe)
-            yield probe
+    def counted(self, r):
+        probe = original(self, r)
+        taken.append(probe)
+        return probe
 
-    monkeypatch.setattr(BallSupersetScale, "iter_point_probes", counted)
+    monkeypatch.setattr(Ladder, "probe", counted)
     at = SheetPoint(0, num(0)) if locus == "at-point" else None
     verdict = iw_check_continuity(m, ContinuityMode("strong", locus, at_point=at))
     assert not verdict.holds
@@ -173,5 +177,5 @@ def test_a_failing_check_stops_at_its_first_failing_probe(monkeypatch, locus):
     else:
         probes = scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m))
         everything = list(dict.fromkeys(probes))
-    assert first == everything[: len(first)]
+    assert first == everything[: len(first)] == [target]
     assert len(first) < len(everything)

@@ -14,18 +14,20 @@ pass or skip.
   non-nested family with a repeated probe, a stop would not.
 * A passing weak at-point check takes at most two probes from its
   family, and on a domain that pulls probes back it pulls back at most
-  two; the strong check at the same point pulls back every probe there,
-  and on a trivial domain it decides every probe and pulls back none.
-  A passing weak global check on a trivial domain takes at most two
-  probes from each anchor's family.
+  two; the strong check at the same point pulls back every probe there.
+  On a trivial domain a check decides from the jump germs and pulls
+  back only a failing probe: at a point that is no jump point the weak
+  check walks nothing and the strong check decides the whole carrier
+  alone, since no radius of its ladder fails.  A passing weak global
+  check on a trivial domain takes at most two probes from each anchor's
+  family.
 
-Every check gives its walk's verdict and certificate.  The counts and
-the stop are measured on the walk itself (``walk``):
-``iw_check_continuity`` decides most of these maps from their jump germs
-and builds no probe there (see ``tests/test_sound_passes.py``).  A walk
-on a trivial domain decides strong probes, and weak probes at a point,
-from the jump germs and pulls back only a failing probe, so the stop is
-measured on the probes decided (``_decision``), not on those pulled back.
+Every check gives the verdict and certificate of the walk that pulls
+back every probe it decides.  The counts and the stop are measured on
+that walk (``walk``), whatever germs ``iw_check_continuity`` would
+choose: it decides most of these maps from their jump germs, where it
+reads a ladder as radii and may build no probe at all (see
+``tests/test_sound_passes.py``).
 """
 
 import sys
@@ -43,10 +45,9 @@ from scaletop.interval_continuity import (
     IntervalVerdict,
     _domain_scale,
     _global_families,
-    _global_walk,
     _holds_at,
     _holds_open,
-    _point_walk,
+    _walk,
     codomain_critical_coords,
     default_probe_points,
     iw_check_continuity,
@@ -131,16 +132,17 @@ def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -
 
 
 def walk(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalVerdict:
-    """The probe walk of ``iw_check_continuity`` with no sound pass before
-    it: ``_global_walk``, or ``_point_walk`` at each point in turn."""
+    """The probe walk of ``iw_check_continuity`` with no germs chosen, so
+    that it pulls back every probe it decides: ``_walk`` globally, or at
+    each point in turn."""
     dom_scale = _domain_scale(m, mode)
     if mode.locus == "global":
-        failure = _global_walk(m, dom_scale, mode)
+        failure = _walk(m, dom_scale, mode, None)
         cert = None if failure is None else {"r_open": failure[0], "preimage": failure[1]}
         return IntervalVerdict(cert is None, mode, cert)
     points = [mode.at_point] if mode.locus == "at-point" else default_probe_points(m)
     for p in points:
-        failure = _point_walk(m, dom_scale, mode, p, m.pam.eval(p))
+        failure = _walk(m, dom_scale, mode, None, p, m.pam.eval(p))
         if failure is not None:
             cert = {"point": p, "target": failure[0], "preimage": failure[1]}
             return IntervalVerdict(False, mode, cert)
@@ -180,8 +182,10 @@ def test_pruned_weak_checks_match_the_reference_walk(seed):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_every_check_gives_the_verdict_and_certificate_of_its_walk(seed):
-    """Where the limits prove a pass the check builds no probe; every
-    verdict and certificate is still the walk's, in all six modes."""
+    """Where the limits prove a pass the check builds no probe, and where
+    it decides from the germs it pulls back only a failing probe; every
+    verdict and certificate is still that of the walk that pulls every
+    probe back, in all six modes."""
     for g in intervalgen.generate_maps(seed, 24):
         m = g.scaled
         modes = [ContinuityMode("strong", mode.locus, mode.trivial_domain, mode.at_point)
@@ -353,31 +357,49 @@ def record_pullbacks(monkeypatch) -> list[SheetSet]:
     return pulled
 
 
+def far_jump_identity() -> PiecewiseAffineMap:
+    """``split_identity``, but x + 100 past 40: one jump, at 40, beyond
+    every radius of the ladder at 0."""
+    line = full_line_carrier()
+    pieces = split_identity((*SPLITS, 40)).pieces
+    far = AffinePiece(0, pieces[-1].part, 0, Fraction(1), Fraction(100))
+    return PiecewiseAffineMap(line, line, (*pieces[:-1], far))
+
+
 def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
     """Out of a ConnectedOpen domain, whose decisions pull every probe back,
     the weak check pulls back at most two probes and the strong check all
-    of them.  Out of a trivial domain both decide from the jump germs and
-    pull back none: the weak check decides the same probes, the strong
-    check only the whole carrier, since its ladder is read by radius and
-    no radius fails."""
+    of them.  Out of a trivial domain the checks choose the jump germs
+    and pull back none: at 0, no jump point, the weak check walks
+    nothing and the strong check decides only the whole carrier, since
+    its ladder is read by radius and no radius fails.  The weak check at
+    the jump point 40 decides the whole carrier and its first radius,
+    which fails, and pulls back only that."""
     line = full_line_carrier()
     at = SheetPoint(0, num(0))
     pulled = record_pullbacks(monkeypatch)
     decided = record_decisions(monkeypatch)
-    walked = {}
+    checked = {}
     for dom in (ConnectedOpenScale(line), TrivialIntervalScale(line)):
-        m = IntervalScaledMap(split_identity(), dom, TrivialIntervalScale(line))
+        m = IntervalScaledMap(far_jump_identity(), dom, TrivialIntervalScale(line))
         for strength in ("weak", "strong"):
             pulled.clear()
             decided.clear()
-            assert walk(m, ContinuityMode(strength, "at-point", at_point=at)).holds
-            walked[dom.tag, strength] = (decided[:], pulled[:])
+            assert iw_check_continuity(m, ContinuityMode(strength, "at-point", at_point=at)).holds
+            checked[dom.tag, strength] = (decided[:], pulled[:])
     probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
-    weak, strong = walked["ConnectedOpen", "weak"], walked["ConnectedOpen", "strong"]
+    weak, strong = checked["ConnectedOpen", "weak"], checked["ConnectedOpen", "strong"]
     assert weak[1] == weak[0] and 1 <= len(weak[1]) <= 2
     assert strong[1] == strong[0] == probes and len(probes) > 2
-    assert walked["Trivial", "weak"] == (weak[0], [])
-    assert walked["Trivial", "strong"] == (probes[:1], [])
+    assert checked["Trivial", "weak"] == ([], [])
+    assert checked["Trivial", "strong"] == (probes[:1], [])
+    jump = SheetPoint(0, num(40))
+    pulled.clear()
+    decided.clear()
+    verdict = iw_check_continuity(m, ContinuityMode("weak", "at-point", at_point=jump))
+    assert not verdict.holds and pulled == [verdict.certificate["target"]]
+    probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(jump), codomain_critical_coords(m)))
+    assert decided == probes[:2] and pulled == probes[1:2]
 
 
 def count_families(monkeypatch, cls) -> list[list[SheetSet]]:
