@@ -7,15 +7,14 @@ finite family of assigned neighborhoods generated around the map's
 critical coordinates (breakpoints and carrier endpoints); global modes
 quantify over the fixture's declared probe family plus generated
 critical sets.  A passing verdict means "holds on all probes".  Every
-pointwise and local decision is exact, and so is every global decision
-on a domain scale that declares ``exact_open_witness`` (Trivial,
-ConnectedOpen and the three end-class kinds), so its failing verdict is
-an unconditional counterexample certificate.  A weak global failure on
-any other domain scale rests on ``_holds_open``'s anchor search, which
-can miss a q-open subset of the preimage: for the identity map on
-[0, 10] with a ``SymmetricIntervals`` domain (ambient [0, 1]) and a
-trivial codomain, the probe (1/5, 9) fails and its certificate replays,
-yet (1/4, 7/20) lies in its preimage and is q-open.
+decision but a weak global one off a trivial domain (see "Trivial
+domains") is exact, so its failing verdict is an unconditional
+counterexample certificate.  A weak global failure off a trivial domain
+rests on ``_holds_open``'s anchor search, which can miss a q-open
+subset of the preimage: for the identity map on [0, 10] with a
+``SymmetricIntervals`` domain (ambient [0, 1]) and a trivial codomain,
+the probe (1/5, 9) fails and its certificate replays, yet (1/4, 7/20)
+lies in its preimage and is q-open.
 
 Every check is one probe walk (``_walk``), unless its germ choice
 proves that the walk passes (see "The germ choice" below).  An at-point
@@ -26,12 +25,12 @@ probe in order (``_decision``) and stops at the first probe that fails.
 Most decisions pull the probe back and decide the whole preimage; a
 walk with chosen germs decides from them, pulls back only the failing
 probe, for its certificate, and builds only the probes of a ladder that
-fail.  A pruning walk (weak checks, and when global only on a domain
-scale that declares ``exact_open_witness``) skips each probe that
-contains the last one it passed, and ends a nested family at its first
-pass or skip past index 0.  An empty preimage passes vacuously, as in
-the finite world.  The walk's docstring gives the argument for each
-rule: none can move the first failing probe or its certificate.
+fail.  A pruning walk (weak checks, and when global only on a trivial
+domain) skips each probe that contains the last one it passed, and ends
+a nested family at its first pass or skip past index 0.  An empty
+preimage passes vacuously, as in the finite world.  The walk's docstring
+gives the argument for each rule: none can move the first failing probe
+or its certificate.
 
 An at-point check validates its point once, where it enters: the map's
 ``eval`` raises ``ValueError`` for a point outside the domain.  The
@@ -45,9 +44,12 @@ anchors and jump germs are derived once per map
 (``PiecewiseAffineMap``), not once per check.
 
 Trivial domains.  A domain is trivial when ``mode.trivial_domain`` is
-set or the map's domain scale is a ``TrivialIntervalScale``.  There a
-preimage need only be relatively open (strong) or hold a relatively open
-neighborhood (weak), and the checks read the map's jump germs
+set or ``_domain_scale`` is a ``TrivialIntervalScale``: the map's domain
+scale, or for a weak check its ``weak_scale()``, which is the trivial
+scale on ConnectedOpen and end-class domains, whose ``has_witness`` (all
+a weak decision asks) is the trivial scale's.  There a preimage need
+only be relatively open (strong) or hold a relatively open neighborhood
+(weak), and the checks read the map's jump germs
 (``PiecewiseAffineMap._germs``): at each jump point z, a domain critical
 point where a one-sided limit differs from f(z) as a codomain point (so
 a side on another sheet is a jump), f(z) and each side that jumps, with
@@ -216,7 +218,12 @@ def _family(
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
-    return TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
+    """The scale the checkers decide on: the trivial one for a trivial
+    domain, else the map's own, or for a weak check its ``weak_scale()``
+    (see "Trivial domains")."""
+    if mode.trivial_domain:
+        return TrivialIntervalScale(m.pam.domain)
+    return m.domain_scale.weak_scale() if mode.strength == "weak" else m.domain_scale
 
 
 def _holds_at(
@@ -238,16 +245,15 @@ def _holds_open(
     ``pre``, which lies in the domain scale's carrier, so it meets the
     precondition of ``has_witness``.
 
-    On a kind that declares ``IntervalScale.exact_open_witness``
-    (Trivial, ConnectedOpen, RationalEnds, IrrationalEnds and
-    MixedRationalIrrational) the search is exact: ``pre`` holds a q-open
-    set exactly when some piece of it has a relatively interior point,
-    the piece's anchor is such a point whenever one exists, and the
-    kind's ``witness_inside`` finds a witness at every such point.  On
-    other kinds it can miss: a ``SymmetricIntervals`` witness is centred
-    strictly inside the ambient bounds, which an anchor outside them
-    never is, so False there does not prove that ``pre`` holds no q-open
-    set."""
+    On the trivial scale, which weak checks on ConnectedOpen and
+    end-class domains use too, the search is exact: ``pre`` holds a
+    q-open set exactly when some point of it is relatively interior, and
+    then its piece holding that point has one at its anchor: the anchor
+    of a piece with two distinct ends or an unbounded one lies strictly
+    inside it, and a one-point piece is its own anchor.  On other kinds
+    it can miss: a ``SymmetricIntervals`` witness is centred strictly
+    inside the ambient bounds, which an anchor outside them never is, so
+    False there does not prove that ``pre`` holds no q-open set."""
     if mode.strength == "strong":
         return dom_scale.is_q_open(pre)
     return any(dom_scale.has_witness(anchor, pre) for anchor in _anchors(pre))
@@ -427,12 +433,14 @@ def _walk(
 ) -> tuple[SheetSet, SheetSet] | None:
     """The walk of the global families, or with ``p`` of the probe family
     of y = f(p), deciding with the ``chosen`` germs (``_chosen_germs``).
-    Weak checks prune, and globally only on a domain scale that declares
-    ``exact_open_witness``.  With no germs every probe passes, so the
+    Weak checks prune, and globally only on a trivial domain, where
+    ``_holds_open`` is exact.  With no germs every probe passes, so the
     walk returns at once."""
     if chosen == ():
         return None
-    prune = mode.strength == "weak" and (p is not None or dom_scale.exact_open_witness)
+    prune = mode.strength == "weak" and (
+        p is not None or isinstance(dom_scale, TrivialIntervalScale)
+    )
     if p is None:
         families = _global_families(m, chosen, prune)
     else:
@@ -492,10 +500,9 @@ def _first_failure(
       f^-1(V) inside f^-1(V'), and each kind's ``witness_inside``
       decides exactly and finds a witness in every superset of a set
       that holds one.  So a skipped probe would pass.  Global checks
-      prune only on a domain scale that declares
-      ``IntervalScale.exact_open_witness`` (Trivial, ConnectedOpen and
-      the three end-class kinds), where ``_holds_open`` finds a q-open
-      subset of every preimage that holds one; elsewhere a probe
+      prune only on a trivial domain (which weak checks on ConnectedOpen
+      and end-class domains decide on), where ``_holds_open`` finds a
+      q-open subset of every preimage that holds one; elsewhere a probe
       that contains a passed one can still fail its search, as (1/5, 9)
       does after (1/4, 1/2) in the module docstring's example.
     * Stop: a pruning walk ends a nested family
@@ -558,10 +565,11 @@ def _anchors(pre: SheetSet) -> Iterator[SheetPoint]:
 def replay_interval_certificate(
     m: IntervalScaledMap, mode: ContinuityMode, certificate: dict
 ) -> bool:
-    """Reconfirm a failure certificate through the scale predicates.  A
-    certificate's point is validated by the map's ``eval``, which raises
-    ``ValueError`` for a point outside the domain."""
-    dom_scale = _domain_scale(m, mode)
+    """Reconfirm a failure certificate through the scale predicates of the
+    kind's own domain scale, not its ``weak_scale()``.  A certificate's
+    point is validated by the map's ``eval``, which raises ``ValueError``
+    for a point outside the domain."""
+    dom_scale = TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
     if "r_open" in certificate:
         target = certificate["r_open"]
         if not m.codomain_scale.is_q_open(target):

@@ -279,23 +279,18 @@ class IntervalScale:
     since every later probe contains that one.  Each kind states its
     argument in its docstring; a kind that cannot leaves it False.
 
-    ``exact_open_witness`` says that the continuity checkers' weak
-    global decision (``interval_continuity._holds_open``, which asks
-    ``has_witness`` at one anchor per piece of the preimage) is exact on
-    this kind: it holds for every set inside the carrier that holds a
-    q-open set.  A weak global check prunes only on a domain scale that
-    declares it.  Each kind that declares it states its argument in its
-    docstring; it is True for Trivial, ConnectedOpen, RationalEnds,
-    IrrationalEnds and MixedRationalIrrational.
-
     ``has_witness(x, s)`` answers whether ``witness_inside(x, s)`` finds
     a witness, without building one where a kind can: the continuity
-    checkers' weak decisions ask only that.  The end-class kinds answer
-    whether x lies strictly inside its piece of s, and
-    ``SymmetricIntervals`` answers from the ambient bounds in that case;
-    every other kind, and every other case, asks ``witness_inside``.
-    ``TruncatedQ_a`` keeps that, since its radii have a positive lower
-    end and so the caps of the host matter.
+    checkers' weak decisions ask only that.  ``SymmetricIntervals``
+    answers from the ambient bounds where x lies strictly inside its
+    piece of s; every other kind, and every other case, asks
+    ``witness_inside``.  ``TruncatedQ_a`` keeps that, since its radii
+    have a positive lower end and so the caps of the host matter.
+
+    ``weak_scale()`` is the scale a weak check out of this kind decides
+    on: the kind itself, or on ConnectedOpen and the end-class kinds the
+    trivial scale, whose ``has_witness`` is theirs (each override argues
+    it).
 
     ``ladder(x, critical)`` describes the probe family of x as a
     ``Ladder`` on Trivial and ConnectedOpen (the whole carrier, then ball
@@ -316,7 +311,6 @@ class IntervalScale:
 
     tag: str = field(init=False, default="")
     nested_probes: ClassVar[bool] = False
-    exact_open_witness: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         """Is s assigned to x; x must lie in the carrier."""
@@ -334,6 +328,10 @@ class IntervalScale:
         """Whether some set assigned to x lies inside s, that is, whether
         ``witness_inside(x, s)`` is not None; x must lie in the carrier."""
         return self.witness_inside(x, s) is not None
+
+    def weak_scale(self) -> IntervalScale:
+        """A scale on the same carrier whose ``has_witness`` is this one's."""
+        return self
 
     def iter_point_probes(
         self, x: SheetPoint, critical: Sequence[ExactNumber] = ()
@@ -408,18 +406,10 @@ class TrivialIntervalScale(IntervalScale):
 
     Nested: after the whole carrier come the cuts of open balls of
     ascending radius to one piece of the carrier, and a bigger ball's cut
-    contains a smaller one's.
-
-    Exact open witness: a set holds a q-open set exactly when some point
-    of it is relatively interior, and then its piece holding that point
-    has one at its anchor: the anchor of a piece with two distinct ends
-    or an unbounded one lies strictly inside it, and a one-point piece
-    is its own anchor.  ``witness_inside`` at a relatively interior point
-    returns its interior component."""
+    contains a smaller one's."""
 
     tag: str = field(init=False, default="Trivial")
     nested_probes: ClassVar[bool] = True
-    exact_open_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         return s.member(x) and is_open_in_carrier(self.carrier, s)
@@ -782,20 +772,12 @@ class EndClassScale(IntervalScale):
     and (x+d/2, x+d), so for close radii d < d' the next probe's left end
     can lie right of this one's: at 1/3, with critical coordinates at
     distances 1/4 and 65/256, the rational-end probe (0, 9/16) follows
-    (-1/32, 17/32).
-
-    Exact open witness, in every mode: the carrier is the line, a set
-    holds a q-open set exactly when it holds an open interval, so
-    exactly when some piece has two distinct ends or an unbounded one;
-    that piece's anchor lies strictly inside it, and ``witness_inside``
-    at a point strictly inside its piece always picks ends of the class
-    the point requires."""
+    (-1/32, 17/32)."""
 
     mode: str = "rational"
     crossed: bool = False
 
     nested_probes: ClassVar[bool] = False
-    exact_open_witness: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -859,27 +841,26 @@ class EndClassScale(IntervalScale):
         # rationality classes, so both endpoint classes are assigned.
         return True
 
-    def _room(self, x: ExactNumber, s: SheetSet) -> tuple[ExactNumber, ExactNumber] | None:
-        """The ends of x's piece of s, an infinite end replaced by x -/+ 2,
-        when x lies strictly inside them; else None, and no open interval
-        inside s contains x."""
-        host = _piece_holding(_single_line(s), x)
+    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
+        # The ends of x's piece of s, an infinite end replaced by x -/+ 2;
+        # unless x lies strictly inside them, no open interval inside s
+        # contains x.
+        xx = _single_sheet_point(x)
+        host = _piece_holding(_single_line(s), xx)
         if host is None:
             return None
-        lo_floor = host.lo if host.lo is not None else x - 2
-        hi_ceil = host.hi if host.hi is not None else x + 2
-        if not (lo_floor < x and x < hi_ceil):
+        lo_floor = host.lo if host.lo is not None else xx - 2
+        hi_ceil = host.hi if host.hi is not None else xx + 2
+        if not (lo_floor < xx and xx < hi_ceil):
             return None
-        return lo_floor, hi_ceil
+        return self._of_class(xx, lo_floor, xx, xx, hi_ceil)
 
-    def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
-        xx = _single_sheet_point(x)
-        room = self._room(xx, s)
-        return None if room is None else self._of_class(xx, room[0], xx, xx, room[1])
-
-    def has_witness(self, x: SheetPoint, s: SheetSet) -> bool:
-        # Both ends of each class exist in every nonempty open interval.
-        return self._room(_single_sheet_point(x), s) is not None
+    def weak_scale(self) -> IntervalScale:
+        """The trivial scale: ``witness_inside`` finds a witness exactly when
+        x lies strictly inside its piece of s, as ends of each class lie in
+        every open interval, and on the line, the kind's only carrier, that
+        is x relatively interior to s."""
+        return TrivialIntervalScale(self.carrier)
 
     def iter_point_probes(self, x, critical=()):
         xx = _single_sheet_point(x)
@@ -895,16 +876,10 @@ class ConnectedOpenScale(IntervalScale):
     """The whole carrier plus connected relatively open neighborhoods.
 
     Nested: the probes are the trivial scale's, the whole carrier and
-    then the cuts of ascending open balls to one piece of it.
-
-    Exact open witness, as for the trivial scale: the interior component
-    around a relatively interior point is connected and relatively open,
-    so it is assigned, and ``witness_inside`` returns it (or the whole
-    carrier, when the set is the carrier)."""
+    then the cuts of ascending open balls to one piece of it."""
 
     tag: str = field(init=False, default="ConnectedOpen")
     nested_probes: ClassVar[bool] = True
-    exact_open_witness: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         if s == self.carrier.whole():
@@ -929,6 +904,13 @@ class ConnectedOpenScale(IntervalScale):
         if s == self.carrier.whole():
             return s
         return interior_component_containing(self.carrier, s, x)
+
+    def weak_scale(self) -> IntervalScale:
+        """The trivial scale: ``witness_inside`` returns s when s is the
+        carrier, where every point is relatively interior, and else the
+        trivial scale's witness, the interior component of s at x, which
+        is connected and relatively open, so assigned."""
+        return TrivialIntervalScale(self.carrier)
 
     def ladder(self, x, critical=()):
         self._contains_point(x)

@@ -1,10 +1,12 @@
-"""The weak global decision ``_holds_open``, which asks ``has_witness``
-at one anchor per piece of the preimage, is exact on every kind that
-declares ``exact_open_witness``: it holds for a set inside the carrier
-exactly when the set holds a q-open set, and ``witness_inside`` at the
-first anchor that yields a witness returns a q-open subset of the set.
-A weak global check prunes on such a domain scale, so a miss there would
-move a certificate.
+"""Weak checks on ConnectedOpen and end-class domains decide on the
+trivial scale (``IntervalScale.weak_scale``), since each of those kinds
+answers ``has_witness`` as the trivial scale on its carrier does; the
+weak global decision ``_holds_open``, which asks ``has_witness`` at one
+anchor per piece of the preimage, is exact on them and on Trivial: it
+holds for a set inside the carrier exactly when the set holds a q-open
+set, and ``witness_inside`` at the first anchor that yields a witness
+returns a q-open subset of the set.  A weak global check prunes on a
+trivial domain, so a miss there would move a certificate.
 
 The reference decides "holds a q-open set" without the kind's methods,
 from ``Interval`` and ``LineSet`` membership only, on one-sheet sets
@@ -116,12 +118,36 @@ def first_witness(scale, pre: SheetSet) -> SheetSet | None:
     return next((w for w in witnesses if w is not None), None)
 
 
+def weak_is_trivial(scale) -> bool:
+    return scale.weak_scale() == TrivialIntervalScale(scale.carrier)
+
+
 def test_the_declared_kinds_are_the_five_exactly_searched_ones():
-    assert {scale.tag for scale, _ in KINDS if scale.exact_open_witness} == {
+    assert {scale.tag for scale, _ in KINDS if weak_is_trivial(scale)} == {
         "Trivial", "ConnectedOpen", "RationalEnds", "IrrationalEnds",
         "MixedRationalIrrational",
     }
-    assert all(scale.exact_open_witness for scale in SCALES)
+    assert all(weak_is_trivial(scale) for scale in SCALES)
+
+
+FOLDED = [scale for scale in SCALES if not isinstance(scale, TrivialIntervalScale)]
+
+
+@pytest.mark.parametrize("k", range(len(FOLDED)), ids=lambda k: f"{k}-{FOLDED[k].tag}")
+@given(st.one_of(st.none(), st.lists(grid_intervals(), max_size=3)))
+@settings(max_examples=60, deadline=None)
+def test_has_witness_is_the_trivial_scales_on_each_folded_kind(k, parts):
+    """The fold's argument: at every grid point and candidate in the
+    carrier, on a drawn set or (None) the whole carrier, the kind's
+    ``has_witness`` is its trivial ``weak_scale()``'s."""
+    scale = FOLDED[k]
+    trivial = scale.weak_scale()
+    carrier = scale.carrier.sheets[0]
+    s = scale.carrier.whole() if parts is None else SheetSet((normalize(parts).intersect(carrier),))
+    for x in CANDIDATES:
+        point = SheetPoint(0, x)
+        if carrier.member(x):
+            assert scale.has_witness(point, s) == trivial.has_witness(point, s), (scale.tag, x, s)
 
 
 @pytest.mark.parametrize("k", range(len(SCALES)), ids=lambda k: f"{k}-{SCALES[k].tag}")

@@ -24,8 +24,11 @@ the germs that ``_chosen_germs`` picks (see "The germ choice" in
   the line, of the five ball kinds, with their heads and tails.
 
 The net runs the rules on every domain scale a check can use, the map's
-own and the trivial one, so a rule that fired off a trivial domain would
-meet a reference walk that fails.  Its cases are the seeded benchmark
+own and the trivial one, each through ``_domain_scale``, so that weak
+checks on ConnectedOpen and end-class domains decide on their trivial
+``weak_scale()``; it walks the reference on the scale itself, so a rule
+that fired off a trivial domain, or a fold that changed a weak decision,
+would meet a reference walk that fails.  Its cases are the seeded benchmark
 pools and drawn small maps with jumps, degenerate breakpoint pieces,
 constant sides, sides that cross to another codomain sheet at an equal
 coordinate, isolated carrier points and punctured carriers, codomain
@@ -53,6 +56,7 @@ from scaletop.interval_continuity import (
     IntervalScaledMap,
     _chosen_germs,
     _decision,
+    _domain_scale,
     _fails_at,
     _first_failure,
     _germs_admit,
@@ -164,20 +168,25 @@ def germ_net(m: IntervalScaledMap, points, tally: Counter) -> None:
 
 def net(m: IntervalScaledMap, points, tally: Counter) -> None:
     """Run the rules at every point of ``points`` and globally, in both
-    strengths, on the map's domain scale and on the trivial one; walk
-    every probe wherever a rule fires."""
+    strengths, with the map's domain scale and with the trivial one: fire
+    each on the scale the check decides on (``_domain_scale``), and
+    wherever one fires walk every probe on the scale itself, ``own``.  A
+    rule fired on a weak scale other than ``own`` is tallied with its tag."""
     for trivial in (False, True):
-        dom_scale = TrivialIntervalScale(m.pam.domain) if trivial else m.domain_scale
+        own = TrivialIntervalScale(m.pam.domain) if trivial else m.domain_scale
         for strength in ("strong", "weak"):
-            mode = ContinuityMode(strength, "global", trivial_domain=trivial)
-            if passes_unwalked(m, dom_scale, mode):
-                tally[rule(m, mode)] += 1
-                assert ref_global_holds(m, dom_scale, mode), (m, mode)
-            for p in points:
-                mode = ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p)
+            modes = [(ContinuityMode(strength, "global", trivial_domain=trivial), None)]
+            modes += [(ContinuityMode(strength, "at-point", trivial_domain=trivial, at_point=p), p)
+                      for p in points]
+            for mode, p in modes:
+                dom_scale = _domain_scale(m, mode)
                 if passes_unwalked(m, dom_scale, mode, p):
-                    tally[rule(m, mode)] += 1
-                    assert ref_point_holds(m, dom_scale, mode, p), (m, mode)
+                    fired = rule(m, mode)
+                    tally[fired if dom_scale == own else f"{fired} on {own.tag}"] += 1
+                    if p is None:
+                        assert ref_global_holds(m, own, mode), (m, mode)
+                    else:
+                        assert ref_point_holds(m, own, mode, p), (m, mode)
 
 
 def assert_fired(tally: Counter, rules) -> None:
@@ -302,7 +311,10 @@ def test_sound_passes_hold_on_every_probe_over_a_seeded_pool(seed):
     for g in intervalgen.generate_maps(seed, 150):
         m = g.scaled
         net(m, default_probe_points(m), tally)
-    assert_fired(tally, ("R1", "R2", "R3"))
+    assert_fired(tally, (
+        "R1", "R2", "R3", *(f"R{n} on ConnectedOpen" for n in (1, 2, 3)),
+        "R2 on IrrationalEnds", "R3 on IrrationalEnds",
+    ))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -483,16 +495,25 @@ def drawn_points(m: IntervalScaledMap, x: ExactNumber) -> list[SheetPoint]:
 
 def test_sound_passes_hold_on_every_probe_over_drawn_maps():
     """The rules at every default point, at a drawn point and at each
-    jump point, both strengths and both domain scales."""
+    jump point, both strengths and both domain scales; a map out of the
+    line is also run out of each end-class domain."""
     tally: Counter = Counter()
+    end_classes = [EndClassScale(LINE, mode=mode, crossed=crossed) for mode, crossed in (
+        ("rational", False), ("irrational", False), ("mixed", False), ("mixed", True))]
 
     @given(scaled_maps(), st.sampled_from(GRID))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def drawn(m, x):
-        net(m, drawn_points(m, x), tally)
+        points = drawn_points(m, x)
+        net(m, points, tally)
+        if m.pam.domain == LINE:
+            for dom in end_classes:
+                net(dataclasses.replace(m, domain_scale=dom), points, tally)
 
     drawn()
-    assert_fired(tally, ("R1", "R2", "R3"))
+    assert_fired(tally, ("R1", "R2", "R3", *(
+        f"R{n} on {tag}" for n in (1, 2, 3) for tag in (
+            "ConnectedOpen", "RationalEnds", "IrrationalEnds", "MixedRationalIrrational"))))
 
 
 def test_germ_decisions_match_the_whole_preimage_over_drawn_maps():

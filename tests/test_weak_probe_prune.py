@@ -10,17 +10,18 @@ pass or skip.
   certificate.
 * The stop decides exactly the probes that the prune without it decided,
   in the same order, on generated and end-class maps and on maps out of
-  every domain kind that declares ``exact_open_witness``; on a
-  non-nested family with a repeated probe, a stop would not.
+  every domain kind whose ``weak_scale()`` is trivial, where the other
+  walk decides on the kind's own scale; on a non-nested family with a
+  repeated probe, a stop would not.
 * A passing weak at-point check takes at most two probes from its
   family, and on a domain that pulls probes back it pulls back at most
   two; the strong check at the same point pulls back every probe there.
-  On a trivial domain a check decides from the jump germs and pulls
-  back only a failing probe: at a point that is no jump point the weak
-  check walks nothing and the strong check decides the whole carrier
-  alone, since no radius of its ladder fails.  A passing weak global
-  check on a trivial domain takes at most two probes from each anchor's
-  family.
+  On a trivial domain, and for a weak check on a ConnectedOpen one, a
+  check decides from the jump germs and pulls back only a failing probe:
+  at a point that is no jump point the weak check walks nothing and the
+  strong check decides the whole carrier alone, since no radius of its
+  ladder fails.  A passing weak global check on a trivial domain takes
+  at most two probes from each anchor's family.
 
 Every check gives the verdict and certificate of the walk that pulls
 back every probe it decides.  The counts and the stop are measured on
@@ -116,10 +117,12 @@ def ref_global(m, dom_scale, mode, prune: bool = False) -> dict | None:
 
 
 def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -> IntervalVerdict:
-    """Every probe decided; with ``prune``, the weak prune without the
-    stop: skips at every point, and globally only on a domain scale that
-    declares ``exact_open_witness``."""
-    dom_scale = _domain_scale(m, mode)
+    """Every probe decided on the kind's own domain scale (the trivial one
+    for ``mode.trivial_domain``), not on the ``weak_scale()`` the checker
+    decides on; with ``prune``, the weak prune without the stop: skips at
+    every point, and globally only where the weak scale is trivial, which
+    is where ``_holds_open`` on the kind's own scale is exact."""
+    dom_scale = TrivialIntervalScale(m.pam.domain) if mode.trivial_domain else m.domain_scale
     prune = prune and mode.strength == "weak"
     if mode.locus == "at-point":
         cert = ref_at_point(m, dom_scale, mode, mode.at_point, prune)
@@ -127,7 +130,7 @@ def ref_check(m: IntervalScaledMap, mode: ContinuityMode, prune: bool = False) -
         checks = (ref_at_point(m, dom_scale, mode, p, prune) for p in default_probe_points(m))
         cert = next(filter(None, checks), None)
     else:
-        cert = ref_global(m, dom_scale, mode, prune and dom_scale.exact_open_witness)
+        cert = ref_global(m, dom_scale, mode, prune and isinstance(dom_scale.weak_scale(), TrivialIntervalScale))
     return IntervalVerdict(cert is None, mode, cert)
 
 
@@ -295,13 +298,14 @@ def test_weak_global_checks_prune_only_on_exactly_searched_domains():
     moved = ref_global(m, m.domain_scale, mode, prune=True)
     assert moved["r_open"] == open_set(9, 10, hi_closed=True)
     assert assert_matches_reference(m)
-    assert not m.domain_scale.exact_open_witness
+    assert m.domain_scale.weak_scale() is m.domain_scale
 
 
 def exact_domain_maps() -> list[IntervalScaledMap]:
     """Maps out of a ConnectedOpen domain (on the line and on a segment)
-    and out of each end-class domain, into a trivial codomain, so that
-    their weak global checks prune on their own domain scale."""
+    and out of each end-class domain, into a trivial codomain: their weak
+    checks decide on the trivial scale, and ``ref_check`` prunes them on
+    their own."""
     line = full_line_carrier()
     seg = segment_carrier(num(-6), num(12))
     on_segment = PiecewiseAffineMap(seg, seg, (
@@ -319,7 +323,7 @@ def exact_domain_maps() -> list[IntervalScaledMap]:
         for dom in domains
     ]
     maps.append(IntervalScaledMap(on_segment, ConnectedOpenScale(seg), TrivialIntervalScale(seg)))
-    assert all(m.domain_scale.exact_open_witness for m in maps)
+    assert all(isinstance(m.domain_scale.weak_scale(), TrivialIntervalScale) for m in maps)
     return maps
 
 
@@ -367,20 +371,23 @@ def far_jump_identity() -> PiecewiseAffineMap:
 
 
 def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
-    """Out of a ConnectedOpen domain, whose decisions pull every probe back,
-    the weak check pulls back at most two probes and the strong check all
-    of them.  Out of a trivial domain the checks choose the jump germs
-    and pull back none: at 0, no jump point, the weak check walks
-    nothing and the strong check decides only the whole carrier, since
-    its ladder is read by radius and no radius fails.  The weak check at
-    the jump point 40 decides the whole carrier and its first radius,
-    which fails, and pulls back only that."""
+    """Out of a Q_a domain, whose decisions pull every probe back, the weak
+    check pulls back at most two probes and the strong check all of them,
+    as the strong check out of a ConnectedOpen domain does.  Out of a
+    trivial domain the checks choose the jump germs and pull back none,
+    and so does the weak check out of a ConnectedOpen domain, which
+    decides on the trivial scale: at 0, no jump point, the weak check
+    walks nothing and the strong check decides only the whole carrier,
+    since its ladder is read by radius and no radius fails.  The weak
+    check at the jump point 40 decides the whole carrier and its first
+    radius, which fails, and pulls back only that."""
     line = full_line_carrier()
     at = SheetPoint(0, num(0))
     pulled = record_pullbacks(monkeypatch)
     decided = record_decisions(monkeypatch)
     checked = {}
-    for dom in (ConnectedOpenScale(line), TrivialIntervalScale(line)):
+    domains = (BallSupersetScale(line, a=num("1/4")), ConnectedOpenScale(line), TrivialIntervalScale(line))
+    for dom in domains:
         m = IntervalScaledMap(far_jump_identity(), dom, TrivialIntervalScale(line))
         for strength in ("weak", "strong"):
             pulled.clear()
@@ -388,10 +395,11 @@ def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
             assert iw_check_continuity(m, ContinuityMode(strength, "at-point", at_point=at)).holds
             checked[dom.tag, strength] = (decided[:], pulled[:])
     probes = list(m.codomain_scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m)))
-    weak, strong = checked["ConnectedOpen", "weak"], checked["ConnectedOpen", "strong"]
+    weak, strong = checked["Q_a", "weak"], checked["Q_a", "strong"]
     assert weak[1] == weak[0] and 1 <= len(weak[1]) <= 2
     assert strong[1] == strong[0] == probes and len(probes) > 2
-    assert checked["Trivial", "weak"] == ([], [])
+    assert checked["ConnectedOpen", "strong"] == (probes, probes)
+    assert checked["ConnectedOpen", "weak"] == checked["Trivial", "weak"] == ([], [])
     assert checked["Trivial", "strong"] == (probes[:1], [])
     jump = SheetPoint(0, num(40))
     pulled.clear()
