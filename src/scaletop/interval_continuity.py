@@ -27,7 +27,7 @@ walk with chosen germs decides from them, pulls back only the failing
 probe, for its certificate, and builds only the probes of a ladder that
 fail.  A pruning walk (weak checks, and when global only on a trivial
 domain) skips each probe that contains the last one it passed, and ends
-a nested family at its first pass or skip past index 0.  An empty
+a ``Ladder`` at its first pass or skip past index 0.  An empty
 preimage passes vacuously, as in the finite world.  The walk's docstring
 gives the argument for each rule: none can move the first failing probe
 or its certificate.
@@ -106,20 +106,23 @@ only leaves probes unbuilt: no verdict, certificate or report byte moves.
   interior to the preimage.  Either way the preimage holds a relatively
   interior point, and the trivial scale's anchor search is exact.
 * Ladders read as radii.  A walk with germs reads a family that is a
-  ``Ladder`` (Trivial, ConnectedOpen and the ball kinds) as its head,
-  the cut V_r of the open ball (y - r, y + r) to H, the carrier piece
-  holding y, at each radius r, and its tail.  A side with limit L on
-  y's sheet enters V_r (``_side_enters``) for L in H when r > |L - y|,
-  or r = |L - y| with values approaching L from y's side; for L outside
-  H only when L is an open end of H, r >= |L - y| and values approach
-  from y's side; never from another sheet.  So a germ whose value lies
-  in H on y's sheet fails V_r exactly for r in (|f(z) - y|, T], open or
-  closed at T, its latest side threshold (``_side_threshold``,
-  ``_ladder_windows``), and any other germ is in no V_r.  The walk
-  builds only the probes at radii where some germ fails
-  (``_ladder_probes``).  A strong walk moves past a pass with nothing
-  kept, and a probe the germs fail has a nonempty preimage.  A weak
-  walk with germs is at a point, where it ends the nested family at its
+  ``Ladder`` (every codomain kind but the end-class kinds and
+  ``PStructure``) as its head, the cut V_r of the open ball
+  (y - r, y + r) to H, the ladder's home set on y's sheet (the carrier
+  piece holding y, or on the trace kinds the carrier's sheet), at each
+  radius r, and its tail.  A side with limit L on y's sheet enters some
+  V_r exactly when it enters H (``_side_enters``): L lies in H, or L is
+  an open end of a piece of H that holds the side's values near L, as at
+  a puncture of a trace kind's carrier.  Such a side enters V_r when
+  r > |L - y|, or r = |L - y| with values approaching L from y's side;
+  any other side, and a side on another sheet, enters no V_r.  So a germ
+  whose value lies in H on y's sheet fails V_r exactly for r in
+  (|f(z) - y|, T], open or closed at T, its latest side threshold
+  (``_side_threshold``, ``_ladder_windows``), and any other germ is in
+  no V_r.  The walk builds only the probes at radii where some germ
+  fails (``_ladder_probes``).  A strong walk moves past a pass with
+  nothing kept, and a probe the germs fail has a nonempty preimage.  A
+  weak walk with germs is at a point, where it ends the ladder at its
   first passing radius, or, on a ladder with no head, at the next one,
   which contains it and is skipped.  A weak decision is upward closed
   in the probe, so a failing radius contains no passed probe and is not
@@ -193,28 +196,29 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
 def _global_families(
     m: IntervalScaledMap, chosen: tuple[Germ, ...] | None = None, prune: bool = False
 ) -> Iterator[tuple[bool, Iterable[SheetSet]]]:
-    """The global probe families, each with whether it is nested: the
-    declared probe family (never taken as nested), then the family around
-    each of the map's global anchors (``PiecewiseAffineMap._global_anchors``:
-    each codomain critical coordinate on each sheet and each midpoint of
-    a codomain piece), as ``_family`` takes it."""
+    """The global probe families, each with whether it is a ``Ladder``:
+    the declared probe family (never taken as one), then the family
+    around each of the map's global anchors
+    (``PiecewiseAffineMap._global_anchors``: each codomain critical
+    coordinate on each sheet and each midpoint of a codomain piece), as
+    ``_family`` takes it."""
     yield False, m.probe_family
-    nested = m.codomain_scale.nested_probes
     for y in m.pam._global_anchors:
-        yield nested, _family(m, y, chosen, prune)
+        yield _family(m, y, chosen, prune)
 
 
 def _family(
     m: IntervalScaledMap, y: SheetPoint, chosen: tuple[Germ, ...] | None, prune: bool
-) -> Iterable[SheetSet]:
-    """The codomain scale's probe family of y, read as radii where germs
-    are chosen and the family is a ``Ladder`` (``_ladder_probes``)."""
+) -> tuple[bool, Iterable[SheetSet]]:
+    """The codomain scale's probe family of y, with whether it is a
+    ``Ladder``; a ladder is read as radii where germs are chosen
+    (``_ladder_probes``)."""
     scale = m.codomain_scale
     critical = m.pam._codomain_criticals
-    ladder = None if chosen is None else scale.ladder(y, critical)
+    ladder = scale.ladder(y, critical)
     if ladder is None:
-        return scale.iter_point_probes(y, critical=critical)
-    return _ladder_probes(ladder, chosen, prune)
+        return False, scale.iter_point_probes(y, critical=critical)
+    return True, ladder.probes() if chosen is None else _ladder_probes(ladder, chosen, prune)
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
@@ -314,23 +318,18 @@ def _side_threshold(
     """When a side with ``limit`` on codomain ``sheet`` enters the
     ladder's probe V_r (``_side_enters``): ``(d, strict)`` when it does
     exactly for r > d, and for r = d too unless ``strict``; None when it
-    enters no V_r.  d is the limit's distance from the centre y, and the
-    side ties at r = d exactly when its values approach the limit from
-    y's side, where V_r ends at the limit.  A limit outside the home
-    piece H enters only at an open end of H, from y's side, for r >= d;
-    a side on another sheet never enters."""
+    enters no V_r.  A side enters some V_r exactly when it is on the
+    centre y's sheet and enters the home set H: its limit lies in H, or
+    at an open end of a piece of H that holds its values (``lo`` for
+    values from above, ``hi`` from below).  d is the limit's distance
+    from y, and the side ties at r = d exactly when its values approach
+    the limit from y's side, where V_r ends at the limit."""
     y = ladder.center
-    if sheet != y.sheet:
+    if sheet != y.sheet or not _side_enters(ladder.home, limit, approach):
         return None
     below = limit < y.x
-    d = y.x - limit if below else limit - y.x
     inward = approach > 0 if below else approach < 0
-    home = ladder.home
-    if home.contains(limit):
-        return d, not inward
-    if inward and limit == (home.lo if below else home.hi):
-        return d, False
-    return None
+    return (y.x - limit if below else limit - y.x), not inward
 
 
 def _ladder_windows(
@@ -339,13 +338,13 @@ def _ladder_windows(
     """The radii at which each germ fails the ladder's probe V_r, as
     ``(g, T, strict)``: the germ fails exactly for g < r and (r < T, or r
     = T with ``strict``), T None for every r > g.  g is the distance of
-    its value from the centre, kept only for a value in the home piece on
+    its value from the centre, kept only for a value in the home set on
     the centre's sheet (else no V_r holds it), and T is its latest side
     threshold (``_side_threshold``).  An empty window is left out."""
     y = ladder.center
     windows = []
     for value, sides in germs:
-        if value.sheet != y.sheet or not ladder.home.contains(value.x):
+        if value.sheet != y.sheet or not ladder.home.member(value.x):
             continue
         latest: tuple[ExactNumber, bool] | None = (_ZERO, False)
         for sheet, limit, approach in sides:
@@ -444,7 +443,7 @@ def _walk(
     if p is None:
         families = _global_families(m, chosen, prune)
     else:
-        families = ((m.codomain_scale.nested_probes, _family(m, y, chosen, prune)),)
+        families = (_family(m, y, chosen, prune),)
     return _first_failure(families, _decision(m, dom_scale, mode, chosen, p), prune)
 
 
@@ -482,10 +481,11 @@ def _first_failure(
     prune: bool,
 ) -> tuple[SheetSet, SheetSet] | None:
     """The first ``(probe, preimage)`` that the decision ``fails`` (see
-    ``_decision``) refutes, or None.  ``families`` yields ``(nested,
-    family)`` pairs.  Probes are taken one at a time, in order, so those
-    after the failing one are never built; each is decided once, and a
-    failing one carries its whole preimage.  A repeated probe is decided
+    ``_decision``) refutes, or None.  ``families`` yields ``(ladder,
+    family)`` pairs, ``ladder`` saying whether the family is a
+    ``Ladder``.  Probes are taken one at a time, in order, so those after
+    the failing one are never built; each is decided once, and a failing
+    one carries its whole preimage.  A repeated probe is decided
     as its first occurrence was, so repeats cannot move the result.
 
     * Empty preimage: the probe passes vacuously, as a set with empty
@@ -505,14 +505,15 @@ def _first_failure(
       q-open subset of every preimage that holds one; elsewhere a probe
       that contains a passed one can still fail its search, as (1/5, 9)
       does after (1/4, 1/2) in the module docstring's example.
-    * Stop: a pruning walk ends a nested family
-      (``IntervalScale.nested_probes``: a chain from its second probe
-      on) at its first probe of index 1 or more that it passes or
-      skips.  Every later probe of the family contains that probe, and
-      so contains the last one passed, so the prune would skip each of
-      them.  The stop removes only probe building, and the passed probe
-      is kept, so the next family still skips by it.  The first probe
-      need not lie in the chain, so a pass or skip there does not stop.
+    * Stop: a pruning walk ends a ``Ladder`` (a chain from its second
+      probe on: at most one head probe, rising radii, and a tail that is
+      empty or the whole carrier) at its first probe of index 1 or more
+      that it passes or skips.  Every later probe of the family contains
+      that probe, and so contains the last one passed, so the prune
+      would skip each of them.  The stop removes only probe building,
+      and the passed probe is kept, so the next family still skips by
+      it.  The first probe need not lie in the chain, so a pass or skip
+      there does not stop.
 
     A decision from the jump germs passes exactly the probes that the
     whole preimage passes, except that it also passes a probe whose
@@ -524,8 +525,8 @@ def _first_failure(
     would move past or end at (see "Ladders read as radii").
     """
     passed = None
-    for nested, family in families:
-        stop = prune and nested
+    for ladder, family in families:
+        stop = prune and ladder
         for i, target in enumerate(family):
             if passed is not None and passed.issubset(target):
                 if stop and i:

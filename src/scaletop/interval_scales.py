@@ -15,7 +15,8 @@ of assigned neighborhoods of x used by the continuity checkers
 (generated around the supplied critical coordinates so straddling and
 non-straddling shapes both appear), yielded one set at a time, which
 ``ladder(x, critical)`` describes as radii on the kinds whose family is
-a ladder of ball cuts.
+a ladder of ball cuts: every kind but the end-class kinds and
+``PStructure``.
 
 Membership rules, by tag:
 
@@ -50,7 +51,8 @@ implementation of each piece of that:
   open ball stays inside the host piece holding x;
 * ``_open_interval``: the "one bounded open interval" shape test;
 * ``_TraceScale``: the carrier traces of open balls whose radius lies
-  in a per-point range (``SymmetricIntervals`` and ``TruncatedQ_a``).
+  in a per-point range (``SymmetricIntervals`` and ``TruncatedQ_a``),
+  whose ``Ladder`` cuts the balls to the carrier's sheet.
 
 All decisions are exact.
 """
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from itertools import tee
-from typing import ClassVar, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import ExactNumber, irrational_between, rational_between
 from .intervals import (
@@ -71,7 +73,6 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
-    _intersect_intervals,
     _ordered,
     _piece_holding,
     interior_component_containing,
@@ -271,14 +272,6 @@ class IntervalScale:
     of open balls, or relatively open sets, and a property test checks
     the contract on every kind.
 
-    ``nested_probes`` says that every family is nested: each probe from
-    the second on contains the probe before it, for every point and
-    every list of critical coordinates.  (The first probe is free, so a
-    family may open with the whole carrier.)  A weak check ends a nested
-    family at the first probe of index 1 or more that it passes or skips,
-    since every later probe contains that one.  Each kind states its
-    argument in its docstring; a kind that cannot leaves it False.
-
     ``has_witness(x, s)`` answers whether ``witness_inside(x, s)`` finds
     a witness, without building one where a kind can: the continuity
     checkers' weak decisions ask only that.  ``SymmetricIntervals``
@@ -294,12 +287,15 @@ class IntervalScale:
 
     ``ladder(x, critical)`` describes the probe family of x as a
     ``Ladder`` on Trivial and ConnectedOpen (the whole carrier, then ball
-    cuts to x's carrier piece) and on the ball kinds (balls of radius
-    a + d, after CQ_Oa's a-ball and before the whole line of Q_a, Q_Oa
-    and BQ_Oa), whose ``iter_point_probes`` is this class's, built from
-    it; the other kinds have none and yield their own families.  The
-    continuity checkers read a ladder as radii wherever they decide from
-    jump germs (see ``interval_continuity``, "The germ choice").
+    cuts to x's carrier piece), on the ball kinds (balls of radius a + d,
+    after CQ_Oa's a-ball and before the whole line of Q_a, Q_Oa and
+    BQ_Oa) and on the trace kinds (ball cuts to the carrier's sheet),
+    whose ``iter_point_probes`` is this class's, built from it.  The
+    end-class kinds and ``PStructure`` have none and yield their own
+    families.  A ladder is nested (see ``Ladder``), so a weak check may
+    end it early; the continuity checkers also read it as radii wherever
+    they decide from jump germs (see ``interval_continuity``, "The germ
+    choice").
 
     Precondition on points: ``member``, ``witness_inside`` and
     ``has_witness`` take x in the carrier, and the continuity checkers
@@ -310,7 +306,6 @@ class IntervalScale:
     carrier: Carrier
 
     tag: str = field(init=False, default="")
-    nested_probes: ClassVar[bool] = False
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         """Is s assigned to x; x must lie in the carrier."""
@@ -346,8 +341,8 @@ class IntervalScale:
 
     def ladder(self, x: SheetPoint, critical: Sequence[ExactNumber] = ()) -> Ladder | None:
         """The probe family of x as a ``Ladder``, on kinds whose family is
-        one (Trivial, ConnectedOpen and the ball kinds), else None.
-        Raises ``ValueError`` for x outside the carrier."""
+        one (every kind but the end-class kinds and ``PStructure``), else
+        None.  Raises ``ValueError`` for x outside the carrier."""
         return None
 
     def params(self) -> dict:
@@ -364,22 +359,32 @@ class IntervalScale:
 class Ladder(NamedTuple):
     """A probe family read as radii: the ``head`` probes, then, for each
     radius r of ``radii`` in ascending order, ``probe(r)``, the cut of the
-    open ball (x - r, x + r) to ``home``, the carrier piece that holds the
-    centre x, on x's sheet, then the ``tail`` probes.  The radii are
-    computed as they are read, and can be read once; there are always
-    some, since ``_derived_radii`` yields 1 and 2 at least."""
+    open ball (x - r, x + r) to ``home`` lifted to the sheet of the centre
+    x, then the ``tail`` probes.  ``home`` is a set on the line of x's
+    sheet that holds x: the carrier piece holding x (Trivial,
+    ConnectedOpen and the ball kinds) or the carrier's sheet (the trace
+    kinds).  The radii are computed as they are read, and can be read
+    once; there may be none, as at a ``SymmetricIntervals`` point outside
+    its ambient bounds.
+
+    Nested: every ladder has at most one head probe, radii that rise, and
+    a tail that is empty or the whole carrier.  So each probe from the
+    second on contains the probe before it: a bigger ball's cut to
+    ``home`` contains a smaller one's, and the whole carrier contains
+    every probe.  (The head probe is free, so a family may open with the
+    whole carrier.)  A weak check ends a ladder at the first probe of
+    index 1 or more that it passes or skips, since every later probe
+    contains that one."""
 
     head: tuple[SheetSet, ...]
     carrier: Carrier
     center: SheetPoint
-    home: Interval
+    home: LineSet
     radii: Iterator[ExactNumber]
     tail: tuple[SheetSet, ...] = ()
 
     def probe(self, r: ExactNumber) -> SheetSet:
-        x = self.center.x
-        cut = _intersect_intervals(_ordered(x - r, x + r, False, False), self.home)
-        return self.carrier.lift(LineSet((cut,)), self.center.sheet)
+        return self.carrier.lift(self.home.intersect(_ball(self.center.x, r)), self.center.sheet)
 
     def probes(self) -> Iterator[SheetSet]:
         """The family, each probe built only when it is taken."""
@@ -396,20 +401,15 @@ def _open_component_ladder(
     open ball at a derived radius.  That component is the ball cut to the
     carrier piece holding x: the ball is open, so the cut keeps only
     closed ends of that piece, and the interior keeps those."""
-    home = _piece_holding(carrier.sheets[x.sheet], x.x)
+    home = LineSet((_piece_holding(carrier.sheets[x.sheet], x.x),))
     return Ladder((carrier.whole(),), carrier, x, home, _derived_radii(x.x, critical))
 
 
 @dataclass(frozen=True)
 class TrivialIntervalScale(IntervalScale):
-    """All relatively open neighborhoods.
-
-    Nested: after the whole carrier come the cuts of open balls of
-    ascending radius to one piece of the carrier, and a bigger ball's cut
-    contains a smaller one's."""
+    """All relatively open neighborhoods."""
 
     tag: str = field(init=False, default="Trivial")
-    nested_probes: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         return s.member(x) and is_open_in_carrier(self.carrier, s)
@@ -438,23 +438,18 @@ def _line_ladder(
     head: tuple[SheetSet, ...] = (), tail: tuple[SheetSet, ...] = (),
 ) -> Ladder:
     """The open balls around x of radius a plus each derived radius, on
-    the full-line ``carrier``, whose one piece is their home."""
+    the full-line ``carrier``, whose one sheet is their home."""
     xx = _single_sheet_point(x)
     radii = (a + d for d in _derived_radii(xx, critical))
-    return Ladder(head, carrier, x, carrier.sheets[0].pieces[0], radii, tail)
+    return Ladder(head, carrier, x, carrier.sheets[0], radii, tail)
 
 
 @dataclass(frozen=True)
 class BallSupersetScale(IntervalScale):
-    """Open sets containing the a-ball around the point (Q_a / Q_Oa).
-
-    Nested: open balls around the point of ascending radius, then the
-    whole line."""
+    """Open sets containing the a-ball around the point (Q_a / Q_Oa)."""
 
     a: ExactNumber = _ONE
     closed_ball: bool = True
-
-    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -502,15 +497,10 @@ class BallSupersetScale(IntervalScale):
 
 @dataclass(frozen=True)
 class BallScale(IntervalScale):
-    """Symmetric open balls of radius r > a (CQ_a) or r >= a (CQ_Oa).
-
-    Nested: open balls around the point of ascending radius, the a-ball
-    first for CQ_Oa and then radii a + d with d > 0."""
+    """Symmetric open balls of radius r > a (CQ_a) or r >= a (CQ_Oa)."""
 
     a: ExactNumber = _ZERO
     strict: bool = True
-
-    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -556,15 +546,11 @@ class BallScale(IntervalScale):
 class BoundedBallSupersetScale(IntervalScale):
     """The full line plus bounded open neighborhoods containing the open
     a-ball (BQ_Oa).  No nonempty bounded set has an assigned complement:
-    complements of bounded sets are unbounded and differ from the line.
-
-    Nested: open balls around the point of ascending radius, then the
-    whole line."""
+    complements of bounded sets are unbounded and differ from the line."""
 
     a: ExactNumber = _ZERO
 
     tag: str = field(init=False, default="BQ_Oa")
-    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -617,19 +603,11 @@ class _TraceScale(IntervalScale):
     A set s is such a trace iff s lies inside (x-r, x+r) and the ball
     misses every carrier point outside s.  Those points bound the host of
     x, the piece of the line holding x that avoids them; s must lie
-    inside the host, and the ball fits while r stays within its ends.
-
-    Nested: the probes are the traces at ascending radii, and the
-    carrier's trace of a bigger ball contains a smaller one's."""
-
-    nested_probes: ClassVar[bool] = True
+    inside the host, and the ball fits while r stays within its ends."""
 
     def _radii(self, x: ExactNumber) -> _Range:
         """The radii admitted at x: a fresh range, open at its lower end."""
         raise NotImplementedError
-
-    def _trace(self, x: ExactNumber, r: ExactNumber) -> SheetSet:
-        return SheetSet((self.carrier.sheets[0].intersect(_ball(x, r)),))
 
     def _host(self, line: LineSet, x: ExactNumber) -> Interval | None:
         """The piece of the line holding x that avoids every carrier point
@@ -669,14 +647,14 @@ class _TraceScale(IntervalScale):
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
         r = _capped_radius(self._radii(xx), xx, self._host(_single_line(s), xx))
-        return None if r is None else self._trace(xx, r)
+        return None if r is None else SheetSet((self.carrier.sheets[0].intersect(_ball(xx, r)),))
 
-    def iter_point_probes(self, x, critical=()):
+    def ladder(self, x, critical=()):
         xx = _single_sheet_point(x)
         self._contains_point(x)
         rng = self._radii(xx)
         radii = _derived_radii(xx, critical, lower_excl=rng.lo, upper_incl=rng.hi)
-        return (self._trace(xx, r) for r in radii)
+        return Ladder((), self.carrier, x, self.carrier.sheets[0], radii)
 
 
 @dataclass(frozen=True)
@@ -772,12 +750,10 @@ class EndClassScale(IntervalScale):
     and (x+d/2, x+d), so for close radii d < d' the next probe's left end
     can lie right of this one's: at 1/3, with critical coordinates at
     distances 1/4 and 65/256, the rational-end probe (0, 9/16) follows
-    (-1/32, 17/32)."""
+    (-1/32, 17/32).  So the kind has no ``Ladder``."""
 
     mode: str = "rational"
     crossed: bool = False
-
-    nested_probes: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _require_full_line(self.carrier)
@@ -873,13 +849,9 @@ class EndClassScale(IntervalScale):
 
 @dataclass(frozen=True)
 class ConnectedOpenScale(IntervalScale):
-    """The whole carrier plus connected relatively open neighborhoods.
-
-    Nested: the probes are the trivial scale's, the whole carrier and
-    then the cuts of ascending open balls to one piece of it."""
+    """The whole carrier plus connected relatively open neighborhoods."""
 
     tag: str = field(init=False, default="ConnectedOpen")
-    nested_probes: ClassVar[bool] = True
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         if s == self.carrier.whole():
@@ -923,15 +895,11 @@ class ConnectedOpenScale(IntervalScale):
 @dataclass(frozen=True)
 class PStructureIntervalScale(IntervalScale):
     """Relatively open supersets of a chosen neighborhood per tabulated
-    point; points outside the table carry the empty family.
-
-    Nested: the probes are the chosen neighborhood, which lies in the
-    carrier, then the whole carrier."""
+    point; points outside the table carry the empty family."""
 
     table: tuple[tuple[SheetPoint, SheetSet], ...] = ()
 
     tag: str = field(init=False, default="PStructure")
-    nested_probes: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         for pt, chosen in self.table:

@@ -3,6 +3,8 @@ scale kind, including the documented edge claims: the only bounded set
 with an assigned complement under the bounded-ball kind is the empty
 set, and the empty set itself is never assigned."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from scaletop import jsonio
 from scaletop.exactnum import SQRT2, ExactNumber
 from scaletop.interval_scales import (
     BallScale,
@@ -18,6 +21,7 @@ from scaletop.interval_scales import (
     BoundedBallSupersetScale,
     ConnectedOpenScale,
     EndClassScale,
+    IntervalScale,
     PStructureIntervalScale,
     SymmetricIntervalScale,
     TrivialIntervalScale,
@@ -594,7 +598,54 @@ def test_ball_ladders_yield_the_ball_families(k, x, critical):
     scale = BALL_KINDS[k]
     at = SheetPoint(0, x)
     assert list(scale.iter_point_probes(at, critical)) == ball_family(scale, at, critical)
-    assert scale.ladder(at, critical).home == LINE.sheets[0].pieces[0]
+    assert scale.ladder(at, critical).home == LINE.sheets[0]
+
+
+def trace_cases() -> list[tuple[IntervalScale, tuple]]:
+    """``SymmetricIntervals`` on [-1, 3] punctured at 1 and 3/2, ambient
+    [0, 2]: points on both sides of each puncture, at the ambient bounds,
+    and beyond them, where no radius fits.  ``TruncatedQ_a`` on [0, 2]
+    with a = 1/4: points in both edge bands, at their inner ends and in
+    the interior."""
+    punctured = Carrier.of(LineSet.of(iv(-1, 1, lc=True), iv(1, "3/2"), iv("3/2", 3, hc=True)))
+    return [
+        (SymmetricIntervalScale(punctured, lo_amb=num(0), hi_amb=num(2)),
+         (-1, "-1/2", 0, "1/4", "3/4", "5/4", "7/4", 2, "5/2", 3, SQRT2 / 2)),
+        (TruncatedBallScale(segment_carrier(num(0), num(2)), a=num("1/4"), lo=num(0), hi=num(2)),
+         (0, "1/8", "1/4", "1/2", 1, "3/2", "7/4", "15/8", 2, SQRT2)),
+    ]
+
+
+TRACE_CRITICALS = (
+    (), (num(1),), (num("1/3"), num(1), num("3/2"), num(2)),
+    (num(0), num("1/2"), num("5/4"), num(3), SQRT2),
+)
+# sha256 of the families of ``trace_cases`` at ``TRACE_CRITICALS``, taken
+# while the trace kinds built their traces themselves: 323 probes, 24
+# families empty.
+TRACE_DIGEST = "cb5c4f4d547fab1917ee0f3f3a699cfbfca6090ab3c5a2c5722e149c1570274d"
+
+
+def test_trace_ladders_yield_the_trace_families():
+    """Each trace kind's ladder yields the carrier's traces of the open
+    balls at the derived radii of the point's radius range, in order, as
+    the kinds built them before they became ladders."""
+    h = hashlib.sha256()
+    empty = 0
+    for scale, points in trace_cases():
+        for xv in points:
+            x = SheetPoint(0, xv if isinstance(xv, ExactNumber) else num(xv))
+            rng = scale._radii(x.x)
+            for critical in TRACE_CRITICALS:
+                traces = [
+                    SheetSet((scale.carrier.sheets[0].intersect(LineSet.of(Interval(x.x - r, x.x + r, False, False))),))
+                    for r in _derived_radii(x.x, critical, rng.lo, rng.hi)
+                ]
+                assert list(scale.ladder(x, critical).probes()) == traces, (scale.tag, x, critical)
+                assert list(scale.iter_point_probes(x, critical)) == traces
+                h.update(json.dumps([jsonio.sheetset_to_json(s) for s in traces]).encode())
+                empty += not traces
+    assert (empty, h.hexdigest()) == (24, TRACE_DIGEST)
 
 
 @pytest.mark.parametrize("k", range(len(KINDS)), ids=lambda k: KINDS[k][0].tag)
@@ -711,31 +762,53 @@ def close_criticals(draw, x: SheetPoint):
     return draw(st.permutations(cs))
 
 
-NESTED = [k for k, (scale, _) in enumerate(KINDS) if scale.nested_probes]
+def has_ladder(scale: IntervalScale, values) -> bool:
+    return scale.ladder(SheetPoint(0, values[0])) is not None
+
+
+PSTRUCTURE = next(k for k, (scale, _) in enumerate(KINDS) if scale.tag == "PStructure")
+NESTED = [k for k, (scale, values) in enumerate(KINDS) if has_ladder(scale, values)] + [PSTRUCTURE]
 
 
 @pytest.mark.parametrize("k", NESTED, ids=lambda k: KINDS[k][0].tag)
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_nested_kinds_yield_nested_families(k, data):
-    """A kind that says its families are nested yields a chain from the
-    second probe on; weak checks stop at the first such probe they pass."""
+    """A kind with a ``Ladder`` yields a chain from the second probe on: its
+    ladder has at most one head probe, rising radii and a tail that is
+    empty or the whole carrier, and its family is the ladder's probes.
+    Weak checks stop at the first such probe they pass.  ``PStructure``
+    has no ladder, and its family, the chosen neighborhood and then the
+    whole carrier, is a chain too."""
     scale, values = KINDS[k]
     x = data.draw(points_in(scale, values))
     critical = data.draw(close_criticals(x))
     probes = list(scale.iter_point_probes(x, critical))
     assert is_nested(probes), (scale.tag, x, critical)
+    ladder = scale.ladder(x, critical)
+    if k == PSTRUCTURE:
+        chosen = scale._chosen(x)
+        assert ladder is None
+        assert probes == ([] if chosen is None else [chosen, scale.carrier.whole()])
+        return
+    radii = list(ladder.radii)
+    assert len(ladder.head) <= 1 and ladder.tail in ((), (scale.carrier.whole(),))
+    assert all(r < s for r, s in zip(radii, radii[1:])), (scale.tag, x, critical)
+    assert probes == [*ladder.head, *map(ladder.probe, radii), *ladder.tail]
 
 
 def test_every_kind_but_the_end_class_kinds_is_nested():
-    assert {scale.tag for scale, _ in KINDS if not scale.nested_probes} == {
-        "RationalEnds", "IrrationalEnds", "MixedRationalIrrational",
+    """Every kind but the end-class kinds and ``PStructure`` has a
+    ``Ladder``; ``PStructure``'s families are nested without one (see
+    ``test_nested_kinds_yield_nested_families``)."""
+    assert {scale.tag for scale, values in KINDS if not has_ladder(scale, values)} == {
+        "RationalEnds", "IrrationalEnds", "MixedRationalIrrational", "PStructure",
     }
 
 
 def test_an_end_class_family_is_not_nested():
     """Close radii 1/4 and 65/256 at 1/3: the rational-end probe (0, 9/16)
-    follows (-1/32, 17/32), so ``EndClassScale`` must not say nested."""
+    follows (-1/32, 17/32), so ``EndClassScale`` must have no ladder."""
     x = SheetPoint(0, num("1/3"))
     probes = list(EndClassScale(LINE).iter_point_probes(x, [num("7/12"), num("61/768")]))
     assert not is_nested(probes)

@@ -20,8 +20,12 @@ the germs that ``_chosen_germs`` picks (see "The germ choice" in
   walk reads the head, the failing radii (up to the first passing one
   on a weak walk) and, on a strong walk, the tail; and it finds the
   first failure that a walk of the whole family finds.  The ladders are
-  those of Trivial and ConnectedOpen codomains and, on drawn maps into
-  the line, of the five ball kinds, with their heads and tails.
+  those of Trivial and ConnectedOpen codomains, on drawn maps into the
+  line those of the five ball kinds, with their heads and tails, and on
+  drawn maps into a segment those of the two trace kinds, whose home is
+  the carrier's sheet: with ``SymmetricIntervals`` on a punctured
+  segment, values and limits lie in other pieces of the home and at its
+  punctures.
 
 The net runs the rules on every domain scale a check can use, the map's
 own and the trivial one, each through ``_domain_scale``, so that weak
@@ -47,7 +51,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from scaletop.continuity import ContinuityMode
@@ -78,6 +82,7 @@ from scaletop.interval_scales import (
     PStructureIntervalScale,
     SymmetricIntervalScale,
     TrivialIntervalScale,
+    TruncatedBallScale,
 )
 from scaletop.intervals import (
     Carrier,
@@ -85,6 +90,7 @@ from scaletop.intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _piece_holding,
     normalize,
     point_interval,
 )
@@ -201,7 +207,8 @@ GERM_OUTCOMES = tuple(
 
 def side_case(ladder, sheet: int, limit: ExactNumber, approach: int) -> str:
     """Which case of a side's threshold a side of a germ meets on a ladder,
-    named from the ladder's geometry, for the tally."""
+    named from the ladder's geometry, for the tally: H is the ladder's
+    home set and P its piece holding the centre."""
     y, home = ladder.center, ladder.home
     if sheet != y.sheet:
         return "side on another sheet"
@@ -210,10 +217,15 @@ def side_case(ladder, sheet: int, limit: ExactNumber, approach: int) -> str:
     below = limit < y.x
     inward = approach > 0 if below else approach < 0
     how = "from the centre's side" if inward else "from the far side"
-    if home.contains(limit):
-        return f"limit in H, {how}"
-    if limit == (home.lo if below else home.hi):
-        return f"limit at an open end of H, {how}"
+    piece = _piece_holding(home, y.x)
+    if piece.contains(limit):
+        return f"limit in P, {how}"
+    if home.member(limit):
+        return f"limit in another piece of H, {how}"
+    if limit == (piece.lo if below else piece.hi):
+        return f"limit at an open end of P, {how}"
+    if any(limit in (other.lo, other.hi) for other in home.pieces):
+        return f"limit at an open end of another piece of H, {how}"
     return "limit beyond H"
 
 
@@ -253,9 +265,11 @@ def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
         for value, sides in germs:
             if value.sheet != y.sheet:
                 tally["value on another sheet"] += 1
-            elif not ladder.home.contains(value.x):
+            elif not ladder.home.member(value.x):
                 tally["value outside H"] += 1
             else:
+                if not _piece_holding(ladder.home, y.x).contains(value.x):
+                    tally["value in another piece of H"] += 1
                 tally.update(side_case(ladder, *side) for side in sides)
         windows = _ladder_windows(ladder, germs)
         read = list(ladder.head)
@@ -280,7 +294,7 @@ def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
         assert list(_ladder_probes(scale.ladder(y, critical), germs, prune)) == read, (m, y, mode)
         fails = _decision(m, dom_scale, mode, germs, mode.at_point)
         walked = [
-            _first_failure(((scale.nested_probes, family),), fails, prune)
+            _first_failure(((True, family),), fails, prune)
             for family in (scale.ladder(y, critical).probes(), _ladder_probes(scale.ladder(y, critical), germs, prune))
         ]
         assert walked[0] == walked[1], (m, y, mode)
@@ -290,7 +304,7 @@ def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
 LADDER_CASES = (
     "value on another sheet", "value outside H", "side on another sheet",
     "limit at the centre", "limit beyond H",
-    *(f"limit {where}, from the {side}" for where in ("in H", "at an open end of H")
+    *(f"limit {where}, from the {side}" for where in ("in P", "at an open end of P")
       for side in ("centre's side", "far side")),
     *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
     # A weak walk at a jump point into a Trivial codomain always fails: its
@@ -298,7 +312,7 @@ LADDER_CASES = (
     "every germ: the walk holds", "every germ: the walk fails", "one germ: the walk fails",
     "one germ: the family ends at a passing radius",
     *(f"tie: limit {where}, from the {side}" for where, side in (
-        ("in H", "centre's side"), ("in H", "far side"), ("at an open end of H", "centre's side"))),
+        ("in P", "centre's side"), ("in P", "far side"), ("at an open end of P", "centre's side"))),
 )
 
 
@@ -329,20 +343,23 @@ def test_germ_decisions_match_the_whole_preimage_over_a_seeded_pool(seed):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_ladder_decisions_match_the_germs_over_a_seeded_pool(seed):
     """The seeded codomain sheets are segments and the line, so every value
-    and limit on the centre's sheet lies in H: the pools reach the cases
-    inside H and on another sheet, and the drawn maps below the rest.
-    The pools' ball codomains are Q_Oa and CQ_Oa."""
+    and limit on the centre's sheet lies in P: the pools reach the cases
+    inside P and on another sheet, and the drawn maps below the rest.
+    The pools' ball codomains are Q_Oa and CQ_Oa, and their trace
+    codomains lie on whole segments and the line, so each home is one
+    piece."""
     tally: Counter = Counter()
     for g in intervalgen.generate_maps(seed, 150):
         m = g.scaled
         ladder_net(m, default_probe_points(m), tally)
     assert_fired(tally, (
         "value on another sheet", "side on another sheet", "limit at the centre",
-        "limit in H, from the centre's side", "limit in H, from the far side",
+        "limit in P, from the centre's side", "limit in P, from the far side",
         *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
         "one germ: the family ends at a passing radius",
-        "tie: limit in H, from the centre's side", "tie: limit in H, from the far side",
+        "tie: limit in P, from the centre's side", "tie: limit in P, from the far side",
         "ladder: Trivial", "ladder: ConnectedOpen", "ladder: Q_Oa", "ladder: CQ_Oa", "head", "tail",
+        "ladder: SymmetricIntervals", "ladder: TruncatedQ_a",
     ))
 
 
@@ -352,12 +369,16 @@ GRID = tuple(num(Fraction(n, 2)) for n in range(-6, 7))
 SLOPES = tuple(Fraction(s) for s in ("0", "0", "1", "-1", "1/2"))
 
 
+DOMAIN_SHAPES = ("line", "segment", "two segments", "punctured", "isolated")
+BOUNDED_SHAPES = ("segment", "two segments", "isolated")
+
+
 @st.composite
-def domains(draw) -> Carrier:
+def domains(draw, shapes=DOMAIN_SHAPES) -> Carrier:
     """One sheet: the line, a segment, two segments, the line without a
-    point, or an isolated point beside a segment."""
+    point, or an isolated point beside a segment, of the ``shapes``."""
     a, b, c, d = sorted(draw(st.lists(st.sampled_from(GRID), min_size=4, max_size=4, unique=True)))
-    shape = draw(st.sampled_from(("line", "segment", "two segments", "punctured", "isolated")))
+    shape = draw(st.sampled_from(shapes))
     if shape == "line":
         pieces = [Interval(None, None, False, False)]
     elif shape == "segment":
@@ -373,14 +394,16 @@ def domains(draw) -> Carrier:
 
 
 @st.composite
-def small_maps(draw) -> PiecewiseAffineMap:
-    """Each carrier piece cut at up to two grid points, where the point
-    goes left, right or into a degenerate piece of its own.  A piece
-    often starts where the last one ended, so continuous breakpoints,
-    removable jumps and equal coordinates on another sheet all come up;
-    the codomain is the line on one or two sheets."""
-    domain = draw(domains())
-    n_out = draw(st.integers(1, 2))
+def small_maps(draw, shapes=DOMAIN_SHAPES, sheets=None) -> PiecewiseAffineMap:
+    """Each carrier piece, of a domain of the ``shapes``, cut at up to two
+    grid points, where the point goes left, right or into a degenerate
+    piece of its own.  A piece often starts where the last one ended, so
+    continuous breakpoints, removable jumps and equal coordinates on
+    another sheet all come up; the codomain is one or two sheets from
+    ``codomain_sheets``, or with ``sheets`` one sheet that it draws
+    around the image."""
+    domain = draw(domains(shapes))
+    n_out = 1 if sheets else draw(st.integers(1, 2))
     pieces = []
     for part in domain.sheets[0].pieces:
         cuts = [
@@ -408,7 +431,7 @@ def small_maps(draw) -> PiecewiseAffineMap:
             last = AffinePiece(0, piece_part, out, slope, intercept)
             pieces.append(last)
     codomain = Carrier(tuple(
-        draw(codomain_sheets(normalize(p.image_interval() for p in pieces if p.out_sheet == out)))
+        draw((sheets or codomain_sheets)(normalize(p.image_interval() for p in pieces if p.out_sheet == out)))
         for out in range(n_out)
     ))
     return PiecewiseAffineMap(domain, codomain, tuple(pieces))
@@ -574,11 +597,79 @@ def test_ball_ladder_decisions_match_the_germs_over_drawn_full_line_maps():
     drawn()
     assert_fired(tally, (
         *(f"ladder: {tag}" for tag in BALL_TAGS), "head", "tail",
-        "limit at the centre", "limit in H, from the centre's side", "limit in H, from the far side",
+        "limit at the centre", "limit in P, from the centre's side", "limit in P, from the far side",
         *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
         *(f"{choice}: the walk {outcome}" for choice in ("every germ", "one germ") for outcome in ("holds", "fails")),
         "one germ: the family ends at a passing radius",
-        "tie: limit in H, from the centre's side", "tie: limit in H, from the far side",
+        "tie: limit in P, from the centre's side", "tie: limit in P, from the far side",
+    ))
+
+
+@st.composite
+def segment_sheets(draw, image: LineSet) -> LineSet:
+    """The closed segment around the bounded ``image``, each end moved out
+    by 1/8 or 1/2."""
+    lo = image.pieces[0].lo - num(draw(st.sampled_from(("1/8", "1/2"))))
+    hi = image.pieces[-1].hi + num(draw(st.sampled_from(("1/8", "1/2"))))
+    return LineSet.of(Interval(lo, hi, True, True))
+
+
+@st.composite
+def trace_maps(draw) -> IntervalScaledMap:
+    """A drawn map out of a bounded domain into a segment around its image,
+    between a trivial domain and a trace codomain: ``TruncatedQ_a`` on the
+    segment, or ``SymmetricIntervals`` on the segment without one to three
+    points (open ends of the image's pieces, where limits sit, or grid
+    points the image misses), with each ambient bound at, beyond or
+    inside a segment end, so that homes of several pieces, limits at a
+    puncture and centres outside the ambient bounds come up."""
+    pam = draw(small_maps(BOUNDED_SHAPES, segment_sheets))
+    (seg,) = pam.codomain.sheets
+    lo, hi = seg.pieces[0].lo, seg.pieces[0].hi
+    if draw(st.booleans()):
+        a = num(draw(st.sampled_from(("1/8", "1/4", "1/2"))))
+        assume(lo + a * 2 < hi)
+        cod = TruncatedBallScale(pam.codomain, a=a, lo=lo, hi=hi)
+    else:
+        image = normalize(p.image_interval() for p in pam.pieces)
+        ends = [e for e in image.finite_endpoints() if not image.member(e)]
+        missed = [g for g in GRID if lo < g < hi and not image.member(g)]
+        holes = [st.sampled_from(points) for points in (ends, missed) if points]
+        assume(holes)
+        for c in draw(st.lists(st.one_of(holes), min_size=1, max_size=3)):
+            seg = seg.difference(LineSet.of(point_interval(c)))
+        pam = PiecewiseAffineMap(pam.domain, Carrier.of(seg), pam.pieces)
+        lo_amb = lo + num(draw(st.sampled_from(("-1/2", 0, "1/2"))))
+        hi_amb = hi - num(draw(st.sampled_from(("-1/2", 0, "1/2"))))
+        assume(lo_amb < hi_amb)
+        cod = SymmetricIntervalScale(pam.codomain, lo_amb=lo_amb, hi_amb=hi_amb)
+    event(f"codomain: {cod.tag}, {len(pam.codomain.sheets[0].pieces)} pieces")
+    return IntervalScaledMap(pam, TrivialIntervalScale(pam.domain), cod)
+
+
+def test_trace_ladder_decisions_match_the_germs_over_drawn_maps():
+    """Drawn maps into the two trace kinds, whose ladders cut each ball to
+    the carrier's sheet: on a punctured segment that home has several
+    pieces, so a value or a limit can lie in another piece than the
+    centre, or at a puncture, the open end of a piece of the home, and
+    be approached from either side."""
+    tally: Counter = Counter()
+
+    @given(trace_maps(), st.sampled_from(GRID))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def drawn(m, x):
+        ladder_net(m, drawn_points(m, x), tally)
+
+    drawn()
+    assert_fired(tally, (
+        "ladder: SymmetricIntervals", "ladder: TruncatedQ_a", "value in another piece of H",
+        *(f"limit {where}, from the {side}" for where in (
+            "in P", "in another piece of H", "at an open end of P", "at an open end of another piece of H")
+          for side in ("centre's side", "far side")),
+        *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
+        *(f"{choice}: the walk {outcome}" for choice in ("every germ", "one germ") for outcome in ("holds", "fails")),
+        "one germ: the family ends at a passing radius",
+        "tie: limit at an open end of P, from the far side", "tie: limit in another piece of H, from the far side",
     ))
 
 

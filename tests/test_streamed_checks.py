@@ -37,6 +37,7 @@ from scaletop.interval_continuity import (
 from scaletop.interval_scales import (
     BallSupersetScale,
     Ladder,
+    SymmetricIntervalScale,
     TrivialIntervalScale,
     full_line_carrier,
 )
@@ -151,12 +152,11 @@ def test_a_failing_weak_check_pulls_back_the_whole_preimage_once():
 
 @pytest.mark.parametrize("locus", ["global", "at-point"])
 def test_a_failing_check_stops_at_its_first_failing_probe(monkeypatch, locus):
-    """A strong check on a trivial domain reads the Q_a ladder as radii and
-    builds a ball (``Ladder.probe``) only at a radius where the jump
-    fails: the first one built fails, and the check builds no more."""
+    """A strong check on a trivial domain reads the ladder of a Q_a and of a
+    ``SymmetricIntervals`` codomain as radii and builds a probe
+    (``Ladder.probe``) only at a radius where the jump fails: the first
+    one built fails, and the check builds no more."""
     line = full_line_carrier()
-    scale = BallSupersetScale(line, a=num("1/4"))
-    m = IntervalScaledMap(step_map(Fraction(1)), TrivialIntervalScale(line), scale)
     taken = []
     original = Ladder.probe
 
@@ -167,15 +167,19 @@ def test_a_failing_check_stops_at_its_first_failing_probe(monkeypatch, locus):
 
     monkeypatch.setattr(Ladder, "probe", counted)
     at = SheetPoint(0, num(0)) if locus == "at-point" else None
-    verdict = iw_check_continuity(m, ContinuityMode("strong", locus, at_point=at))
-    assert not verdict.holds
-    first = list(dict.fromkeys(taken))
-    target = verdict.certificate.get("target", verdict.certificate.get("r_open"))
-    assert taken[-1] == target
-    if locus == "global":
-        everything = list(dict.fromkeys(ref_generated_global_probes(m)))
-    else:
-        probes = scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m))
-        everything = list(dict.fromkeys(probes))
-    assert first == everything[: len(first)] == [target]
-    assert len(first) < len(everything)
+    for scale in (BallSupersetScale(line, a=num("1/4")),
+                  SymmetricIntervalScale(line, lo_amb=num(-4), hi_amb=num(4))):
+        m = IntervalScaledMap(step_map(Fraction(1)), TrivialIntervalScale(line), scale)
+        taken.clear()
+        verdict = iw_check_continuity(m, ContinuityMode("strong", locus, at_point=at))
+        assert not verdict.holds
+        first = list(dict.fromkeys(taken))
+        target = verdict.certificate.get("target", verdict.certificate.get("r_open"))
+        assert taken[-1] == target
+        if locus == "global":
+            everything = list(dict.fromkeys(ref_generated_global_probes(m)))
+        else:
+            probes = scale.iter_point_probes(m.pam.eval(at), codomain_critical_coords(m))
+            everything = list(dict.fromkeys(probes))
+        assert first == everything[: len(first)] == [target], scale.tag
+        assert len(first) < len(everything)

@@ -1,5 +1,5 @@
 """Weak interval checks skip the probes that contain one they passed,
-and end a nested family at its first probe of index 1 or more that they
+and end a ``Ladder`` at its first probe of index 1 or more that they
 pass or skip.
 
 * Pruned checks give the verdicts and certificates of a reference walk
@@ -58,6 +58,8 @@ from scaletop.interval_scales import (
     BallSupersetScale,
     ConnectedOpenScale,
     EndClassScale,
+    IntervalScale,
+    Ladder,
     SymmetricIntervalScale,
     TrivialIntervalScale,
     full_line_carrier,
@@ -411,18 +413,21 @@ def test_a_passing_weak_check_pulls_back_at_most_two_probes(monkeypatch):
 
 
 def count_families(monkeypatch, cls) -> list[list[SheetSet]]:
-    """Record, per call of ``cls.iter_point_probes``, the probes taken."""
+    """Record, per family a walk takes from a ``cls`` scale, the probes
+    taken: per call of ``Ladder.probes`` where ``cls`` has a ladder, else
+    of ``cls.iter_point_probes``."""
     families = []
-    original = cls.iter_point_probes
+    owner, name = (Ladder, "probes") if cls.ladder is not IntervalScale.ladder else (cls, "iter_point_probes")
+    original = getattr(owner, name)
 
-    def counted(self, x, critical=()):
+    def counted(*args, **kwargs):
         taken = []
         families.append(taken)
-        for probe in original(self, x, critical):
+        for probe in original(*args, **kwargs):
             taken.append(probe)
             yield probe
 
-    monkeypatch.setattr(cls, "iter_point_probes", counted)
+    monkeypatch.setattr(owner, name, counted)
     return families
 
 
