@@ -86,12 +86,7 @@ def _parse_point(text: str, interval_world: bool):
         sheet = int(sheet_text)
     else:
         sheet, coord = 0, text
-    if "+sqrt2*" in coord:
-        rat, irr = coord.split("+sqrt2*", 1)
-        return SheetPoint(sheet, ExactNumber(Fraction(rat), Fraction(irr)))
-    if coord == "sqrt2":
-        return SheetPoint(sheet, ExactNumber(0, 1))
-    return SheetPoint(sheet, ExactNumber(Fraction(coord)))
+    return SheetPoint(sheet, ExactNumber.parse(coord))
 
 
 def _with_probes(target: IntervalScaledMap, doc: dict) -> IntervalScaledMap:
@@ -278,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="<locus>-<strength>, e.g. local-strong, global-weak, at-strong",
     )
-    p.add_argument("--at", help="point for at-point modes (int, or sheet:coord)")
+    p.add_argument(
+        "--at",
+        help="point for at-point modes: an int, or [sheet:]coord with coord an"
+        " exact number as printed, e.g. 1/2, 3*sqrt2 or 1/2-1/3*sqrt2",
+    )
     p.add_argument(
         "--trivial-domain",
         action="store_true",

@@ -83,8 +83,22 @@ class ExactNumber:
 
     @classmethod
     def parse(cls, text: str) -> ExactNumber:
-        """Parse a rational literal like ``"3/4"`` or ``"-2"``."""
-        return cls(Fraction(text), 0)
+        """Parse every form ``str`` prints: a rational ``"3/4"`` or
+        ``"-2"``, ``"b*sqrt2"``, and ``"a+b*sqrt2"`` or ``"a-b*sqrt2"``,
+        each coefficient a ``Fraction`` literal; ``"sqrt2"`` alone too.
+        A malformed coefficient raises ``Fraction``'s ``ValueError`` (or
+        ``ZeroDivisionError`` for a zero denominator)."""
+        if text == "sqrt2":
+            return cls(0, 1)
+        coeffs, star, root = text.rpartition("*")
+        if not star or root != "sqrt2":
+            return cls(Fraction(text))
+        # a carries a sign only at its start, and b none in the a+-b form.
+        cut = max(coeffs.rfind("+"), coeffs.rfind("-"))
+        if cut <= 0:
+            return cls(0, Fraction(coeffs))
+        b = Fraction(coeffs[cut + 1 :])
+        return cls(Fraction(coeffs[:cut]), b if coeffs[cut] == "+" else -b)
 
     # -- predicates ------------------------------------------------------
 
@@ -203,9 +217,6 @@ class ExactNumber:
         return hash((self._p, self._q, self._d))
 
     # -- conversions -----------------------------------------------------
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2)
 
     def floor(self) -> int:
         """Exact floor, verified by exact comparisons.

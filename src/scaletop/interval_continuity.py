@@ -113,20 +113,27 @@ only leaves probes unbuilt: no verdict, certificate or report byte moves.
   radius r, and its tail.  A side with limit L on y's sheet enters some
   V_r exactly when it enters H (``_side_enters``): L lies in H, or L is
   an open end of a piece of H that holds the side's values near L, as at
-  a puncture of a trace kind's carrier.  Such a side enters V_r when
-  r > |L - y|, or r = |L - y| with values approaching L from y's side;
-  any other side, and a side on another sheet, enters no V_r.  So a germ
-  whose value lies in H on y's sheet fails V_r exactly for r in
-  (|f(z) - y|, T], open or closed at T, its latest side threshold
-  (``_side_threshold``, ``_ladder_windows``), and any other germ is in
-  no V_r.  The walk builds only the probes at radii where some germ
-  fails (``_ladder_probes``).  A strong walk moves past a pass with
-  nothing kept, and a probe the germs fail has a nonempty preimage.  A
-  weak walk with germs is at a point, where it ends the ladder at its
-  first passing radius, or, on a ladder with no head, at the next one,
-  which contains it and is skipped.  A weak decision is upward closed
-  in the probe, so a failing radius contains no passed probe and is not
-  skipped.  Either way the first failing probe is the same.
+  a puncture of a trace kind's carrier.  Such a side enters V_r for r in
+  the ray from |L - y|, closed exactly when its values approach L from
+  y's side (``_side_threshold``); any other side, and a side on another
+  sheet, enters no V_r.  So a germ whose value lies in H on y's sheet
+  fails V_r exactly for r in its window: past g = |f(z) - y| and outside
+  the ray from T, its latest side threshold, where the rays of its sides
+  meet, so (g, T) or (g, T], or (g, +inf) when some side enters no V_r
+  (``_ladder_windows``); any other germ is in no V_r.  Radii, rays and
+  windows are ``Interval``s, so the interval layer's end order settles
+  every tie at an equal radius.  The walk builds only the probes at
+  radii where some germ fails (``_ladder_probes``), between the head
+  and the tail.  A strong walk moves past a pass with nothing kept, and
+  a probe the germs fail has a nonempty preimage.  A weak walk with
+  germs is at a point p and decides from the germ of p, whose value is
+  y itself, so its window starts at 0: the failing radii come first,
+  and the walk returns at the first of them, which is the first failing
+  radius of the whole family too, as a weak decision is upward closed
+  in the probe and so no passed probe lies inside it.  With no failing
+  radius it reads the passing ones and takes the tail, the whole
+  carrier, which passes like every probe before it, as the whole
+  family's walk does.  Either way the first failing probe is the same.
 
 The checkers pull each probe back as it is, with no cut to the codomain:
 every probe an ``IntervalScale`` yields lies in its carrier (the probe
@@ -145,10 +152,11 @@ from typing import Callable, Iterable, Iterator
 from .continuity import ContinuityMode, ContinuityVerdict
 from .exactnum import ExactNumber
 from .interval_scales import IntervalScale, Ladder, TrivialIntervalScale
-from .intervals import LineSet, SheetPoint, SheetSet
+from .intervals import Interval, LineSet, SheetPoint, SheetSet, _intersect_intervals, _ordered
 from .pwmaps import Germ, PiecewiseAffineMap
 
 _ZERO = ExactNumber(0)
+_EVERY_RADIUS = Interval(_ZERO, None, True, False)
 
 @dataclass(frozen=True)
 class IntervalScaledMap:
@@ -194,7 +202,7 @@ def default_probe_points(m: IntervalScaledMap) -> list[SheetPoint]:
 
 
 def _global_families(
-    m: IntervalScaledMap, chosen: tuple[Germ, ...] | None = None, prune: bool = False
+    m: IntervalScaledMap, chosen: tuple[Germ, ...] | None = None
 ) -> Iterator[tuple[bool, Iterable[SheetSet]]]:
     """The global probe families, each with whether it is a ``Ladder``:
     the declared probe family (never taken as one), then the family
@@ -204,11 +212,11 @@ def _global_families(
     ``_family`` takes it."""
     yield False, m.probe_family
     for y in m.pam._global_anchors:
-        yield _family(m, y, chosen, prune)
+        yield _family(m, y, chosen)
 
 
 def _family(
-    m: IntervalScaledMap, y: SheetPoint, chosen: tuple[Germ, ...] | None, prune: bool
+    m: IntervalScaledMap, y: SheetPoint, chosen: tuple[Germ, ...] | None
 ) -> tuple[bool, Iterable[SheetSet]]:
     """The codomain scale's probe family of y, with whether it is a
     ``Ladder``; a ladder is read as radii where germs are chosen
@@ -218,7 +226,7 @@ def _family(
     ladder = scale.ladder(y, critical)
     if ladder is None:
         return False, scale.iter_point_probes(y, critical=critical)
-    return True, ladder.probes() if chosen is None else _ladder_probes(ladder, chosen, prune)
+    return True, ladder.probes() if chosen is None else _ladder_probes(ladder, chosen)
 
 
 def _domain_scale(m: IntervalScaledMap, mode: ContinuityMode) -> IntervalScale:
@@ -314,81 +322,71 @@ def _germs_admit(germs: Iterable[Germ], target: SheetSet) -> bool:
 
 def _side_threshold(
     ladder: Ladder, sheet: int, limit: ExactNumber, approach: int
-) -> tuple[ExactNumber, bool] | None:
-    """When a side with ``limit`` on codomain ``sheet`` enters the
-    ladder's probe V_r (``_side_enters``): ``(d, strict)`` when it does
-    exactly for r > d, and for r = d too unless ``strict``; None when it
-    enters no V_r.  A side enters some V_r exactly when it is on the
-    centre y's sheet and enters the home set H: its limit lies in H, or
-    at an open end of a piece of H that holds its values (``lo`` for
-    values from above, ``hi`` from below).  d is the limit's distance
-    from y, and the side ties at r = d exactly when its values approach
-    the limit from y's side, where V_r ends at the limit."""
+) -> Interval | None:
+    """The radii r at which a side with ``limit`` on codomain ``sheet``
+    enters the ladder's probe V_r (``_side_enters``): [d, +inf) or
+    (d, +inf), or None when it enters no V_r.  A side enters some V_r
+    exactly when it is on the centre y's sheet and enters the home set H:
+    its limit lies in H, or at an open end of a piece of H that holds its
+    values (``lo`` for values from above, ``hi`` from below).  d is the
+    limit's distance from y, and the side enters at r = d exactly when
+    its values approach the limit from y's side, where V_r ends at the
+    limit."""
     y = ladder.center
     if sheet != y.sheet or not _side_enters(ladder.home, limit, approach):
         return None
     below = limit < y.x
     inward = approach > 0 if below else approach < 0
-    return (y.x - limit if below else limit - y.x), not inward
+    return _ordered(y.x - limit if below else limit - y.x, None, inward, False)
 
 
-def _ladder_windows(
-    ladder: Ladder, germs: Iterable[Germ]
-) -> list[tuple[ExactNumber, ExactNumber | None, bool]]:
-    """The radii at which each germ fails the ladder's probe V_r, as
-    ``(g, T, strict)``: the germ fails exactly for g < r and (r < T, or r
-    = T with ``strict``), T None for every r > g.  g is the distance of
-    its value from the centre, kept only for a value in the home set on
-    the centre's sheet (else no V_r holds it), and T is its latest side
-    threshold (``_side_threshold``).  An empty window is left out."""
+def _ladder_windows(ladder: Ladder, germs: Iterable[Germ]) -> list[Interval]:
+    """The radii at which each germ fails the ladder's probe V_r: (g, T),
+    (g, T] or (g, +inf).  g is the distance of its value from the centre,
+    kept only for a value in the home set on the centre's sheet (else no
+    V_r holds it).  The germ's sides all enter V_r on the ray where their
+    rays meet (``_side_threshold``), from [0, +inf) on, which starts at T,
+    its latest side threshold; the window is the rest of (g, +inf), all of
+    it when some side enters no V_r.  An empty window is left out: with
+    its lower end open, it is empty exactly when g >= T, whichever end the
+    ray has at T."""
     y = ladder.center
     windows = []
     for value, sides in germs:
         if value.sheet != y.sheet or not ladder.home.member(value.x):
             continue
-        latest: tuple[ExactNumber, bool] | None = (_ZERO, False)
-        for sheet, limit, approach in sides:
-            t = _side_threshold(ladder, sheet, limit, approach)
-            if t is None:
-                latest = None
-                break
-            if latest[0] < t[0] or (latest[0] == t[0] and t[1]):
-                latest = t
         g = abs(value.x - y.x)
-        if latest is None:
-            windows.append((g, None, False))
-        elif g < latest[0]:
-            windows.append((g, latest[0], latest[1]))
+        enters = _EVERY_RADIUS
+        for sheet, limit, approach in sides:
+            ray = _side_threshold(ladder, sheet, limit, approach)
+            if ray is None:
+                windows.append(_ordered(g, None, False, False))
+                break
+            enters = _intersect_intervals(enters, ray)
+        else:
+            if g < enters.lo:
+                windows.append(_ordered(g, enters.lo, False, not enters.lo_closed))
     return windows
 
 
-def _fails_at(
-    windows: list[tuple[ExactNumber, ExactNumber | None, bool]], r: ExactNumber
-) -> bool:
+def _fails_at(windows: list[Interval], r: ExactNumber) -> bool:
     """Whether some germ fails the probe at radius r (``_ladder_windows``)."""
-    for g, t, strict in windows:
-        if g < r and (t is None or r < t or (strict and r == t)):
+    for window in windows:
+        if window.contains(r):
             return True
     return False
 
 
-def _ladder_probes(
-    ladder: Ladder, germs: tuple[Germ, ...], prune: bool
-) -> Iterator[SheetSet]:
+def _ladder_probes(ladder: Ladder, germs: tuple[Germ, ...]) -> Iterator[SheetSet]:
     """The ladder's family as a walk that decides from ``germs`` takes it:
     the head, the probes at the radii where some germ fails, in order,
-    and the tail.  A ladder with no window reads none of its radii.  A
-    pruning walk ends the family at its first passing radius, and never
-    reaches the tail: it returns at a failing radius first."""
+    and the tail.  A ladder with no window reads none of its radii."""
     yield from ladder.head
     windows = _ladder_windows(ladder, germs)
     for r in ladder.radii if windows else ():
         if _fails_at(windows, r):
             yield ladder.probe(r)
-        elif prune:
-            return
-    if not prune:
-        yield from ladder.tail
+    yield from ladder.tail
 
 
 def _decision(
@@ -441,9 +439,9 @@ def _walk(
         p is not None or isinstance(dom_scale, TrivialIntervalScale)
     )
     if p is None:
-        families = _global_families(m, chosen, prune)
+        families = _global_families(m, chosen)
     else:
-        families = (_family(m, y, chosen, prune),)
+        families = (_family(m, y, chosen),)
     return _first_failure(families, _decision(m, dom_scale, mode, chosen, p), prune)
 
 

@@ -47,14 +47,19 @@ implementation of each piece of that:
 * ``_ball``: the open (or closed) ball of radius r around x;
 * ``_line_ladder``: the open balls of radius a plus each radius of
   ``_derived_radii``, the probe ``Ladder`` of the ball kinds;
-* ``_capped_radius``: a radius pick from a ``_Range``, capped so the
-  open ball stays inside the host piece holding x;
+* ``_at_most`` and ``_capped_radius``: a set of radii, an ``Interval``,
+  cut to closed caps, and a radius picked from it once cut so the open
+  ball stays inside the host piece holding x;
 * ``_open_interval``: the "one bounded open interval" shape test;
 * ``_TraceScale``: the carrier traces of open balls whose radius lies
-  in a per-point range (``SymmetricIntervals`` and ``TruncatedQ_a``),
+  in a per-point set (``SymmetricIntervals`` and ``TruncatedQ_a``),
   whose ``Ladder`` cuts the balls to the carrier's sheet.
 
-All decisions are exact.
+All decisions are exact.  Every set of radii, and every set of ball ends
+in ``SymmetricIntervals.is_q_open``, is an ``Interval`` (None when
+empty), so whether an open end or a closed one at an equal value is the
+stricter is decided by the interval layer's end order, in
+``_intersect_intervals`` and ``Interval.contains``, and nowhere here.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _intersect_intervals,
     _ordered,
     _piece_holding,
     interior_component_containing,
@@ -85,6 +91,7 @@ _ONE = ExactNumber(1)
 _TWO = ExactNumber(2)
 _HALF = ExactNumber(Fraction(1, 2))
 _THREE_HALVES = ExactNumber(Fraction(3, 2))
+_POSITIVE = Interval(_ZERO, None, False, False)
 
 
 def full_line_carrier() -> Carrier:
@@ -93,51 +100,6 @@ def full_line_carrier() -> Carrier:
 
 def segment_carrier(lo: ExactNumber, hi: ExactNumber) -> Carrier:
     return Carrier.of(LineSet.of(Interval(lo, hi, True, True)))
-
-
-@dataclass
-class _Range:
-    """Feasibility interval for a scalar unknown; each end optional and
-    open or closed.  Ties between constraints resolve to the stricter."""
-
-    lo: ExactNumber | None = None
-    lo_incl: bool = True
-    hi: ExactNumber | None = None
-    hi_incl: bool = True
-
-    def at_least(self, v: ExactNumber, incl: bool = True) -> None:
-        if self.lo is None or v > self.lo:
-            self.lo, self.lo_incl = v, incl
-        elif v == self.lo and not incl:
-            self.lo_incl = False
-
-    def at_most(self, v: ExactNumber, incl: bool = True) -> None:
-        if self.hi is None or v < self.hi:
-            self.hi, self.hi_incl = v, incl
-        elif v == self.hi and not incl:
-            self.hi_incl = False
-
-    @property
-    def feasible(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return True
-        if self.lo < self.hi:
-            return True
-        return self.lo == self.hi and self.lo_incl and self.hi_incl
-
-    def pick(self) -> ExactNumber | None:
-        """Some value in the range, or None when it is empty."""
-        if not self.feasible:
-            return None
-        if self.lo is None and self.hi is None:
-            return _ONE
-        if self.lo is None:
-            return self.hi if self.hi_incl else self.hi - 1
-        if self.hi is None:
-            return self.lo if self.lo_incl else self.lo + 1
-        if self.lo == self.hi:
-            return self.lo
-        return self.lo + (self.hi - self.lo) * _HALF
 
 
 def _single_sheet_point(x: SheetPoint) -> ExactNumber:
@@ -228,19 +190,47 @@ def _ball(x: ExactNumber, r: ExactNumber, closed: bool = False) -> LineSet:
     return LineSet((_ordered(x - r, x + r, closed, closed),))
 
 
+def _above(v: ExactNumber, closed: bool) -> Interval:
+    """The ray [v, +inf), or (v, +inf) unless ``closed``."""
+    return _ordered(v, None, closed, False)
+
+
+def _at_most(radii: Interval | None, caps: list[ExactNumber]) -> Interval | None:
+    """The radii of ``radii`` at most every cap, or None when there are
+    none.  ``radii`` has a lower end and a closed upper end or none, so
+    every upper end in play is closed: the cut ends at the least of them,
+    with no tie to break, and holds a radius exactly when it holds that
+    end."""
+    if radii is None:
+        return None
+    if radii.hi is not None:
+        caps = [*caps, radii.hi]
+    if not caps:
+        return radii
+    cap = min(caps)
+    return _ordered(radii.lo, cap, radii.lo_closed, True) if radii.contains(cap) else None
+
+
 def _capped_radius(
-    rng: _Range, x: ExactNumber, host: Interval | None
+    radii: Interval | None, x: ExactNumber, host: Interval | None
 ) -> ExactNumber | None:
-    """A radius from ``rng`` once capped so the open ball around x stays
-    inside ``host``, the piece holding x; None without a host or without
-    a feasible radius."""
+    """A radius of ``radii`` (as ``_at_most`` takes them) once cut so the
+    open ball around x stays inside ``host``, the piece holding x; None
+    without a host or without such a radius.  The pick is the midpoint of
+    a bounded cut, else its lower end when closed, or that end + 1."""
     if host is None:
         return None
+    caps = []
     if host.lo is not None:
-        rng.at_most(x - host.lo)
+        caps.append(x - host.lo)
     if host.hi is not None:
-        rng.at_most(host.hi - x)
-    return rng.pick()
+        caps.append(host.hi - x)
+    radii = _at_most(radii, caps)
+    if radii is None:
+        return None
+    if radii.hi is None:
+        return radii.lo if radii.lo_closed else radii.lo + 1
+    return radii.lo + (radii.hi - radii.lo) * _HALF
 
 
 def _open_interval(s: SheetSet) -> Interval | None:
@@ -471,14 +461,13 @@ class BallSupersetScale(IntervalScale):
         line = _single_line(s)
         if line.is_empty or not line.is_open_in_line():
             return False
-        two_a = self.a * 2
-        for piece in line.pieces:
-            if piece.lo is None or piece.hi is None:
-                return True
-            width = piece.hi - piece.lo
-            if width > two_a or (not self.closed_ball and width >= two_a):
-                return True
-        return False
+        # An open piece holds a closed a-ball when wider than 2a, an open
+        # one when at least 2a wide.
+        widths = _above(self.a * 2, not self.closed_ball)
+        return any(
+            piece.lo is None or piece.hi is None or widths.contains(piece.hi - piece.lo)
+            for piece in line.pieces
+        )
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         # The open component of s around x is assigned once it holds the
@@ -514,8 +503,8 @@ class BallScale(IntervalScale):
     def params(self) -> dict:
         return {"a": self.a}
 
-    def _radius_ok(self, r: ExactNumber) -> bool:
-        return r > self.a if self.strict else r >= self.a
+    def _radii(self) -> Interval:
+        return _above(self.a, not self.strict)
 
     def member(self, x: SheetPoint, s: SheetSet) -> bool:
         xx = _single_sheet_point(x)
@@ -523,18 +512,16 @@ class BallScale(IntervalScale):
         return (
             piece is not None
             and piece.lo + piece.hi == xx * 2
-            and self._radius_ok(piece.hi - xx)
+            and self._radii().contains(piece.hi - xx)
         )
 
     def is_q_open(self, s: SheetSet) -> bool:
         piece = _open_interval(s)
-        return piece is not None and self._radius_ok((piece.hi - piece.lo) * _HALF)
+        return piece is not None and self._radii().contains((piece.hi - piece.lo) * _HALF)
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
-        rng = _Range()
-        rng.at_least(self.a, incl=not self.strict)
-        r = _capped_radius(rng, xx, _piece_holding(_single_line(s), xx))
+        r = _capped_radius(self._radii(), xx, _piece_holding(_single_line(s), xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
     def ladder(self, x, critical=()):
@@ -583,9 +570,8 @@ class BoundedBallSupersetScale(IntervalScale):
         line = _single_line(s)
         if line == LineSet.full_line():
             return SheetSet((line,))
-        rng = _Range()
-        rng.at_least(self.a, incl=self.a.sign() > 0)
-        r = _capped_radius(rng, xx, _piece_holding(line, xx))
+        radii = _above(self.a, self.a.sign() > 0)
+        r = _capped_radius(radii, xx, _piece_holding(line, xx))
         return None if r is None else SheetSet((_ball(xx, r),))
 
     def ladder(self, x, critical=()):
@@ -598,15 +584,16 @@ class BoundedBallSupersetScale(IntervalScale):
 @dataclass(frozen=True)
 class _TraceScale(IntervalScale):
     """Traces carrier * (x-r, x+r) on a one-sheet carrier, with r in a
-    range that each kind sets per point (``_radii``).
+    set that each kind sets per point (``_radii``).
 
     A set s is such a trace iff s lies inside (x-r, x+r) and the ball
     misses every carrier point outside s.  Those points bound the host of
     x, the piece of the line holding x that avoids them; s must lie
     inside the host, and the ball fits while r stays within its ends."""
 
-    def _radii(self, x: ExactNumber) -> _Range:
-        """The radii admitted at x: a fresh range, open at its lower end."""
+    def _radii(self, x: ExactNumber) -> Interval | None:
+        """The radii admitted at x, None when there are none: an interval
+        open at its lower end and closed at its upper end."""
         raise NotImplementedError
 
     def _host(self, line: LineSet, x: ExactNumber) -> Interval | None:
@@ -638,11 +625,13 @@ class _TraceScale(IntervalScale):
         host = self._shaped_host(line, xx)
         if host is None:
             return False
+        # The ball must pass each closed end of s and reach each open one.
         m, m_in, mm, mm_in = self._bounds_of(line)
-        rng = self._radii(xx)
-        rng.at_least(xx - m, incl=not m_in)
-        rng.at_least(mm - xx, incl=not mm_in)
-        return _capped_radius(rng, xx, host) is not None
+        radii = self._radii(xx)
+        if radii is not None:
+            reach = _intersect_intervals(_above(xx - m, not m_in), _above(mm - xx, not mm_in))
+            radii = _intersect_intervals(radii, reach)
+        return _capped_radius(radii, xx, host) is not None
 
     def witness_inside(self, x: SheetPoint, s: SheetSet) -> SheetSet | None:
         xx = _single_sheet_point(x)
@@ -652,8 +641,12 @@ class _TraceScale(IntervalScale):
     def ladder(self, x, critical=()):
         xx = _single_sheet_point(x)
         self._contains_point(x)
-        rng = self._radii(xx)
-        radii = _derived_radii(xx, critical, lower_excl=rng.lo, upper_incl=rng.hi)
+        admitted = self._radii(xx)
+        radii = (
+            iter(())
+            if admitted is None
+            else _derived_radii(xx, critical, lower_excl=admitted.lo, upper_incl=admitted.hi)
+        )
         return Ladder((), self.carrier, x, self.carrier.sheets[0], radii)
 
 
@@ -678,17 +671,13 @@ class SymmetricIntervalScale(_TraceScale):
     def params(self) -> dict:
         return {"lo": self.lo_amb, "hi": self.hi_amb}
 
-    def _radii(self, x: ExactNumber) -> _Range:
-        rng = _Range()
-        rng.at_least(_ZERO, incl=False)
-        rng.at_most(x - self.lo_amb)
-        rng.at_most(self.hi_amb - x)
-        return rng
+    def _radii(self, x: ExactNumber) -> Interval | None:
+        return _at_most(_POSITIVE, [x - self.lo_amb, self.hi_amb - x])
 
     def has_witness(self, x: SheetPoint, s: SheetSet) -> bool:
         # Strictly inside its piece of s, x lies strictly inside its host,
         # which holds that piece, so both caps are positive and the radii
-        # (0, min(x - lo_amb, hi_amb - x)] fit once the range is not empty.
+        # (0, min(x - lo_amb, hi_amb - x)] fit once that set is not empty.
         xx = _single_sheet_point(x)
         piece = _piece_holding(_single_line(s), xx)
         if (
@@ -708,26 +697,24 @@ class SymmetricIntervalScale(_TraceScale):
         host = self._shaped_host(line, inside)
         if host is None:
             return False
+        # The ball (u, v) lies within the ambient bounds and the host, and
+        # its ends pass each closed end of s and reach each open one.
         m, m_in, mm, mm_in = self._bounds_of(line)
-        u = _Range()
-        u.at_least(self.lo_amb)
-        if host.lo is not None:
-            u.at_least(host.lo)
-        u.at_most(m, incl=not m_in)
-        v = _Range()
-        v.at_most(self.hi_amb)
-        if host.hi is not None:
-            v.at_most(host.hi)
-        v.at_least(mm, incl=not mm_in)
-        if not u.feasible or not v.feasible:
+        u_lo = self.lo_amb if host.lo is None else max(self.lo_amb, host.lo)
+        v_hi = self.hi_amb if host.hi is None else min(self.hi_amb, host.hi)
+        u = _intersect_intervals(_above(u_lo, True), _ordered(None, m, False, not m_in))
+        v = _intersect_intervals(_above(mm, not mm_in), _ordered(None, v_hi, False, True))
+        if u is None or v is None:
             return False
-        mid_lo = (u.lo + v.lo) * _HALF
-        mid_hi = (u.hi + v.hi) * _HALF
-        lo_incl = u.lo_incl and v.lo_incl
-        hi_incl = u.hi_incl and v.hi_incl
-        if mid_lo > mid_hi or (mid_lo == mid_hi and not (lo_incl and hi_incl)):
-            return False
-        centers = Interval(mid_lo, mid_hi, lo_incl, hi_incl)
+        # u.lo <= u.hi and v.lo <= v.hi, so the centres' ends are in order,
+        # and equal only when u and v are points, whose ends are all closed:
+        # the centres are never empty.
+        centers = _ordered(
+            (u.lo + v.lo) * _HALF,
+            (u.hi + v.hi) * _HALF,
+            u.lo_closed and v.lo_closed,
+            u.hi_closed and v.hi_closed,
+        )
         return not self.carrier.sheets[0].intersect(LineSet((centers,))).is_empty
 
 
@@ -968,16 +955,15 @@ class TruncatedBallScale(_TraceScale):
     def params(self) -> dict:
         return {"a": self.a, "lo": self.lo, "hi": self.hi}
 
-    def _radii(self, x: ExactNumber) -> _Range:
+    def _radii(self, x: ExactNumber) -> Interval | None:
         # k > a, and the ball may overhang only the segment end that x is
         # within a of; an edge point's ball always overhangs that end.
-        rng = _Range()
-        rng.at_least(self.a, incl=False)
+        caps = []
         if x > self.lo + self.a:
-            rng.at_most(x - self.lo)
+            caps.append(x - self.lo)
         if x < self.hi - self.a:
-            rng.at_most(self.hi - x)
-        return rng
+            caps.append(self.hi - x)
+        return _at_most(_above(self.a, False), caps)
 
     def is_q_open(self, s: SheetSet) -> bool:
         # An open interval can only be assigned to its centre, a half-open

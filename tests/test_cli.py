@@ -9,11 +9,12 @@ from jsonschema import validate as js_validate
 
 from scaletop import jsonio
 from scaletop.cli import main
-from scaletop.continuity import ScaledMap
+from scaletop.continuity import ContinuityMode, ScaledMap
 from scaletop.exactnum import ExactNumber
 from scaletop.finite_topology import sierpinski
 from scaletop.fixtures import FIXTURE_NAMES, load_fixture
-from scaletop.intervals import Carrier, Interval, LineSet, SheetSet
+from scaletop.interval_continuity import iw_check_continuity
+from scaletop.intervals import Carrier, Interval, LineSet, SheetPoint, SheetSet
 from scaletop.pwmaps import AffinePiece, PiecewiseAffineMap
 from scaletop.scales import trivial_scale
 
@@ -159,6 +160,26 @@ def test_check_at_point(capsys, fixture_file):
     assert code == 1
     doc = one_doc(out)
     assert doc["certificate"] is not None
+
+
+@pytest.mark.parametrize("x", [
+    ExactNumber(Fraction(1, 2), Fraction(1, 3)),
+    ExactNumber(Fraction(-1, 2), Fraction(-1, 3)),
+    ExactNumber(0, Fraction(-3, 4)),
+    ExactNumber(Fraction(7, 5)),
+], ids=str)
+def test_check_at_reads_what_an_exact_number_prints(capsys, fixture_file, x):
+    """``--at`` takes a coordinate as ``str`` prints it, and the check is
+    the check at that exact point."""
+    path = fixture_file("ex13")
+    code, out = run_cli(capsys, "check", "--map", path, "--mode", "at-strong", "--at", f"0:{x}")
+    verdict = iw_check_continuity(
+        load_fixture("ex13"), ContinuityMode("strong", "at-point", at_point=SheetPoint(0, x))
+    )
+    assert code == (0 if verdict.holds else 1)
+    doc = one_doc(out)
+    assert doc["holds"] == verdict.holds
+    assert doc["certificate"] == jsonio.certificate_to_json(verdict.certificate)
 
 
 @pytest.mark.parametrize("at", ["1/2", "5"])

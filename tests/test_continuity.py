@@ -415,3 +415,28 @@ def test_compiled_forms_leave_equality_hash_repr_and_pickle_alone():
     g = ScaledMap((0, 0, 1), back, back)
     for mode in ALL_MODES:
         assert check_continuity(g, mode) == check_continuity(f, mode)
+
+
+def test_replay_rejects_forged_certificates():
+    """On the pinned instance, a replay confirms the real global failure
+    and rejects a target whose preimage is empty, a target not assigned
+    at f(x), and targets that pass: each through its own test."""
+    f = pinned_local_vs_global()
+    strong, weak = ContinuityMode("strong", "global"), ContinuityMode("weak", "global")
+    assert replay_certificate(f, strong, {"r_open": (1, 2), "preimage": (1,)})
+    # (2,) is q-open, and nothing maps into it.
+    assert not f.preimage(frozenset({2}))
+    for mode in (strong, weak):
+        assert not replay_certificate(f, mode, {"r_open": (2,), "preimage": ()})
+    # {1, 2} is assigned only to 2, not to f(0) = 0.
+    for strength in ("strong", "weak"):
+        at_0 = ContinuityMode(strength, "at-point", at_point=0)
+        assert not replay_certificate(f, at_0, {"point": 0, "target": (1, 2), "preimage": (1,)})
+    # {0, 1} pulls back to the assigned carrier, and {0}, assigned at 0,
+    # to {0}, which the domain assigns to 0.
+    for mode in (strong, weak):
+        assert not replay_certificate(f, mode, {"r_open": (0, 1), "preimage": (0, 1)})
+    for strength in ("strong", "weak"):
+        at_0 = ContinuityMode(strength, "at-point", at_point=0)
+        assert frozenset({0}) in f.codomain.at(f.apply(0))
+        assert not replay_certificate(f, at_0, {"point": 0, "target": (0,), "preimage": (0,)})

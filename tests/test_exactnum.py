@@ -168,6 +168,21 @@ def test_between_helpers(x, y):
 def test_parse():
     assert ExactNumber.parse("3/4") == ExactNumber(Fraction(3, 4))
     assert ExactNumber.parse("-2") == ExactNumber(-2)
+    assert ExactNumber.parse("sqrt2") == SQRT2
+    assert ExactNumber.parse("-3/4*sqrt2") == ExactNumber(0, Fraction(-3, 4))
+    assert ExactNumber.parse("1/2+1/3*sqrt2") == ExactNumber(Fraction(1, 2), Fraction(1, 3))
+    assert ExactNumber.parse("-1/2-1/3*sqrt2") == ExactNumber(Fraction(-1, 2), Fraction(-1, 3))
+    for bad in ("1/2+sqrt2*1/3", "sqrt2*2", "1/2+*sqrt2", "2*3"):
+        with pytest.raises(ValueError):
+            ExactNumber.parse(bad)
+    with pytest.raises(ZeroDivisionError):
+        ExactNumber.parse("1/0*sqrt2")
+
+
+def test_no_float_route():
+    """An exact number never turns into a float on its own."""
+    with pytest.raises(TypeError):
+        float(SQRT2)
 
 
 # -- integer kernel vs a (Fraction, Fraction) reference ---------------------
@@ -311,6 +326,13 @@ def test_mixed_operands_match_reference(x, k):
         assert_matches(a / k, ref_mul(x, ref_inverse(o)))
     if x != (0, 0):
         assert_matches(k / a, ref_mul(o, ref_inverse(x)))
+
+
+@given(pairs)
+@settings(max_examples=300)
+def test_parse_reads_what_str_prints(x):
+    a = ex(x)
+    assert ExactNumber.parse(str(a)) == a
 
 
 @given(pairs)

@@ -225,3 +225,30 @@ def test_per_map_data_stays_out_of_equality_hash_repr_and_json():
     points.clear()
     assert default_probe_points(warm) == default_probe_points(fresh) != []
     assert default_probe_points(warm) is not default_probe_points(warm)
+
+
+def test_replay_rejects_forged_interval_certificates():
+    """On ex12 (the identity on [0, 1] punctured at 1/2, symmetric
+    intervals on both sides): a replay rejects an ``r_open`` target that
+    is not q-open, a target that is not a member at f(p), and probes that
+    pass, each through its own test."""
+    m = fixture_ex12()
+    cod = m.codomain_scale
+    p = SheetPoint(0, num("1/4"))
+    y = m.pam.eval(p)
+    two_pieces = SheetSet((LineSet.of(interval(num(0), num("1/4")), interval(num("1/2"), num("3/4"))),))
+    around_p = SheetSet((LineSet.of(interval(num(0), num("1/2"))),))
+    right_half = SheetSet((LineSet.of(interval(num("1/2"), num(1))),))
+    assert not cod.is_q_open(two_pieces) and not cod.member(y, right_half)
+    assert cod.is_q_open(around_p) and cod.member(y, around_p)
+    for strength in ("strong", "weak"):
+        glob = ContinuityMode(strength, "global")
+        at_p = ContinuityMode(strength, "at-point", at_point=p)
+        forged = {"r_open": two_pieces, "preimage": m.pam.preimage(two_pieces)}
+        assert not replay_interval_certificate(m, glob, forged)
+        forged = {"point": p, "target": right_half, "preimage": m.pam.preimage(right_half)}
+        assert not replay_interval_certificate(m, at_p, forged)
+        passing = {"r_open": around_p, "preimage": m.pam.preimage(around_p)}
+        assert not replay_interval_certificate(m, glob, passing)
+        passing = {"point": p, "target": around_p, "preimage": m.pam.preimage(around_p)}
+        assert not replay_interval_certificate(m, at_p, passing)

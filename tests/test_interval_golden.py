@@ -3,6 +3,9 @@ for every check the ``interval`` benchmark makes on a map (every
 strength x locus x trivial-domain mode, the at-point modes at each
 default probe point) over ``intervalgen.generate_maps(seed, 30)``.
 
+``POOL_GOLDEN`` holds the same digest over ``generate_maps(seed, 150)``,
+the larger pool that a change to the interval checkers is measured on.
+
 ``GAPS_GOLDEN`` holds the sha256 of what the benchmark records for each
 of those maps that has a fuzzy level: the digest of f o f, the
 ``gaps()`` of f and of f o f, and the fuzzy verdict and its witnesses.
@@ -41,6 +44,14 @@ GOLDEN = {
     7: "ce6eadacf4472bfae41a15df0c0931391f10691b1d96247ec0ce68ce05bdf8b9",
 }
 
+POOL_MAPS = 150
+
+POOL_GOLDEN = {
+    0: "568aaaa2381db83ec3cf012237fc75082cc6ce1f02c5df0c9612f2e9e3f37023",
+    3: "c728b3255c3bdbc0d6c0e33a8ef99817724df38a9ab8b1a0c89647c9d80561a6",
+    7: "b40d762f24c42b2f421ef686578964cebc949624f13ca2ad4ee640b851100d0e",
+}
+
 GAPS_GOLDEN = {
     0: "337edc4ec9d840013d7a98bc36d2e81bb470ee7a1b9b9fb6041898f06e241194",
     7: "41ce120fb03bccb61be2b023000fee2ae9be82e821c024cd843b41e1a5724dc1",
@@ -48,32 +59,37 @@ GAPS_GOLDEN = {
 
 
 @functools.cache
-def checks(seed: int) -> tuple:
+def checks(seed: int, maps: int = MAPS) -> tuple:
     """(i, map, mode, verdict) for every check, made once per seed."""
     out = []
-    for i, g in enumerate(intervalgen.generate_maps(seed, MAPS)):
+    for i, g in enumerate(intervalgen.generate_maps(seed, maps)):
         m = g.scaled
         for mode in interval_modes(m):
             out.append((i, m, mode, iw_check_continuity(m, mode)))
     return tuple(out)
 
 
-def verdict_lines(seed: int) -> list:
+def verdict_lines(seed: int, maps: int = MAPS) -> list:
     lines = []
-    for i, _, mode, verdict in checks(seed):
+    for i, _, mode, verdict in checks(seed, maps):
         cert = jsonio.certificate_to_json(verdict.certificate)
         lines.append([i, jsonio.mode_to_json(mode), verdict.holds, cert])
     return lines
 
 
-def golden_digest(seed: int) -> str:
-    doc = json.dumps(verdict_lines(seed), sort_keys=True)
+def golden_digest(seed: int, maps: int = MAPS) -> str:
+    doc = json.dumps(verdict_lines(seed, maps), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_interval_verdicts_match_golden(seed):
     assert golden_digest(seed) == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(POOL_GOLDEN))
+def test_pool_verdicts_match_golden(seed):
+    assert golden_digest(seed, POOL_MAPS) == POOL_GOLDEN[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))

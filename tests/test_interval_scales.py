@@ -26,6 +26,9 @@ from scaletop.interval_scales import (
     SymmetricIntervalScale,
     TrivialIntervalScale,
     TruncatedBallScale,
+    _above,
+    _at_most,
+    _capped_radius,
     _derived_radii,
     full_line_carrier,
     iw_finer,
@@ -39,6 +42,7 @@ from scaletop.intervals import (
     LineSet,
     SheetPoint,
     SheetSet,
+    _intersect_intervals,
     interval,
     is_open_in_carrier,
 )
@@ -635,11 +639,11 @@ def test_trace_ladders_yield_the_trace_families():
     for scale, points in trace_cases():
         for xv in points:
             x = SheetPoint(0, xv if isinstance(xv, ExactNumber) else num(xv))
-            rng = scale._radii(x.x)
+            radii = scale._radii(x.x)
             for critical in TRACE_CRITICALS:
                 traces = [
                     SheetSet((scale.carrier.sheets[0].intersect(LineSet.of(Interval(x.x - r, x.x + r, False, False))),))
-                    for r in _derived_radii(x.x, critical, rng.lo, rng.hi)
+                    for r in ([] if radii is None else _derived_radii(x.x, critical, radii.lo, radii.hi))
                 ]
                 assert list(scale.ladder(x, critical).probes()) == traces, (scale.tag, x, critical)
                 assert list(scale.iter_point_probes(x, critical)) == traces
@@ -875,3 +879,113 @@ def test_lazy_radii_are_the_eager_ladder(case):
     assert list(_derived_radii(x, critical, lower, upper)) == ref_derived_radii(
         x, critical, lower, upper
     )
+
+
+# -- radius sets as intervals --------------------------------------------------------
+
+
+class RefRange:
+    """The feasibility range the kinds kept their radii in before radius
+    sets became ``Interval``s: each end optional and open or closed, ties
+    between constraints resolved to the stricter."""
+
+    def __init__(self):
+        self.lo, self.lo_incl, self.hi, self.hi_incl = None, True, None, True
+
+    def at_least(self, v, incl=True):
+        if self.lo is None or v > self.lo:
+            self.lo, self.lo_incl = v, incl
+        elif v == self.lo and not incl:
+            self.lo_incl = False
+
+    def at_most(self, v, incl=True):
+        if self.hi is None or v < self.hi:
+            self.hi, self.hi_incl = v, incl
+        elif v == self.hi and not incl:
+            self.hi_incl = False
+
+    @property
+    def feasible(self):
+        if self.lo is None or self.hi is None:
+            return True
+        if self.lo < self.hi:
+            return True
+        return self.lo == self.hi and self.lo_incl and self.hi_incl
+
+    def pick(self):
+        if not self.feasible:
+            return None
+        if self.lo is None and self.hi is None:
+            return num(1)
+        if self.lo is None:
+            return self.hi if self.hi_incl else self.hi - 1
+        if self.hi is None:
+            return self.lo if self.lo_incl else self.lo + 1
+        if self.lo == self.hi:
+            return self.lo
+        return self.lo + (self.hi - self.lo) * num("1/2")
+
+
+# Few values, so that constraints tie often.
+RANGE_VALUES = st.sampled_from([num(0), num("1/2"), num(1), SQRT2 / 2, num(2)])
+BOUNDS = st.tuples(RANGE_VALUES, st.booleans())
+
+
+@given(st.lists(st.tuples(st.booleans(), BOUNDS), max_size=6))
+@settings(max_examples=400, deadline=None)
+@example([(True, (num(1), True)), (True, (num(1), False)), (False, (num(1), True))])
+@example([(True, (num(1), True)), (False, (num(1), True)), (False, (num(1), False))])
+@example([(True, (num(1), True)), (False, (num(1), True))])
+def test_cuts_of_rays_are_the_range(constraints):
+    """A chain of lower and upper constraints, each open or closed: the
+    cut of the line by their rays is empty exactly when the range is
+    infeasible, and otherwise has the range's ends."""
+    rng, cut = RefRange(), Interval(None, None, False, False)
+    for lower, (v, incl) in constraints:
+        if lower:
+            rng.at_least(v, incl)
+            ray = _above(v, incl)
+        else:
+            rng.at_most(v, incl)
+            ray = Interval(None, v, False, incl)
+        if cut is not None:
+            cut = _intersect_intervals(cut, ray)
+    assert (cut is not None) == rng.feasible, constraints
+    if cut is not None:
+        assert (cut.lo, cut.hi) == (rng.lo, rng.hi)
+        assert cut.lo is None or cut.lo_closed == rng.lo_incl
+        assert cut.hi is None or cut.hi_closed == rng.hi_incl
+
+
+@given(
+    st.lists(BOUNDS, min_size=1, max_size=4),
+    st.lists(RANGE_VALUES, max_size=3),
+    st.none() | RANGE_VALUES,
+    st.none() | RANGE_VALUES,
+)
+@settings(max_examples=400, deadline=None)
+@example([(num(1), False)], [num(1)], None, None)
+@example([(num(1), True)], [num(1)], None, None)
+@example([(num(1), False), (num(1), True)], [], num(1), None)
+@example([(num(0), False)], [], None, None)
+@example([(num(0), True)], [], None, None)
+def test_capped_radius_picks_what_the_range_picked(lowers, caps, left, right):
+    """Radii with a lower end, cut by a chain of lower constraints, each
+    open or closed, then by closed caps (``_at_most``) and by the host
+    around x (``_capped_radius``): the same radius as the range's pick,
+    or None exactly where the range is infeasible."""
+    x = num(0)
+    host = Interval(None if left is None else x - left, None if right is None else x + right,
+                    left is not None, right is not None)
+    rng = RefRange()
+    radii = None
+    for v, incl in lowers:
+        rng.at_least(v, incl)
+        radii = _above(v, incl) if radii is None else _intersect_intervals(radii, _above(v, incl))
+    for c in caps:
+        rng.at_most(c)
+    if host.lo is not None:
+        rng.at_most(x - host.lo)
+    if host.hi is not None:
+        rng.at_most(host.hi - x)
+    assert _capped_radius(_at_most(radii, list(caps)), x, host) == rng.pick(), (lowers, caps, host)

@@ -454,6 +454,19 @@ def test_subscale():
     assert not is_subscale(invalid_sub, t)
 
 
+@pytest.mark.parametrize("cap", [1, 5, 500, 5000])
+def test_the_candidate_cap_stops_at_a_prefix(cap):
+    """``max_candidates`` ends the enumeration early and silently: what it
+    yields is a prefix of the uncapped enumeration, and ``count_scales``
+    with the same cap counts that prefix."""
+    space = discrete_space(3)
+    full = list(enumerate_scales(space))
+    capped = list(enumerate_scales(space, max_candidates=cap))
+    assert 0 < len(capped) < len(full) == 4096
+    assert capped == full[: len(capped)]
+    assert count_scales(space, cap) == len(capped)
+
+
 def test_mixed_space_operands_rejected():
     with pytest.raises(ValueError):
         finer(trivial_scale(sierpinski()), trivial_scale(discrete_space(2)))

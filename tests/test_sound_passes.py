@@ -16,10 +16,10 @@ the germs that ``_chosen_germs`` picks (see "The germ choice" in
   with chosen germs reads (strong walks with every germ, at the image of
   each point and at each global anchor; weak walks at each jump point p
   with the germ of p), the radius decision (``_fails_at`` on
-  ``_ladder_windows``) equals ``_germs_admit`` on the built probe; the
-  walk reads the head, the failing radii (up to the first passing one
-  on a weak walk) and, on a strong walk, the tail; and it finds the
-  first failure that a walk of the whole family finds.  The ladders are
+  ``_ladder_windows``) equals ``_germs_admit`` on the built probe; on a
+  weak walk no radius fails past a passing one; the walk reads the
+  head, the failing radii and the tail; and it finds the first failure
+  that a walk of the whole family finds.  The ladders are
   those of Trivial and ConnectedOpen codomains, on drawn maps into the
   line those of the five ball kinds, with their heads and tails, and on
   drawn maps into a segment those of the two trace kinds, whose home is
@@ -247,10 +247,10 @@ def ladder_walks(m: IntervalScaledMap, points):
 def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
     """At every radius of each ladder that a walk with chosen germs reads
     (``ladder_walks``): the radius decision against ``_germs_admit`` on the
-    built probe, the probes the walk reads against the head, the probes
-    that fail (up to the first radius that passes, on a weak walk) and
-    the tail of a strong walk, and the walk's first failure against that
-    of a walk of the whole family."""
+    built probe, and on a weak walk, whose one germ's window starts at 0,
+    no failing radius past a passing one; the probes the walk reads
+    against the head, the probes that fail and the tail; and the walk's
+    first failure against that of a walk of the whole family."""
     scale = m.codomain_scale
     critical = m.pam._codomain_criticals
     dom_scale = TrivialIntervalScale(m.pam.domain)
@@ -279,23 +279,23 @@ def ladder_net(m: IntervalScaledMap, points, tally: Counter) -> None:
             admitted = _germs_admit(germs, probe)
             assert _fails_at(windows, r) != admitted, (m, y, r)
             tally[f"{choice}: radius {'passes' if admitted else 'fails'}"] += 1
-            if not admitted and not ended:
+            assert admitted or not ended, (m, y, r)
+            if not admitted:
                 read.append(probe)
-            elif admitted and prune and not ended:
+            elif prune and not ended:
                 ended = True
-                tally["one germ: the family ends at a passing radius"] += 1
+                tally["one germ: a radius lies past the window"] += 1
             for value, sides in germs:
                 if probe.member(value):
                     for sheet, limit, approach in sides:
                         if sheet == y.sheet and abs(limit - y.x) == r:
                             tally[f"tie: {side_case(ladder, sheet, limit, approach)}"] += 1
-        if not prune:
-            read += ladder.tail
-        assert list(_ladder_probes(scale.ladder(y, critical), germs, prune)) == read, (m, y, mode)
+        read += ladder.tail
+        assert list(_ladder_probes(scale.ladder(y, critical), germs)) == read, (m, y, mode)
         fails = _decision(m, dom_scale, mode, germs, mode.at_point)
         walked = [
             _first_failure(((True, family),), fails, prune)
-            for family in (scale.ladder(y, critical).probes(), _ladder_probes(scale.ladder(y, critical), germs, prune))
+            for family in (scale.ladder(y, critical).probes(), _ladder_probes(scale.ladder(y, critical), germs))
         ]
         assert walked[0] == walked[1], (m, y, mode)
         tally[f"{choice}: the walk {'holds' if walked[0] is None else 'fails'}"] += 1
@@ -310,7 +310,7 @@ LADDER_CASES = (
     # A weak walk at a jump point into a Trivial codomain always fails: its
     # first radius is below the distance to the limit that jumps.
     "every germ: the walk holds", "every germ: the walk fails", "one germ: the walk fails",
-    "one germ: the family ends at a passing radius",
+    "one germ: a radius lies past the window",
     *(f"tie: limit {where}, from the {side}" for where, side in (
         ("in P", "centre's side"), ("in P", "far side"), ("at an open end of P", "centre's side"))),
 )
@@ -356,7 +356,7 @@ def test_ladder_decisions_match_the_germs_over_a_seeded_pool(seed):
         "value on another sheet", "side on another sheet", "limit at the centre",
         "limit in P, from the centre's side", "limit in P, from the far side",
         *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
-        "one germ: the family ends at a passing radius",
+        "one germ: a radius lies past the window",
         "tie: limit in P, from the centre's side", "tie: limit in P, from the far side",
         "ladder: Trivial", "ladder: ConnectedOpen", "ladder: Q_Oa", "ladder: CQ_Oa", "head", "tail",
         "ladder: SymmetricIntervals", "ladder: TruncatedQ_a",
@@ -600,7 +600,7 @@ def test_ball_ladder_decisions_match_the_germs_over_drawn_full_line_maps():
         "limit at the centre", "limit in P, from the centre's side", "limit in P, from the far side",
         *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
         *(f"{choice}: the walk {outcome}" for choice in ("every germ", "one germ") for outcome in ("holds", "fails")),
-        "one germ: the family ends at a passing radius",
+        "one germ: a radius lies past the window",
         "tie: limit in P, from the centre's side", "tie: limit in P, from the far side",
     ))
 
@@ -668,7 +668,7 @@ def test_trace_ladder_decisions_match_the_germs_over_drawn_maps():
           for side in ("centre's side", "far side")),
         *(f"{choice}: radius {outcome}" for choice in ("every germ", "one germ") for outcome in ("passes", "fails")),
         *(f"{choice}: the walk {outcome}" for choice in ("every germ", "one germ") for outcome in ("holds", "fails")),
-        "one germ: the family ends at a passing radius",
+        "one germ: a radius lies past the window",
         "tie: limit at an open end of P, from the far side", "tie: limit in another piece of H, from the far side",
     ))
 
